@@ -2,10 +2,10 @@
 brute-force oracles, and homomorphism counting.
 
 Every count is an arbitrary-precision integer; no floating point enters this
-module.  The polynomial routines use deletion recursions with
-connected-component factorization; components small enough to canonicalize
-cheaply are memoized across calls, which pays off heavily on graph corpora
-sharing fragments (paths, cycles, trees).
+module.  Both polynomials come from one dynamic program over induced vertex
+subsets, run in breadth-first vertex order with a table local to each call;
+it needs no canonical labels and keeps no cache between calls.  Inputs whose
+DP would reach more than DP_STATE_LIMIT states raise ScaleError.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from ._canon import induced_masks, min_code
+from ._canon import induced_masks
 from .errors import DomainError, GraphError, ScaleError
 from .graphs import Graph, adjacency_masks
 
-MEMO_VERTEX_LIMIT = 10
+# Cap on the vertex subsets (states) the counting DP may reach in one call.
+DP_STATE_LIMIT = 1_000_000
 # Guard for the subset-enumeration oracle: number of subsets actually walked.
 BRUTE_FORCE_SUBSET_LIMIT = 40_000_000
 HOM_SEARCH_LIMIT = 10**12
@@ -48,29 +49,12 @@ class CountPolynomial:
         return [str(c) for c in self.coefficients]
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
-    last = 0
-    for i, c in enumerate(coeffs):
-        if c:
-            last = i
-    return tuple(coeffs[: last + 1])
-
-
-def _components(adj: tuple[int, ...], skip_isolated: bool) -> list[tuple[int, ...]]:
+def _components(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
     n = len(adj)
     seen = 0
     comps = []
     for root in range(n):
-        if seen >> root & 1 or (skip_isolated and adj[root] == 0):
+        if seen >> root & 1:
             continue
         frontier = 1 << root
         comp = 0
@@ -88,109 +72,104 @@ def _components(adj: tuple[int, ...], skip_isolated: bool) -> list[tuple[int, ..
     return comps
 
 
-_match_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-_ind_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+def _bfs_order(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Vertices in breadth-first order, each component searched from its
+    lowest unvisited vertex."""
+    order: list[int] = []
+    seen = 0
+    for root in range(len(adj)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        queue = [root]
+        for v in queue:
+            fresh = adj[v] & ~seen
+            seen |= fresh
+            while fresh:
+                queue.append((fresh & -fresh).bit_length() - 1)
+                fresh &= fresh - 1
+        order.extend(queue)
+    return tuple(order)
 
 
-def _match_rec(adj: tuple[int, ...]) -> tuple[int, ...]:
-    comps = _components(adj, skip_isolated=True)
-    if not comps:
-        return (1,)
-    result = (1,)
-    for verts in comps:
-        sub = induced_masks(adj, verts) if len(verts) < len(adj) else adj
-        result = _poly_mul(result, _match_component(sub))
-    return result
+def _subset_dp(adj: tuple[int, ...], kind: str) -> tuple[int, ...]:
+    """Count polynomial of a loop-free graph by a DP over vertex subsets.
 
+    Each step takes out the lowest vertex v of the remaining set S:
+      matching:      M(S) = M(S - v) + x * sum_{u in N(v) & S} M(S - v - u)
+      independence:  I(S) = I(S - v) + x * I(S - N[v])
+    The table runs forward from S = V, so a state's weight counts the partial
+    matchings (independent sets) that leave S; states are kept by their
+    lowest vertex and expanded in vertex order, each once.  Vertices are
+    renumbered in breadth-first order first, which keeps the reachable S few
+    while the search frontier is narrow.
 
-def _match_component(adj: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(adj)
-    key = None
-    if k <= MEMO_VERTEX_LIMIT:
-        key = min_code(k, adj)
-        hit = _match_memo.get(key)
-        if hit is not None:
-            return hit
-    degs = [m.bit_count() for m in adj]
-    v = max(range(k), key=lambda i: (degs[i], -i))
-    u = max(
-        (w for w in range(k) if adj[v] >> w & 1),
-        key=lambda w: (degs[w], -w),
-    )
-    # Matchings avoiding edge uv, plus x * matchings using it.
-    without_edge = list(adj)
-    without_edge[v] &= ~(1 << u)
-    without_edge[u] &= ~(1 << v)
-    p_skip = _match_rec(tuple(without_edge))
-    pair = (1 << u) | (1 << v)
-    without_ends = [0 if w in (u, v) else m & ~pair for w, m in enumerate(adj)]
-    p_use = _match_rec(tuple(without_ends))
-    out = [0] * max(len(p_skip), len(p_use) + 1)
-    for i, c in enumerate(p_skip):
-        out[i] += c
-    for i, c in enumerate(p_use):
-        out[i + 1] += c
-    coeffs = tuple(out)
-    if key is not None:
-        _match_memo[key] = coeffs
-    return coeffs
+    A weight is a polynomial packed into one integer, `width` bits per
+    coefficient: no partial count exceeds the graph's number of matchings
+    (< 2^|E|) or independent sets (< 2^n), so no coefficient spills over.
+    """
+    adj = induced_masks(adj, _bfs_order(adj))
+    n = len(adj)
+    if kind == MATCHING:
+        width = sum(m.bit_count() for m in adj) // 2 + 1
+    else:
+        width = n + 1
+    # pending[v]: the states whose lowest vertex is v.  The empty set has
+    # (0 & -0).bit_length() - 1 == -1, so it lands in pending[n], the last.
+    pending: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    pending[0][(1 << n) - 1] = 1
+    states = 1
+    for v in range(n):
+        bit = 1 << v
+        nbrs = adj[v]
+        for s, w in pending[v].items():
+            if states > DP_STATE_LIMIT:
+                raise ScaleError(
+                    f"instance too large: the counting DP needs more than "
+                    f"{DP_STATE_LIMIT} states"
+                )
+            rest = s ^ bit
+            succ = [(rest, w)]
+            w <<= width
+            if kind == MATCHING:
+                m = nbrs & rest
+                while m:
+                    low = m & -m
+                    m ^= low
+                    succ.append((rest ^ low, w))
+            else:
+                succ.append((rest & ~nbrs, w))
+            for t, x in succ:
+                table = pending[(t & -t).bit_length() - 1]
+                if t in table:
+                    table[t] += x
+                else:
+                    table[t] = x
+                    states += 1
+        pending[v] = {}
+    packed = pending[-1][0]
+    mask = (1 << width) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & mask)
+        packed >>= width
+    return tuple(coeffs)
 
 
 def matching_polynomial(g: Graph) -> CountPolynomial:
     """coefficients[k] = number of k-edge matchings of g."""
     if any(u == v for u, v in g.edges):
         raise GraphError("matching_polynomial requires a loop-free graph")
-    coeffs = _match_rec(adjacency_masks(g))
-    return CountPolynomial(_trim(list(coeffs)), MATCHING)
-
-
-def _ind_rec(adj: tuple[int, ...]) -> tuple[int, ...]:
-    if not adj:
-        return (1,)
-    comps = _components(adj, skip_isolated=False)
-    result = (1,)
-    for verts in comps:
-        if len(verts) == 1:
-            result = _poly_mul(result, (1, 1))
-            continue
-        sub = induced_masks(adj, verts) if len(verts) < len(adj) else adj
-        result = _poly_mul(result, _ind_component(sub))
-    return result
-
-
-def _ind_component(adj: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(adj)
-    key = None
-    if k <= MEMO_VERTEX_LIMIT:
-        key = min_code(k, adj)
-        hit = _ind_memo.get(key)
-        if hit is not None:
-            return hit
-    degs = [m.bit_count() for m in adj]
-    v = max(range(k), key=lambda i: (degs[i], -i))
-    # Sets avoiding v, plus x * sets containing v (drop its closed neighborhood).
-    rest = tuple(w for w in range(k) if w != v)
-    p_skip = _ind_rec(induced_masks(adj, rest))
-    closed = adj[v] | (1 << v)
-    kept = tuple(w for w in range(k) if not closed >> w & 1)
-    p_use = _ind_rec(induced_masks(adj, kept))
-    out = [0] * max(len(p_skip), len(p_use) + 1)
-    for i, c in enumerate(p_skip):
-        out[i] += c
-    for i, c in enumerate(p_use):
-        out[i + 1] += c
-    coeffs = tuple(out)
-    if key is not None:
-        _ind_memo[key] = coeffs
-    return coeffs
+    return CountPolynomial(_subset_dp(adjacency_masks(g), MATCHING), MATCHING)
 
 
 def independence_polynomial(g: Graph) -> CountPolynomial:
     """coefficients[t] = number of independent vertex sets of size t."""
     if any(u == v for u, v in g.edges):
         raise GraphError("independence_polynomial requires a loop-free graph")
-    coeffs = _ind_rec(adjacency_masks(g))
-    return CountPolynomial(_trim(list(coeffs)), INDEPENDENT_SET)
+    return CountPolynomial(
+        _subset_dp(adjacency_masks(g), INDEPENDENT_SET), INDEPENDENT_SET
+    )
 
 
 def eval_partition(p: CountPolynomial, lam) -> Fraction:
@@ -281,7 +260,7 @@ def count_homomorphisms(g: Graph, h: Graph) -> int:
     full = (1 << nh) - 1
 
     total = 1
-    for verts in _components(gadj, skip_isolated=False):
+    for verts in _components(gadj):
         if len(verts) == 1:
             total *= nh
             continue

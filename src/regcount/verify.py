@@ -401,12 +401,15 @@ def _squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[Fraction], int
         if len(gk) > 1:
             out.append((gk, k))
         w, rw = _poly_divmod(w, gk)
-        assert not rw
         y, rz = _poly_divmod(z, gk)
-        assert not rz
+        if rw or rz:
+            raise ArithmeticError("square-free decomposition: a gcd left a remainder")
         z = _poly_sub(y, _poly_derivative(w))
         k += 1
-    assert sum(m * (len(fk) - 1) for fk, m in out) == len(coeffs) - 1
+    if sum(m * (len(fk) - 1) for fk, m in out) != len(coeffs) - 1:
+        raise ArithmeticError(
+            "square-free decomposition: factor degrees do not sum to the degree"
+        )
     return out
 
 

@@ -1,5 +1,7 @@
 """Shared fixtures: named small graphs and the verification corpus."""
 
+import random
+
 import pytest
 
 from regcount import GenSpec, build_graph, build_kdd, generate
@@ -36,6 +38,21 @@ def petersen():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return build_graph(10, outer + spokes + inner)
+
+
+@pytest.fixture(scope="session")
+def large_cubic():
+    """A random cubic graph on 150 vertices, beyond the counting DP's state
+    limit for both polynomials: stubs are paired at random until the
+    pairing is simple."""
+    n = 150
+    rng = random.Random(n)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return build_graph(n, sorted(edges))
 
 
 @pytest.fixture(scope="session")

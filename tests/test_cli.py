@@ -233,6 +233,15 @@ def test_exit_code_2_on_failed_verdict(capsys, monkeypatch):
     assert doc["summary"]["failed"] == 1
 
 
+def test_count_too_large_exits_1(capsys, tmp_path, large_cubic):
+    path = tmp_path / "cubic150.txt"
+    path.write_text(graph_to_text(large_cubic))
+    assert main(["count", "--kind", "matching", "--graph", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("regcount: error: ")
+
+
 def test_module_entry_point(c4_file):
     proc = subprocess.run(
         [sys.executable, "-m", "regcount.cli", "count", "--kind", "matching", "--graph", c4_file],

@@ -4,7 +4,10 @@ Oracles are written here from scratch over itertools, with no bitmasks and no
 recursion, so they share nothing with the package's counting paths.
 """
 
+import math
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -180,3 +183,75 @@ def test_hom_count_conventions(c4):
     # isolated source vertices contribute a free factor
     iso = build_graph(3, [(0, 1)])
     assert count_homomorphisms(iso, k2) == 2 * 2
+
+
+@st.composite
+def small_graphs(draw, max_vertices=8):
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_graphs())
+def test_subset_dp_matches_oracles(g):
+    assert list(matching_polynomial(g).coefficients) == oracle_matching_counts(g)
+    assert list(independence_polynomial(g).coefficients) == oracle_independent_counts(g)
+
+
+def test_subset_dp_edge_cases(c4, prism):
+    empty = build_graph(0, [])
+    assert matching_polynomial(empty).coefficients == (1,)
+    assert independence_polynomial(empty).coefficients == (1,)
+    k1 = build_graph(1, [])
+    assert matching_polynomial(k1).coefficients == (1,)
+    assert independence_polynomial(k1).coefficients == (1, 1)
+    rng = random.Random(3301)
+    cases = [
+        build_graph(5, []),
+        build_graph(6, [(1, 4)]),
+        disjoint_union(c4, build_graph(2, [])),
+        disjoint_union(build_graph(3, []), prism),
+        disjoint_union(random_graph(rng, 5, 0.5), random_graph(rng, 6, 0.4)),
+        disjoint_union(disjoint_union(c4, build_graph(1, [])), c4),
+    ]
+    for g in cases:
+        assert list(matching_polynomial(g).coefficients) == oracle_matching_counts(g)
+        assert list(independence_polynomial(g).coefficients) == oracle_independent_counts(g)
+
+
+@pytest.fixture(scope="module")
+def fourteen():
+    """A fixed 14-vertex graph and its oracle counts."""
+    g = random_graph(random.Random(1414), 14, 0.17)
+    return g, oracle_matching_counts(g), oracle_independent_counts(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm=st.permutations(range(14)))
+def test_coefficients_do_not_depend_on_vertex_order(fourteen, perm):
+    g, matchings, independent = fourteen
+    h = build_graph(14, [(perm[u], perm[v]) for u, v in g.edges])
+    assert list(matching_polynomial(h).coefficients) == matchings
+    assert list(independence_polynomial(h).coefficients) == independent
+
+
+def test_path_longer_than_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    # k-matchings of P_n: C(n-k, k); independent k-sets: C(n-k+1, k)
+    assert matching_polynomial(path).coefficients == tuple(
+        math.comb(n - k, k) for k in range(n // 2 + 1)
+    )
+    assert independence_polynomial(path).coefficients == tuple(
+        math.comb(n - k + 1, k) for k in range((n + 1) // 2 + 1)
+    )
+
+
+def test_large_graph_raises_scale_error_fast(large_cubic):
+    for count in (matching_polynomial, independence_polynomial):
+        start = time.perf_counter()
+        with pytest.raises(ScaleError):
+            count(large_cubic)
+        assert time.perf_counter() - start < 30

@@ -206,6 +206,17 @@ def test_squarefree_decomposition():
     assert sorted((len(f) - 1, m) for f, m in mixed) == [(1, 1), (1, 2)]
 
 
+def test_squarefree_decomposition_checks_its_invariants(monkeypatch):
+    """The invariants are explicit raises, so they hold under python -O."""
+    import regcount.verify as verify_module
+
+    monkeypatch.setattr(
+        verify_module, "_poly_gcd", lambda a, b: [Fraction(2), Fraction(1)]
+    )
+    with pytest.raises(ArithmeticError):
+        verify_module._squarefree_factors((1, 5, 10, 10, 5, 1))
+
+
 def test_hom_inequality_examples(c4, k33):
     k2 = build_graph(2, [(0, 1)])
     v = verify_hom_inequality(c4, k2, vertex_order(c4, [0, 1, 2, 3]), h_name="K2")
