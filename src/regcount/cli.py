@@ -55,14 +55,15 @@ from .verify import (
     DEFAULT_C_GRID,
     DEFAULT_LAMBDA_GRID,
     DEFAULT_ROOT_TOL,
-    Verdict,
+    GraphProfile,
     _params,
     format_number,
-    graph_label,
     hom_graph_verdicts,
     kahn_graph_verdicts,
+    profile_verdicts,
     sort_verdicts,
     suite_graph_verdicts,
+    sweep,
     umc_graph_verdicts,
     verify_real_rooted,
     verify_union_lower_bounds,
@@ -95,7 +96,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         if workers:
-            sp.add_argument("--workers", type=int, default=1)
+            sp.add_argument("--workers", type=_workers, default=1)
 
     sp = sub.add_parser("count", help="exact count polynomial of a graph file")
     sp.add_argument("--kind", choices=(MATCHING, INDEPENDENT_SET), required=True)
@@ -146,9 +147,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _pmap(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], over a pool of at most one process per
+    item when workers > 1.  Pools fork all their processes at once."""
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -439,91 +450,63 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _umc_item(n, d, item):
-    idx, g = item
-    return umc_graph_verdicts(n, d, idx, g)
-
-
-def _kahn_item(n, d, item):
-    idx, g = item
-    return kahn_graph_verdicts(n, d, idx, g)
-
-
-def _suite_item(n, d, lams, item):
-    idx, g = item
-    return suite_graph_verdicts(n, d, idx, g, lams)
-
-
-def _roots_item(n, d, tol, item):
-    idx, g = item
-    return [verify_real_rooted(g, tol)]
-
-
-def _hom_item(n, d, orders, seed, cs, item):
-    idx, g = item
-    return hom_graph_verdicts(n, d, idx, g, random_orders=orders, seed=seed, c_grid=cs)
-
-
-def _run_sweep(args, task) -> int:
-    items = list(enumerate(generate(GenSpec(args.n, args.d))))
-    batches = _pmap(task, items, args.workers)
-    verdicts = sort_verdicts(v for batch in batches for v in batch)
-    doc = _report(args.command, _config_echo(args), verdicts=verdicts)
-    _emit(doc, args)
-    return _exit_status(verdicts)
-
-
-def _cmd_verify_umc(args) -> int:
+def _union_shape(args) -> None:
     union_params(args.n, args.d)
-    return _run_sweep(args, partial(_umc_item, args.n, args.d))
 
 
-def _cmd_verify_kahn(args) -> int:
-    union_params(args.n, args.d)
-    return _run_sweep(args, partial(_kahn_item, args.n, args.d))
-
-
-def _cmd_verify_suite(args) -> int:
-    lams = tuple(args.lam) if args.lam else DEFAULT_LAMBDA_GRID
-    cs = tuple(args.c) if args.c else DEFAULT_C_GRID
-    items = list(enumerate(generate(GenSpec(args.n, args.d))))
-    batches = _pmap(partial(_suite_item, args.n, args.d, lams), items, args.workers)
-    verdicts = [v for batch in batches for v in batch]
-    if args.d >= 1 and args.n % (2 * args.d) == 0:
-        verdicts.extend(verify_union_lower_bounds(args.n, args.d, cs))
-    verdicts = sort_verdicts(verdicts)
-    doc = _report(args.command, _config_echo(args), verdicts=verdicts)
-    _emit(doc, args)
-    return _exit_status(verdicts)
-
-
-def _cmd_verify_roots(args) -> int:
-    if args.graph:
-        g = _read_graph(args.graph)
-        verdicts = [verify_real_rooted(g, args.tol)]
-    elif args.n is not None and args.d is not None:
-        items = list(enumerate(generate(GenSpec(args.n, args.d))))
-        batches = _pmap(
-            partial(_roots_item, args.n, args.d, args.tol), items, args.workers
-        )
-        verdicts = [v for batch in batches for v in batch]
-    else:
+def _roots_source(args) -> None:
+    if not args.graph and (args.n is None or args.d is None):
         raise DomainError("verify-roots needs either --graph or both --n and --d")
+
+
+def _c_grid(args) -> tuple:
+    return tuple(args.c) if args.c else DEFAULT_C_GRID
+
+
+def _union_lowers(args) -> list:
+    if args.d >= 1 and args.n % (2 * args.d) == 0:
+        return verify_union_lower_bounds(args.n, args.d, _c_grid(args))
+    return []
+
+
+# verify command -> (name of its per-graph check, the check's settings from
+# the args, precondition on the args, verdicts added after the sweep).
+# Checks are held by name and looked up among this module's globals (they
+# are imported above for that) when the command runs, so that a rebinding of
+# the global (a stub, a tracing hook) is what runs.
+_VERIFY = {
+    "verify-umc": ("umc_graph_verdicts", lambda args: {}, _union_shape, None),
+    "verify-kahn": ("kahn_graph_verdicts", lambda args: {}, _union_shape, None),
+    "verify-suite": (
+        "suite_graph_verdicts",
+        lambda args: {"lambda_grid": tuple(args.lam) if args.lam else DEFAULT_LAMBDA_GRID},
+        None,
+        _union_lowers,
+    ),
+    "verify-roots": ("verify_real_rooted", lambda args: {"tol": args.tol}, _roots_source, None),
+    "verify-hom": (
+        "hom_graph_verdicts",
+        lambda args: {"random_orders": args.orders, "seed": args.seed, "c_grid": _c_grid(args)},
+        None,
+        None,
+    ),
+}
+
+
+def _cmd_verify(args) -> int:
+    check_name, settings, precondition, trailing = _VERIFY[args.command]
+    if precondition:
+        precondition(args)
+    check = partial(globals()[check_name], **settings(args))
+    if getattr(args, "graph", None):
+        verdicts = profile_verdicts(GraphProfile(_read_graph(args.graph)), check)
+    else:
+        verdicts = sweep(
+            GenSpec(args.n, args.d), check, map=partial(_pmap, workers=args.workers)
+        )
+    if trailing:
+        verdicts += trailing(args)
     verdicts = sort_verdicts(verdicts)
-    doc = _report(args.command, _config_echo(args), verdicts=verdicts)
-    _emit(doc, args)
-    return _exit_status(verdicts)
-
-
-def _cmd_verify_hom(args) -> int:
-    cs = tuple(args.c) if args.c else DEFAULT_C_GRID
-    items = list(enumerate(generate(GenSpec(args.n, args.d))))
-    batches = _pmap(
-        partial(_hom_item, args.n, args.d, args.orders, args.seed, cs),
-        items,
-        args.workers,
-    )
-    verdicts = sort_verdicts(v for batch in batches for v in batch)
     doc = _report(args.command, _config_echo(args), verdicts=verdicts)
     _emit(doc, args)
     return _exit_status(verdicts)
@@ -533,11 +516,7 @@ _COMMANDS = {
     "count": _cmd_count,
     "bounds": _cmd_bounds,
     "gen": _cmd_gen,
-    "verify-umc": _cmd_verify_umc,
-    "verify-kahn": _cmd_verify_kahn,
-    "verify-suite": _cmd_verify_suite,
-    "verify-roots": _cmd_verify_roots,
-    "verify-hom": _cmd_verify_hom,
+    **{command: _cmd_verify for command in _VERIFY},
 }
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -49,9 +50,10 @@ from .graphs import (
     Graph,
     adjacency_masks,
     bipartition,
+    build_graph,
+    build_hardcore_target,
     build_kdd,
     graph_to_text,
-    has_perfect_matching,
     regular_degree,
 )
 from .kdd import (
@@ -236,6 +238,82 @@ def graph_label(g: Graph, index: int | None = None, n: int | None = None, d: int
     return f"{g.vertex_count}v-{g.edge_count}e"
 
 
+class GraphProfile:
+    """One graph, the labels its verdicts carry, and its exact counts.
+
+    Each property is computed on first use and then kept, so every check of
+    the graph reads the same counts and none is computed twice.  index is
+    the graph's position in a census, or None for a graph that comes from
+    elsewhere.
+    """
+
+    def __init__(self, graph: Graph, index: int | None = None):
+        self.graph = graph
+        self.index = index
+
+    @cached_property
+    def degree(self) -> int | None:
+        return regular_degree(self.graph)
+
+    @cached_property
+    def canonical_label(self) -> str:
+        """graph_label without a census index.  verify-roots and verify-hom
+        name graphs by this label, in a census too."""
+        return graph_label(self.graph)
+
+    @cached_property
+    def label(self) -> str:
+        """The census name when the graph has an index, else the canonical
+        label."""
+        if self.index is None:
+            return self.canonical_label
+        return graph_label(self.graph, self.index, self.graph.vertex_count, self.degree)
+
+    @cached_property
+    def matching_polynomial(self):
+        return matching_polynomial(self.graph)
+
+    @cached_property
+    def independence_polynomial(self):
+        return independence_polynomial(self.graph)
+
+    @cached_property
+    def bipartite(self) -> bool:
+        return bipartition(self.graph) is not None
+
+    @cached_property
+    def nu(self) -> int:
+        """Maximum matching size: the degree of the trimmed matching
+        polynomial."""
+        return self.matching_polynomial.degree
+
+    @property
+    def has_perfect_matching(self) -> bool:
+        return 2 * self.nu == self.graph.vertex_count
+
+
+def profile_verdicts(profile: GraphProfile, check) -> list[Verdict]:
+    """check(profile) as a list; a check may return a single verdict."""
+    out = check(profile)
+    return [out] if isinstance(out, Verdict) else out
+
+
+def _census_verdicts(check, item) -> list[Verdict]:
+    index, g = item
+    return profile_verdicts(GraphProfile(g, index), check)
+
+
+def sweep(spec: GenSpec, check, map=map) -> list[Verdict]:
+    """The verdicts of check on the profile of every graph that
+    generate(spec) emits, in census order (sort_verdicts gives report
+    order).  map(fn, items) runs the checks; a process pool's map fans them
+    out, given a picklable check (a module-level function or a partial of
+    one)."""
+    items = list(enumerate(generate(spec)))
+    batches = map(partial(_census_verdicts, check), items)
+    return [v for batch in batches for v in batch]
+
+
 @dataclass(frozen=True)
 class VertexOrder:
     """A total order on the vertices with each vertex's count of earlier
@@ -268,82 +346,58 @@ def vertex_order(g: Graph, permutation: Sequence[int]) -> VertexOrder:
     return VertexOrder(perm, tuple(back))
 
 
-def umc_graph_verdicts(n: int, d: int, idx: int, g: Graph) -> list[Verdict]:
-    """Matching counts of one graph against the complete-bipartite-union
-    reference, one exact verdict per size."""
-    p = union_params(n, d)
-    label = graph_label(g, idx, n, d)
-    poly = matching_polynomial(g)
+def umc_graph_verdicts(p: GraphProfile) -> list[Verdict]:
+    """Matching counts of one d-regular graph on n vertices, 2d | n, against
+    the complete-bipartite-union reference, one exact verdict per size."""
+    n = p.graph.vertex_count
+    union = union_params(n, p.degree)
     return [
         exact_le(
             "match-count-vs-union",
-            label,
-            _params(n=n, d=d, size=ell),
-            poly.coefficient(ell),
-            union_matching_count(p, ell),
-            graph=g,
+            p.label,
+            _params(n=n, d=p.degree, size=ell),
+            p.matching_polynomial.coefficient(ell),
+            union_matching_count(union, ell),
+            graph=p.graph,
         )
         for ell in range(n // 2 + 1)
     ]
 
 
-def verify_umc(n: int, d: int) -> list[Verdict]:
-    """Per generated d-regular graph and per matching size, exact check that
-    the matching count never exceeds the complete-bipartite-union count."""
-    union_params(n, d)
-    verdicts = []
-    for idx, g in enumerate(generate(GenSpec(n, d))):
-        verdicts.extend(umc_graph_verdicts(n, d, idx, g))
-    return sort_verdicts(verdicts)
-
-
-def kahn_graph_verdicts(n: int, d: int, idx: int, g: Graph) -> list[Verdict]:
+def kahn_graph_verdicts(p: GraphProfile) -> list[Verdict]:
     """Independent-set counts of one graph against the union reference."""
-    p = union_params(n, d)
-    label = graph_label(g, idx, n, d)
-    poly = independence_polynomial(g)
+    n = p.graph.vertex_count
+    union = union_params(n, p.degree)
     return [
         exact_le(
             "ind-count-vs-union",
-            label,
-            _params(n=n, d=d, size=t),
-            poly.coefficient(t),
-            union_independent_count(p, t),
-            graph=g,
+            p.label,
+            _params(n=n, d=p.degree, size=t),
+            p.independence_polynomial.coefficient(t),
+            union_independent_count(union, t),
+            graph=p.graph,
         )
         for t in range(n // 2 + 1)
     ]
 
 
-def verify_kahn(n: int, d: int) -> list[Verdict]:
-    """Independent-set analogue of verify_umc."""
-    union_params(n, d)
-    verdicts = []
-    for idx, g in enumerate(generate(GenSpec(n, d))):
-        verdicts.extend(kahn_graph_verdicts(n, d, idx, g))
-    return sort_verdicts(verdicts)
-
-
-def verify_bipartite_total_count(n: int, d: int) -> list[Verdict]:
-    """For every bipartite d-regular graph, exact check that the total number
-    of independent sets is at most (2^(d+1) - 1)^(n/2d)."""
-    p = union_params(n, d)
-    rhs = (2 ** (d + 1) - 1) ** p.copies
-    verdicts = []
-    for idx, g in enumerate(generate(GenSpec(n, d, bipartite_only=True))):
-        label = graph_label(g, idx, n, d)
-        total = sum(independence_polynomial(g).coefficients)
-        verdicts.append(
-            exact_le(
-                "ind-total-vs-kdd-power",
-                label,
-                _params(n=n, d=d),
-                total,
-                rhs,
-                graph=g,
-            )
+def total_count_graph_verdicts(p: GraphProfile) -> list[Verdict]:
+    """Exact check that a bipartite d-regular graph on n vertices, 2d | n,
+    has at most (2^(d+1) - 1)^(n/2d) independent sets, the total of the
+    union of n/2d copies of K_{d,d}; no verdict for any other graph."""
+    n, d = p.graph.vertex_count, p.degree
+    if not d or n % (2 * d) or not p.bipartite:
+        return []
+    return [
+        exact_le(
+            "ind-total-vs-kdd-power",
+            p.label,
+            _params(n=n, d=d),
+            sum(p.independence_polynomial.coefficients),
+            (2 ** (d + 1) - 1) ** (n // (2 * d)),
+            graph=p.graph,
         )
-    return sort_verdicts(verdicts)
+    ]
 
 
 def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
@@ -413,7 +467,7 @@ def _squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[Fraction], int
     return out
 
 
-def verify_real_rooted(g: Graph, tol: float = DEFAULT_ROOT_TOL) -> Verdict:
+def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdict:
     """Numeric check that the matching partition function has only real
     negative roots, via companion-matrix eigenvalues.
 
@@ -430,19 +484,20 @@ def verify_real_rooted(g: Graph, tol: float = DEFAULT_ROOT_TOL) -> Verdict:
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    base_params = dict(n=g.vertex_count, d=regular_degree(g), tol=mpf(tol))
+    g = p.graph
+    base_params = dict(n=g.vertex_count, d=p.degree, tol=mpf(tol))
     if g.edge_count == 0:
         params = _params(**base_params, root_sum_rel_err=mpf(0))
         return Verdict(
             "match-poly-real-rooted",
-            graph_label(g),
+            p.canonical_label,
             params,
             mpf(0),
             mpf(tol),
             True,
             mpf(tol),
         )
-    coeffs = matching_polynomial(g).coefficients
+    coeffs = p.matching_polynomial.coefficients
     rel_imag = 0.0
     worst_real = -math.inf
     recip_sum = 0.0
@@ -463,7 +518,7 @@ def verify_real_rooted(g: Graph, tol: float = DEFAULT_ROOT_TOL) -> Verdict:
         params = _attach_repro(params, g)
     return Verdict(
         "match-poly-real-rooted",
-        graph_label(g),
+        p.canonical_label,
         params,
         mpf(rel_imag),
         mpf(tol),
@@ -478,11 +533,11 @@ def verify_real_rooted(g: Graph, tol: float = DEFAULT_ROOT_TOL) -> Verdict:
 _hom_count_cached = lru_cache(maxsize=4096)(count_homomorphisms)
 
 
-def verify_hom_inequality(g: Graph, h: Graph, order: VertexOrder, h_name: str | None = None) -> Verdict:
+def verify_hom_inequality(p: GraphProfile, h: Graph, order: VertexOrder, h_name: str | None = None) -> Verdict:
     """Exact cross-multiplied check that hom(g, h)^d is at most the product
     over vertices v of hom(K_{b,b}, h) with b the back degree of v under the
     given order.  The zero-by-zero block contributes an empty product of 1."""
-    d = regular_degree(g)
+    g, d = p.graph, p.degree
     if d is None or d < 1:
         raise DomainError("source graph must be d-regular with d >= 1")
     if any(u == v for u, v in g.edges):
@@ -500,16 +555,14 @@ def verify_hom_inequality(g: Graph, h: Graph, order: VertexOrder, h_name: str | 
         target=h_name or graph_label(h),
         order=",".join(str(v) for v in order.permutation),
     )
-    return exact_le("hom-order-product", graph_label(g), params, lhs, rhs, graph=g)
+    return exact_le("hom-order-product", p.canonical_label, params, lhs, rhs, graph=g)
 
 
-def verify_hardcore_hom_identity(g: Graph, c: int, lam) -> Verdict:
+def verify_hardcore_hom_identity(p: GraphProfile, c: int, lam) -> Verdict:
     """Exact identity: homomorphism count into the hard-core target with c
     clique vertices and c*lambda independent vertices equals
     c^n * (independence partition function at lambda), cleared of
     denominators.  Requires c*lambda to be a nonnegative integer."""
-    from .graphs import build_hardcore_target
-
     lam = Fraction(lam)
     if c < 1:
         raise DomainError(f"clique size must be >= 1, got {c}")
@@ -518,66 +571,63 @@ def verify_hardcore_hom_identity(g: Graph, c: int, lam) -> Verdict:
         raise DomainError(f"c*lambda must be a nonnegative integer, got {scaled}")
     a = int(scaled)
     h = build_hardcore_target(c, a)
-    hom = count_homomorphisms(g, h)
-    n = g.vertex_count
-    poly = independence_polynomial(g)
+    hom = count_homomorphisms(p.graph, h)
+    n = p.graph.vertex_count
+    poly = p.independence_polynomial
     cleared = sum(
         poly.coefficient(t) * a**t * c ** (n - t) for t in range(n + 1)
     )
-    params = _params(n=n, d=regular_degree(g), c=c, lam=lam)
-    return exact_eq("hardcore-hom-identity", graph_label(g), params, hom, cleared, graph=g)
+    params = _params(n=n, d=p.degree, c=c, lam=lam)
+    return exact_eq(
+        "hardcore-hom-identity", p.canonical_label, params, hom, cleared, graph=p.graph
+    )
 
 
-def verify_perfect_matching_bound(g: Graph, label: str | None = None) -> list[Verdict]:
-    """Exact check i_t <= 2^t binom(n/2, t) for every t, valid because g has
-    a perfect matching."""
-    if not has_perfect_matching(g):
+def verify_perfect_matching_bound(p: GraphProfile) -> list[Verdict]:
+    """Exact check i_t <= 2^t binom(n/2, t) for every t, valid because the
+    graph has a perfect matching."""
+    if not p.has_perfect_matching:
         raise DomainError("graph has no perfect matching")
-    n = g.vertex_count
-    if label is None:
-        label = graph_label(g)
-    poly = independence_polynomial(g)
+    n = p.graph.vertex_count
     verdicts = []
     for t in range(n // 2 + 1):
         verdicts.append(
             exact_le(
                 "ind-count-vs-pm-bound",
-                label,
-                _params(n=n, d=regular_degree(g), size=t),
-                poly.coefficient(t),
+                p.label,
+                _params(n=n, d=p.degree, size=t),
+                p.independence_polynomial.coefficient(t),
                 independent_upper_pm_exact(n, t),
-                graph=g,
+                graph=p.graph,
             )
         )
     return sort_verdicts(verdicts)
 
 
 def verify_bounds_suite(
-    g: Graph,
+    p: GraphProfile,
     lambda_grid: Sequence = DEFAULT_LAMBDA_GRID,
-    label: str | None = None,
 ) -> list[Verdict]:
-    """Every applicable closed-form bound against the exact polynomials of g.
+    """Every applicable closed-form bound against the exact polynomials of
+    the graph.
 
     Partition-function bounds are cleared to exact rational comparisons; the
     entropy-form count bounds are compared in log2 domain with slack.  Emits
     one Verdict per (bound, size, lambda) instance.
     """
-    d = regular_degree(g)
+    g, d, label = p.graph, p.degree, p.label
     if d is None:
         raise DomainError("bounds suite needs a regular graph")
     n = g.vertex_count
-    if label is None:
-        label = graph_label(g)
     grid = sorted(set(Fraction(x) for x in lambda_grid))
     if any(x <= 0 for x in grid):
         raise DomainError("lambda grid must be positive")
-    mpoly = matching_polynomial(g)
-    ipoly = independence_polynomial(g)
-    bip = bipartition(g) is not None
     verdicts: list[Verdict] = []
 
     if d >= 1:
+        mpoly, ipoly, bip, nu = (
+            p.matching_polynomial, p.independence_polynomial, p.bipartite, p.nu
+        )
         for lam in grid:
             zm = sum(
                 Fraction(mpoly.coefficient(k)) * lam**k
@@ -598,9 +648,7 @@ def verify_bounds_suite(
                     graph=g,
                 )
             )
-            # Z_match <= (1 + lam E / nu)^nu with nu the max matching size;
-            # the trimmed polynomial's degree is exactly nu.
-            nu = len(mpoly.coefficients) - 1
+            # Z_match <= (1 + lam E / nu)^nu with nu the max matching size.
             verdicts.append(
                 exact_le(
                     "match-pf-gurvits",
@@ -808,39 +856,21 @@ def verify_union_lower_bounds(
 
 
 def suite_graph_verdicts(
-    n: int,
-    d: int,
-    idx: int,
-    g: Graph,
+    p: GraphProfile,
     lambda_grid: Sequence = DEFAULT_LAMBDA_GRID,
 ) -> list[Verdict]:
     """Full per-graph battery: the bounds suite, the perfect-matching bound
     when one exists, and the total-count bound when the graph is bipartite."""
-    label = graph_label(g, idx, n, d)
-    verdicts = verify_bounds_suite(g, lambda_grid, label=label)
-    if g.edge_count > 0 and has_perfect_matching(g):
-        verdicts.extend(verify_perfect_matching_bound(g, label=label))
-    if d >= 1 and n % (2 * d) == 0 and bipartition(g) is not None:
-        total = sum(independence_polynomial(g).coefficients)
-        rhs = (2 ** (d + 1) - 1) ** (n // (2 * d))
-        verdicts.append(
-            exact_le(
-                "ind-total-vs-kdd-power",
-                label,
-                _params(n=n, d=d),
-                total,
-                rhs,
-                graph=g,
-            )
-        )
+    verdicts = verify_bounds_suite(p, lambda_grid)
+    if p.graph.edge_count > 0 and p.has_perfect_matching:
+        verdicts.extend(verify_perfect_matching_bound(p))
+    verdicts.extend(total_count_graph_verdicts(p))
     return sort_verdicts(verdicts)
 
 
 def hom_targets() -> list[tuple[str, Graph]]:
     """Fixed target menu for the order-product inequality: small cliques, the
     fully permissive looped vertex, and two hard-core targets."""
-    from .graphs import build_graph, build_hardcore_target
-
     return [
         ("K2", build_graph(2, [(0, 1)])),
         ("K3", build_graph(3, [(0, 1), (0, 2), (1, 2)])),
@@ -851,10 +881,7 @@ def hom_targets() -> list[tuple[str, Graph]]:
 
 
 def hom_graph_verdicts(
-    n: int,
-    d: int,
-    idx: int,
-    g: Graph,
+    p: GraphProfile,
     random_orders: int = 5,
     seed: int = 0,
     c_grid: Sequence = DEFAULT_C_GRID,
@@ -865,10 +892,9 @@ def hom_graph_verdicts(
     Orders tried: identity, reversed, and random_orders shuffles drawn from a
     seed that also hashes the census index, so reruns are reproducible.
     """
-    import random
-
+    g, n = p.graph, p.graph.vertex_count
     orders = [list(range(n)), list(range(n - 1, -1, -1))]
-    rng = random.Random(f"{seed}:{n}:{d}:{idx}")
+    rng = random.Random(f"{seed}:{n}:{p.degree}:{p.index}")
     for _ in range(random_orders):
         perm = list(range(n))
         rng.shuffle(perm)
@@ -877,7 +903,7 @@ def hom_graph_verdicts(
     for name, h in hom_targets():
         for perm in orders:
             verdicts.append(
-                verify_hom_inequality(g, h, vertex_order(g, perm), h_name=name)
+                verify_hom_inequality(p, h, vertex_order(g, perm), h_name=name)
             )
     for c in c_grid:
         cf = Fraction(c)
@@ -885,7 +911,7 @@ def hom_graph_verdicts(
             raise DomainError(f"clique sizes must be positive integers, got {cf}")
         c_int = int(cf)
         for lam in (Fraction(0), Fraction(1), Fraction(1, c_int)):
-            verdicts.append(verify_hardcore_hom_identity(g, c_int, lam))
+            verdicts.append(verify_hardcore_hom_identity(p, c_int, lam))
     return sort_verdicts(verdicts)
 
 

@@ -13,6 +13,7 @@ from itertools import combinations
 
 from regcount import (
     BoundParams,
+    GenSpec,
     eval_partition,
     independence_polynomial,
     matching_count_upper,
@@ -25,14 +26,16 @@ from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_ROOT_TOL,
     ROOT_SUM_REL_TOL,
+    GraphProfile,
     hom_graph_verdicts,
+    kahn_graph_verdicts,
     matching_lower_gap,
     suite_graph_verdicts,
-    verify_bipartite_total_count,
+    sweep,
+    total_count_graph_verdicts,
+    umc_graph_verdicts,
     verify_hardcore_hom_identity,
-    verify_kahn,
     verify_real_rooted,
-    verify_umc,
     verify_union_lower_bounds,
 )
 
@@ -92,7 +95,7 @@ def test_criterion_01_polynomials_equal_brute_force(small_corpus):
 def test_criterion_02_matching_counts_never_beat_union(corpus, c8):
     start = time.perf_counter()
     for n, d in CONJECTURE_GRID:
-        verdicts = verify_umc(n, d)
+        verdicts = sweep(GenSpec(n, d), umc_graph_verdicts)
         assert len(verdicts) == len(corpus[(n, d)]) * (n // 2 + 1)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
@@ -107,7 +110,7 @@ def test_criterion_02_matching_counts_never_beat_union(corpus, c8):
 
 def test_criterion_03_independent_counts_never_beat_union(corpus, c8):
     for n, d in CONJECTURE_GRID:
-        verdicts = verify_kahn(n, d)
+        verdicts = sweep(GenSpec(n, d), kahn_graph_verdicts)
         assert len(verdicts) == len(corpus[(n, d)]) * (n // 2 + 1)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
@@ -176,18 +179,18 @@ def test_criterion_06_explicit_lower_gap_trend():
 
 def test_criterion_07_bipartite_total_count():
     for n, d in UNION_SHAPES:
-        verdicts = verify_bipartite_total_count(n, d)
+        verdicts = sweep(GenSpec(n, d, bipartite_only=True), total_count_graph_verdicts)
         assert verdicts, (n, d)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
     # equality at the reference graph itself: total count of C4 is 7 = 2*2^2-1
-    [only] = verify_bipartite_total_count(4, 2)
+    [only] = sweep(GenSpec(4, 2, bipartite_only=True), total_count_graph_verdicts)
     assert only.lhs == only.rhs == 7 and only.margin == 0
 
 
 def test_criterion_08_bound_suite_and_union_lowers(small_corpus):
     for n, d, idx, g in small_corpus:
-        verdicts = suite_graph_verdicts(n, d, idx, g)
+        verdicts = suite_graph_verdicts(GraphProfile(g, idx))
         bad = [v for v in verdicts if not v.passed]
         assert not bad, (n, d, idx, bad[:3])
     for n, d in UNION_SHAPES:
@@ -218,7 +221,7 @@ def test_criterion_09_real_rootedness(small_corpus):
     assert DEFAULT_ROOT_TOL == 1e-7
     assert ROOT_SUM_REL_TOL == 1e-6
     for n, d, idx, g in small_corpus:
-        v = verify_real_rooted(g, tol=1e-7)
+        v = verify_real_rooted(GraphProfile(g), tol=1e-7)
         assert v.passed, (n, d, idx, v.params)
 
 
@@ -228,7 +231,7 @@ def test_criterion_10_hom_inequality_and_identity(small_corpus):
             continue
         if d >= 1:
             verdicts = hom_graph_verdicts(
-                n, d, idx, g, random_orders=5, seed=0, c_grid=(1, 2)
+                GraphProfile(g, idx), random_orders=5, seed=0, c_grid=(1, 2)
             )
             bad = [v for v in verdicts if not v.passed]
             assert not bad, (n, d, idx, bad[:3])
@@ -236,8 +239,8 @@ def test_criterion_10_hom_inequality_and_identity(small_corpus):
             assert targets == {"K2", "K3", "K1-loop", "hardcore-1-1", "hardcore-2-2"}
         else:
             # degenerate exponent: only the hard-core identity is informative
-            assert verify_hardcore_hom_identity(g, 1, Fraction(1)).passed
-            assert verify_hardcore_hom_identity(g, 2, Fraction(1)).passed
+            assert verify_hardcore_hom_identity(GraphProfile(g), 1, Fraction(1)).passed
+            assert verify_hardcore_hom_identity(GraphProfile(g), 2, Fraction(1)).passed
 
 
 def test_criterion_11_block_statistics():

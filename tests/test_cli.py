@@ -110,6 +110,51 @@ def test_workers_equivalence(capsys):
     assert doc2["config"]["workers"] == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_is_a_usage_error(capsys, workers):
+    assert main(["verify-umc", "--n", "6", "--d", "3", "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--workers" in captured.err
+
+
+def test_pool_is_no_larger_than_the_census(capsys, monkeypatch):
+    import regcount.cli as cli_mod
+
+    sizes = []
+
+    class RecordingPool:
+        """Runs in process and records the pool size it was asked for."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    code, doc = run_json(capsys, "verify-umc", "--n", "6", "--d", "3", "--workers", "8")
+    assert code == 0 and doc["summary"]["total"] == 8  # 2 graphs, sizes 0..3
+    assert sizes == [2]
+    # a census of one graph runs in process, with no pool
+    code, _ = run_json(capsys, "verify-umc", "--n", "4", "--d", "2", "--workers", "8")
+    assert code == 0 and sizes == [2]
+
+
+@pytest.mark.parametrize("command", ["verify-umc", "verify-kahn"])
+def test_union_sweeps_need_2d_dividing_n(capsys, command):
+    assert main([command, "--n", "8", "--d", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2d | n" in captured.err
+
+
 def test_verdict_csv_table(capsys):
     code, out = run_cli(capsys, "verify-umc", "--n", "8", "--d", "2", "--format", "csv")
     assert code == 0

@@ -24,7 +24,17 @@ CASES = {
     for kind in ("matching", "independent-set")
     for graph in ("petersen", "circular-ladder-24")
 }
+CASES["count-matching-petersen.csv"] = [
+    "count", "--kind", "matching", "--graph", "petersen.txt", "--format", "csv"
+]
+CASES["gen-10-3.json"] = ["gen", "--n", "10", "--d", "3"]
+CASES["verify-hom-6-3.json"] = ["verify-hom", "--n", "6", "--d", "3"]
+CASES["verify-hom-6-3.csv"] = ["verify-hom", "--n", "6", "--d", "3", "--format", "csv"]
+CASES["verify-kahn-6-3.json"] = ["verify-kahn", "--n", "6", "--d", "3"]
+CASES["verify-roots-8-3.json"] = ["verify-roots", "--n", "8", "--d", "3"]
+CASES["verify-roots-petersen.json"] = ["verify-roots", "--graph", "petersen.txt"]
 CASES["verify-suite-8-3.json"] = ["verify-suite", "--n", "8", "--d", "3"]
+CASES["verify-suite-8-3.csv"] = ["verify-suite", "--n", "8", "--d", "3", "--format", "csv"]
 CASES["verify-umc-6-3.json"] = ["verify-umc", "--n", "6", "--d", "3"]
 CASES["verify-umc-6-3.csv"] = ["verify-umc", "--n", "6", "--d", "3", "--format", "csv"]
 
@@ -34,3 +44,8 @@ def test_report_matches_golden(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_every_golden_report_has_a_case():
+    reports = {p.name for p in GOLDEN.iterdir() if p.suffix in (".json", ".csv")}
+    assert reports == set(CASES)

@@ -14,6 +14,7 @@ from mpmath import inf, mpf
 
 from regcount import (
     DomainError,
+    GenSpec,
     build_graph,
     build_kdd,
     canonical_form,
@@ -25,6 +26,7 @@ from regcount.bounds import LOWER, UPPER, LogBound, log2
 from regcount.verify import (
     CSV_HEADER,
     DEFAULT_LAMBDA_GRID,
+    GraphProfile,
     Verdict,
     bound_verdict,
     exact_eq,
@@ -37,16 +39,15 @@ from regcount.verify import (
     matching_lower_gap,
     sort_verdicts,
     suite_graph_verdicts,
+    sweep,
+    total_count_graph_verdicts,
     umc_graph_verdicts,
     verdicts_to_jsonl,
-    verify_bipartite_total_count,
     verify_bounds_suite,
     verify_hardcore_hom_identity,
     verify_hom_inequality,
-    verify_kahn,
     verify_perfect_matching_bound,
     verify_real_rooted,
-    verify_umc,
     verify_union_lower_bounds,
     vertex_order,
 )
@@ -106,7 +107,7 @@ def test_bound_verdict_directions(c4):
 
 
 def test_sorting_and_jsonl_are_canonical(c8):
-    verdicts = umc_graph_verdicts(8, 2, 0, c8) + kahn_graph_verdicts(8, 2, 0, c8)
+    verdicts = umc_graph_verdicts(GraphProfile(c8, 0)) + kahn_graph_verdicts(GraphProfile(c8, 0))
     text = verdicts_to_jsonl(verdicts)
     shuffled = verdicts[:]
     random.Random(5).shuffle(shuffled)
@@ -139,8 +140,8 @@ def test_vertex_order(c4):
 
 
 def test_umc_and_kahn_sweeps(c8):
-    umc = verify_umc(8, 2)
-    kahn = verify_kahn(8, 2)
+    umc = sweep(GenSpec(8, 2), umc_graph_verdicts)
+    kahn = sweep(GenSpec(8, 2), kahn_graph_verdicts)
     # 3 isomorphism classes, sizes 0..4
     assert len(umc) == len(kahn) == 15
     assert all(v.passed for v in umc + kahn)
@@ -149,12 +150,12 @@ def test_umc_and_kahn_sweeps(c8):
     # the reference graph itself is in the census, so equality occurs
     assert any(v.margin == 0 and v.params["size"] == 2 for v in umc)
     # spot value on the cycle: m_2(C8) = 20 against the union's 20
-    spot = [v for v in umc_graph_verdicts(8, 2, 0, c8) if v.params["size"] == 2]
+    spot = [v for v in umc_graph_verdicts(GraphProfile(c8, 0)) if v.params["size"] == 2]
     assert spot[0].lhs == 20 and spot[0].rhs == 20
 
 
 def test_bipartite_total_count():
-    verdicts = verify_bipartite_total_count(8, 2)
+    verdicts = sweep(GenSpec(8, 2, bipartite_only=True), total_count_graph_verdicts)
     # bipartite 2-regular graphs on 8 vertices: C8 and C4 + C4
     assert len(verdicts) == 2
     assert all(v.passed for v in verdicts)
@@ -167,12 +168,12 @@ def test_real_rooted(c4, c8, petersen):
     from regcount import disjoint_union
 
     for g in (c8, petersen):
-        v = verify_real_rooted(g)
+        v = verify_real_rooted(GraphProfile(g))
         assert v.passed
         assert v.check_id == "match-poly-real-rooted"
         assert v.margin > 0
     # edgeless: constant polynomial, vacuous pass
-    empty = verify_real_rooted(build_graph(3, []))
+    empty = verify_real_rooted(GraphProfile(build_graph(3, [])))
     assert empty.passed and empty.lhs == 0
     # high-multiplicity roots from repeated components must stay clean:
     # naive companion eigenvalues of (1+x)^5 carry ~eps^(1/5) imaginary dirt
@@ -180,11 +181,11 @@ def test_real_rooted(c4, c8, petersen):
     five_k2 = k2
     for _ in range(4):
         five_k2 = disjoint_union(five_k2, k2)
-    assert verify_real_rooted(five_k2, tol=1e-7).passed
+    assert verify_real_rooted(GraphProfile(five_k2), tol=1e-7).passed
     triple_c4 = disjoint_union(disjoint_union(c4, c4), c4)
-    assert verify_real_rooted(triple_c4, tol=1e-7).passed
+    assert verify_real_rooted(GraphProfile(triple_c4), tol=1e-7).passed
     with pytest.raises(DomainError):
-        verify_real_rooted(c8, tol=0)
+        verify_real_rooted(GraphProfile(c8), tol=0)
 
 
 def test_squarefree_decomposition():
@@ -219,51 +220,51 @@ def test_squarefree_decomposition_checks_its_invariants(monkeypatch):
 
 def test_hom_inequality_examples(c4, k33):
     k2 = build_graph(2, [(0, 1)])
-    v = verify_hom_inequality(c4, k2, vertex_order(c4, [0, 1, 2, 3]), h_name="K2")
+    v = verify_hom_inequality(GraphProfile(c4), k2, vertex_order(c4, [0, 1, 2, 3]), h_name="K2")
     # hom(C4, K2)^2 = 4 against 1 * 2 * 2 * 2 from back degrees (0,1,1,2)
     assert v.lhs == 4 and v.rhs == 8 and v.passed
     # class order on a complete bipartite block gives equality
     block = build_kdd(2)
-    vb = verify_hom_inequality(block, k2, vertex_order(block, [0, 1, 2, 3]))
+    vb = verify_hom_inequality(GraphProfile(block), k2, vertex_order(block, [0, 1, 2, 3]))
     assert vb.lhs == vb.rhs == count_homomorphisms(block, k2) ** 2
     # the all-permissive looped vertex gives 1 on both sides
     loop = build_graph(1, [(0, 0)], allow_loops=True)
-    vl = verify_hom_inequality(k33, loop, vertex_order(k33, list(range(6))))
+    vl = verify_hom_inequality(GraphProfile(k33), loop, vertex_order(k33, list(range(6))))
     assert vl.lhs == 1 and vl.rhs == 1 and vl.passed
     with pytest.raises(DomainError):
-        verify_hom_inequality(build_graph(3, [(0, 1)]), k2, vertex_order(build_graph(3, [(0, 1)]), [0, 1, 2]))
+        verify_hom_inequality(GraphProfile(build_graph(3, [(0, 1)])), k2, vertex_order(build_graph(3, [(0, 1)]), [0, 1, 2]))
 
 
 def test_hardcore_hom_identity(c4, k33):
-    v = verify_hardcore_hom_identity(c4, 1, Fraction(1))
+    v = verify_hardcore_hom_identity(GraphProfile(c4), 1, Fraction(1))
     assert v.passed
     assert v.lhs == sum(independence_polynomial(c4).coefficients) == 7
-    v2 = verify_hardcore_hom_identity(c4, 2, Fraction(1, 2))
+    v2 = verify_hardcore_hom_identity(GraphProfile(c4), 2, Fraction(1, 2))
     # a = 1, c = 2: sum_t i_t 2^(4-t) = 16 + 4*8 + 2*4 = 56
     assert v2.passed and v2.lhs == 56
-    assert verify_hardcore_hom_identity(k33, 2, Fraction(1)).passed
-    assert verify_hardcore_hom_identity(k33, 3, Fraction(0)).passed
+    assert verify_hardcore_hom_identity(GraphProfile(k33), 2, Fraction(1)).passed
+    assert verify_hardcore_hom_identity(GraphProfile(k33), 3, Fraction(0)).passed
     with pytest.raises(DomainError):
-        verify_hardcore_hom_identity(c4, 0, Fraction(1))
+        verify_hardcore_hom_identity(GraphProfile(c4), 0, Fraction(1))
     with pytest.raises(DomainError):
-        verify_hardcore_hom_identity(c4, 2, Fraction(1, 3))
+        verify_hardcore_hom_identity(GraphProfile(c4), 2, Fraction(1, 3))
 
 
 def test_perfect_matching_bound(c8):
-    verdicts = verify_perfect_matching_bound(c8)
+    verdicts = verify_perfect_matching_bound(GraphProfile(c8))
     assert len(verdicts) == 5
     assert all(v.passed for v in verdicts)
     at2 = [v for v in verdicts if v.params["size"] == 2][0]
     assert at2.lhs == 20 and at2.rhs == 24
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(DomainError):
-        verify_perfect_matching_bound(star)
+        verify_perfect_matching_bound(GraphProfile(star))
 
 
 def test_bounds_suite_inventory_and_passes(c8, k33, prism, petersen):
     bip_only = {"ind-pf-upper-bipartite", "ind-count-upper-bipartite", "bregman-pm"}
     for g, bip in ((c8, True), (k33, True), (prism, False), (petersen, False)):
-        verdicts = verify_bounds_suite(g, SMALL_GRID)
+        verdicts = verify_bounds_suite(GraphProfile(g), SMALL_GRID)
         assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
         ids = {v.check_id for v in verdicts}
         core = {
@@ -279,18 +280,59 @@ def test_bounds_suite_inventory_and_passes(c8, k33, prism, petersen):
         assert (bip_only <= ids) == bip
         assert bool(bip_only & ids) == bip
     with pytest.raises(DomainError):
-        verify_bounds_suite(build_graph(3, [(0, 1)]), SMALL_GRID)
+        verify_bounds_suite(GraphProfile(build_graph(3, [(0, 1)])), SMALL_GRID)
     with pytest.raises(DomainError):
-        verify_bounds_suite(c8, (Fraction(0), Fraction(1)))
+        verify_bounds_suite(GraphProfile(c8), (Fraction(0), Fraction(1)))
 
 
 def test_suite_graph_verdicts_adds_conditional_checks(c8, prism):
-    ids8 = {v.check_id for v in suite_graph_verdicts(8, 2, 0, c8, SMALL_GRID)}
+    ids8 = {v.check_id for v in suite_graph_verdicts(GraphProfile(c8, 0), SMALL_GRID)}
     assert "ind-count-vs-pm-bound" in ids8  # C8 has a perfect matching
     assert "ind-total-vs-kdd-power" in ids8  # bipartite with 2d | n
-    ids_prism = {v.check_id for v in suite_graph_verdicts(6, 3, 0, prism, SMALL_GRID)}
+    ids_prism = {v.check_id for v in suite_graph_verdicts(GraphProfile(prism, 0), SMALL_GRID)}
     assert "ind-count-vs-pm-bound" in ids_prism
     assert "ind-total-vs-kdd-power" not in ids_prism  # not bipartite
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap regcount.verify's global names with call counters."""
+    import regcount.verify as verify_module
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(verify_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, name, counted)
+    return calls
+
+
+def test_suite_counts_each_polynomial_once(monkeypatch, prism):
+    calls = _count_calls(monkeypatch, "matching_polynomial", "independence_polynomial")
+    ids = {v.check_id for v in suite_graph_verdicts(GraphProfile(prism, 0))}
+    assert "ind-count-vs-pm-bound" in ids  # reads the independence polynomial again
+    assert calls == {"matching_polynomial": 1, "independence_polynomial": 1}
+
+
+def test_hom_checks_label_and_count_once(monkeypatch, prism):
+    calls = _count_calls(monkeypatch, "canonical_form", "independence_polynomial")
+    verdicts = hom_graph_verdicts(GraphProfile(prism, 0))
+    assert len(verdicts) == 5 * 7 + 6
+    assert {v.graph_label for v in verdicts} == {canonical_form(prism)}
+    assert calls == {"canonical_form": 1, "independence_polynomial": 1}
+
+
+def test_profile_computes_only_what_a_check_reads(c8):
+    umc = GraphProfile(c8, 0)
+    umc_graph_verdicts(umc)
+    assert "independence_polynomial" not in vars(umc)
+    roots = GraphProfile(c8)
+    verify_real_rooted(roots)
+    computed = set(vars(roots)) - {"graph", "index"}
+    assert computed == {"degree", "canonical_label", "matching_polynomial"}
 
 
 def test_union_lower_bounds():
@@ -325,13 +367,13 @@ def test_union_lower_bounds():
 
 
 def test_hom_graph_verdicts_reproducible(c4):
-    a = hom_graph_verdicts(4, 2, 0, c4)
-    b = hom_graph_verdicts(4, 2, 0, c4)
+    a = hom_graph_verdicts(GraphProfile(c4, 0))
+    b = hom_graph_verdicts(GraphProfile(c4, 0))
     assert verdicts_to_jsonl(a) == verdicts_to_jsonl(b)
     assert all(v.passed for v in a)
     # 5 targets x (identity + reversed + 5 shuffles) + 2 clique sizes x 3 weights
     assert len(a) == 5 * 7 + 6
-    other = hom_graph_verdicts(4, 2, 0, c4, seed=1)
+    other = hom_graph_verdicts(GraphProfile(c4, 0), seed=1)
     assert {v.check_id for v in other} == {v.check_id for v in a}
 
 
