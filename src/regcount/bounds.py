@@ -1,11 +1,18 @@
-"""Closed-form bounds on matching and independent-set counts, in log2 domain.
+"""Closed-form bounds on matching and independent-set counts.
 
-Every formula is evaluated with mpmath at 120-bit precision (far above the 64
-fractional bits the comparisons need) and carries a uniform slack of 2^-40.
-The slack is applied in the direction favorable to the inequality under test;
-exact integer comparisons never use it.  Verifiers that can clear the
-logarithms entirely (rational lambda, integer exponents) should prefer the
-exact rational route and use these values for margin reporting only.
+Each bound the per-graph suite checks is defined once, as a power-cleared
+inequality q^k * cofactor <= rhs over exact rationals (`Cleared`), by a
+function named after its check id: a partition-function bound, Bregman's
+bound, or a single-term extraction from a partition-function bound.  Its
+verdict is the exact comparison, and its log2 value log2(rhs / cofactor) / k
+is the number `matching_partition_upper`, `matching_count_upper` and the
+other log2 forms return.
+
+The other bounds, those that involve log2 e and the log2-form lower bounds
+on the K_{d,d} union, are evaluated in log2 with mpmath at 120-bit
+precision (far above the 64 fractional bits the comparisons need) and
+compared under a uniform slack of 2^-40, applied in the direction favorable
+to the inequality under test.
 """
 
 from __future__ import annotations
@@ -63,6 +70,29 @@ class LogBound:
 
 
 @dataclass(frozen=True)
+class Cleared:
+    """The upper bound q^k * cofactor <= rhs on a nonnegative quantity q,
+    cleared of roots and logarithms; rhs and cofactor are positive
+    rationals."""
+
+    k: int
+    rhs: Fraction
+    cofactor: Fraction = Fraction(1)
+
+    def lhs(self, q) -> Fraction:
+        return Fraction(q) ** self.k * self.cofactor
+
+    def holds(self, q) -> bool:
+        """The exact verdict for q."""
+        return self.lhs(q) <= self.rhs
+
+    def log_bound(self) -> LogBound:
+        """The bound on log2 q: log2(rhs / cofactor) / k, the ratio reduced
+        first."""
+        return LogBound(log2(Fraction(self.rhs, self.cofactor)) / self.k, UPPER)
+
+
+@dataclass(frozen=True)
 class BoundParams:
     """Scalar inputs shared by the bound formulas.
 
@@ -106,10 +136,64 @@ def binary_entropy(x) -> mpf:
     return -xv * log2(xv) - (1 - xv) * log2(1 - xv)
 
 
+def match_pf_upper(n: int, d: int, lam) -> Cleared:
+    """match-pf-upper: Z_m(lambda)^2 <= (1 + d lambda)^n."""
+    return Cleared(2, (1 + d * lam) ** n)
+
+
+def match_pf_gurvits(edges: int, nu: int, lam) -> Cleared:
+    """match-pf-gurvits: Z_m(lambda) <= (1 + lambda |E| / nu)^nu, with nu the
+    maximum matching size."""
+    return Cleared(1, (1 + lam * Fraction(edges, nu)) ** nu)
+
+
+def ind_pf_upper_general(n: int, d: int, lam) -> Cleared:
+    """ind-pf-upper-general: Z_i(lambda)^(2d) <= 2^(2n) (1 + lambda)^(nd)."""
+    return Cleared(2 * d, 4**n * (1 + lam) ** (n * d))
+
+
+def ind_pf_upper_bipartite(n: int, d: int, lam) -> Cleared:
+    """ind-pf-upper-bipartite: Z_i(lambda)^(2d) <= (2 (1 + lambda)^d - 1)^n,
+    for bipartite graphs."""
+    return Cleared(2 * d, (2 * (1 + lam) ** d - 1) ** n)
+
+
+def bregman_pm(n: int, d: int) -> Cleared:
+    """bregman-pm: pm^(2d) <= (d!)^n for the perfect matchings of a bipartite
+    d-regular graph."""
+    return Cleared(2 * d, math.factorial(d) ** n)
+
+
+def single_term(bound: Cleared, size: int, lam) -> Cleared:
+    """The single-term extraction: Z(lambda) >= c_s lambda^s, so a bound
+    Z^k * cofactor <= rhs on a partition function gives
+    c_s^k * (cofactor lambda^(ks)) <= rhs on its size-s coefficient."""
+    return Cleared(bound.k, bound.rhs, bound.cofactor * Fraction(lam) ** (bound.k * size))
+
+
+def match_count_upper(n: int, d: int, ell: int) -> Cleared:
+    """match-count-upper: single_term(match_pf_upper(n, d, lam), ell, lam) at
+    lam = 2ell / (d(n - 2ell)) (optimal_lambda), both sides multiplied by
+    d^(2ell) (n - 2ell)^n:  m_ell^2 (2ell)^(2ell) (n - 2ell)^(n - 2ell) <=
+    d^(2ell) n^n.  With 0^0 = 1 it holds at ell = 0 and, in the limit of
+    large lam, at ell = n/2."""
+    rest = n - 2 * ell
+    return Cleared(2, d ** (2 * ell) * n**n, (2 * ell) ** (2 * ell) * rest**rest)
+
+
+def ind_count_upper_general(n: int, d: int, t: int) -> Cleared:
+    """ind-count-upper-general: single_term(ind_pf_upper_general(n, d, lam),
+    t, lam) at lam = 2t / (n - 2t) (occupancy_lambda), both sides multiplied
+    by (n - 2t)^(nd):  i_t^(2d) ((2t)^(2t) (n - 2t)^(n - 2t))^d <= 2^(2n) n^(nd).
+    With 0^0 = 1 it holds at t = 0 and, in the limit of large lam, at
+    t = n/2."""
+    rest = n - 2 * t
+    return Cleared(2 * d, 4**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d)
+
+
 def matching_partition_upper(p: BoundParams) -> LogBound:
     """Upper bound (n/2) log2(1 + d*lambda) on the matching partition function."""
-    inner = 1 + p.d * p.lam
-    return LogBound(mpf(p.n) / 2 * log2(inner), UPPER)
+    return match_pf_upper(p.n, p.d, p.lam).log_bound()
 
 
 def optimal_lambda(p: BoundParams) -> Fraction:
@@ -127,14 +211,7 @@ def matching_count_upper(p: BoundParams) -> LogBound:
     """Upper bound (n/2)(alpha log2 d + H(alpha)) on log2 of the size-ell matching count."""
     if p.d < 1:
         raise DomainError(f"need d >= 1, got {p.d}")
-    half = mpf(p.n) / 2
-    a = p.alpha
-    if a == 0:
-        return LogBound(mpf(0), UPPER)
-    if a == 1:
-        return LogBound(half * log2(p.d), UPPER)
-    value = half * (_mpf_of(a) * log2(p.d) + binary_entropy(a))
-    return LogBound(value, UPPER)
+    return match_count_upper(p.n, p.d, p.size).log_bound()
 
 
 def union_matching_lower_explicit(p: BoundParams) -> LogBound:
@@ -212,9 +289,7 @@ def gurvits_bound(g: Graph, lam) -> LogBound:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
     if g.edge_count == 0:
         raise DomainError("gurvits_bound needs at least one edge")
-    nu = max_matching_size(g)
-    inner = 1 + lam * Fraction(g.edge_count, nu)
-    return LogBound(nu * log2(inner), UPPER)
+    return match_pf_gurvits(g.edge_count, max_matching_size(g), lam).log_bound()
 
 
 def independent_partition_upper(p: BoundParams, bipartite: bool) -> LogBound:
@@ -224,13 +299,8 @@ def independent_partition_upper(p: BoundParams, bipartite: bool) -> LogBound:
     """
     if p.d < 1:
         raise DomainError(f"need d >= 1, got {p.d}")
-    lam1 = 1 + p.lam
-    if bipartite:
-        inner = 2 * lam1**p.d - 1
-        value = mpf(p.n) / (2 * p.d) * log2(inner)
-    else:
-        value = mpf(p.n) / p.d + mpf(p.n) / 2 * log2(lam1)
-    return LogBound(value, UPPER)
+    bound = ind_pf_upper_bipartite if bipartite else ind_pf_upper_general
+    return bound(p.n, p.d, p.lam).log_bound()
 
 
 GENERAL = "general"
@@ -269,11 +339,11 @@ def independent_count_upper(p: BoundParams, variant: str) -> LogBound:
         return LogBound(log2(Fraction(independent_upper_pm_exact(p.n, t))), UPPER)
     if p.d < 1:
         raise DomainError(f"need d >= 1, got {p.d}")
-    half = mpf(p.n) / 2
-    ent = binary_entropy(p.alpha)
     if variant == GENERAL:
-        return LogBound(half * (ent + mpf(2) / p.d), UPPER)
+        return ind_count_upper_general(p.n, p.d, t).log_bound()
     if variant == BIPARTITE:
+        half = mpf(p.n) / 2
+        ent = binary_entropy(p.alpha)
         miss = _mpf_of(1 - p.alpha) ** p.d
         return LogBound(
             half * (ent + mpf(1) / p.d - _LOG2E / (2 * p.d) * miss), UPPER

@@ -2,9 +2,14 @@
 
 Every check emits Verdict records instead of raising on a failed inequality,
 so a potential counterexample is reported with reproduction data rather than
-aborting a sweep.  Comparisons are exact-integer (zero slack) wherever the
-bound can be cleared to rational form; bounds with transcendental values are
-compared in log2 domain under the shared slack.
+aborting a sweep.  Every bound with a power-cleared form (`bounds.Cleared`)
+is decided exactly, with zero slack, whether its verdict reports exact
+rationals or log2 values.  Only bounds without one are compared in log2
+under the shared slack: ind-count-upper-bipartite, which involves log2 e,
+and the log2-form lower bounds on the complete-bipartite union.
+
+Checks return their verdicts in check order; `sort_verdicts` gives the
+report order, once per report.
 """
 
 from __future__ import annotations
@@ -23,24 +28,32 @@ from mpmath import inf, isinf, mpf
 
 from .bounds import (
     BIPARTITE,
-    GENERAL,
     MARKOV,
     SMALL_T,
     UPPER,
     BoundParams,
+    Cleared,
     LogBound,
     block_miss_stats,
+    bregman_pm,
+    ind_count_upper_general,
+    ind_pf_upper_bipartite,
+    ind_pf_upper_general,
     independent_count_upper,
     independent_upper_pm_exact,
     log2,
-    matching_count_upper,
+    match_count_upper,
+    match_pf_gurvits,
+    match_pf_upper,
     optimal_lambda,
+    single_term,
     union_independent_lower,
     union_matching_lower_explicit,
     union_small_t_exact,
 )
 from .counting import (
     count_homomorphisms,
+    eval_partition,
     independence_polynomial,
     matching_polynomial,
 )
@@ -204,12 +217,16 @@ def bound_verdict(
     graph_label: str,
     params: dict,
     count: int,
-    bound: LogBound,
+    bound: LogBound | Cleared,
     graph: Graph | None = None,
 ) -> Verdict:
-    """Verdict comparing an exact count against a log2-domain bound."""
+    """Verdict comparing an exact count against a bound, reported in log2.
+    A Cleared bound is decided exactly, a LogBound under its slack."""
     if count < 0:
         raise DomainError(f"counts are nonnegative, got {count}")
+    cleared = bound if isinstance(bound, Cleared) else None
+    if cleared is not None:
+        bound = cleared.log_bound()
     if count == 0:
         if bound.direction == UPPER:
             return Verdict(check_id, graph_label, params, 0, bound.value, True, inf)
@@ -218,7 +235,7 @@ def bound_verdict(
             params = _attach_repro(params, graph)
         return Verdict(check_id, graph_label, params, 0, bound.value, verdict_pass, -inf)
     log_count = log2(count)
-    passed = bound.admits(log_count)
+    passed = bound.admits(log_count) if cleared is None else cleared.holds(count)
     if bound.direction == UPPER:
         lhs, rhs, margin = log_count, bound.value, bound.value - log_count
     else:
@@ -585,7 +602,7 @@ def verify_hardcore_hom_identity(p: GraphProfile, c: int, lam) -> Verdict:
 
 def verify_perfect_matching_bound(p: GraphProfile) -> list[Verdict]:
     """Exact check i_t <= 2^t binom(n/2, t) for every t, valid because the
-    graph has a perfect matching."""
+    graph has a perfect matching; verdicts in check order."""
     if not p.has_perfect_matching:
         raise DomainError("graph has no perfect matching")
     n = p.graph.vertex_count
@@ -601,7 +618,7 @@ def verify_perfect_matching_bound(p: GraphProfile) -> list[Verdict]:
                 graph=p.graph,
             )
         )
-    return sort_verdicts(verdicts)
+    return verdicts
 
 
 def verify_bounds_suite(
@@ -609,11 +626,12 @@ def verify_bounds_suite(
     lambda_grid: Sequence = DEFAULT_LAMBDA_GRID,
 ) -> list[Verdict]:
     """Every applicable closed-form bound against the exact polynomials of
-    the graph.
+    the graph, one Verdict per (bound, size, lambda) instance, in check
+    order.
 
-    Partition-function bounds are cleared to exact rational comparisons; the
-    entropy-form count bounds are compared in log2 domain with slack.  Emits
-    one Verdict per (bound, size, lambda) instance.
+    Every bound but ind-count-upper-bipartite, which involves log2 e, is a
+    power-cleared inequality and decided exactly.  The count bounds are
+    reported in log2, the others with both sides as exact rationals.
     """
     g, d, label = p.graph, p.degree, p.label
     if d is None:
@@ -623,141 +641,44 @@ def verify_bounds_suite(
     if any(x <= 0 for x in grid):
         raise DomainError("lambda grid must be positive")
     verdicts: list[Verdict] = []
+    if d < 1:
+        return verdicts
 
-    if d >= 1:
-        mpoly, ipoly, bip, nu = (
-            p.matching_polynomial, p.independence_polynomial, p.bipartite, p.nu
-        )
-        for lam in grid:
-            zm = sum(
-                Fraction(mpoly.coefficient(k)) * lam**k
-                for k in range(len(mpoly.coefficients))
-            )
-            zi = sum(
-                Fraction(ipoly.coefficient(t)) * lam**t
-                for t in range(len(ipoly.coefficients))
-            )
-            # Z_match^2 <= (1 + d lam)^n, the squared partition bound.
-            verdicts.append(
-                exact_le(
-                    "match-pf-upper",
-                    label,
-                    _params(n=n, d=d, lam=lam),
-                    zm * zm,
-                    (1 + d * lam) ** n,
-                    graph=g,
-                )
-            )
-            # Z_match <= (1 + lam E / nu)^nu with nu the max matching size.
-            verdicts.append(
-                exact_le(
-                    "match-pf-gurvits",
-                    label,
-                    _params(n=n, d=d, lam=lam),
-                    zm,
-                    (1 + lam * g.edge_count / Fraction(nu)) ** nu,
-                    graph=g,
-                )
-            )
-            # Z_ind^(2d) <= 2^(2n) (1 + lam)^(nd), the general graph form.
-            verdicts.append(
-                exact_le(
-                    "ind-pf-upper-general",
-                    label,
-                    _params(n=n, d=d, lam=lam),
-                    zi ** (2 * d),
-                    Fraction(2) ** (2 * n) * (1 + lam) ** (n * d),
-                    graph=g,
-                )
-            )
-            if bip:
-                # Z_ind^(2d) <= (2 (1 + lam)^d - 1)^n on bipartite graphs.
-                verdicts.append(
-                    exact_le(
-                        "ind-pf-upper-bipartite",
-                        label,
-                        _params(n=n, d=d, lam=lam),
-                        zi ** (2 * d),
-                        (2 * (1 + lam) ** d - 1) ** n,
-                        graph=g,
-                    )
-                )
-            # Single-term extraction: m_ell^2 lam^(2 ell) <= (1 + d lam)^n.
-            for ell in range(n // 2 + 1):
-                m_ell = mpoly.coefficient(ell)
-                verdicts.append(
-                    exact_le(
-                        "match-single-term",
-                        label,
-                        _params(n=n, d=d, size=ell, lam=lam),
-                        Fraction(m_ell) ** 2 * lam ** (2 * ell),
-                        (1 + d * lam) ** n,
-                        graph=g,
-                    )
-                )
-        # Single-term extraction at the per-size optimal lambda.
-        for ell in range(1, (n - 1) // 2 + 1):
-            p = BoundParams(n=n, d=d, size=ell)
-            lam = optimal_lambda(p)
-            m_ell = mpoly.coefficient(ell)
-            verdicts.append(
-                exact_le(
-                    "match-single-term-opt",
-                    label,
-                    _params(n=n, d=d, size=ell, lam=lam),
-                    Fraction(m_ell) ** 2 * lam ** (2 * ell),
-                    (1 + d * lam) ** n,
-                    graph=g,
-                )
-            )
-        # Entropy-form count bounds, log2 domain with slack.
-        for ell in range(n // 2 + 1):
-            p = BoundParams(n=n, d=d, size=ell)
-            verdicts.append(
-                bound_verdict(
-                    "match-count-upper",
-                    label,
-                    _params(n=n, d=d, size=ell),
-                    mpoly.coefficient(ell),
-                    matching_count_upper(p),
-                    graph=g,
-                )
-            )
-            verdicts.append(
-                bound_verdict(
-                    "ind-count-upper-general",
-                    label,
-                    _params(n=n, d=d, size=ell),
-                    ipoly.coefficient(ell),
-                    independent_count_upper(p, GENERAL),
-                    graph=g,
-                )
-            )
-            if bip:
-                verdicts.append(
-                    bound_verdict(
-                        "ind-count-upper-bipartite",
-                        label,
-                        _params(n=n, d=d, size=ell),
-                        ipoly.coefficient(ell),
-                        independent_count_upper(p, BIPARTITE),
-                        graph=g,
-                    )
-                )
-        if bip and n % 2 == 0:
-            # Bregman: pm^(2d) <= (d!)^n on bipartite d-regular graphs.
-            pm = mpoly.coefficient(n // 2)
-            verdicts.append(
-                exact_le(
-                    "bregman-pm",
-                    label,
-                    _params(n=n, d=d),
-                    pm ** (2 * d),
-                    math.factorial(d) ** n,
-                    graph=g,
-                )
-            )
-    return sort_verdicts(verdicts)
+    def exact(check_id, q, bound, **params):
+        params = _params(n=n, d=d, **params)
+        verdicts.append(exact_le(check_id, label, params, bound.lhs(q), bound.rhs, graph=g))
+
+    def in_log2(check_id, count, bound, **params):
+        params = _params(n=n, d=d, **params)
+        verdicts.append(bound_verdict(check_id, label, params, count, bound, graph=g))
+
+    mpoly, ipoly = p.matching_polynomial, p.independence_polynomial
+    sizes = range(n // 2 + 1)
+    for lam in grid:
+        zm, zi = eval_partition(mpoly, lam), eval_partition(ipoly, lam)
+        matching = match_pf_upper(n, d, lam)
+        exact("match-pf-upper", zm, matching, lam=lam)
+        exact("match-pf-gurvits", zm, match_pf_gurvits(g.edge_count, p.nu, lam), lam=lam)
+        exact("ind-pf-upper-general", zi, ind_pf_upper_general(n, d, lam), lam=lam)
+        if p.bipartite:
+            exact("ind-pf-upper-bipartite", zi, ind_pf_upper_bipartite(n, d, lam), lam=lam)
+        for ell in sizes:
+            bound = single_term(matching, ell, lam)
+            exact("match-single-term", mpoly.coefficient(ell), bound, size=ell, lam=lam)
+    for ell in range(1, (n - 1) // 2 + 1):
+        lam = optimal_lambda(BoundParams(n=n, d=d, size=ell))
+        bound = single_term(match_pf_upper(n, d, lam), ell, lam)
+        exact("match-single-term-opt", mpoly.coefficient(ell), bound, size=ell, lam=lam)
+    for s in sizes:
+        in_log2("match-count-upper", mpoly.coefficient(s), match_count_upper(n, d, s), size=s)
+        bound = ind_count_upper_general(n, d, s)
+        in_log2("ind-count-upper-general", ipoly.coefficient(s), bound, size=s)
+        if p.bipartite:
+            bound = independent_count_upper(BoundParams(n=n, d=d, size=s), BIPARTITE)
+            in_log2("ind-count-upper-bipartite", ipoly.coefficient(s), bound, size=s)
+    if p.bipartite and n % 2 == 0:
+        exact("bregman-pm", mpoly.coefficient(n // 2), bregman_pm(n, d))
+    return verdicts
 
 
 def verify_union_lower_bounds(
@@ -770,6 +691,7 @@ def verify_union_lower_bounds(
     The Markov-style and small-size lower bounds are asserted against the
     exact union counts; the block-miss statistics are recomputed by brute
     force and checked against the closed forms and the weighted identity.
+    Verdicts come in check order.
     """
     p = union_params(n, d)
     label = f"union-{n}v-{d}r"
@@ -852,20 +774,21 @@ def verify_union_lower_bounds(
                 mu_bound,
             )
         )
-    return sort_verdicts(verdicts)
+    return verdicts
 
 
 def suite_graph_verdicts(
     p: GraphProfile,
     lambda_grid: Sequence = DEFAULT_LAMBDA_GRID,
 ) -> list[Verdict]:
-    """Full per-graph battery: the bounds suite, the perfect-matching bound
-    when one exists, and the total-count bound when the graph is bipartite."""
+    """Full per-graph battery, in check order: the bounds suite, the
+    perfect-matching bound when one exists, and the total-count bound when
+    the graph is bipartite."""
     verdicts = verify_bounds_suite(p, lambda_grid)
     if p.graph.edge_count > 0 and p.has_perfect_matching:
         verdicts.extend(verify_perfect_matching_bound(p))
     verdicts.extend(total_count_graph_verdicts(p))
-    return sort_verdicts(verdicts)
+    return verdicts
 
 
 def hom_targets() -> list[tuple[str, Graph]]:
@@ -891,6 +814,7 @@ def hom_graph_verdicts(
 
     Orders tried: identity, reversed, and random_orders shuffles drawn from a
     seed that also hashes the census index, so reruns are reproducible.
+    Verdicts come in check order.
     """
     g, n = p.graph, p.graph.vertex_count
     orders = [list(range(n)), list(range(n - 1, -1, -1))]
@@ -912,7 +836,7 @@ def hom_graph_verdicts(
         c_int = int(cf)
         for lam in (Fraction(0), Fraction(1), Fraction(1, c_int)):
             verdicts.append(verify_hardcore_hom_identity(p, c_int, lam))
-    return sort_verdicts(verdicts)
+    return verdicts
 
 
 def verdicts_to_jsonl(verdicts: Iterable[Verdict]) -> str:

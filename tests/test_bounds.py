@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import pytest
 from mpmath import mpf
 
@@ -43,8 +44,15 @@ from regcount.bounds import (
     PERFECT_MATCHING,
     SMALL_T,
     UPPER,
+    ind_count_upper_general,
+    ind_pf_upper_general,
     log2,
+    match_count_upper,
+    match_pf_gurvits,
+    match_pf_upper,
+    single_term,
 )
+from regcount.verify import DEFAULT_LAMBDA_GRID
 
 TIGHT = 1e-30  # far above 120-bit rounding, far below any real discrepancy
 
@@ -299,3 +307,60 @@ def test_block_miss_stats_exact_and_bounded():
         assert mu <= bound
     with pytest.raises(DivisibilityError):
         block_miss_stats(BoundParams(n=10, d=4, size=1))
+
+
+def _entropy(a):
+    return 0 if a in (0, 1) else -a * mpmath.log(a, 2) - (1 - a) * mpmath.log(1 - a, 2)
+
+
+def test_log2_forms_match_the_closed_formulas():
+    # The log2 values derive from power-cleared inequalities; here each is
+    # compared with its closed formula, evaluated with mpmath alone.
+    with mpmath.workprec(120):
+        for d in range(1, 9):
+            for n in range(d + 1, 41):
+                half = mpf(n) / 2
+                for s in range(n // 2 + 1):
+                    a = mpf(2 * s) / n
+                    p = BoundParams(n=n, d=d, size=s)
+                    want = half * (a * mpmath.log(d, 2) + _entropy(a))
+                    assert abs(matching_count_upper(p).value - want) < TIGHT, (n, d, s)
+                    want = half * (_entropy(a) + mpf(2) / d)
+                    assert abs(independent_count_upper(p, GENERAL).value - want) < TIGHT, (n, d, s)
+                for lam in DEFAULT_LAMBDA_GRID:
+                    x = mpf(lam.numerator) / lam.denominator
+                    p = BoundParams(n=n, d=d, lam=lam)
+                    want = half * mpmath.log(1 + d * x, 2)
+                    assert abs(matching_partition_upper(p).value - want) < TIGHT, (n, d, lam)
+                    want = mpf(n) / d + half * mpmath.log(1 + x, 2)
+                    got = independent_partition_upper(p, bipartite=False).value
+                    assert abs(got - want) < TIGHT, (n, d, lam)
+                    edges, nu = n * d // 2, n // 2
+                    want = nu * mpmath.log(1 + x * edges / nu, 2)
+                    got = match_pf_gurvits(edges, nu, lam).log_bound().value
+                    assert abs(got - want) < TIGHT, (n, d, lam)
+
+
+def _ratio(bound):
+    """A cleared bound up to a positive factor on both sides."""
+    return bound.k, Fraction(bound.rhs, bound.cofactor)
+
+
+def test_count_bounds_are_single_terms_at_the_best_weight():
+    # Inside (0, n/2) each count bound is the single-term extraction at its
+    # weight; at size 0 the weight is 0, and at n/2 the bound is the limit
+    # of large weight.
+    for d in range(1, 9):
+        for n in range(d + 1, 41):
+            for s in range(1, (n + 1) // 2):
+                lam = optimal_lambda(BoundParams(n=n, d=d, size=s))
+                want = single_term(match_pf_upper(n, d, lam), s, lam)
+                assert _ratio(match_count_upper(n, d, s)) == _ratio(want)
+                lam = occupancy_lambda(n, s)
+                want = single_term(ind_pf_upper_general(n, d, lam), s, lam)
+                assert _ratio(ind_count_upper_general(n, d, s)) == _ratio(want)
+            assert _ratio(match_count_upper(n, d, 0)) == (2, 1)
+            assert _ratio(ind_count_upper_general(n, d, 0)) == (2 * d, 4**n)
+            if n % 2 == 0:
+                assert _ratio(match_count_upper(n, d, n // 2)) == (2, d**n)
+                assert _ratio(ind_count_upper_general(n, d, n // 2)) == (2 * d, 4**n)

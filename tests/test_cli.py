@@ -4,12 +4,15 @@ and worker-pool equivalence.  Commands run in process through main()."""
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
 
+import regcount
 from regcount import graph_to_text
 from regcount.cli import main
 from regcount.verify import Verdict
@@ -288,10 +291,14 @@ def test_count_too_large_exits_1(capsys, tmp_path, large_cubic):
 
 
 def test_module_entry_point(c4_file):
+    # The child imports the package from where this process found it.
+    src = str(Path(regcount.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "regcount.cli", "count", "--kind", "matching", "--graph", c4_file],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficients"] == ["1", "4", "2"]

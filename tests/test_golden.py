@@ -27,6 +27,8 @@ CASES = {
 CASES["count-matching-petersen.csv"] = [
     "count", "--kind", "matching", "--graph", "petersen.txt", "--format", "csv"
 ]
+CASES["bounds-8-2.json"] = ["bounds", "--n", "8", "--d", "2"]
+CASES["bounds-12-3.csv"] = ["bounds", "--n", "12", "--d", "3", "--format", "csv"]
 CASES["gen-10-3.json"] = ["gen", "--n", "10", "--d", "3"]
 CASES["verify-hom-6-3.json"] = ["verify-hom", "--n", "6", "--d", "3"]
 CASES["verify-hom-6-3.csv"] = ["verify-hom", "--n", "6", "--d", "3", "--format", "csv"]

@@ -9,10 +9,12 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import inf, mpf
 
 from regcount import (
+    CountPolynomial,
     DomainError,
     GenSpec,
     build_graph,
@@ -23,6 +25,7 @@ from regcount import (
     matching_polynomial,
 )
 from regcount.bounds import LOWER, UPPER, LogBound, log2
+from regcount.counting import INDEPENDENT_SET, MATCHING
 from regcount.verify import (
     CSV_HEADER,
     DEFAULT_LAMBDA_GRID,
@@ -283,6 +286,56 @@ def test_bounds_suite_inventory_and_passes(c8, k33, prism, petersen):
         verify_bounds_suite(GraphProfile(build_graph(3, [(0, 1)])), SMALL_GRID)
     with pytest.raises(DomainError):
         verify_bounds_suite(GraphProfile(c8), (Fraction(0), Fraction(1)))
+
+
+def _integer_root(x, k):
+    """The largest integer r with r^k <= x."""
+    r = int(round(float(x) ** (1 / k)))
+    while r**k > x:
+        r -= 1
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize(
+    "check_id, size, excess",
+    [
+        ("match-count-upper", 12, 1),
+        ("ind-count-upper-general", 12, 1),
+        ("match-count-upper", 0, 0),
+    ],
+)
+def test_count_bounds_are_decided_exactly(check_id, size, excess):
+    # A 4-regular graph on 64 vertices whose size-12 count is one more than
+    # the largest count the bound admits.  The bound exceeds 2^42, so that
+    # count lies within the 2^-40 log2 slack.  At size 0 the bound is 1,
+    # which the count meets with equality.
+    n, d = 64, 4
+    spread = (2 * size) ** (2 * size) * (n - 2 * size) ** (n - 2 * size)
+    if check_id == "match-count-upper":
+        k, rhs, cofactor = 2, d ** (2 * size) * n**n, spread
+    else:
+        k, rhs, cofactor = 2 * d, 2 ** (2 * n) * n ** (n * d), spread**d
+    count = _integer_root(rhs // cofactor, k) + excess
+    assert (count**k * cofactor <= rhs) == (excess == 0)
+    with mpmath.workprec(120):
+        log_bound = (mpmath.log(rhs) - mpmath.log(cofactor)) / (k * mpmath.log(2))
+        assert mpmath.log(count, 2) <= log_bound + mpf(2) ** -40
+    g = build_graph(n, sorted({tuple(sorted((i, (i + o) % n))) for i in range(n) for o in (1, 2)}))
+    profile = GraphProfile(g)
+    coefficients = (1,) * size + (count, 1)
+    profile.matching_polynomial = CountPolynomial(coefficients, MATCHING)
+    profile.independence_polynomial = CountPolynomial(coefficients, INDEPENDENT_SET)
+    [v] = [
+        v
+        for v in verify_bounds_suite(profile, (Fraction(1),))
+        if v.check_id == check_id and v.params["size"] == size
+    ]
+    if excess:
+        assert not v.passed and "graph_text" in v.params
+    else:
+        assert v.passed and format_number(v.margin) == "0"
 
 
 def test_suite_graph_verdicts_adds_conditional_checks(c8, prism):
