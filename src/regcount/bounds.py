@@ -24,7 +24,8 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import DivisibilityError, DomainError
-from .graphs import Graph, max_matching_size
+from .counting import matching_polynomial
+from .graphs import Graph
 
 mp.prec = max(mp.prec, 120)
 
@@ -283,13 +284,14 @@ def profile_matching_lower(n: int, d: int, profile, c) -> LogBound:
 
 
 def gurvits_bound(g: Graph, lam) -> LogBound:
-    """Upper bound nu * log2(1 + lambda |E| / nu) on the matching partition function."""
+    """Upper bound nu * log2(1 + lambda |E| / nu) on the matching partition
+    function, with nu the degree of the matching polynomial."""
     lam = _as_fraction(lam)
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
     if g.edge_count == 0:
         raise DomainError("gurvits_bound needs at least one edge")
-    return match_pf_gurvits(g.edge_count, max_matching_size(g), lam).log_bound()
+    return match_pf_gurvits(g.edge_count, matching_polynomial(g).degree, lam).log_bound()
 
 
 def independent_partition_upper(p: BoundParams, bipartite: bool) -> LogBound:

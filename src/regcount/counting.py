@@ -2,10 +2,13 @@
 brute-force oracles, and homomorphism counting.
 
 Every count is an arbitrary-precision integer; no floating point enters this
-module.  Both polynomials come from one dynamic program over induced vertex
-subsets, run in breadth-first vertex order with a table local to each call;
-it needs no canonical labels and keeps no cache between calls.  Inputs whose
-DP would reach more than DP_STATE_LIMIT states raise ScaleError.
+module.  Every count comes from a dynamic program that places the graph's
+vertices in breadth-first order, with a table local to each call; none needs
+canonical labels or keeps a cache between calls.  Both polynomials share one
+DP over induced vertex subsets, and homomorphisms are counted by a DP over
+the images of the placed vertices that still have an unplaced neighbour.
+Inputs whose DP would reach more than DP_STATE_LIMIT states (in all for the
+polynomials, in one table for homomorphisms) raise ScaleError.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from ._canon import induced_masks
 from .errors import DomainError, GraphError, ScaleError
 from .graphs import Graph, adjacency_masks
 
-# Cap on the vertex subsets (states) the counting DP may reach in one call.
+# Cap on the states a counting DP may reach: vertex subsets in one call of
+# the polynomial DP, frontier images in one table of the homomorphism DP.
 DP_STATE_LIMIT = 1_000_000
 # Guard for the subset-enumeration oracle: number of subsets actually walked.
 BRUTE_FORCE_SUBSET_LIMIT = 40_000_000
-HOM_SEARCH_LIMIT = 10**12
 
 MATCHING = "matching"
 INDEPENDENT_SET = "independent-set"
@@ -47,29 +50,6 @@ class CountPolynomial:
 
     def to_json_strings(self) -> list[str]:
         return [str(c) for c in self.coefficients]
-
-
-def _components(adj: tuple[int, ...]) -> list[tuple[int, ...]]:
-    n = len(adj)
-    seen = 0
-    comps = []
-    for root in range(n):
-        if seen >> root & 1:
-            continue
-        frontier = 1 << root
-        comp = 0
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= adj[v]
-            frontier = nxt & ~comp
-        seen |= comp
-        comps.append(tuple(v for v in range(n) if comp >> v & 1))
-    return comps
 
 
 def _bfs_order(adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -236,68 +216,72 @@ def count_homomorphisms(g: Graph, h: Graph) -> int:
     """Number of adjacency-preserving maps V(g) -> V(h).
 
     A loop on w in h permits mapping adjacent source vertices to w.  The
-    source must be loop-free.  Counts factor over source components;
-    within a component a BFS order keeps the backtracking pruned.
+    source must be loop-free.  The maps are counted by a DP that places the
+    source's vertices in breadth-first order: its table maps the images of
+    the frontier (the placed vertices that still have an unplaced neighbour)
+    to the number of partial maps that agree with them.  Placing v
+    intersects the target neighbourhoods of the images of v's placed
+    neighbours, which all lie in the frontier, and a vertex leaves the key
+    once its last neighbour is placed.  A component or an isolated vertex
+    starts from an empty frontier and so needs no special case.  A table of
+    more than DP_STATE_LIMIT frontier images raises ScaleError.
     """
     if any(u == v for u, v in g.edges):
         raise GraphError("count_homomorphisms requires a loop-free source graph")
-    nh = h.vertex_count
-    if nh ** max(g.vertex_count, 1) > HOM_SEARCH_LIMIT:
-        raise ScaleError(
-            f"instance too large: {nh}^{g.vertex_count} assignments exceed "
-            f"the search limit"
-        )
-    if g.vertex_count == 0:
+    n, nh = g.vertex_count, h.vertex_count
+    if n == 0:
         return 1
     if nh == 0:
         return 0
-    gadj = adjacency_masks(g)
     # Target adjacency with loops folded in as self-bits.
     hadj = [0] * nh
     for u, v in h.edges:
         hadj[u] |= 1 << v
         hadj[v] |= 1 << u
     full = (1 << nh) - 1
-
-    total = 1
-    for verts in _components(gadj):
-        if len(verts) == 1:
-            total *= nh
-            continue
-        sub = induced_masks(gadj, verts)
-        k = len(sub)
-        # BFS order: after the root, every vertex has an assigned neighbor.
-        order = [0]
-        placed = 1
-        while len(order) < k:
-            frontier = [
-                w
-                for w in range(k)
-                if not placed >> w & 1 and any(sub[w] >> x & 1 for x in order)
-            ]
-            order.extend(frontier)
-            for w in frontier:
-                placed |= 1 << w
-        assigned_images = [0] * k
-
-        def walk(pos: int) -> int:
-            if pos == k:
-                return 1
-            v = order[pos]
+    adj = adjacency_masks(g)
+    order = _bfs_order(adj)
+    step = [0] * n
+    for i, v in enumerate(order):
+        step[v] = i
+    # leave[v]: the step after which v is in no key, the later of its own
+    # step and its last neighbour's.
+    leave = step[:]
+    for u, v in g.edges:
+        leave[u] = max(leave[u], step[v])
+        leave[v] = max(leave[v], step[u])
+    frontier: list[int] = []
+    table: dict[tuple[int, ...], int] = {(): 1}
+    for i, v in enumerate(order):
+        # Key positions of v's placed neighbours, and of the vertices kept.
+        nbrs = [j for j, u in enumerate(frontier) if adj[v] >> u & 1]
+        keep = [j for j, u in enumerate(frontier) if leave[u] > i]
+        frontier = [frontier[j] for j in keep]
+        stays = leave[v] > i
+        if stays:
+            frontier.append(v)
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, count in table.items():
             cand = full
-            for u in order[:pos]:
-                if sub[v] >> u & 1:
-                    cand &= hadj[assigned_images[u]]
-            found = 0
-            m = cand
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                assigned_images[v] = w
-                found += walk(pos + 1)
-            return found
-
-        total *= walk(0)
-        if total == 0:
+            for j in nbrs:
+                cand &= hadj[key[j]]
+            if not cand:
+                continue
+            base = tuple([key[j] for j in keep])
+            if stays:
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    t = base + (low.bit_length() - 1,)
+                    nxt[t] = nxt.get(t, 0) + count
+            else:
+                nxt[base] = nxt.get(base, 0) + count * cand.bit_count()
+            if len(nxt) > DP_STATE_LIMIT:
+                raise ScaleError(
+                    f"instance too large: the homomorphism DP needs more than "
+                    f"{DP_STATE_LIMIT} frontier states"
+                )
+        if not nxt:
             return 0
-    return total
+        table = nxt
+    return table[()]

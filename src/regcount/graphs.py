@@ -11,7 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DivisibilityError, DomainError, GraphError
+from .errors import DivisibilityError, DomainError, GraphError, ScaleError
+
+# Cap on the vertex sets max_matching_size may memoize in one call.
+MATCHING_MEMO_LIMIT = 1_000_000
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -135,8 +138,9 @@ def bipartition(g: Graph) -> Bipartition | None:
 def max_matching_size(g: Graph) -> int:
     """Maximum matching cardinality, by branching on the lowest covered vertex.
 
-    Independent of the matching-polynomial recursion so the two can
-    cross-check each other.
+    Independent of the matching-polynomial DP so the two can cross-check
+    each other.  The memo grows exponentially with the vertex count; past
+    MATCHING_MEMO_LIMIT sets it raises ScaleError.
     """
     if any(u == v for u, v in g.edges):
         raise GraphError("max_matching_size requires a loop-free graph")
@@ -171,6 +175,11 @@ def max_matching_size(g: Graph) -> int:
             nbrs &= nbrs - 1
             result = max(result, 1 + best(rest & ~(1 << u)))
         memo[active] = result
+        if len(memo) > MATCHING_MEMO_LIMIT:
+            raise ScaleError(
+                f"instance too large: the maximum-matching search needs more "
+                f"than {MATCHING_MEMO_LIMIT} memo entries"
+            )
         return result
 
     return best((1 << g.vertex_count) - 1)

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -544,12 +544,6 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
     )
 
 
-# Sweeps evaluate the same (source, target) pair under many vertex orders
-# and the same complete bipartite factors under many targets; graphs are
-# immutable and hashable, so memoizing is safe.
-_hom_count_cached = lru_cache(maxsize=4096)(count_homomorphisms)
-
-
 def verify_hom_inequality(p: GraphProfile, h: Graph, order: VertexOrder, h_name: str | None = None) -> Verdict:
     """Exact cross-multiplied check that hom(g, h)^d is at most the product
     over vertices v of hom(K_{b,b}, h) with b the back degree of v under the
@@ -559,12 +553,12 @@ def verify_hom_inequality(p: GraphProfile, h: Graph, order: VertexOrder, h_name:
         raise DomainError("source graph must be d-regular with d >= 1")
     if any(u == v for u, v in g.edges):
         raise DomainError("source graph must be loop-free")
-    lhs = _hom_count_cached(g, h) ** d
+    lhs = count_homomorphisms(g, h) ** d
     factor_cache: dict[int, int] = {0: 1}
     rhs = 1
     for b in order.back_degrees:
         if b not in factor_cache:
-            factor_cache[b] = _hom_count_cached(build_kdd(b), h)
+            factor_cache[b] = count_homomorphisms(build_kdd(b), h)
         rhs *= factor_cache[b]
     params = _params(
         n=g.vertex_count,

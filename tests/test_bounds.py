@@ -4,6 +4,7 @@ or the oracle-tested polynomials.
 """
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from regcount import (
     balanced_profile,
     binary_entropy,
     block_miss_stats,
+    build_graph,
     eval_partition,
     gurvits_bound,
     independent_count_upper,
@@ -189,6 +191,17 @@ def test_gurvits_bound(c8):
         gurvits_bound(build_graph(3, []), Fraction(1))
     with pytest.raises(DomainError):
         gurvits_bound(c8, Fraction(-1))
+
+
+def test_gurvits_bound_reads_nu_from_the_matching_polynomial():
+    # the circulant C_40(1, 20), where a search over vertex sets blows up
+    n = 40
+    g = build_graph(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in (1, 20)})
+    start = time.perf_counter()
+    b = gurvits_bound(g, Fraction(1))
+    assert time.perf_counter() - start < 1
+    # nu = 20 and |E|/nu = 3, so the bound is 20 log2(4) = 40
+    assert abs(b.value - 40) < TIGHT
 
 
 def test_independent_partition_upper(c8, k33):

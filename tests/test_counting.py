@@ -21,6 +21,7 @@ from regcount import (
     ScaleError,
     brute_force_count,
     build_graph,
+    build_hardcore_target,
     count_homomorphisms,
     disjoint_union,
     eval_partition,
@@ -185,6 +186,30 @@ def test_hom_count_conventions(c4):
     assert count_homomorphisms(iso, k2) == 2 * 2
 
 
+def test_hom_path_longer_than_recursion_limit():
+    n = 3000
+    path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    assert count_homomorphisms(path, build_graph(1, [(0, 0)], allow_loops=True)) == 1
+    assert count_homomorphisms(path, build_graph(2, [(0, 1)])) == 2
+
+
+def test_hom_frontier_table_raises_scale_error_fast():
+    dense = build_graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
+    start = time.perf_counter()
+    with pytest.raises(ScaleError):
+        count_homomorphisms(dense, build_hardcore_target(4, 4))
+    assert time.perf_counter() - start < 10
+
+
+@st.composite
+def small_targets(draw, max_vertices=4):
+    """Targets with loops allowed on any vertex."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k], allow_loops=True)
+
+
 @st.composite
 def small_graphs(draw, max_vertices=8):
     n = draw(st.integers(min_value=0, max_value=max_vertices))
@@ -198,6 +223,12 @@ def small_graphs(draw, max_vertices=8):
 def test_subset_dp_matches_oracles(g):
     assert list(matching_polynomial(g).coefficients) == oracle_matching_counts(g)
     assert list(independence_polynomial(g).coefficients) == oracle_independent_counts(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(max_vertices=7), small_targets())
+def test_hom_dp_matches_oracle(g, h):
+    assert count_homomorphisms(g, h) == oracle_hom_count(g, h)
 
 
 def test_subset_dp_edge_cases(c4, prism):

@@ -2,10 +2,12 @@
 
 import pytest
 
+from regcount import graphs
 from regcount import (
     DivisibilityError,
     DomainError,
     GraphError,
+    ScaleError,
     bipartition,
     build_graph,
     build_hardcore_target,
@@ -77,6 +79,12 @@ def test_max_matching_and_perfect_matching(c4, c8, prism, petersen):
     assert not has_perfect_matching(path)
     # empty graph has the empty perfect matching
     assert has_perfect_matching(build_graph(0, []))
+
+
+def test_max_matching_memo_is_capped(monkeypatch, petersen):
+    monkeypatch.setattr(graphs, "MATCHING_MEMO_LIMIT", 10)
+    with pytest.raises(ScaleError):
+        max_matching_size(petersen)
 
 
 def test_build_kdd_shape():

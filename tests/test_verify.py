@@ -430,6 +430,12 @@ def test_hom_graph_verdicts_reproducible(c4):
     assert {v.check_id for v in other} == {v.check_id for v in a}
 
 
+def test_hom_sweep_passes_on_the_10_3_census():
+    verdicts = sweep(GenSpec(10, 3), hom_graph_verdicts)
+    assert len(verdicts) == 21 * (5 * 7 + 6)
+    assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
+
+
 def test_hom_targets_fixed_menu():
     names = [name for name, _ in hom_targets()]
     assert names == ["K2", "K3", "K1-loop", "hardcore-1-1", "hardcore-2-2"]
