@@ -48,8 +48,6 @@ from .graphs import (
     disjoint_union,
     graph_from_text,
     graph_to_text,
-    has_perfect_matching,
-    max_matching_size,
     regular_degree,
 )
 from .kdd import (
@@ -95,7 +93,6 @@ __all__ = [
     "graph_from_text",
     "graph_to_text",
     "gurvits_bound",
-    "has_perfect_matching",
     "independence_polynomial",
     "independent_count_upper",
     "independent_partition_upper",
@@ -105,7 +102,6 @@ __all__ = [
     "matching_count_upper",
     "matching_partition_upper",
     "matching_polynomial",
-    "max_matching_size",
     "occupancy_lambda",
     "optimal_lambda",
     "profile_matching_lower",

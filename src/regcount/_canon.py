@@ -5,33 +5,30 @@ of per-vertex columns; the column of v_k holds the loop bit of v_k followed by
 its adjacency bits to v_0..v_{k-1} (v_0 most significant).  The canonical form
 is the lexicographic minimum of the code over all orderings.
 
-A direct minimum search branches on every way to extend a scatter prefix and
-blows up on sparse graphs, so the minimum is computed there through the
-complement: flipping every adjacency and loop bit maps the code bit-for-bit,
-and bitwise NOT reverses lexicographic order, hence
-min_code(G) = bitflip(max_code(complement(G))).  Both searches are the same
-greedy level-by-level extremization, branching only on ties, with
-interchangeable twin vertices collapsed.
+There is one search, _max_code: a greedy level-by-level maximization,
+branching only on ties, with interchangeable twin vertices collapsed.  The
+minimum goes through the complement: flipping every adjacency and loop bit
+maps the code bit-for-bit, and bitwise NOT reverses lexicographic order, hence
+min_code(G) = bitflip(max_code(complement(G))).  A direct minimum search would
+take exactly the same steps (complementing preserves column ties and twins),
+so one direction serves every density.
 """
 
 from __future__ import annotations
 
 
-def _extreme_code(n: int, adj: tuple[int, ...], want_max: bool) -> tuple[int, ...]:
-    """Greedy per-level extremization of the column code, branching on ties.
+def _max_code(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Greedy per-level maximization of the column code, branching on ties.
 
-    Valid because a code is compared column by column: the extremal full code
-    must extremize every prefix, so non-extremal partial orderings can never
+    Valid because a code is compared column by column: the maximal full code
+    must maximize every prefix, so non-maximal partial orderings can never
     recover.
     """
-    if n == 0:
-        return ()
-    pick = max if want_max else min
-    # Each state is one ordering achieving the extremal code prefix so far.
+    # Each state is one ordering achieving the maximal code prefix so far.
     states: list[tuple[tuple[int, ...], int]] = [((), 0)]
     code: list[int] = []
     for level in range(n):
-        extreme_col: int | None = None
+        best_col = -1
         new_states: list[tuple[tuple[int, ...], int]] = []
         for order, used in states:
             by_col: dict[int, list[int]] = {}
@@ -44,10 +41,10 @@ def _extreme_code(n: int, adj: tuple[int, ...], want_max: bool) -> tuple[int, ..
                     if av >> u & 1:
                         col |= 1 << (level - 1 - i)
                 by_col.setdefault(col, []).append(v)
-            col = pick(by_col)
-            if extreme_col is None or col == pick(col, extreme_col):
-                if col != extreme_col:
-                    extreme_col = col
+            col = max(by_col)
+            if col >= best_col:
+                if col > best_col:
+                    best_col = col
                     new_states = []
                 reps: list[int] = []
                 for v in by_col[col]:
@@ -65,7 +62,7 @@ def _extreme_code(n: int, adj: tuple[int, ...], want_max: bool) -> tuple[int, ..
                 new_states.extend(
                     (order + (v,), used | (1 << v)) for v in reps
                 )
-        code.append(extreme_col)
+        code.append(best_col)
         states = new_states
     return tuple(code)
 
@@ -75,17 +72,8 @@ def min_code(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
 
     adj[v] is v's neighbor bitmask; bit v of adj[v] marks a loop.
     """
-    if n == 0:
-        return ()
     full = (1 << n) - 1
-    loops = sum(m >> v & 1 for v, m in enumerate(adj))
-    edges = (sum((m & full).bit_count() for m in adj) - loops) // 2
-    # The code carries one bit per vertex pair (self-pairs included); the
-    # direct minimum search is cheap only when most of those bits are ones.
-    if 2 * (edges + loops) >= n * (n + 1) // 2:
-        return _extreme_code(n, adj, want_max=False)
-    comp = tuple(full & ~m for m in adj)
-    flipped = _extreme_code(n, comp, want_max=True)
+    flipped = _max_code(n, tuple(full & ~m for m in adj))
     return tuple(((1 << (level + 1)) - 1) ^ col for level, col in enumerate(flipped))
 
 

@@ -14,6 +14,12 @@ never isomorphic because each equals its class's unique maximal matrix.  A
 plain generate-then-dedup pass over all labeled graphs would visit billions of
 leaves already at n = 12, d = 3.
 
+Emission is not re-checked at run time: the guarantee above is a property
+of the search, not of any input, so a per-leaf duplicate check would only
+re-prove it on every run.  The tests prove it on censuses up to 12 vertices
+instead, through the automorphism-orbit identity, the published census sizes,
+the subset oracle and pairwise-distinct canonical labels.
+
 The public canonical_form reports the lexicographically minimal adjacency
 bit-string (computed in _canon via the complement identity), which is the
 label contract the rest of the package relies on.
@@ -27,7 +33,7 @@ from typing import Iterator
 
 from ._canon import min_code
 from .errors import DomainError, ScaleError
-from .graphs import Graph, adjacency_masks
+from .graphs import Graph, adjacency_masks, bipartition
 
 ISO_VERTEX_LIMIT = 14
 CANONICAL_FORM_LIMIT = 12
@@ -101,14 +107,15 @@ def _beats_identity(k: int, adj: list[int], cols_rev: list[int]) -> bool:
 def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
     adj = [0] * n
     degs = [0] * n
-    cols: list[int] = [0] * n  # neighbor mask of vertex k among 0..k-1
-    cols_rev: list[int] = [0] * n  # same column keyed for lexicographic order
+    # Column of vertex k (its neighbors among 0..k-1), keyed for
+    # lexicographic order: vertex 0 in the highest bit.
+    cols_rev: list[int] = [0] * n
 
     def place(k: int) -> Iterator[Graph]:
         if k == n:
             edges = []
             for v in range(n):
-                m = cols[v]
+                m = adj[v] & ((1 << v) - 1)
                 while m:
                     u = (m & -m).bit_length() - 1
                     m &= m - 1
@@ -153,7 +160,6 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
             for j in subset:
                 adj[k] |= 1 << j
             degs[k] = back
-            cols[k] = adj[k]
             cols_rev[k] = rev
             if not (iso and _beats_identity(k + 1, adj, cols_rev)):
                 yield from place(k + 1)
@@ -162,7 +168,6 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
                 degs[j] -= 1
             adj[k] = 0
             degs[k] = 0
-            cols[k] = 0
             cols_rev[k] = 0
 
     yield from place(0)
@@ -187,27 +192,12 @@ def generate(spec: GenSpec) -> Iterator[Graph]:
     n, d = spec.n, spec.d
     use_complement = n - 1 - d < d
     inner_d = n - 1 - d if use_complement else d
-    seen: set[tuple[int, ...]] = set()
-    check_dupes = spec.isomorph_reject and n <= CANONICAL_FORM_LIMIT
     for g in _regular_stream(n, inner_d, spec.isomorph_reject):
         if use_complement:
             g = _complement(g)
-        if spec.bipartite_only and not _is_bipartite(g):
+        if spec.bipartite_only and bipartition(g) is None:
             continue
-        if check_dupes:
-            code = min_code(n, adjacency_masks(g))
-            if code in seen:
-                raise AssertionError(
-                    "orderly generation emitted an isomorphic duplicate"
-                )
-            seen.add(code)
         yield g
-
-
-def _is_bipartite(g: Graph) -> bool:
-    from .graphs import bipartition
-
-    return bipartition(g) is not None
 
 
 def canonical_form(g: Graph) -> str:

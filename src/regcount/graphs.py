@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DivisibilityError, DomainError, GraphError, ScaleError
-
-# Cap on the vertex sets max_matching_size may memoize in one call.
-MATCHING_MEMO_LIMIT = 1_000_000
+from .errors import DivisibilityError, DomainError, GraphError
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -133,60 +130,6 @@ def bipartition(g: Graph) -> Bipartition | None:
         frozenset(v for v in range(n) if color[v] == 0),
         frozenset(v for v in range(n) if color[v] == 1),
     )
-
-
-def max_matching_size(g: Graph) -> int:
-    """Maximum matching cardinality, by branching on the lowest covered vertex.
-
-    Independent of the matching-polynomial DP so the two can cross-check
-    each other.  The memo grows exponentially with the vertex count; past
-    MATCHING_MEMO_LIMIT sets it raises ScaleError.
-    """
-    if any(u == v for u, v in g.edges):
-        raise GraphError("max_matching_size requires a loop-free graph")
-    adj = adjacency_masks(g)
-    memo: dict[int, int] = {}
-
-    def best(active: int) -> int:
-        if active == 0:
-            return 0
-        cached = memo.get(active)
-        if cached is not None:
-            return cached
-        # Lowest active vertex with an active neighbor; vertices without one
-        # cannot be matched and are dropped.
-        mask = active
-        v = -1
-        while mask:
-            cand = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            if adj[cand] & active:
-                v = cand
-                break
-            active &= ~(1 << cand)
-        if v == -1:
-            memo[active] = 0
-            return 0
-        rest = active & ~(1 << v)
-        result = best(rest)  # v stays unmatched
-        nbrs = adj[v] & active
-        while nbrs:
-            u = (nbrs & -nbrs).bit_length() - 1
-            nbrs &= nbrs - 1
-            result = max(result, 1 + best(rest & ~(1 << u)))
-        memo[active] = result
-        if len(memo) > MATCHING_MEMO_LIMIT:
-            raise ScaleError(
-                f"instance too large: the maximum-matching search needs more "
-                f"than {MATCHING_MEMO_LIMIT} memo entries"
-            )
-        return result
-
-    return best((1 << g.vertex_count) - 1)
-
-
-def has_perfect_matching(g: Graph) -> bool:
-    return g.vertex_count % 2 == 0 and max_matching_size(g) == g.vertex_count // 2
 
 
 def build_kdd(d: int) -> Graph:

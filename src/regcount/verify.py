@@ -23,7 +23,6 @@ from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
-import numpy as np
 from mpmath import inf, isinf, mpf
 
 from .bounds import (
@@ -514,6 +513,9 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
             True,
             mpf(tol),
         )
+    # Imported here, its only user, so other commands start without numpy.
+    import numpy as np
+
     coeffs = p.matching_polynomial.coefficients
     rel_imag = 0.0
     worst_real = -math.inf
@@ -544,29 +546,39 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
     )
 
 
-def verify_hom_inequality(p: GraphProfile, h: Graph, order: VertexOrder, h_name: str | None = None) -> Verdict:
-    """Exact cross-multiplied check that hom(g, h)^d is at most the product
-    over vertices v of hom(K_{b,b}, h) with b the back degree of v under the
-    given order.  The zero-by-zero block contributes an empty product of 1."""
+def verify_hom_inequality(
+    p: GraphProfile, h: Graph, orders: Sequence[VertexOrder], h_name: str | None = None
+) -> list[Verdict]:
+    """Exact cross-multiplied check, one verdict per order in the given
+    order, that hom(g, h)^d is at most the product over vertices v of
+    hom(K_{b,b}, h) with b the back degree of v under that order.  The
+    zero-by-zero block contributes an empty product of 1.  hom(g, h) and each
+    hom(K_{b,b}, h) are counted once for all orders."""
     g, d = p.graph, p.degree
     if d is None or d < 1:
         raise DomainError("source graph must be d-regular with d >= 1")
     if any(u == v for u, v in g.edges):
         raise DomainError("source graph must be loop-free")
     lhs = count_homomorphisms(g, h) ** d
-    factor_cache: dict[int, int] = {0: 1}
-    rhs = 1
-    for b in order.back_degrees:
-        if b not in factor_cache:
-            factor_cache[b] = count_homomorphisms(build_kdd(b), h)
-        rhs *= factor_cache[b]
-    params = _params(
-        n=g.vertex_count,
-        d=d,
-        target=h_name or graph_label(h),
-        order=",".join(str(v) for v in order.permutation),
-    )
-    return exact_le("hom-order-product", p.canonical_label, params, lhs, rhs, graph=g)
+    factors = {0: 1}
+    for order in orders:
+        for b in order.back_degrees:
+            if b not in factors:
+                factors[b] = count_homomorphisms(build_kdd(b), h)
+    target = h_name or graph_label(h)
+    verdicts = []
+    for order in orders:
+        rhs = math.prod(factors[b] for b in order.back_degrees)
+        params = _params(
+            n=g.vertex_count,
+            d=d,
+            target=target,
+            order=",".join(str(v) for v in order.permutation),
+        )
+        verdicts.append(
+            exact_le("hom-order-product", p.canonical_label, params, lhs, rhs, graph=g)
+        )
+    return verdicts
 
 
 def verify_hardcore_hom_identity(p: GraphProfile, c: int, lam) -> Verdict:
@@ -811,18 +823,16 @@ def hom_graph_verdicts(
     Verdicts come in check order.
     """
     g, n = p.graph, p.graph.vertex_count
-    orders = [list(range(n)), list(range(n - 1, -1, -1))]
+    perms = [list(range(n)), list(range(n - 1, -1, -1))]
     rng = random.Random(f"{seed}:{n}:{p.degree}:{p.index}")
     for _ in range(random_orders):
         perm = list(range(n))
         rng.shuffle(perm)
-        orders.append(perm)
+        perms.append(perm)
+    orders = [vertex_order(g, perm) for perm in perms]
     verdicts = []
     for name, h in hom_targets():
-        for perm in orders:
-            verdicts.append(
-                verify_hom_inequality(p, h, vertex_order(g, perm), h_name=name)
-            )
+        verdicts.extend(verify_hom_inequality(p, h, orders, h_name=name))
     for c in c_grid:
         cf = Fraction(c)
         if cf.denominator != 1 or cf < 1:

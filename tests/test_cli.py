@@ -302,3 +302,17 @@ def test_module_entry_point(c4_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficients"] == ["1", "4", "2"]
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy serves only verify-roots; every other command starts without it.
+    src = str(Path(regcount.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, regcount.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

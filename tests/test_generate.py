@@ -6,10 +6,13 @@ with the generator:
 * a residual-degree-multiset DP for labeled counts at any degree,
 * an automorphism-counting completeness identity, sum over emitted classes of
   n!/|Aut| = labeled total, which simultaneously rules out duplicated and
-  missing isomorphism classes.
+  missing isomorphism classes,
+* pairwise-distinct canonical labels over each census, each unchanged by a
+  random relabelling.
 """
 
 import math
+import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -299,7 +302,20 @@ def test_canonical_form_scale_guard():
         canonical_form(build_graph(13, []))
 
 
-def test_canonical_form_separates_census():
-    emitted = gen_list(8, 3)
-    labels = {canonical_form(g) for g in emitted}
-    assert len(labels) == len(emitted) == 6
+@pytest.mark.parametrize(
+    "n,d",
+    [(8, 3), (10, 3), (12, 3), (10, 4), (10, 6), (12, 2)],
+)
+def test_canonical_form_separates_census(n, d):
+    # The generator does not re-check its output, so this is where emission
+    # is shown free of isomorphic duplicates, and each label is shown to
+    # name the class, not the emitted labelling.
+    emitted = gen_list(n, d)
+    labels = [canonical_form(g) for g in emitted]
+    assert len(set(labels)) == len(emitted)
+    rng = random.Random(f"{n}:{d}")
+    for g, label in zip(emitted, labels):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
+        assert canonical_form(relabeled) == label

@@ -1,13 +1,16 @@
 """Graph construction, predicates, and the text format."""
 
-import pytest
+from functools import lru_cache
+from itertools import combinations
 
-from regcount import graphs
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from regcount import (
     DivisibilityError,
     DomainError,
     GraphError,
-    ScaleError,
     bipartition,
     build_graph,
     build_hardcore_target,
@@ -16,10 +19,10 @@ from regcount import (
     disjoint_union,
     graph_from_text,
     graph_to_text,
-    has_perfect_matching,
-    max_matching_size,
+    matching_polynomial,
     regular_degree,
 )
+from regcount.verify import GraphProfile
 
 
 def test_build_graph_basics(c4):
@@ -67,24 +70,58 @@ def test_bipartition_deterministic(c4, k33, prism):
     assert b.class_a == frozenset({0, 1, 2}) and b.class_b == frozenset()
 
 
+def oracle_max_matching_size(g):
+    """Maximum matching size by branching on the lowest vertex that still has
+    a neighbor: it stays unmatched or is matched to one of its neighbors.
+    Shares no code with the matching-polynomial DP."""
+    nbrs = {v: set() for v in range(g.vertex_count)}
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+
+    @lru_cache(maxsize=None)
+    def best(active):
+        v = min((v for v in active if nbrs[v] & active), default=None)
+        if v is None:
+            return 0
+        rest = active - {v}
+        return max([best(rest)] + [1 + best(rest - {u}) for u in nbrs[v] & rest])
+
+    return best(frozenset(range(g.vertex_count)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_matching_polynomial_degree_is_max_matching_size(data):
+    n = data.draw(st.integers(min_value=0, max_value=10))
+    pairs = list(combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [e for e, k in zip(pairs, keep) if k])
+    assert matching_polynomial(g).degree == oracle_max_matching_size(g)
+
+
 def test_max_matching_and_perfect_matching(c4, c8, prism, petersen):
-    assert max_matching_size(c4) == 2
-    assert max_matching_size(c8) == 4
-    assert max_matching_size(prism) == 3
-    assert max_matching_size(petersen) == 5
-    assert has_perfect_matching(c4)
-    assert has_perfect_matching(petersen)
+    def nu(g):
+        return matching_polynomial(g).degree
+
+    def has_pm(g):
+        return GraphProfile(g).has_perfect_matching
+
+    assert nu(c4) == 2
+    assert nu(c8) == 4
+    assert nu(prism) == 3
+    assert nu(petersen) == 5
+    assert has_pm(c4)
+    assert has_pm(petersen)
     path = build_graph(3, [(0, 1), (1, 2)])
-    assert max_matching_size(path) == 1
-    assert not has_perfect_matching(path)
+    assert nu(path) == 1
+    assert not has_pm(path)
     # empty graph has the empty perfect matching
-    assert has_perfect_matching(build_graph(0, []))
-
-
-def test_max_matching_memo_is_capped(monkeypatch, petersen):
-    monkeypatch.setattr(graphs, "MATCHING_MEMO_LIMIT", 10)
-    with pytest.raises(ScaleError):
-        max_matching_size(petersen)
+    assert has_pm(build_graph(0, []))
+    # the circulant C_40(1, 20): 40 vertices, read off the matching polynomial
+    c40 = build_graph(40, {tuple(sorted((i, (i + s) % 40))) for i in range(40) for s in (1, 20)})
+    assert regular_degree(c40) == 3
+    assert nu(c40) == 20 and has_pm(c40)
 
 
 def test_build_kdd_shape():

@@ -21,6 +21,7 @@ from regcount import (
     build_kdd,
     canonical_form,
     count_homomorphisms,
+    generate,
     independence_polynomial,
     matching_polynomial,
 )
@@ -223,19 +224,19 @@ def test_squarefree_decomposition_checks_its_invariants(monkeypatch):
 
 def test_hom_inequality_examples(c4, k33):
     k2 = build_graph(2, [(0, 1)])
-    v = verify_hom_inequality(GraphProfile(c4), k2, vertex_order(c4, [0, 1, 2, 3]), h_name="K2")
+    [v] = verify_hom_inequality(GraphProfile(c4), k2, [vertex_order(c4, [0, 1, 2, 3])], h_name="K2")
     # hom(C4, K2)^2 = 4 against 1 * 2 * 2 * 2 from back degrees (0,1,1,2)
     assert v.lhs == 4 and v.rhs == 8 and v.passed
     # class order on a complete bipartite block gives equality
     block = build_kdd(2)
-    vb = verify_hom_inequality(GraphProfile(block), k2, vertex_order(block, [0, 1, 2, 3]))
+    [vb] = verify_hom_inequality(GraphProfile(block), k2, [vertex_order(block, [0, 1, 2, 3])])
     assert vb.lhs == vb.rhs == count_homomorphisms(block, k2) ** 2
     # the all-permissive looped vertex gives 1 on both sides
     loop = build_graph(1, [(0, 0)], allow_loops=True)
-    vl = verify_hom_inequality(GraphProfile(k33), loop, vertex_order(k33, list(range(6))))
+    [vl] = verify_hom_inequality(GraphProfile(k33), loop, [vertex_order(k33, list(range(6)))])
     assert vl.lhs == 1 and vl.rhs == 1 and vl.passed
     with pytest.raises(DomainError):
-        verify_hom_inequality(GraphProfile(build_graph(3, [(0, 1)])), k2, vertex_order(build_graph(3, [(0, 1)]), [0, 1, 2]))
+        verify_hom_inequality(GraphProfile(build_graph(3, [(0, 1)])), k2, [vertex_order(build_graph(3, [(0, 1)]), [0, 1, 2])])
 
 
 def test_hardcore_hom_identity(c4, k33):
@@ -376,6 +377,16 @@ def test_hom_checks_label_and_count_once(monkeypatch, prism):
     assert len(verdicts) == 5 * 7 + 6
     assert {v.graph_label for v in verdicts} == {canonical_form(prism)}
     assert calls == {"canonical_form": 1, "independence_polynomial": 1}
+
+
+def test_hom_checks_count_each_homomorphism_once(monkeypatch):
+    # Per target: hom(g, h) once and hom(K_{b,b}, h) once per back degree
+    # b in 1..3, shared by all seven orders; then six hard-core identities.
+    calls = _count_calls(monkeypatch, "count_homomorphisms")
+    for index, g in enumerate(generate(GenSpec(8, 3))):
+        calls["count_homomorphisms"] = 0
+        hom_graph_verdicts(GraphProfile(g, index))
+        assert calls["count_homomorphisms"] <= 5 * (1 + 3) + 6
 
 
 def test_profile_computes_only_what_a_check_reads(c8):
