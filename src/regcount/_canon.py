@@ -6,7 +6,9 @@ its adjacency bits to v_0..v_{k-1} (v_0 most significant).  The canonical form
 is the lexicographic minimum of the code over all orderings.
 
 There is one search, _max_code: a greedy level-by-level maximization,
-branching only on ties, with interchangeable twin vertices collapsed.  The
+branching only on ties, with interchangeable twin vertices collapsed.  Each
+branch carries its unplaced vertices' columns, extended by one bit per placed
+vertex, so a candidate's column is read in O(1) rather than rebuilt.  The
 minimum goes through the complement: flipping every adjacency and loop bit
 maps the code bit-for-bit, and bitwise NOT reverses lexicographic order, hence
 min_code(G) = bitflip(max_code(complement(G))).  A direct minimum search would
@@ -23,45 +25,37 @@ def _max_code(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
     Valid because a code is compared column by column: the maximal full code
     must maximize every prefix, so non-maximal partial orderings can never
     recover.
+
+    Each state holds its unplaced vertices with their columns against the
+    state's ordering so far, as (column, vertex) pairs.  A column starts as
+    the vertex's loop bit; placing u shifts every column left and appends the
+    bit for u, so at each level the loop bit sits at bit `level` and a
+    candidate's column is read, not rebuilt from the ordering.
     """
     # Each state is one ordering achieving the maximal code prefix so far.
-    states: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    states = [[(adj[v] >> v & 1, v) for v in range(n)]]
     code: list[int] = []
-    for level in range(n):
-        best_col = -1
-        new_states: list[tuple[tuple[int, ...], int]] = []
-        for order, used in states:
-            by_col: dict[int, list[int]] = {}
-            for v in range(n):
-                if used >> v & 1:
+    for _ in range(n):
+        best_col = max(max(cands)[0] for cands in states)
+        new_states: list[list[tuple[int, int]]] = []
+        for cands in states:
+            reps: list[int] = []
+            for col, v in cands:
+                if col != best_col:
                     continue
-                av = adj[v]
-                col = (av >> v & 1) << level
-                for i, u in enumerate(order):
-                    if av >> u & 1:
-                        col |= 1 << (level - 1 - i)
-                by_col.setdefault(col, []).append(v)
-            col = max(by_col)
-            if col >= best_col:
-                if col > best_col:
-                    best_col = col
-                    new_states = []
-                reps: list[int] = []
-                for v in by_col[col]:
-                    # Skip v if swapping it with an already-kept candidate is
-                    # an automorphism (equal adjacency outside the pair, equal
-                    # loop status): both continuations yield the same code.
-                    for w in reps:
-                        pair = (1 << v) | (1 << w)
-                        if (adj[v] & ~pair) == (adj[w] & ~pair) and (
-                            adj[v] >> v & 1
-                        ) == (adj[w] >> w & 1):
-                            break
-                    else:
-                        reps.append(v)
-                new_states.extend(
-                    (order + (v,), used | (1 << v)) for v in reps
-                )
+                # Skip v if swapping it with an already-kept candidate is an
+                # automorphism (equal adjacency outside the pair; their loop
+                # bits agree, as their columns do): both continuations yield
+                # the same code.
+                for w in reps:
+                    pair = (1 << v) | (1 << w)
+                    if (adj[v] & ~pair) == (adj[w] & ~pair):
+                        break
+                else:
+                    reps.append(v)
+                    new_states.append(
+                        [((c << 1) | (adj[w] >> v & 1), w) for c, w in cands if w != v]
+                    )
         code.append(best_col)
         states = new_states
     return tuple(code)

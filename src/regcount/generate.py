@@ -1,8 +1,12 @@
 """Exhaustive generation of d-regular graphs, with isomorph rejection.
 
 The search builds the adjacency matrix one vertex at a time: the column of
-vertex k is its neighbor set among 0..k-1.  Degree-residual feasibility checks
-prune branches that cannot complete to a d-regular graph on n vertices.
+vertex k is its neighbor set among 0..k-1.  The candidate columns of each
+level (every subset of at most d earlier vertices, in descending column
+order) are listed once per stream; each node keeps those that avoid vertices
+already of degree d.  Degree-residual feasibility checks, O(1) per candidate
+from sums taken once per node, prune branches that cannot complete to a
+d-regular graph on n vertices.
 
 With isomorph rejection on, the search additionally keeps only prefixes whose
 identity ordering achieves the lexicographically maximal column code among all
@@ -12,7 +16,9 @@ maximal full code must maximize every prefix, hence the canonical ordering of
 any d-regular graph survives every prefix check, and two surviving leaves are
 never isomorphic because each equals its class's unique maximal matrix.  A
 plain generate-then-dedup pass over all labeled graphs would visit billions of
-leaves already at n = 12, d = 3.
+leaves already at n = 12, d = 3.  The prefix check (_beats_identity) carries
+each unplaced vertex's column down its search, extending it by one bit per
+placed vertex, and tries one member of each twin class per position.
 
 Emission is not re-checked at run time: the guarantee above is a property
 of the search, not of any input, so a per-leaf duplicate check would only
@@ -64,44 +70,64 @@ class GenSpec:
 def _beats_identity(k: int, adj: list[int], cols_rev: list[int]) -> bool:
     """Is there an ordering of the k placed vertices whose column code exceeds
     the identity ordering's code?  Columns compare as integers with the
-    earliest-placed vertex in the highest bit.  Candidates that are twins of
-    an already-tried candidate are skipped: swapping twins is an automorphism,
-    so their subtrees reach the same codes."""
-    order: list[int] = []
-    used = 0
+    earliest-placed vertex in the highest bit.
 
-    def dfs(pos: int) -> bool:
-        nonlocal used
-        if pos == k:
-            return False
+    The search carries each unplaced vertex's column against the ordering so
+    far, as (column, vertex) pairs: placing v shifts every column left and
+    appends the bit for v, so a candidate's column is read, not rebuilt.
+    Twins (N(v) minus w equals N(w) minus v) fall into classes computed once
+    per call; swapping two unplaced twins is an automorphism that fixes the
+    placed prefix, so only the first member of a class tried at a position
+    is searched."""
+    # Twin classes, each named by its least vertex.  Non-adjacent twins share
+    # their open neighbourhood, adjacent twins their closed one, and a class
+    # never mixes the two kinds, so one dict over both keys finds them (the
+    # graph has no loops, so an open key never equals a closed one).
+    first: dict[int, int] = {}
+    twin: list[int] = []
+    for v in range(k):
+        t = first.setdefault(adj[v], v)
+        if t == v:
+            t = first.setdefault(adj[v] | 1 << v, v)
+        twin.append(t)
+
+    def dfs(pos: int, cands: list[tuple[int, int]]) -> bool:
         target = cols_rev[pos]
-        tried: list[int] = []
-        for v in range(k):
-            if used >> v & 1:
+        top = max(cands)[0]
+        if top != target:
+            return top > target
+        if pos + 1 == k:  # the last column ties too: the codes are equal
+            return False
+        tried = 0
+        for col, v in cands:
+            if col != target or tried >> twin[v] & 1:
                 continue
-            av = adj[v]
-            if any(
-                (av & ~(1 << w)) == (adj[w] & ~(1 << v)) for w in tried
-            ):
-                continue
-            col = 0
-            for i, u in enumerate(order):
-                if av >> u & 1:
-                    col |= 1 << (pos - 1 - i)
-            if col > target:
+            tried |= 1 << twin[v]
+            extended = [((c << 1) | (adj[w] >> v & 1), w) for c, w in cands if w != v]
+            if dfs(pos + 1, extended):
                 return True
-            if col == target:
-                tried.append(v)
-                order.append(v)
-                used |= 1 << v
-                hit = dfs(pos + 1)
-                order.pop()
-                used &= ~(1 << v)
-                if hit:
-                    return True
         return False
 
-    return dfs(0)
+    return dfs(0, [(0, v) for v in range(k)])
+
+
+def _candidate_lists(n: int, d: int) -> list[list[tuple[int, int, tuple[int, ...]]]]:
+    """For each level k, every back-neighbor set of vertex k (a subset of
+    0..k-1 with at most d members) as (rev, mask, subset), in the order the
+    search tries them: descending rev, the column with vertex 0 highest."""
+    levels = []
+    for k in range(n):
+        cands = []
+        for size in range(min(d, k) + 1):
+            for subset in combinations(range(k), size):
+                rev = mask = 0
+                for j in subset:
+                    rev |= 1 << (k - 1 - j)
+                    mask |= 1 << j
+                cands.append((rev, mask, subset))
+        cands.sort(reverse=True)
+        levels.append(cands)
+    return levels
 
 
 def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
@@ -110,6 +136,7 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
     # Column of vertex k (its neighbors among 0..k-1), keyed for
     # lexicographic order: vertex 0 in the highest bit.
     cols_rev: list[int] = [0] * n
+    levels = _candidate_lists(n, d)
 
     def place(k: int) -> Iterator[Graph]:
         if k == n:
@@ -123,29 +150,26 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
             yield Graph(n, frozenset(edges))
             return
         m_future = n - k - 1
-        eligible = [j for j in range(k) if degs[j] < d]
-        candidates: list[tuple[int, tuple[int, ...]]] = []
-        for size in range(min(d, len(eligible)) + 1):
-            for subset in combinations(eligible, size):
-                rev = 0
-                for j in subset:
-                    rev |= 1 << (k - 1 - j)
-                candidates.append((rev, subset))
-        candidates.sort(reverse=True)
-        for rev, subset in candidates:
-            # Residual feasibility: placed vertices can only reach future ones.
-            back = len(subset)
-            residuals_ok = d - back <= m_future
-            if residuals_ok:
-                total_resid = d - back
-                for j in range(k):
-                    r = d - degs[j] - (1 if j in subset else 0)
-                    if r > m_future:
-                        residuals_ok = False
-                        break
-                    total_resid += r
-            if not residuals_ok:
+        # Residual feasibility: placed vertices can only reach future ones,
+        # so one that still needs m_future + 1 edges must take vertex k.
+        full = forced = resid = 0
+        for j in range(k):
+            need = d - degs[j]
+            if need > m_future + 1:
+                return
+            if need > m_future:
+                forced |= 1 << j
+            elif need == 0:
+                full |= 1 << j
+            resid += need
+        for rev, mask, subset in levels[k]:
+            if mask & full or forced & ~mask:
                 continue
+            back = len(subset)
+            if d - back > m_future:
+                continue
+            # Vertex k's residual, plus the placed ones' once it takes subset.
+            total_resid = d - back + resid - back
             if total_resid > m_future * d:
                 continue
             future_internal = m_future * d - total_resid
@@ -156,9 +180,7 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
             for j in subset:
                 adj[j] |= 1 << k
                 degs[j] += 1
-            adj[k] = 0
-            for j in subset:
-                adj[k] |= 1 << j
+            adj[k] = mask
             degs[k] = back
             cols_rev[k] = rev
             if not (iso and _beats_identity(k + 1, adj, cols_rev)):

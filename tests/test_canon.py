@@ -1,8 +1,8 @@
 """Canonical labeling: permutation invariance and separation.
 
-The oracle here is a brute-force minimum over all vertex permutations,
-computed with plain tuples and no bit tricks, so it exercises none of the
-code paths it checks.
+The oracles here are a brute-force minimum and maximum over all vertex
+permutations, computed with plain tuples and no bit tricks, so they exercise
+none of the code paths they check.
 """
 
 import random
@@ -12,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regcount import build_graph, canonical_form
-from regcount._canon import min_code
+from regcount._canon import _max_code, min_code
 from regcount.graphs import adjacency_masks
 
 
-def oracle_min_code(g):
-    """Lexicographically minimal column code over all n! orderings."""
+def oracle_codes(g):
+    """The column code of g under each of its n! orderings."""
     n = g.vertex_count
     loops = {u for u, v in g.edges if u == v}
-    best = None
     for perm in permutations(range(n)):
         cols = []
         for level, v in enumerate(perm):
@@ -32,18 +31,24 @@ def oracle_min_code(g):
                 if g.has_edge(perm[i], v):
                     col |= 1
             cols.append(col)
-        code = tuple(cols)
-        if best is None or code < best:
-            best = code
-    return best
+        yield tuple(cols)
 
 
-def package_min_code(g):
+def oracle_min_code(g):
+    """Lexicographically minimal column code over all n! orderings."""
+    return min(oracle_codes(g))
+
+
+def loop_masks(g):
     masks = list(adjacency_masks(g))
     for u, v in g.edges:
         if u == v:
             masks[u] |= 1 << u
-    return min_code(g.vertex_count, tuple(masks))
+    return tuple(masks)
+
+
+def package_min_code(g):
+    return min_code(g.vertex_count, loop_masks(g))
 
 
 def random_graph(rng, n, p):
@@ -73,6 +78,21 @@ def test_min_code_with_loops_matches_oracle():
                     edges.add((u, v))
         g = build_graph(n, sorted(edges), allow_loops=True)
         assert package_min_code(g) == oracle_min_code(g), g
+
+
+def test_max_code_matches_bruteforce_maximum():
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(6 if n < 7 else 2):
+                edges = [
+                    (u, v)
+                    for u in range(n)
+                    for v in range(u, n)
+                    if rng.random() < (0.4 if u == v else p)
+                ]
+                g = build_graph(n, edges, allow_loops=True)
+                assert _max_code(n, loop_masks(g)) == max(oracle_codes(g)), g
 
 
 @settings(max_examples=60, deadline=None)

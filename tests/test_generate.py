@@ -8,15 +8,21 @@ with the generator:
   n!/|Aut| = labeled total, which simultaneously rules out duplicated and
   missing isomorphism classes,
 * pairwise-distinct canonical labels over each census, each unchanged by a
-  random relabelling.
+  random relabelling,
+* a brute-force maximum over all orderings for the prefix canonicity test,
+* pinned SHA-256 digests of the emission order, which census names such as
+  12v-3r-0042 index.
 """
 
+import hashlib
 import math
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regcount import (
     DomainError,
@@ -28,6 +34,8 @@ from regcount import (
     canonical_form,
     generate,
 )
+from regcount.graphs import adjacency_masks
+from regcount.generate import _beats_identity
 
 ALL_PAIRS = {n: list(combinations(range(n), 2)) for n in range(1, 7)}
 
@@ -319,3 +327,75 @@ def test_canonical_form_separates_census(n, d):
         rng.shuffle(perm)
         relabeled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges])
         assert canonical_form(relabeled) == label
+
+
+def oracle_beats_identity(g):
+    """Does some ordering of g's vertices give a column code above the
+    identity's?  Column of the vertex at position p: its adjacency to the
+    vertices at positions 0..p-1, position 0 most significant."""
+    n = g.vertex_count
+
+    def code(perm):
+        cols = []
+        for p, v in enumerate(perm):
+            col = 0
+            for u in perm[:p]:
+                col = col << 1 | g.has_edge(u, v)
+            cols.append(col)
+        return tuple(cols)
+
+    identity = code(range(n))
+    return any(code(perm) > identity for perm in permutations(range(n)))
+
+
+@st.composite
+def twin_heavy_graphs(draw):
+    """Disjoint unions of one or two parts, each empty, complete, complete
+    bipartite or random, on at most 7 vertices in all, randomly relabelled."""
+    edges = []
+    n = 0
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        size = draw(st.integers(min_value=1, max_value=7 - n))
+        kind = draw(st.sampled_from(["empty", "complete", "bipartite", "random"]))
+        part = range(n, n + size)
+        if kind == "complete":
+            edges += combinations(part, 2)
+        elif kind == "bipartite":
+            a = draw(st.integers(min_value=0, max_value=size))
+            edges += [(u, v) for u in part[:a] for v in part[a:]]
+        elif kind == "random":
+            edges += [e for e in combinations(part, 2) if draw(st.booleans())]
+        n += size
+        if n == 7:
+            break
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_heavy_graphs())
+def test_beats_identity_matches_bruteforce_orderings(g):
+    n = g.vertex_count
+    adj = list(adjacency_masks(g))
+    cols_rev = [
+        sum(1 << (p - 1 - j) for j in range(p) if adj[p] >> j & 1) for p in range(n)
+    ]
+    assert _beats_identity(n, adj, cols_rev) == oracle_beats_identity(g)
+
+
+def emission_digest(graphs):
+    text = "\n".join(
+        " ".join(f"{u}-{v}" for u, v in sorted(g.edges)) for g in graphs
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_emission_order_is_pinned(corpus):
+    # Census names such as 12v-3r-0042 are emission indices, so the order is
+    # part of every report: a change here renames graphs in every census.
+    assert emission_digest(corpus[(12, 3)]) == (
+        "1ceb625379bd95403108633478ae7f387f1efe198b2fdee241f3abd3511ebc40"
+    )
+    assert emission_digest(gen_list(10, 4)) == (
+        "befa841f90e37760720a8425067286c3c98b9d2365b1422e5661d19ef96db702"
+    )
