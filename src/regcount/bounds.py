@@ -1,36 +1,41 @@
 """Closed-form bounds on matching and independent-set counts.
 
-Each bound the per-graph suite checks is defined once, as a power-cleared
-inequality q^k * cofactor <= rhs over exact rationals (`Cleared`), by a
-function named after its check id: a partition-function bound, Bregman's
-bound, or a single-term extraction from a partition-function bound.  Its
-verdict is the exact comparison, and its log2 value log2(rhs / cofactor) / k
-is the number `matching_partition_upper`, `matching_count_upper` and the
-other log2 forms return.
+Each bound is defined once, by a function named after its check id.  The
+bounds the per-graph suite decides exactly are power-cleared inequalities
+q^k * cofactor <= rhs over exact rationals (`Cleared`): a partition-function
+bound, Bregman's bound, or a single-term extraction from a
+partition-function bound.  The verdict is the exact comparison, and
+`Cleared.log_bound()` is the bound on log2 q, log2(rhs / cofactor) / k.
 
-The other bounds, those that involve log2 e and the log2-form lower bounds
-on the K_{d,d} union, are evaluated in log2 with mpmath at 120-bit
-precision (far above the 64 fractional bits the comparisons need) and
-compared under a uniform slack of 2^-40, applied in the direction favorable
-to the inequality under test.
+The other bounds, those that involve log2 e and the lower bounds on the
+K_{d,d} union, are `LogBound` values in log2, compared under a uniform slack
+of 2^-40 applied in the direction favorable to the inequality under test.
+
+Every log2 value here is computed with mpmath at 120-bit precision (far
+above the 64 fractional bits the comparisons need), whatever mpmath's global
+precision is; importing this module leaves that precision as it was.  Each
+function that does mpf arithmetic sets the precision for its own duration
+with `mp.workprec`, except `log2`, which runs once or twice per verdict: it
+calls mpmath's low-level `libmp` functions, which take the precision as an
+argument, and so skips the cost of switching it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_log, mpf_mul, mpf_sub, round_nearest
 
 from .errors import DivisibilityError, DomainError
-from .counting import matching_polynomial
-from .graphs import Graph
 
-mp.prec = max(mp.prec, 120)
+_PREC = 120
 
-SLACK = mpf(2) ** -40
-_LOG2E = 1 / mp.log(2)
+with mp.workprec(_PREC):
+    SLACK = mpf(2) ** -40
+    _LOG2E = 1 / mp.log(2)
 
 UPPER = "upper"
 LOWER = "lower"
@@ -46,28 +51,50 @@ def _mpf_of(x) -> mpf:
     return mpf(x)
 
 
+def _check(n: int, d: int, size: int = 0, lam=0) -> None:
+    """Reject inputs outside the domain the bounds are stated on: n >= 1,
+    d >= 1, 0 <= size <= n/2 and lambda >= 0."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
+    if d < 1:
+        raise DomainError(f"need d >= 1, got {d}")
+    if not 0 <= 2 * size <= n:
+        raise DomainError(f"size must lie in [0, n/2] = [0, {n / 2}], got {size}")
+    if lam < 0:
+        raise DomainError(f"lambda must be nonnegative, got {lam}")
+
+
+def _ln(x):
+    """ln x at 120 bits, as a raw mpf tuple; x, an int or an mpf, is taken
+    exactly."""
+    return mpf_log(mp.convert(x)._mpf_, _PREC, round_nearest)
+
+
 def log2(x) -> mpf:
     """High-precision log base 2 of a positive number or Fraction."""
+    if x <= 0:
+        raise DomainError(f"log2 needs a positive argument, got {x}")
     if isinstance(x, Fraction):
-        if x <= 0:
-            raise DomainError(f"log2 needs a positive argument, got {x}")
-        return (mp.log(x.numerator) - mp.log(x.denominator)) * _LOG2E
-    return mp.log(x) * _LOG2E
+        ln = mpf_sub(_ln(x.numerator), _ln(x.denominator), _PREC, round_nearest)
+    else:
+        ln = _ln(x)
+    return mp.make_mpf(mpf_mul(ln, _LOG2E._mpf_, _PREC, round_nearest))
 
 
 @dataclass(frozen=True)
 class LogBound:
-    """A bound held in log2 domain with its direction and comparison slack."""
+    """A bound held in log2 domain with its direction."""
 
     value: object  # mpf
     direction: str
-    slack: object = field(default_factory=lambda: SLACK)
 
+    @mp.workprec(_PREC)
     def admits(self, log_count) -> bool:
-        """Does the exact count (given as log2) satisfy this bound with slack?"""
+        """Does the exact count (given as log2) satisfy this bound, up to
+        SLACK?"""
         if self.direction == UPPER:
-            return log_count <= self.value + self.slack
-        return log_count >= self.value - self.slack
+            return log_count <= self.value + SLACK
+        return log_count >= self.value - SLACK
 
 
 @dataclass(frozen=True)
@@ -87,45 +114,14 @@ class Cleared:
         """The exact verdict for q."""
         return self.lhs(q) <= self.rhs
 
+    @mp.workprec(_PREC)
     def log_bound(self) -> LogBound:
         """The bound on log2 q: log2(rhs / cofactor) / k, the ratio reduced
         first."""
         return LogBound(log2(Fraction(self.rhs, self.cofactor)) / self.k, UPPER)
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Scalar inputs shared by the bound formulas.
-
-    size plays the role of the matching size or the independent-set size
-    depending on the consumer; alpha = 2*size/n is derived exactly.
-    """
-
-    n: int
-    d: int
-    size: int = 0
-    lam: Fraction = Fraction(0)
-    c: Fraction = Fraction(2)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"need n >= 1, got {self.n}")
-        if self.d < 0:
-            raise DomainError(f"need d >= 0, got {self.d}")
-        if not 0 <= self.size <= self.n / 2:
-            raise DomainError(
-                f"size must lie in [0, n/2] = [0, {self.n / 2}], got {self.size}"
-            )
-        object.__setattr__(self, "lam", _as_fraction(self.lam))
-        object.__setattr__(self, "c", _as_fraction(self.c))
-        if self.lam < 0:
-            raise DomainError(f"lambda must be nonnegative, got {self.lam}")
-
-    @property
-    def alpha(self) -> Fraction:
-        return Fraction(2 * self.size, self.n)
-
-
+@mp.workprec(_PREC)
 def binary_entropy(x) -> mpf:
     """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
     xf = _as_fraction(x) if isinstance(x, (int, Fraction)) else None
@@ -139,29 +135,37 @@ def binary_entropy(x) -> mpf:
 
 def match_pf_upper(n: int, d: int, lam) -> Cleared:
     """match-pf-upper: Z_m(lambda)^2 <= (1 + d lambda)^n."""
+    _check(n, d, lam=lam)
     return Cleared(2, (1 + d * lam) ** n)
 
 
 def match_pf_gurvits(edges: int, nu: int, lam) -> Cleared:
     """match-pf-gurvits: Z_m(lambda) <= (1 + lambda |E| / nu)^nu, with nu the
     maximum matching size."""
+    if nu < 1:
+        raise DomainError(f"match-pf-gurvits needs at least one edge, got nu={nu}")
+    if lam < 0:
+        raise DomainError(f"lambda must be nonnegative, got {lam}")
     return Cleared(1, (1 + lam * Fraction(edges, nu)) ** nu)
 
 
 def ind_pf_upper_general(n: int, d: int, lam) -> Cleared:
     """ind-pf-upper-general: Z_i(lambda)^(2d) <= 2^(2n) (1 + lambda)^(nd)."""
+    _check(n, d, lam=lam)
     return Cleared(2 * d, 4**n * (1 + lam) ** (n * d))
 
 
 def ind_pf_upper_bipartite(n: int, d: int, lam) -> Cleared:
     """ind-pf-upper-bipartite: Z_i(lambda)^(2d) <= (2 (1 + lambda)^d - 1)^n,
     for bipartite graphs."""
+    _check(n, d, lam=lam)
     return Cleared(2 * d, (2 * (1 + lam) ** d - 1) ** n)
 
 
 def bregman_pm(n: int, d: int) -> Cleared:
     """bregman-pm: pm^(2d) <= (d!)^n for the perfect matchings of a bipartite
     d-regular graph."""
+    _check(n, d)
     return Cleared(2 * d, math.factorial(d) ** n)
 
 
@@ -169,7 +173,19 @@ def single_term(bound: Cleared, size: int, lam) -> Cleared:
     """The single-term extraction: Z(lambda) >= c_s lambda^s, so a bound
     Z^k * cofactor <= rhs on a partition function gives
     c_s^k * (cofactor lambda^(ks)) <= rhs on its size-s coefficient."""
+    if size < 0 or lam < 0:
+        raise DomainError(f"need size >= 0 and lambda >= 0, got {size} and {lam}")
     return Cleared(bound.k, bound.rhs, bound.cofactor * Fraction(lam) ** (bound.k * size))
+
+
+def optimal_lambda(n: int, d: int, size: int) -> Fraction:
+    """The weight ell/(d(n/2 - ell)) minimizing the single-term extraction bound."""
+    _check(n, d, size)
+    if not 0 < 2 * size < n:
+        raise DomainError(
+            f"optimal lambda is degenerate at size {size} (needs 0 < size < n/2)"
+        )
+    return Fraction(2 * size, d * (n - 2 * size))
 
 
 def match_count_upper(n: int, d: int, ell: int) -> Cleared:
@@ -177,7 +193,9 @@ def match_count_upper(n: int, d: int, ell: int) -> Cleared:
     lam = 2ell / (d(n - 2ell)) (optimal_lambda), both sides multiplied by
     d^(2ell) (n - 2ell)^n:  m_ell^2 (2ell)^(2ell) (n - 2ell)^(n - 2ell) <=
     d^(2ell) n^n.  With 0^0 = 1 it holds at ell = 0 and, in the limit of
-    large lam, at ell = n/2."""
+    large lam, at ell = n/2.  In log2 it reads (n/2)(alpha log2 d + H(alpha))
+    with alpha = 2ell/n."""
+    _check(n, d, ell)
     rest = n - 2 * ell
     return Cleared(2, d ** (2 * ell) * n**n, (2 * ell) ** (2 * ell) * rest**rest)
 
@@ -187,53 +205,41 @@ def ind_count_upper_general(n: int, d: int, t: int) -> Cleared:
     t, lam) at lam = 2t / (n - 2t) (occupancy_lambda), both sides multiplied
     by (n - 2t)^(nd):  i_t^(2d) ((2t)^(2t) (n - 2t)^(n - 2t))^d <= 2^(2n) n^(nd).
     With 0^0 = 1 it holds at t = 0 and, in the limit of large lam, at
-    t = n/2."""
+    t = n/2.  In log2 it reads (n/2)(H(2t/n) + 2/d)."""
+    _check(n, d, t)
     rest = n - 2 * t
     return Cleared(2 * d, 4**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d)
 
 
-def matching_partition_upper(p: BoundParams) -> LogBound:
-    """Upper bound (n/2) log2(1 + d*lambda) on the matching partition function."""
-    return match_pf_upper(p.n, p.d, p.lam).log_bound()
+@mp.workprec(_PREC)
+def ind_count_upper_bipartite(n: int, d: int, t: int) -> LogBound:
+    """ind-count-upper-bipartite: log2 i_t <= (n/2)(H(2t/n) + 1/d -
+    (log2 e / 2d)(1 - 2t/n)^d), for bipartite graphs.  At t = n/2 the
+    entropy term vanishes and the formula is evaluated as written."""
+    _check(n, d, t)
+    alpha = Fraction(2 * t, n)
+    half = mpf(n) / 2
+    ent = binary_entropy(alpha)
+    miss = _mpf_of(1 - alpha) ** d
+    return LogBound(half * (ent + mpf(1) / d - _LOG2E / (2 * d) * miss), UPPER)
 
 
-def optimal_lambda(p: BoundParams) -> Fraction:
-    """The weight ell/(d(n/2 - ell)) minimizing the single-term extraction bound."""
-    if p.d < 1:
-        raise DomainError(f"need d >= 1, got {p.d}")
-    if not 0 < p.size < p.n / 2:
-        raise DomainError(
-            f"optimal lambda is degenerate at size {p.size} (needs 0 < size < n/2)"
-        )
-    return Fraction(2 * p.size, p.d * (p.n - 2 * p.size))
-
-
-def matching_count_upper(p: BoundParams) -> LogBound:
-    """Upper bound (n/2)(alpha log2 d + H(alpha)) on log2 of the size-ell matching count."""
-    if p.d < 1:
-        raise DomainError(f"need d >= 1, got {p.d}")
-    return match_count_upper(p.n, p.d, p.size).log_bound()
-
-
-def union_matching_lower_explicit(p: BoundParams) -> LogBound:
+@mp.workprec(_PREC)
+def union_matching_lower_explicit(n: int, d: int, size: int) -> LogBound:
     """Explicit part of the matching lower bound on the K_{d,d}-union reference
-    graph: (n/2)[alpha log2 d + 2H(alpha) + alpha log2(alpha/e)].
+    graph: (n/2)[alpha log2 d + 2H(alpha) + alpha log2(alpha/e)], with
+    alpha = 2 size / n.
 
     The remaining correction term of order log(d)/d carries an unspecified
     constant, so it is never fabricated here; callers report the measured gap
     against the exact count instead.
     """
-    if p.d < 1:
-        raise DomainError(f"need d >= 1, got {p.d}")
-    a = p.alpha
+    _check(n, d, size)
+    a = Fraction(2 * size, n)
     if a == 0 or a == 1:
         raise DomainError(f"alpha must lie strictly inside (0,1), got {a}")
     av = _mpf_of(a)
-    value = (
-        mpf(p.n)
-        / 2
-        * (av * log2(p.d) + 2 * binary_entropy(a) + av * (log2(a) - _LOG2E))
-    )
+    value = mpf(n) / 2 * (av * log2(d) + 2 * binary_entropy(a) + av * (log2(a) - _LOG2E))
     return LogBound(value, LOWER)
 
 
@@ -248,6 +254,7 @@ def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:
     return tuple([q + 1] * r + [q] * (copies - r))
 
 
+@mp.workprec(_PREC)
 def stirling_rhs(d: int, a: int, c) -> mpf:
     """Right side of the per-copy Stirling-style estimate:
     a log2 d + a log2(a/d) - a log2 e + 2 H(a/d) d - log2(c d)."""
@@ -270,6 +277,7 @@ def stirling_term_check(d: int, a: int, c) -> bool:
     return lhs >= stirling_rhs(d, a, c)
 
 
+@mp.workprec(_PREC)
 def profile_matching_lower(n: int, d: int, profile, c) -> LogBound:
     """Lower bound on log2 of the size-ell matching count of the K_{d,d} union,
     summing the Stirling-style estimate over one witness profile.
@@ -281,33 +289,6 @@ def profile_matching_lower(n: int, d: int, profile, c) -> LogBound:
     for a in profile:
         value += stirling_rhs(d, a, c)
     return LogBound(value, LOWER)
-
-
-def gurvits_bound(g: Graph, lam) -> LogBound:
-    """Upper bound nu * log2(1 + lambda |E| / nu) on the matching partition
-    function, with nu the degree of the matching polynomial."""
-    lam = _as_fraction(lam)
-    if lam < 0:
-        raise DomainError(f"lambda must be nonnegative, got {lam}")
-    if g.edge_count == 0:
-        raise DomainError("gurvits_bound needs at least one edge")
-    return match_pf_gurvits(g.edge_count, matching_polynomial(g).degree, lam).log_bound()
-
-
-def independent_partition_upper(p: BoundParams, bipartite: bool) -> LogBound:
-    """Upper bound on the independent-set partition function.
-
-    bipartite: (n/2d) log2(2(1+lambda)^d - 1); general: n/d + (n/2) log2(1+lambda).
-    """
-    if p.d < 1:
-        raise DomainError(f"need d >= 1, got {p.d}")
-    bound = ind_pf_upper_bipartite if bipartite else ind_pf_upper_general
-    return bound(p.n, p.d, p.lam).log_bound()
-
-
-GENERAL = "general"
-BIPARTITE = "bipartite"
-PERFECT_MATCHING = "perfect-matching"
 
 
 def occupancy_lambda(n: int, t: int) -> Fraction:
@@ -326,37 +307,6 @@ def independent_upper_pm_exact(n: int, t: int) -> int:
     return 2**t * math.comb(n // 2, t)
 
 
-def independent_count_upper(p: BoundParams, variant: str) -> LogBound:
-    """Upper bound on log2 of the size-t independent-set count.
-
-    general:          (n/2)(H(2t/n) + 2/d)
-    bipartite:        (n/2)(H(2t/n) + 1/d - (log2 e / 2d)(1 - 2t/n)^d)
-    perfect-matching: t + log2 binom(n/2, t)
-    Variant applicability (bipartiteness, a perfect matching) is the caller's
-    duty.  At t = n/2 the entropy term vanishes and each formula is evaluated
-    as written.
-    """
-    t = p.size
-    if variant == PERFECT_MATCHING:
-        return LogBound(log2(Fraction(independent_upper_pm_exact(p.n, t))), UPPER)
-    if p.d < 1:
-        raise DomainError(f"need d >= 1, got {p.d}")
-    if variant == GENERAL:
-        return ind_count_upper_general(p.n, p.d, t).log_bound()
-    if variant == BIPARTITE:
-        half = mpf(p.n) / 2
-        ent = binary_entropy(p.alpha)
-        miss = _mpf_of(1 - p.alpha) ** p.d
-        return LogBound(
-            half * (ent + mpf(1) / p.d - _LOG2E / (2 * p.d) * miss), UPPER
-        )
-    raise DomainError(f"unknown variant {variant!r}")
-
-
-MARKOV = "markov"
-SMALL_T = "small-t"
-
-
 def union_small_t_exact(n: int, d: int, t: int) -> int:
     """Exact count (2d)^t binom(n/2d, t) of the scattered independent sets:
     one vertex in each of t distinct K_{d,d} copies."""
@@ -368,48 +318,46 @@ def union_small_t_exact(n: int, d: int, t: int) -> int:
     return (2 * d) ** t * math.comb(copies, t)
 
 
-def union_independent_lower(p: BoundParams, variant: str) -> LogBound:
-    """Lower bound on log2 of the size-t independent-set count of the
-    K_{d,d} union.
-
-    markov:  log2[(1 - 1/c) binom(n/2, t)] + (n/2)(1/d - (c/d)(1 - 2t/n)^d)
-    small-t: log2[2^t binom(n/2, t) prod_{k=1}^{t-1}(1 - 2kd/n)], for t <= n/2d
-    """
-    if p.d < 1:
-        raise DomainError(f"need d >= 1, got {p.d}")
-    t = p.size
-    if variant == MARKOV:
-        if p.c <= 1:
-            raise DomainError(f"Markov constant must exceed 1, got {p.c}")
-        head = log2(Fraction(1 - Fraction(1, p.c)) * math.comb(p.n // 2, t))
-        tail = (
-            mpf(p.n)
-            / 2
-            * (mpf(1) / p.d - _mpf_of(p.c) / p.d * _mpf_of(1 - p.alpha) ** p.d)
-        )
-        return LogBound(head + tail, LOWER)
-    if variant == SMALL_T:
-        if p.n % (2 * p.d) != 0:
-            raise DivisibilityError(f"need 2d | n, got n={p.n}, d={p.d}")
-        if t > p.n // (2 * p.d):
-            raise DomainError(
-                f"small-t bound needs t <= {p.n // (2 * p.d)}, got {t}"
-            )
-        value = mpf(t) + log2(Fraction(math.comb(p.n // 2, t)))
-        for k in range(1, t):
-            value += log2(1 - Fraction(2 * k * p.d, p.n))
-        return LogBound(value, LOWER)
-    raise DomainError(f"unknown variant {variant!r}")
+@mp.workprec(_PREC)
+def union_ind_lower_markov(n: int, d: int, t: int, c) -> LogBound:
+    """union-ind-lower-markov: log2 of the size-t independent-set count of
+    the K_{d,d} union is at least
+    log2[(1 - 1/c) binom(n/2, t)] + (n/2)(1/d - (c/d)(1 - 2t/n)^d), for c > 1."""
+    _check(n, d, t)
+    c = _as_fraction(c)
+    if c <= 1:
+        raise DomainError(f"Markov constant must exceed 1, got {c}")
+    head = log2(Fraction(1 - Fraction(1, c)) * math.comb(n // 2, t))
+    miss = _mpf_of(1 - Fraction(2 * t, n)) ** d
+    tail = mpf(n) / 2 * (mpf(1) / d - _mpf_of(c) / d * miss)
+    return LogBound(head + tail, LOWER)
 
 
-def block_miss_stats(p: BoundParams) -> tuple[Fraction, Fraction]:
-    """Expected number of d-blocks missed by a random t-subset of n/2 items:
-    exact mu = (n/2d) binom(n/2-d, t)/binom(n/2, t), and its analytic bound
-    (n/2d)(1 - 2t/n)^d.  Both are rational, so the comparison is exact."""
-    if p.d < 1 or p.n % (2 * p.d) != 0:
-        raise DivisibilityError(f"need 2d | n with d >= 1, got n={p.n}, d={p.d}")
-    half = p.n // 2
-    t = p.size
-    mu = Fraction(p.n, 2 * p.d) * Fraction(math.comb(half - p.d, t), math.comb(half, t))
-    bound = Fraction(p.n, 2 * p.d) * (1 - p.alpha) ** p.d
+@mp.workprec(_PREC)
+def union_ind_lower_small_t(n: int, d: int, t: int) -> LogBound:
+    """union-ind-lower-small-t-log: log2 of the size-t independent-set count
+    of the K_{d,d} union is at least
+    log2[2^t binom(n/2, t) prod_{k=1}^{t-1}(1 - 2kd/n)], for t <= n/2d."""
+    _check(n, d, t)
+    if n % (2 * d) != 0:
+        raise DivisibilityError(f"need 2d | n, got n={n}, d={d}")
+    if t > n // (2 * d):
+        raise DomainError(f"small-t bound needs t <= {n // (2 * d)}, got {t}")
+    value = mpf(t) + log2(Fraction(math.comb(n // 2, t)))
+    for k in range(1, t):
+        value += log2(1 - Fraction(2 * k * d, n))
+    return LogBound(value, LOWER)
+
+
+def block_miss_stats(n: int, d: int, size: int) -> tuple[Fraction, Fraction]:
+    """Expected number of d-blocks missed by a random size-subset of n/2
+    items: exact mu = (n/2d) binom(n/2-d, size)/binom(n/2, size), and its
+    analytic bound (n/2d)(1 - 2 size/n)^d.  Both are rational, so the
+    comparison is exact."""
+    if d < 1 or n % (2 * d) != 0:
+        raise DivisibilityError(f"need 2d | n with d >= 1, got n={n}, d={d}")
+    _check(n, d, size)
+    half = n // 2
+    mu = Fraction(n, 2 * d) * Fraction(math.comb(half - d, size), math.comb(half, size))
+    bound = Fraction(n, 2 * d) * (1 - Fraction(2 * size, n)) ** d
     return mu, bound

@@ -20,23 +20,21 @@ from functools import partial
 
 from . import __version__
 from .bounds import (
-    BIPARTITE,
-    GENERAL,
-    MARKOV,
-    SMALL_T,
-    BoundParams,
     balanced_profile,
     block_miss_stats,
-    independent_count_upper,
+    ind_count_upper_bipartite,
+    ind_count_upper_general,
+    ind_pf_upper_bipartite,
+    ind_pf_upper_general,
     independent_upper_pm_exact,
     log2,
-    matching_count_upper,
-    matching_partition_upper,
-    independent_partition_upper,
+    match_count_upper,
+    match_pf_upper,
     optimal_lambda,
     profile_matching_lower,
     stirling_term_check,
-    union_independent_lower,
+    union_ind_lower_markov,
+    union_ind_lower_small_t,
     union_matching_lower_explicit,
     union_small_t_exact,
 )
@@ -306,100 +304,64 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
 
     for ell in ells:
         count = union_matching_count(p, ell)
-        bp = BoundParams(n=n, d=d, size=ell)
         add("union-match-count", count, "exact", size=ell)
         if count:
             add("union-match-count-log2", log2(count), "exact", size=ell)
-        add("match-count-upper", matching_count_upper(bp).value, "upper", size=ell)
-        if 0 < ell < n // 2 and d >= 1:
-            lam_opt = optimal_lambda(bp)
-            add("optimal-lambda", lam_opt, "info", size=ell)
-            explicit = union_matching_lower_explicit(bp)
+        bound = match_count_upper(n, d, ell).log_bound()
+        add("match-count-upper", bound.value, "upper", size=ell)
+        if 0 < ell < n // 2:
+            add("optimal-lambda", optimal_lambda(n, d, ell), "info", size=ell)
+            explicit = union_matching_lower_explicit(n, d, ell)
             add("union-match-lower-explicit", explicit.value, "reference", size=ell)
             if count:
-                add(
-                    "explicit-gap-log2",
-                    log2(count) - explicit.value,
-                    "info",
-                    size=ell,
-                )
-        if d >= 1:
-            profile = balanced_profile(n, d, ell)
-            for c in cs:
-                add(
-                    "stirling-terms-ok",
-                    all(stirling_term_check(d, a, c) for a in profile),
-                    "info",
-                    size=ell,
-                    c=c,
-                )
-                add(
-                    "profile-match-lower",
-                    profile_matching_lower(n, d, profile, c).value,
-                    "lower",
-                    size=ell,
-                    c=c,
-                )
+                add("explicit-gap-log2", log2(count) - explicit.value, "info", size=ell)
+        profile = balanced_profile(n, d, ell)
+        for c in cs:
+            add(
+                "stirling-terms-ok",
+                all(stirling_term_check(d, a, c) for a in profile),
+                "info",
+                size=ell,
+                c=c,
+            )
+            add(
+                "profile-match-lower",
+                profile_matching_lower(n, d, profile, c).value,
+                "lower",
+                size=ell,
+                c=c,
+            )
     for lam in lams:
-        bp = BoundParams(n=n, d=d, lam=lam)
-        add("match-pf-upper", matching_partition_upper(bp).value, "upper", lam=lam)
-        add(
-            "ind-pf-upper-general",
-            independent_partition_upper(bp, bipartite=False).value,
-            "upper",
-            lam=lam,
-        )
-        add(
-            "ind-pf-upper-bipartite",
-            independent_partition_upper(bp, bipartite=True).value,
-            "upper",
-            lam=lam,
-        )
+        for name, bound in (
+            ("match-pf-upper", match_pf_upper),
+            ("ind-pf-upper-general", ind_pf_upper_general),
+            ("ind-pf-upper-bipartite", ind_pf_upper_bipartite),
+        ):
+            add(name, bound(n, d, lam).log_bound().value, "upper", lam=lam)
     for t in ts:
         count = union_independent_count(p, t)
-        bp = BoundParams(n=n, d=d, size=t)
         add("union-ind-count", count, "exact", size=t)
         if count:
             add("union-ind-count-log2", log2(count), "exact", size=t)
-        if d >= 1:
-            add(
-                "ind-count-upper-general",
-                independent_count_upper(bp, GENERAL).value,
-                "upper",
-                size=t,
-            )
-            add(
-                "ind-count-upper-bipartite",
-                independent_count_upper(bp, BIPARTITE).value,
-                "upper",
-                size=t,
-            )
+        bound = ind_count_upper_general(n, d, t).log_bound()
+        add("ind-count-upper-general", bound.value, "upper", size=t)
+        bound = ind_count_upper_bipartite(n, d, t)
+        add("ind-count-upper-bipartite", bound.value, "upper", size=t)
         add("ind-upper-pm-exact", independent_upper_pm_exact(n, t), "upper", size=t)
         for c in cs:
             if c > 1:
                 add(
                     "union-ind-lower-markov",
-                    union_independent_lower(
-                        BoundParams(n=n, d=d, size=t, c=c), MARKOV
-                    ).value,
+                    union_ind_lower_markov(n, d, t, c).value,
                     "lower",
                     size=t,
                     c=c,
                 )
         if t <= p.copies:
-            add(
-                "union-ind-lower-small-t-log",
-                union_independent_lower(bp, SMALL_T).value,
-                "lower",
-                size=t,
-            )
-            add(
-                "union-ind-lower-small-t-exact",
-                union_small_t_exact(n, d, t),
-                "lower",
-                size=t,
-            )
-        mu, mu_bound = block_miss_stats(bp)
+            bound = union_ind_lower_small_t(n, d, t)
+            add("union-ind-lower-small-t-log", bound.value, "lower", size=t)
+            add("union-ind-lower-small-t-exact", union_small_t_exact(n, d, t), "lower", size=t)
+        mu, mu_bound = block_miss_stats(n, d, t)
         add("block-miss-mean", mu, "exact", size=t)
         add("block-miss-mean-upper", mu_bound, "upper", size=t)
     return rows

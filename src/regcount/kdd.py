@@ -1,5 +1,4 @@
-"""Closed-form exact counts for K_{d,d} and disjoint unions of its copies,
-plus the Bregman bound on perfect matchings of bipartite graphs.
+"""Closed-form exact counts for K_{d,d} and disjoint unions of its copies.
 
 A matching meets each K_{d,d} copy in some number of edges, so the union's
 matching counts are convolution powers of the single-copy counts; the same
@@ -12,9 +11,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from mpmath import mpf
-
-from .bounds import UPPER, LogBound, log2
 from .errors import DivisibilityError, DomainError
 
 
@@ -88,15 +84,3 @@ def union_independent_count(p: UnionParams, t: int) -> int:
         raise DomainError(f"t must lie in [0, {p.n // 2}], got {t}")
     return _union_independent_coeffs(p.d, p.copies)[t]
 
-
-def bregman_log_bound(degrees) -> LogBound:
-    """Bregman upper bound on log2 of the perfect-matching count of a
-    bipartite graph whose one class has the given degree sequence:
-    sum_i log2(r_i!) / r_i.  Equality holds on disjoint unions of K_{r,r}."""
-    degrees = list(degrees)
-    value = mpf(0)
-    for r in degrees:
-        if r < 1:
-            raise DomainError(f"degrees must be positive, got {r}")
-        value += log2(math.factorial(r)) / r
-    return LogBound(value, UPPER)

@@ -26,19 +26,15 @@ from typing import Iterable, Sequence
 from mpmath import inf, isinf, mpf
 
 from .bounds import (
-    BIPARTITE,
-    MARKOV,
-    SMALL_T,
     UPPER,
-    BoundParams,
     Cleared,
     LogBound,
     block_miss_stats,
     bregman_pm,
+    ind_count_upper_bipartite,
     ind_count_upper_general,
     ind_pf_upper_bipartite,
     ind_pf_upper_general,
-    independent_count_upper,
     independent_upper_pm_exact,
     log2,
     match_count_upper,
@@ -46,7 +42,8 @@ from .bounds import (
     match_pf_upper,
     optimal_lambda,
     single_term,
-    union_independent_lower,
+    union_ind_lower_markov,
+    union_ind_lower_small_t,
     union_matching_lower_explicit,
     union_small_t_exact,
 )
@@ -127,17 +124,6 @@ class Verdict:
             "pass": self.passed,
             "margin": format_number(self.margin),
         }
-
-    def to_csv_row(self) -> list[str]:
-        return [
-            self.check_id,
-            self.graph_label,
-            json.dumps(self.params, sort_keys=True),
-            format_number(self.lhs),
-            format_number(self.rhs),
-            "true" if self.passed else "false",
-            format_number(self.margin),
-        ]
 
 CSV_HEADER = ["check_id", "graph_label", "params", "lhs", "rhs", "pass", "margin"]
 
@@ -672,7 +658,7 @@ def verify_bounds_suite(
             bound = single_term(matching, ell, lam)
             exact("match-single-term", mpoly.coefficient(ell), bound, size=ell, lam=lam)
     for ell in range(1, (n - 1) // 2 + 1):
-        lam = optimal_lambda(BoundParams(n=n, d=d, size=ell))
+        lam = optimal_lambda(n, d, ell)
         bound = single_term(match_pf_upper(n, d, lam), ell, lam)
         exact("match-single-term-opt", mpoly.coefficient(ell), bound, size=ell, lam=lam)
     for s in sizes:
@@ -680,7 +666,7 @@ def verify_bounds_suite(
         bound = ind_count_upper_general(n, d, s)
         in_log2("ind-count-upper-general", ipoly.coefficient(s), bound, size=s)
         if p.bipartite:
-            bound = independent_count_upper(BoundParams(n=n, d=d, size=s), BIPARTITE)
+            bound = ind_count_upper_bipartite(n, d, s)
             in_log2("ind-count-upper-bipartite", ipoly.coefficient(s), bound, size=s)
     if p.bipartite and n % 2 == 0:
         exact("bregman-pm", mpoly.coefficient(n // 2), bregman_pm(n, d))
@@ -705,14 +691,9 @@ def verify_union_lower_bounds(
     verdicts: list[Verdict] = []
     for t in range(half + 1):
         count = union_independent_count(p, t)
-        bp = BoundParams(n=n, d=d, size=t)
         for c in c_grid:
             c = Fraction(c)
-            if c <= 1:
-                raise DomainError(f"markov constant must exceed 1, got {c}")
-            bound = union_independent_lower(
-                BoundParams(n=n, d=d, size=t, c=c), MARKOV
-            )
+            bound = union_ind_lower_markov(n, d, t, c)
             verdicts.append(
                 bound_verdict(
                     "union-ind-lower-markov",
@@ -729,7 +710,7 @@ def verify_union_lower_bounds(
                     label,
                     _params(n=n, d=d, size=t),
                     count,
-                    union_independent_lower(bp, SMALL_T),
+                    union_ind_lower_small_t(n, d, t),
                 )
             )
             verdicts.append(
@@ -761,7 +742,7 @@ def verify_union_lower_bounds(
         mu_exact = Fraction(
             sum(k * b for k, b in enumerate(misses)), math.comb(half, t)
         )
-        mu_closed, mu_bound = block_miss_stats(bp)
+        mu_closed, mu_bound = block_miss_stats(n, d, t)
         verdicts.append(
             exact_eq(
                 "union-block-mean-closed-form",
@@ -843,14 +824,6 @@ def hom_graph_verdicts(
     return verdicts
 
 
-def verdicts_to_jsonl(verdicts: Iterable[Verdict]) -> str:
-    """One JSON object per line, in the canonical sort order."""
-    return "".join(
-        json.dumps(v.to_json_dict(), sort_keys=False) + "\n"
-        for v in sort_verdicts(verdicts)
-    )
-
-
 def matching_lower_gap(d: int) -> tuple[mpf, mpf]:
     """Measured per-block-column gap, for a single complete bipartite block
     at its central matching size, between log2 of the exact count and the
@@ -862,9 +835,8 @@ def matching_lower_gap(d: int) -> tuple[mpf, mpf]:
     if d < 2:
         raise DomainError(f"gap measurement needs d >= 2, got {d}")
     ell = d // 2
-    p = BoundParams(n=2 * d, d=d, size=ell)
     count = kdd_matching_count(d, ell)
-    explicit = union_matching_lower_explicit(p)
+    explicit = union_matching_lower_explicit(2 * d, d, ell)
     gap = (log2(count) - explicit.value) / d
     ratio = gap * d / log2(d)
     return gap, ratio

@@ -12,11 +12,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from regcount import (
-    BoundParams,
     GenSpec,
     eval_partition,
     independence_polynomial,
-    matching_count_upper,
+    match_count_upper,
     matching_polynomial,
     stirling_term_check,
 )
@@ -144,10 +143,10 @@ def test_criterion_05_matching_count_entropy_bound(small_corpus):
             count = poly.coefficient(ell)
             if count == 0:
                 continue
-            bound = matching_count_upper(BoundParams(n=n, d=d, size=ell))
+            bound = match_count_upper(n, d, ell).log_bound()
             assert log2(count) <= bound.value + SLACK, (n, d, idx, ell)
     # spot: log2 20 <= 6.0 at (8, 2, 2)
-    bound = matching_count_upper(BoundParams(n=8, d=2, size=2))
+    bound = match_count_upper(8, 2, 2).log_bound()
     assert abs(bound.value - 6) < 1e-30
     assert math.log2(20) < 6
 

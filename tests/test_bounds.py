@@ -13,50 +13,48 @@ import pytest
 from mpmath import mpf
 
 from regcount import (
-    BoundParams,
+    Cleared,
     DivisibilityError,
     DomainError,
     LogBound,
     balanced_profile,
     binary_entropy,
     block_miss_stats,
+    bregman_pm,
     build_graph,
     eval_partition,
-    gurvits_bound,
-    independent_count_upper,
-    independent_partition_upper,
+    ind_count_upper_bipartite,
+    ind_count_upper_general,
+    ind_pf_upper_bipartite,
+    ind_pf_upper_general,
     independent_upper_pm_exact,
-    matching_count_upper,
-    matching_partition_upper,
+    match_count_upper,
+    match_pf_gurvits,
+    match_pf_upper,
     matching_polynomial,
     occupancy_lambda,
     optimal_lambda,
     profile_matching_lower,
+    single_term,
     stirling_rhs,
     stirling_term_check,
-    union_independent_lower,
+    union_ind_lower_markov,
+    union_ind_lower_small_t,
     union_matching_lower_explicit,
     union_small_t_exact,
 )
-from regcount.bounds import (
-    BIPARTITE,
-    GENERAL,
-    LOWER,
-    MARKOV,
-    PERFECT_MATCHING,
-    SMALL_T,
-    UPPER,
-    ind_count_upper_general,
-    ind_pf_upper_general,
-    log2,
-    match_count_upper,
-    match_pf_gurvits,
-    match_pf_upper,
-    single_term,
-)
-from regcount.verify import DEFAULT_LAMBDA_GRID
+from regcount.bounds import LOWER, UPPER, log2
+from regcount.verify import DEFAULT_LAMBDA_GRID, GraphProfile
 
 TIGHT = 1e-30  # far above 120-bit rounding, far below any real discrepancy
+
+
+@pytest.fixture
+def prec120():
+    """Arithmetic on bound values in the test itself at the bounds' own
+    120-bit precision, so that TIGHT can tell them apart."""
+    with mpmath.workprec(120):
+        yield
 
 
 def test_log2_and_entropy():
@@ -70,6 +68,14 @@ def test_log2_and_entropy():
     assert abs(binary_entropy(Fraction(1, 4)) - (2 - 0.75 * math.log2(3))) < 1e-12
     with pytest.raises(DomainError):
         binary_entropy(Fraction(3, 2))
+    # 120 bits whatever the caller's precision; at 53 bits the log of 3^40
+    # would be off by about 1e-14
+    with mpmath.workprec(53):
+        got = [log2(3**40), log2(Fraction(3**40, 2**7)), binary_entropy(Fraction(1, 3))]
+    with mpmath.workprec(120):
+        ln3 = mpmath.log(3) / mpmath.log(2)
+        want = [40 * ln3, 40 * ln3 - 7, ln3 - mpf(2) / 3]
+        assert all(abs(g - w) < TIGHT for g, w in zip(got, want))
 
 
 def test_logbound_admits_slack():
@@ -82,22 +88,53 @@ def test_logbound_admits_slack():
     assert not lo.admits(mpf(3) - mpf(2) ** -39)
 
 
-def test_bound_params_validation():
-    p = BoundParams(n=8, d=2, size=2)
-    assert p.alpha == Fraction(1, 2)
-    with pytest.raises(DomainError):
-        BoundParams(n=0, d=2)
-    with pytest.raises(DomainError):
-        BoundParams(n=8, d=-1)
-    with pytest.raises(DomainError):
-        BoundParams(n=8, d=2, size=5)
-    with pytest.raises(DomainError):
-        BoundParams(n=8, d=2, lam=Fraction(-1))
+def _case(definition, *args, name=None):
+    name = name or "-".join(map(str, (definition.__name__,) + args))
+    return pytest.param(definition, args, id=name)
 
 
-def test_matching_partition_upper_against_cycle(c8):
-    p = BoundParams(n=8, d=2, lam=Fraction(1))
-    b = matching_partition_upper(p)
+@pytest.mark.parametrize(
+    "definition, args",
+    [
+        _case(match_pf_upper, 0, 2, 1),
+        _case(match_pf_upper, 8, -1, 1),
+        _case(match_pf_upper, 8, 2, Fraction(-1)),
+        _case(match_pf_gurvits, 0, 0, 1),
+        _case(match_pf_gurvits, 8, 4, -1),
+        _case(ind_pf_upper_general, 8, 0, 0),
+        _case(ind_pf_upper_general, 8, 2, -1),
+        _case(ind_pf_upper_bipartite, 8, 0, 1),
+        _case(ind_pf_upper_bipartite, 8, 2, -1),
+        _case(bregman_pm, 8, 0),
+        _case(single_term, Cleared(2, 9), -1, 1, name="single_term-size-1"),
+        _case(single_term, Cleared(2, 9), 1, -1, name="single_term-lam-1"),
+        _case(match_count_upper, 8, 2, 5),
+        _case(match_count_upper, 8, 2, -1),
+        _case(match_count_upper, 8, 0, 2),
+        _case(ind_count_upper_general, 8, 2, 5),
+        _case(ind_count_upper_general, 8, 0, 2),
+        _case(ind_count_upper_bipartite, 8, 2, 5),
+        _case(ind_count_upper_bipartite, 8, 0, 2),
+        _case(optimal_lambda, 8, 0, 2),
+        _case(optimal_lambda, 8, 2, 5),
+        _case(union_matching_lower_explicit, 8, 0, 2),
+        _case(union_matching_lower_explicit, 8, 2, 5),
+        _case(union_ind_lower_markov, 8, 0, 2, 2),
+        _case(union_ind_lower_markov, 8, 2, 5, 2),
+        _case(union_ind_lower_small_t, 8, 2, -1),
+        _case(block_miss_stats, 8, 2, 5),
+    ],
+)
+def test_definitions_reject_inputs_outside_their_domain(definition, args):
+    # n >= 1, d >= 1, 0 <= size <= n/2 and lambda >= 0; outside that range a
+    # formula can still return a number (match_count_upper(8, 2, 5) would
+    # carry a float cofactor), so each definition checks its own inputs.
+    with pytest.raises(DomainError):
+        definition(*args)
+
+
+def test_matching_partition_upper_against_cycle(c8, prec120):
+    b = match_pf_upper(8, 2, Fraction(1)).log_bound()
     assert b.direction == UPPER
     assert abs(b.value - 4 * log2(Fraction(3))) < TIGHT
     z = eval_partition(matching_polynomial(c8), Fraction(1))
@@ -108,38 +145,38 @@ def test_matching_partition_upper_against_cycle(c8):
 
 
 def test_optimal_lambda():
-    assert optimal_lambda(BoundParams(n=8, d=2, size=2)) == Fraction(1, 2)
-    assert optimal_lambda(BoundParams(n=6, d=3, size=1)) == Fraction(1, 6)
+    assert optimal_lambda(8, 2, 2) == Fraction(1, 2)
+    assert optimal_lambda(6, 3, 1) == Fraction(1, 6)
     with pytest.raises(DomainError):
-        optimal_lambda(BoundParams(n=8, d=2, size=0))
+        optimal_lambda(8, 2, 0)
     with pytest.raises(DomainError):
-        optimal_lambda(BoundParams(n=8, d=2, size=4))
+        optimal_lambda(8, 2, 4)
     with pytest.raises(DomainError):
-        optimal_lambda(BoundParams(n=8, d=0, size=2))
+        optimal_lambda(8, 0, 2)
 
 
 def test_matching_count_upper_values(c8):
     # alpha = 1/2 at (8, 2, 2) gives exactly (n/2)(1/2 + H(1/2)) = 6
-    b = matching_count_upper(BoundParams(n=8, d=2, size=2))
+    b = match_count_upper(8, 2, 2).log_bound()
     assert abs(b.value - 6) < TIGHT
     assert b.admits(log2(Fraction(20)))
     assert matching_polynomial(c8).coefficient(2) == 20
-    assert matching_count_upper(BoundParams(n=8, d=2, size=0)).value == 0
-    full = matching_count_upper(BoundParams(n=8, d=2, size=4))
+    assert match_count_upper(8, 2, 0).log_bound().value == 0
+    full = match_count_upper(8, 2, 4).log_bound()
     assert abs(full.value - 4) < TIGHT
     with pytest.raises(DomainError):
-        matching_count_upper(BoundParams(n=8, d=0, size=2))
+        match_count_upper(8, 0, 2)
 
 
 def test_union_matching_lower_explicit_value():
-    b = union_matching_lower_explicit(BoundParams(n=8, d=2, size=2))
+    b = union_matching_lower_explicit(8, 2, 2)
     assert b.direction == LOWER
     want = 4 * (0.5 * 1 + 2 * 1 + 0.5 * (math.log2(0.5) - math.log2(math.e)))
     assert abs(float(b.value) - want) < 1e-12
     with pytest.raises(DomainError):
-        union_matching_lower_explicit(BoundParams(n=8, d=2, size=0))
+        union_matching_lower_explicit(8, 2, 0)
     with pytest.raises(DomainError):
-        union_matching_lower_explicit(BoundParams(n=8, d=2, size=4))
+        union_matching_lower_explicit(8, 2, 4)
 
 
 def test_balanced_profile():
@@ -167,7 +204,7 @@ def test_stirling_check_holds_at_c_one_small_grid():
         stirling_rhs(4, 5, 1)
 
 
-def test_profile_lower_is_sum_of_terms_and_holds():
+def test_profile_lower_is_sum_of_terms_and_holds(prec120):
     from regcount import union_matching_count, union_params
 
     prof = balanced_profile(8, 2, 2)
@@ -178,19 +215,13 @@ def test_profile_lower_is_sum_of_terms_and_holds():
     assert b.admits(log2(Fraction(exact)))
 
 
-def test_gurvits_bound(c8):
-    b = gurvits_bound(c8, Fraction(1))
+def test_gurvits_bound(c8, prec120):
+    b = match_pf_gurvits(c8.edge_count, GraphProfile(c8).nu, Fraction(1)).log_bound()
     # nu = 4 and |E|/nu = 2, so the bound is 4 log2(3); cleared: z <= 3^4
     assert abs(b.value - 4 * log2(Fraction(3))) < TIGHT
     z = eval_partition(matching_polynomial(c8), Fraction(1))
     assert z <= 3**4
     assert b.admits(log2(Fraction(z)))
-    from regcount import build_graph
-
-    with pytest.raises(DomainError):
-        gurvits_bound(build_graph(3, []), Fraction(1))
-    with pytest.raises(DomainError):
-        gurvits_bound(c8, Fraction(-1))
 
 
 def test_gurvits_bound_reads_nu_from_the_matching_polynomial():
@@ -198,21 +229,21 @@ def test_gurvits_bound_reads_nu_from_the_matching_polynomial():
     n = 40
     g = build_graph(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in (1, 20)})
     start = time.perf_counter()
-    b = gurvits_bound(g, Fraction(1))
+    b = match_pf_gurvits(g.edge_count, GraphProfile(g).nu, Fraction(1)).log_bound()
     assert time.perf_counter() - start < 1
     # nu = 20 and |E|/nu = 3, so the bound is 20 log2(4) = 40
     assert abs(b.value - 40) < TIGHT
 
 
-def test_independent_partition_upper(c8, k33):
+def test_independent_partition_upper(c8, k33, prec120):
     from regcount import independence_polynomial
 
     z8 = eval_partition(independence_polynomial(c8), Fraction(1))
     assert z8 == 47
-    gen = independent_partition_upper(BoundParams(n=8, d=2, lam=Fraction(1)), bipartite=False)
+    gen = ind_pf_upper_general(8, 2, Fraction(1)).log_bound()
     assert abs(gen.value - 8) < TIGHT
     assert gen.admits(log2(Fraction(z8)))
-    bip = independent_partition_upper(BoundParams(n=8, d=2, lam=Fraction(1)), bipartite=True)
+    bip = ind_pf_upper_bipartite(8, 2, Fraction(1)).log_bound()
     assert abs(bip.value - 2 * log2(Fraction(7))) < TIGHT
     assert z8**2 <= 7**4
     assert bip.admits(log2(Fraction(z8)))
@@ -220,10 +251,8 @@ def test_independent_partition_upper(c8, k33):
     # is exactly log2(2 * 2^3 - 1) = log2 15, equality on the block
     z33 = eval_partition(independence_polynomial(k33), Fraction(1))
     assert z33 == 15
-    bip33 = independent_partition_upper(BoundParams(n=6, d=3, lam=Fraction(1)), bipartite=True)
+    bip33 = ind_pf_upper_bipartite(6, 3, Fraction(1)).log_bound()
     assert abs(bip33.value - log2(Fraction(15))) < TIGHT
-    with pytest.raises(DomainError):
-        independent_partition_upper(BoundParams(n=8, d=0), bipartite=False)
 
 
 def test_occupancy_lambda():
@@ -248,19 +277,15 @@ def test_independent_upper_pm_exact(c8):
 
 
 def test_independent_count_upper_variants():
-    pm = independent_count_upper(BoundParams(n=8, d=2, size=2), PERFECT_MATCHING)
+    pm = LogBound(log2(Fraction(independent_upper_pm_exact(8, 2))), UPPER)
     assert abs(pm.value - log2(Fraction(24))) < TIGHT
-    gen = independent_count_upper(BoundParams(n=8, d=2, size=2), GENERAL)
+    gen = ind_count_upper_general(8, 2, 2).log_bound()
     assert abs(gen.value - 8) < TIGHT
-    bip = independent_count_upper(BoundParams(n=8, d=2, size=2), BIPARTITE)
+    bip = ind_count_upper_bipartite(8, 2, 2)
     want = 4 * (1 + 0.5 - math.log2(math.e) / 4 * 0.25)
     assert abs(float(bip.value) - want) < 1e-12
     for b in (gen, bip, pm):
         assert b.admits(log2(Fraction(20)))
-    with pytest.raises(DomainError):
-        independent_count_upper(BoundParams(n=8, d=2, size=2), "typo")
-    with pytest.raises(DomainError):
-        independent_count_upper(BoundParams(n=8, d=0, size=2), GENERAL)
 
 
 def test_union_small_t_exact_is_a_true_count():
@@ -283,21 +308,19 @@ def test_union_small_t_exact_is_a_true_count():
 
 
 def test_union_independent_lower_variants():
-    markov = union_independent_lower(BoundParams(n=8, d=2, size=2, c=Fraction(2)), MARKOV)
+    markov = union_ind_lower_markov(8, 2, 2, Fraction(2))
     assert markov.direction == LOWER
     assert abs(markov.value - log2(Fraction(6))) < TIGHT
     assert log2(Fraction(20)) >= markov.value
-    small = union_independent_lower(BoundParams(n=8, d=2, size=2), SMALL_T)
+    small = union_ind_lower_small_t(8, 2, 2)
     # log-product form gives exactly log2 12, weaker than the exact scattered
     # count 16 because it rounds each conditional factor down
     assert abs(small.value - log2(Fraction(12))) < TIGHT
     assert union_small_t_exact(8, 2, 2) == 16
     with pytest.raises(DomainError):
-        union_independent_lower(BoundParams(n=8, d=2, size=2, c=Fraction(1)), MARKOV)
+        union_ind_lower_markov(8, 2, 2, Fraction(1))
     with pytest.raises(DomainError):
-        union_independent_lower(BoundParams(n=8, d=2, size=3), SMALL_T)
-    with pytest.raises(DomainError):
-        union_independent_lower(BoundParams(n=8, d=2, size=2), "typo")
+        union_ind_lower_small_t(8, 2, 3)
 
 
 def oracle_mean_missed_blocks(n, d, t):
@@ -314,12 +337,12 @@ def oracle_mean_missed_blocks(n, d, t):
 
 def test_block_miss_stats_exact_and_bounded():
     for n, d, t in ((8, 2, 2), (12, 2, 3), (12, 3, 2), (16, 4, 3)):
-        mu, bound = block_miss_stats(BoundParams(n=n, d=d, size=t))
+        mu, bound = block_miss_stats(n, d, t)
         assert isinstance(mu, Fraction) and isinstance(bound, Fraction)
         assert mu == oracle_mean_missed_blocks(n, d, t)
         assert mu <= bound
     with pytest.raises(DivisibilityError):
-        block_miss_stats(BoundParams(n=10, d=4, size=1))
+        block_miss_stats(10, 4, 1)
 
 
 def _entropy(a):
@@ -335,18 +358,19 @@ def test_log2_forms_match_the_closed_formulas():
                 half = mpf(n) / 2
                 for s in range(n // 2 + 1):
                     a = mpf(2 * s) / n
-                    p = BoundParams(n=n, d=d, size=s)
                     want = half * (a * mpmath.log(d, 2) + _entropy(a))
-                    assert abs(matching_count_upper(p).value - want) < TIGHT, (n, d, s)
+                    got = match_count_upper(n, d, s).log_bound().value
+                    assert abs(got - want) < TIGHT, (n, d, s)
                     want = half * (_entropy(a) + mpf(2) / d)
-                    assert abs(independent_count_upper(p, GENERAL).value - want) < TIGHT, (n, d, s)
+                    got = ind_count_upper_general(n, d, s).log_bound().value
+                    assert abs(got - want) < TIGHT, (n, d, s)
                 for lam in DEFAULT_LAMBDA_GRID:
                     x = mpf(lam.numerator) / lam.denominator
-                    p = BoundParams(n=n, d=d, lam=lam)
                     want = half * mpmath.log(1 + d * x, 2)
-                    assert abs(matching_partition_upper(p).value - want) < TIGHT, (n, d, lam)
+                    got = match_pf_upper(n, d, lam).log_bound().value
+                    assert abs(got - want) < TIGHT, (n, d, lam)
                     want = mpf(n) / d + half * mpmath.log(1 + x, 2)
-                    got = independent_partition_upper(p, bipartite=False).value
+                    got = ind_pf_upper_general(n, d, lam).log_bound().value
                     assert abs(got - want) < TIGHT, (n, d, lam)
                     edges, nu = n * d // 2, n // 2
                     want = nu * mpmath.log(1 + x * edges / nu, 2)
@@ -366,7 +390,7 @@ def test_count_bounds_are_single_terms_at_the_best_weight():
     for d in range(1, 9):
         for n in range(d + 1, 41):
             for s in range(1, (n + 1) // 2):
-                lam = optimal_lambda(BoundParams(n=n, d=d, size=s))
+                lam = optimal_lambda(n, d, s)
                 want = single_term(match_pf_upper(n, d, lam), s, lam)
                 assert _ratio(match_count_upper(n, d, s)) == _ratio(want)
                 lam = occupancy_lambda(n, s)

@@ -304,15 +304,32 @@ def test_module_entry_point(c4_file):
     assert json.loads(proc.stdout)["coefficients"] == ["1", "4", "2"]
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy serves only verify-roots; every other command starts without it.
+def _fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports this package; its stdout."""
     src = str(Path(regcount.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, regcount.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy serves only verify-roots; every other command starts without it.
+    code = "import sys, regcount.cli; print('numpy' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+def test_cli_import_leaves_mpmath_precision_alone():
+    # the bounds set 120-bit precision only while they compute
+    code = "import mpmath, regcount.cli; print(mpmath.mp.prec)"
+    assert _fresh_python(code) == "53"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in regcount.__all__ if not hasattr(regcount, name)]
+    assert missing == []

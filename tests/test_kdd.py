@@ -7,12 +7,11 @@ graph, which itself is oracle-tested in test_counting.py.
 import math
 
 import pytest
-from mpmath import mp
 
 from regcount import (
     DivisibilityError,
     DomainError,
-    bregman_log_bound,
+    bregman_pm,
     build_kdd,
     build_kdd_union,
     independence_polynomial,
@@ -81,24 +80,27 @@ def test_domain_validation():
 
 def test_bregman_equality_on_block_unions():
     # the bound is tight exactly on disjoint unions of balanced complete
-    # bipartite blocks: both sides equal copies * log2(d!)
+    # bipartite blocks: pm = (d!)^copies, so pm^(2d) = (d!)^n
     for n, d in ((8, 2), (12, 3), (6, 3)):
         p = union_params(n, d)
-        b = bregman_log_bound([d] * (n // 2))
-        true = mp.log(math.factorial(d) ** p.copies, 2)
-        assert abs(b.value - true) < 1e-12
+        pm = union_matching_count(p, n // 2)
+        assert pm == math.factorial(d) ** p.copies
+        b = bregman_pm(n, d)
+        assert b.lhs(pm) == b.rhs
 
 
 def test_bregman_strict_on_cycle(c8):
-    # C8 is bipartite with one class of four degree-2 vertices; it has just
-    # 2 perfect matchings while the bound allows 2^2
-    b = bregman_log_bound([2, 2, 2, 2])
-    assert abs(b.value - 2) < 1e-12
+    # C8 is bipartite and 2-regular; it has just 2 perfect matchings while
+    # the bound allows 2^2: 2^4 < (2!)^8
     pm = matching_polynomial(c8).coefficients[4]
     assert pm == 2
-    assert b.admits(pm)
+    b = bregman_pm(8, 2)
+    assert b.holds(pm) and b.lhs(pm) < b.rhs
+    assert not b.holds(5)
 
 
 def test_bregman_rejects_bad_degrees():
     with pytest.raises(DomainError):
-        bregman_log_bound([2, 0, 2])
+        bregman_pm(8, 0)
+    with pytest.raises(DomainError):
+        bregman_pm(8, -2)

@@ -4,7 +4,6 @@ Every asserted number is recomputed inside the test from the oracle-tested
 polynomials or from first principles.
 """
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -28,7 +27,6 @@ from regcount import (
 from regcount.bounds import LOWER, UPPER, LogBound, log2
 from regcount.counting import INDEPENDENT_SET, MATCHING
 from regcount.verify import (
-    CSV_HEADER,
     DEFAULT_LAMBDA_GRID,
     GraphProfile,
     Verdict,
@@ -46,7 +44,6 @@ from regcount.verify import (
     sweep,
     total_count_graph_verdicts,
     umc_graph_verdicts,
-    verdicts_to_jsonl,
     verify_bounds_suite,
     verify_hardcore_hom_identity,
     verify_hom_inequality,
@@ -76,10 +73,6 @@ def test_verdict_serialization(c4):
     assert d["pass"] is True
     assert d["lhs"] == "3" and d["rhs"] == "5"
     assert list(d) == ["check_id", "graph_label", "params", "lhs", "rhs", "pass", "margin"]
-    row = v.to_csv_row()
-    assert len(row) == len(CSV_HEADER)
-    assert row[2] == json.dumps({"n": 4}, sort_keys=True)
-    assert row[5] == "true"
 
 
 def test_exact_verdicts_and_margins(c4):
@@ -110,17 +103,18 @@ def test_bound_verdict_directions(c4):
         bound_verdict("demo", "g", {}, -1, LogBound(mpf(0), UPPER))
 
 
+def _report_rows(verdicts):
+    return [v.to_json_dict() for v in sort_verdicts(verdicts)]
+
+
 def test_sorting_and_jsonl_are_canonical(c8):
     verdicts = umc_graph_verdicts(GraphProfile(c8, 0)) + kahn_graph_verdicts(GraphProfile(c8, 0))
-    text = verdicts_to_jsonl(verdicts)
+    rows = _report_rows(verdicts)
     shuffled = verdicts[:]
     random.Random(5).shuffle(shuffled)
-    assert verdicts_to_jsonl(shuffled) == text
-    lines = text.splitlines()
-    assert len(lines) == len(verdicts)
-    for line in lines:
-        parsed = json.loads(line)
-        assert parsed["pass"] is True
+    assert _report_rows(shuffled) == rows
+    assert len(rows) == len(verdicts)
+    assert all(row["pass"] is True for row in rows)
     assert [v.check_id for v in sort_verdicts(shuffled)] == sorted(
         v.check_id for v in verdicts
     )
@@ -433,7 +427,7 @@ def test_union_lower_bounds():
 def test_hom_graph_verdicts_reproducible(c4):
     a = hom_graph_verdicts(GraphProfile(c4, 0))
     b = hom_graph_verdicts(GraphProfile(c4, 0))
-    assert verdicts_to_jsonl(a) == verdicts_to_jsonl(b)
+    assert _report_rows(a) == _report_rows(b)
     assert all(v.passed for v in a)
     # 5 targets x (identity + reversed + 5 shuffles) + 2 clique sizes x 3 weights
     assert len(a) == 5 * 7 + 6
