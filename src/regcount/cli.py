@@ -270,7 +270,11 @@ def _exit_status(verdicts) -> int:
 
 def _read_graph(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{path} is not UTF-8 text: {exc}") from exc
+    return graph_from_text(text)
 
 
 def _cmd_count(args) -> int:

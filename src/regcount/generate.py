@@ -20,6 +20,15 @@ leaves already at n = 12, d = 3.  The prefix check (_beats_identity) carries
 each unplaced vertex's column down its search, extending it by one bit per
 placed vertex, and tries one member of each twin class per position.
 
+Before that search, place skips any candidate column of vertex k that the
+adjacent swap of vertices k-1 and k would beat.  The swap leaves columns
+0..k-2 alone and gives position k-1 vertex k's column without its last bit,
+rev >> 1; if that exceeds column k-1, the swapped ordering's code exceeds the
+identity's, which is exactly what _beats_identity would find.  So the test
+skips only prefixes the search would reject, and the census and its emission
+order are unchanged.  It catches about 30,000 of the 32,700 rejections on
+(12,3).  Labeled generation does not use it.
+
 Emission is not re-checked at run time: the guarantee above is a property
 of the search, not of any input, so a per-leaf duplicate check would only
 re-prove it on every run.  The tests prove it on censuses up to 12 vertices
@@ -163,6 +172,14 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
                 full |= 1 << j
             resid += need
         for rev, mask, subset in levels[k]:
+            # Adjacent swap: exchanging vertices k-1 and k keeps columns
+            # 0..k-2 and makes column k-1 equal to rev >> 1 (vertex k's
+            # column without its bit for k-1).  If that exceeds the present
+            # column k-1, the swapped ordering beats the identity, so
+            # _beats_identity would reject this prefix anyway.  At k < 2
+            # rev >> 1 is 0, so the test never fires there.
+            if iso and rev >> 1 > cols_rev[k - 1]:
+                continue
             if mask & full or forced & ~mask:
                 continue
             back = len(subset)

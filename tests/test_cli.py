@@ -290,30 +290,41 @@ def test_count_too_large_exits_1(capsys, tmp_path, large_cubic):
     assert captured.err.startswith("regcount: error: ")
 
 
-def test_module_entry_point(c4_file):
-    # The child imports the package from where this process found it.
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports the package from where this
+    process found it."""
     src = str(Path(regcount.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "regcount.cli", "count", "--kind", "matching", "--graph", c4_file],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point(c4_file):
+    proc = _python("-m", "regcount.cli", "count", "--kind", "matching", "--graph", c4_file)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["coefficients"] == ["1", "4", "2"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["count", "--kind", "matching"], ["verify-roots"]], ids=lambda a: a[0]
+)
+def test_undecodable_graph_file_exits_1_without_traceback(tmp_path, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    proc = _python("-m", "regcount.cli", *argv, "--graph", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("regcount: error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def _fresh_python(code: str) -> str:
     """Run code in a new interpreter that imports this package; its stdout."""
-    src = str(Path(regcount.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 

@@ -9,7 +9,8 @@ with the generator:
   missing isomorphism classes,
 * pairwise-distinct canonical labels over each census, each unchanged by a
   random relabelling,
-* a brute-force maximum over all orderings for the prefix canonicity test,
+* a brute-force maximum over all orderings for the prefix canonicity test
+  and for the adjacent-swap test that skips prefixes before it,
 * pinned SHA-256 digests of the emission order, which census names such as
   12v-3r-0042 index.
 """
@@ -372,15 +373,32 @@ def twin_heavy_graphs(draw):
     return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+def identity_columns(adj):
+    """Column of each vertex p: its adjacency to 0..p-1, vertex 0 highest."""
+    return [
+        sum(1 << (p - 1 - j) for j in range(p) if adj[p] >> j & 1)
+        for p in range(len(adj))
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(twin_heavy_graphs())
 def test_beats_identity_matches_bruteforce_orderings(g):
-    n = g.vertex_count
     adj = list(adjacency_masks(g))
-    cols_rev = [
-        sum(1 << (p - 1 - j) for j in range(p) if adj[p] >> j & 1) for p in range(n)
-    ]
-    assert _beats_identity(n, adj, cols_rev) == oracle_beats_identity(g)
+    assert _beats_identity(g.vertex_count, adj, identity_columns(adj)) == (
+        oracle_beats_identity(g)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_heavy_graphs())
+def test_adjacent_swap_rejects_only_beaten_orderings(g):
+    # The generator skips a column when swapping it with the previous one
+    # raises the code, without running the full search.  Wherever that test
+    # fires, some ordering must beat the identity.
+    cols_rev = identity_columns(list(adjacency_masks(g)))
+    if any(cols_rev[p + 1] >> 1 > cols_rev[p] for p in range(g.vertex_count - 1)):
+        assert oracle_beats_identity(g)
 
 
 def emission_digest(graphs):
@@ -398,4 +416,12 @@ def test_emission_order_is_pinned(corpus):
     )
     assert emission_digest(gen_list(10, 4)) == (
         "befa841f90e37760720a8425067286c3c98b9d2365b1422e5661d19ef96db702"
+    )
+
+
+def test_cubic_14_census_is_pinned():
+    census = gen_list(14, 3)
+    assert len(census) == 540
+    assert emission_digest(census) == (
+        "135da80170cf00f8bb9ef6e75eccd780e03f8c86259fe5cdfc99541b3c76b37a"
     )
