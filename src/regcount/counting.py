@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from ._canon import induced_masks
 from .errors import DomainError, GraphError, ScaleError
 from .graphs import Graph, adjacency_masks
 
@@ -27,6 +26,10 @@ from .graphs import Graph, adjacency_masks
 DP_STATE_LIMIT = 1_000_000
 # Guard for the subset-enumeration oracle: number of subsets actually walked.
 BRUTE_FORCE_SUBSET_LIMIT = 40_000_000
+
+_TOO_MANY_STATES = (
+    f"instance too large: the counting DP needs more than {DP_STATE_LIMIT} states"
+)
 
 MATCHING = "matching"
 INDEPENDENT_SET = "independent-set"
@@ -72,7 +75,25 @@ def _bfs_order(adj: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _subset_dp(adj: tuple[int, ...], kind: str) -> tuple[int, ...]:
+def _relabel(adj: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, ...]:
+    """Adjacency masks with vertex order[i] renamed i, built from the set bits
+    of each mask, so in time proportional to the edges."""
+    index = [0] * len(adj)
+    for i, v in enumerate(order):
+        index[v] = i
+    out = []
+    for v in order:
+        m = 0
+        rest = adj[v]
+        while rest:
+            low = rest & -rest
+            m |= 1 << index[low.bit_length() - 1]
+            rest ^= low
+        out.append(m)
+    return tuple(out)
+
+
+def _subset_dp(g: Graph, kind: str) -> tuple[int, ...]:
     """Count polynomial of a loop-free graph by a DP over vertex subsets.
 
     Each step takes out the lowest vertex v of the remaining set S:
@@ -87,9 +108,15 @@ def _subset_dp(adj: tuple[int, ...], kind: str) -> tuple[int, ...]:
     A weight is a polynomial packed into one integer, `width` bits per
     coefficient: no partial count exceeds the graph's number of matchings
     (< 2^|E|) or independent sets (< 2^n), so no coefficient spills over.
+
+    The path that takes nothing visits one state per vertex, so a graph with
+    more than DP_STATE_LIMIT vertices is refused before anything is built.
     """
-    adj = induced_masks(adj, _bfs_order(adj))
-    n = len(adj)
+    n = g.vertex_count
+    if n > DP_STATE_LIMIT:
+        raise ScaleError(_TOO_MANY_STATES)
+    adj = adjacency_masks(g)
+    adj = _relabel(adj, _bfs_order(adj))
     if kind == MATCHING:
         width = sum(m.bit_count() for m in adj) // 2 + 1
     else:
@@ -104,10 +131,7 @@ def _subset_dp(adj: tuple[int, ...], kind: str) -> tuple[int, ...]:
         nbrs = adj[v]
         for s, w in pending[v].items():
             if states > DP_STATE_LIMIT:
-                raise ScaleError(
-                    f"instance too large: the counting DP needs more than "
-                    f"{DP_STATE_LIMIT} states"
-                )
+                raise ScaleError(_TOO_MANY_STATES)
             rest = s ^ bit
             succ = [(rest, w)]
             w <<= width
@@ -140,16 +164,14 @@ def matching_polynomial(g: Graph) -> CountPolynomial:
     """coefficients[k] = number of k-edge matchings of g."""
     if any(u == v for u, v in g.edges):
         raise GraphError("matching_polynomial requires a loop-free graph")
-    return CountPolynomial(_subset_dp(adjacency_masks(g), MATCHING), MATCHING)
+    return CountPolynomial(_subset_dp(g, MATCHING), MATCHING)
 
 
 def independence_polynomial(g: Graph) -> CountPolynomial:
     """coefficients[t] = number of independent vertex sets of size t."""
     if any(u == v for u, v in g.edges):
         raise GraphError("independence_polynomial requires a loop-free graph")
-    return CountPolynomial(
-        _subset_dp(adjacency_masks(g), INDEPENDENT_SET), INDEPENDENT_SET
-    )
+    return CountPolynomial(_subset_dp(g, INDEPENDENT_SET), INDEPENDENT_SET)
 
 
 def eval_partition(p: CountPolynomial, lam) -> Fraction:

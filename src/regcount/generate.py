@@ -16,18 +16,19 @@ maximal full code must maximize every prefix, hence the canonical ordering of
 any d-regular graph survives every prefix check, and two surviving leaves are
 never isomorphic because each equals its class's unique maximal matrix.  A
 plain generate-then-dedup pass over all labeled graphs would visit billions of
-leaves already at n = 12, d = 3.  The prefix check (_beats_identity) carries
-each unplaced vertex's column down its search, extending it by one bit per
-placed vertex, and tries one member of each twin class per position.
+leaves already at n = 12, d = 3.  The prefix check is the one code search of
+_canon, better_codes, started from a copy of the identity ordering's columns:
+the prefix is rejected at its first yield, the first ordering found to beat
+the identity.  Generation's columns are _canon's with the loop bit 0.
 
 Before that search, place skips any candidate column of vertex k that the
 adjacent swap of vertices k-1 and k would beat.  The swap leaves columns
 0..k-2 alone and gives position k-1 vertex k's column without its last bit,
 rev >> 1; if that exceeds column k-1, the swapped ordering's code exceeds the
-identity's, which is exactly what _beats_identity would find.  So the test
-skips only prefixes the search would reject, and the census and its emission
-order are unchanged.  It catches about 30,000 of the 32,700 rejections on
-(12,3).  Labeled generation does not use it.
+identity's, which is exactly what the search would find.  So the test skips
+only prefixes the search would reject, and the census and its emission order
+are unchanged.  It catches about 30,000 of the 32,700 rejections on (12,3).
+Labeled generation does not use it.
 
 Emission is not re-checked at run time: the guarantee above is a property
 of the search, not of any input, so a per-leaf duplicate check would only
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from ._canon import min_code
+from ._canon import better_codes, min_code
 from .errors import DomainError, ScaleError
 from .graphs import Graph, adjacency_masks, bipartition
 
@@ -74,50 +75,6 @@ class GenSpec:
             raise ScaleError(
                 f"isomorph rejection supports n <= {ISO_VERTEX_LIMIT}, got {self.n}"
             )
-
-
-def _beats_identity(k: int, adj: list[int], cols_rev: list[int]) -> bool:
-    """Is there an ordering of the k placed vertices whose column code exceeds
-    the identity ordering's code?  Columns compare as integers with the
-    earliest-placed vertex in the highest bit.
-
-    The search carries each unplaced vertex's column against the ordering so
-    far, as (column, vertex) pairs: placing v shifts every column left and
-    appends the bit for v, so a candidate's column is read, not rebuilt.
-    Twins (N(v) minus w equals N(w) minus v) fall into classes computed once
-    per call; swapping two unplaced twins is an automorphism that fixes the
-    placed prefix, so only the first member of a class tried at a position
-    is searched."""
-    # Twin classes, each named by its least vertex.  Non-adjacent twins share
-    # their open neighbourhood, adjacent twins their closed one, and a class
-    # never mixes the two kinds, so one dict over both keys finds them (the
-    # graph has no loops, so an open key never equals a closed one).
-    first: dict[int, int] = {}
-    twin: list[int] = []
-    for v in range(k):
-        t = first.setdefault(adj[v], v)
-        if t == v:
-            t = first.setdefault(adj[v] | 1 << v, v)
-        twin.append(t)
-
-    def dfs(pos: int, cands: list[tuple[int, int]]) -> bool:
-        target = cols_rev[pos]
-        top = max(cands)[0]
-        if top != target:
-            return top > target
-        if pos + 1 == k:  # the last column ties too: the codes are equal
-            return False
-        tried = 0
-        for col, v in cands:
-            if col != target or tried >> twin[v] & 1:
-                continue
-            tried |= 1 << twin[v]
-            extended = [((c << 1) | (adj[w] >> v & 1), w) for c, w in cands if w != v]
-            if dfs(pos + 1, extended):
-                return True
-        return False
-
-    return dfs(0, [(0, v) for v in range(k)])
 
 
 def _candidate_lists(n: int, d: int) -> list[list[tuple[int, int, tuple[int, ...]]]]:
@@ -176,7 +133,7 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
             # 0..k-2 and makes column k-1 equal to rev >> 1 (vertex k's
             # column without its bit for k-1).  If that exceeds the present
             # column k-1, the swapped ordering beats the identity, so
-            # _beats_identity would reject this prefix anyway.  At k < 2
+            # the code search would reject this prefix anyway.  At k < 2
             # rev >> 1 is 0, so the test never fires there.
             if iso and rev >> 1 > cols_rev[k - 1]:
                 continue
@@ -200,7 +157,7 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
             adj[k] = mask
             degs[k] = back
             cols_rev[k] = rev
-            if not (iso and _beats_identity(k + 1, adj, cols_rev)):
+            if not iso or next(better_codes(adj, cols_rev[:k + 1]), None) is None:
                 yield from place(k + 1)
             for j in subset:
                 adj[j] &= ~(1 << k)

@@ -191,6 +191,18 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimals(fields: list[str], what: str) -> list[int]:
+    """The fields as integers, each a run of ASCII digits.  int() alone also
+    takes signs, underscores and other scripts' digits, which the text form
+    does not allow, and refuses numbers past its digit limit."""
+    try:
+        if all(f.isascii() and f.isdigit() for f in fields):
+            return [int(f) for f in fields]
+    except ValueError:
+        pass
+    raise GraphError(f"non-integer {what}")
+
+
 def graph_from_text(text: str) -> Graph:
     """Parse the text form; raises GraphError on any malformation."""
     lines = text.strip("\n").split("\n") if text.strip() else []
@@ -199,10 +211,7 @@ def graph_from_text(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 3:
         raise GraphError(f"header must be 'N M L', got {lines[0]!r}")
-    try:
-        n, m, loops_flag = (int(x) for x in head)
-    except ValueError as exc:
-        raise GraphError(f"non-integer header field in {lines[0]!r}") from exc
+    n, m, loops_flag = _decimals(head, f"header field in {lines[0]!r}")
     if loops_flag not in (0, 1):
         raise GraphError(f"loops flag must be 0 or 1, got {loops_flag}")
     if len(lines) - 1 != m:
@@ -212,10 +221,7 @@ def graph_from_text(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise GraphError(f"edge line must be 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphError(f"non-integer edge endpoint in {line!r}") from exc
+        u, v = _decimals(parts, f"edge endpoint in {line!r}")
         if u > v:
             raise GraphError(f"edge line not normalized (u <= v): {line!r}")
         edges.append((u, v))

@@ -484,8 +484,8 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
     count at ROOT_SUM_REL_TOL relative error.  An edgeless graph has a
     constant polynomial and passes vacuously.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     g = p.graph
     base_params = dict(n=g.vertex_count, d=p.degree, tol=mpf(tol))
     if g.edge_count == 0:

@@ -2,17 +2,19 @@
 
 The oracles here are a brute-force minimum and maximum over all vertex
 permutations, computed with plain tuples and no bit tricks, so they exercise
-none of the code paths they check.
+none of the code paths they check.  The census labels are pinned by digest,
+so a change to any label fails here, not only in the benchmark.
 """
 
+import hashlib
 import random
 from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regcount import build_graph, canonical_form
-from regcount._canon import _max_code, min_code
+from regcount import GenSpec, build_graph, canonical_form, generate
+from regcount._canon import better_codes, min_code
 from regcount.graphs import adjacency_masks
 
 
@@ -81,8 +83,10 @@ def test_min_code_with_loops_matches_oracle():
 
 
 def test_max_code_matches_bruteforce_maximum():
+    # The search, run to the end from an incumbent below every code, raises
+    # it to the maximum, and every raise yields a strictly greater code.
     rng = random.Random(7)
-    for n in range(1, 8):
+    for n in range(0, 8):
         for p in (0.2, 0.5, 0.8):
             for _ in range(6 if n < 7 else 2):
                 edges = [
@@ -92,7 +96,10 @@ def test_max_code_matches_bruteforce_maximum():
                     if rng.random() < (0.4 if u == v else p)
                 ]
                 g = build_graph(n, edges, allow_loops=True)
-                assert _max_code(n, loop_masks(g)) == max(oracle_codes(g)), g
+                best = [-1] * n
+                raises = [tuple(best) for _ in better_codes(loop_masks(g), best)]
+                assert all(a < b for a, b in zip([(-1,) * n] + raises, raises)), g
+                assert tuple(best) == max(oracle_codes(g)), g
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,3 +126,24 @@ def test_canonical_form_distinguishes_loops():
     plain = build_graph(1, [])
     looped = build_graph(1, [(0, 0)], allow_loops=True)
     assert canonical_form(plain) != canonical_form(looped)
+
+
+def test_canonical_form_of_the_smallest_graphs():
+    assert canonical_form(build_graph(0, [])) == "0:0"
+    assert canonical_form(build_graph(1, [])) == "1:0"
+
+
+def label_digest(graphs):
+    text = "\n".join(canonical_form(g) for g in graphs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_census_labels_are_pinned(corpus):
+    # verify-roots and verify-hom name graphs by these labels, so they are
+    # part of those reports: a change here renames graphs there.
+    assert label_digest(corpus[(12, 3)]) == (
+        "d20d54caa26db54e0e34a3a7b341ae7d35619b2c432b507e5a1c966225ee651d"
+    )
+    assert label_digest(generate(GenSpec(10, 4))) == (
+        "2dc0f878f791d0ef886eeafe7387f7440e7cefaed77f49ebaf4de5111c365a87"
+    )

@@ -290,6 +290,39 @@ def test_count_too_large_exits_1(capsys, tmp_path, large_cubic):
     assert captured.err.startswith("regcount: error: ")
 
 
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("regcount: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_count_with_more_vertices_than_dp_states_exits_1(capsys, tmp_path):
+    # Refused before any per-vertex work, not after a scan of every vertex.
+    path = tmp_path / "huge.txt"
+    path.write_text("1000001 0 0\n")
+    assert main(["count", "--kind", "matching", "--graph", str(path)]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text", ["\u0663 0 0\n", "+3 0 0\n", "1_0 0 0\n", "2 1 0\n\uff10 1\n"]
+)
+def test_non_ascii_decimal_graph_file_exits_1(capsys, tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["count", "--kind", "matching", "--graph", str(path)]) == 1
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-7"])
+def test_roots_tolerance_must_be_finite_and_positive(capsys, c4_file, tol):
+    # nan compares false both ways, so it would fail every graph; inf would
+    # pass every one.
+    assert main(["verify-roots", "--graph", c4_file, f"--tol={tol}"]) == 1
+    _assert_one_error_line(capsys)
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run a new interpreter that imports the package from where this
     process found it."""

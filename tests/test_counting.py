@@ -280,6 +280,15 @@ def test_path_longer_than_recursion_limit():
     )
 
 
+def test_edgeless_graph_counts_fast():
+    # Relabelling reads each mask's set bits, so 20,000 isolated vertices
+    # cost one DP state each and no vertex-by-vertex mask scan (which took
+    # over 10 s here).
+    start = time.perf_counter()
+    assert matching_polynomial(build_graph(20_000, [])).coefficients == (1,)
+    assert time.perf_counter() - start < 5
+
+
 def test_large_graph_raises_scale_error_fast(large_cubic):
     for count in (matching_polynomial, independence_polynomial):
         start = time.perf_counter()

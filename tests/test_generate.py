@@ -35,8 +35,8 @@ from regcount import (
     canonical_form,
     generate,
 )
+from regcount._canon import better_codes
 from regcount.graphs import adjacency_masks
-from regcount.generate import _beats_identity
 
 ALL_PAIRS = {n: list(combinations(range(n), 2)) for n in range(1, 7)}
 
@@ -332,14 +332,15 @@ def test_canonical_form_separates_census(n, d):
 
 def oracle_beats_identity(g):
     """Does some ordering of g's vertices give a column code above the
-    identity's?  Column of the vertex at position p: its adjacency to the
-    vertices at positions 0..p-1, position 0 most significant."""
+    identity's?  Column of the vertex at position p: its loop bit, then its
+    adjacency to the vertices at positions 0..p-1, position 0 most
+    significant."""
     n = g.vertex_count
 
     def code(perm):
         cols = []
         for p, v in enumerate(perm):
-            col = 0
+            col = int(g.has_edge(v, v))
             for u in perm[:p]:
                 col = col << 1 | g.has_edge(u, v)
             cols.append(col)
@@ -352,7 +353,9 @@ def oracle_beats_identity(g):
 @st.composite
 def twin_heavy_graphs(draw):
     """Disjoint unions of one or two parts, each empty, complete, complete
-    bipartite or random, on at most 7 vertices in all, randomly relabelled."""
+    bipartite or random, on at most 7 vertices in all, randomly relabelled.
+    Each part has loops on none, all or a random set of its vertices, so
+    looped twins and looped vertices with unlooped twins both occur."""
     edges = []
     n = 0
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
@@ -366,17 +369,32 @@ def twin_heavy_graphs(draw):
             edges += [(u, v) for u in part[:a] for v in part[a:]]
         elif kind == "random":
             edges += [e for e in combinations(part, 2) if draw(st.booleans())]
+        loops = draw(st.sampled_from(["none", "all", "random"]))
+        edges += [
+            (v, v) for v in part if loops == "all" or (loops == "random" and draw(st.booleans()))
+        ]
         n += size
         if n == 7:
             break
     perm = draw(st.permutations(range(n)))
-    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges], allow_loops=True)
+
+
+def loop_masks(g):
+    """Adjacency masks with bit v of mask v marking a loop."""
+    masks = list(adjacency_masks(g))
+    for v in range(g.vertex_count):
+        if g.has_edge(v, v):
+            masks[v] |= 1 << v
+    return masks
 
 
 def identity_columns(adj):
-    """Column of each vertex p: its adjacency to 0..p-1, vertex 0 highest."""
+    """Column of each vertex p: its loop bit, then its adjacency to 0..p-1,
+    vertex 0 highest."""
     return [
-        sum(1 << (p - 1 - j) for j in range(p) if adj[p] >> j & 1)
+        (adj[p] >> p & 1) << p
+        | sum(1 << (p - 1 - j) for j in range(p) if adj[p] >> j & 1)
         for p in range(len(adj))
     ]
 
@@ -384,10 +402,12 @@ def identity_columns(adj):
 @settings(max_examples=150, deadline=None)
 @given(twin_heavy_graphs())
 def test_beats_identity_matches_bruteforce_orderings(g):
-    adj = list(adjacency_masks(g))
-    assert _beats_identity(g.vertex_count, adj, identity_columns(adj)) == (
-        oracle_beats_identity(g)
-    )
+    # Generation rejects a prefix at the search's first raise from the
+    # identity columns; that raise must come exactly when some ordering
+    # beats the identity.
+    adj = loop_masks(g)
+    raised = next(better_codes(adj, identity_columns(adj)), None) is not None
+    assert raised == oracle_beats_identity(g)
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,7 +416,7 @@ def test_adjacent_swap_rejects_only_beaten_orderings(g):
     # The generator skips a column when swapping it with the previous one
     # raises the code, without running the full search.  Wherever that test
     # fires, some ordering must beat the identity.
-    cols_rev = identity_columns(list(adjacency_masks(g)))
+    cols_rev = identity_columns(loop_masks(g))
     if any(cols_rev[p + 1] >> 1 > cols_rev[p] for p in range(g.vertex_count - 1)):
         assert oracle_beats_identity(g)
 

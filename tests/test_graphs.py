@@ -184,5 +184,16 @@ def test_text_rejects_malformed():
         graph_from_text("3 2 0\n1 2\n0 1")  # not sorted
     with pytest.raises(GraphError):
         graph_from_text("2 1 2\n0 1")  # bad loops flag
-    with pytest.raises(GraphError):
-        graph_from_text("2 1 0\n0 x")
+    # Fields are runs of 0-9, though int() reads most of the fields below.
+    for text in (
+        "2 1 0\n0 x",
+        "\u0663 0 0",  # Arabic-Indic three
+        "+3 0 0",
+        "1_0 0 0",
+        "-1 0 0",
+        "2 1 0\n0 \uff11",  # full-width one
+        "2 1 0\n+0 1",
+        "1" * 5000 + " 0 0",  # past int()'s digit limit
+    ):
+        with pytest.raises(GraphError):
+            graph_from_text(text)
