@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", help="write the report to this path")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         if workers:
-            sp.add_argument("--workers", type=_workers, default=1)
+            sp.add_argument("--workers", type=_at_least(1), default=1)
 
     sp = sub.add_parser("count", help="exact count polynomial of a graph file")
     sp.add_argument("--kind", choices=(MATCHING, INDEPENDENT_SET), required=True)
@@ -138,18 +138,23 @@ def _build_parser() -> _Parser:
             sp.add_argument("--lam", type=_fraction, action="append")
             sp.add_argument("--c", type=_fraction, action="append")
         if name == "verify-hom":
-            sp.add_argument("--orders", type=int, default=5)
+            sp.add_argument("--orders", type=_at_least(0), default=5)
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--c", type=_fraction, action="append")
         common(sp)
     return parser
 
 
-def _workers(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _pmap(fn, items, workers: int) -> list:

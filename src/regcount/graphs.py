@@ -9,7 +9,6 @@ target graphs; every counting routine works on simple graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DivisibilityError, DomainError, GraphError
 
@@ -79,7 +78,6 @@ def build_graph(n: int, edges, allow_loops: bool = False) -> Graph:
     return Graph(n, frozenset(seen), allow_loops)
 
 
-@lru_cache(maxsize=4096)
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
     """Per-vertex neighbor bitmasks (loops excluded)."""
     masks = [0] * g.vertex_count
@@ -191,16 +189,25 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _decimals(fields: list[str], what: str) -> list[int]:
-    """The fields as integers, each a run of ASCII digits.  int() alone also
-    takes signs, underscores and other scripts' digits, which the text form
-    does not allow, and refuses numbers past its digit limit."""
+_FIELD_CHARS = frozenset("0123456789 \t")
+
+
+def _fields(line: str, what: str, form: str) -> list[int]:
+    """The integers on one line of the text form, one per name in form.
+    After one trailing carriage return is dropped, the line may hold only
+    ASCII digits, spaces and tabs: int() and str.split() alone would also
+    take signs, underscores, other scripts' digits and other whitespace, and
+    int() refuses numbers past its digit limit."""
+    line = line.removesuffix("\r")
+    fields = line.split()
+    if len(fields) != len(form.split()):
+        raise GraphError(f"{what} must be '{form}', got {line!r}")
     try:
-        if all(f.isascii() and f.isdigit() for f in fields):
+        if _FIELD_CHARS.issuperset(line):
             return [int(f) for f in fields]
     except ValueError:
         pass
-    raise GraphError(f"non-integer {what}")
+    raise GraphError(f"{what} fields must be ASCII digits, got {line!r}")
 
 
 def graph_from_text(text: str) -> Graph:
@@ -208,20 +215,14 @@ def graph_from_text(text: str) -> Graph:
     lines = text.strip("\n").split("\n") if text.strip() else []
     if not lines:
         raise GraphError("empty graph text")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise GraphError(f"header must be 'N M L', got {lines[0]!r}")
-    n, m, loops_flag = _decimals(head, f"header field in {lines[0]!r}")
+    n, m, loops_flag = _fields(lines[0], "header", "N M L")
     if loops_flag not in (0, 1):
         raise GraphError(f"loops flag must be 0 or 1, got {loops_flag}")
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1} lines")
     edges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"edge line must be 'u v', got {line!r}")
-        u, v = _decimals(parts, f"edge endpoint in {line!r}")
+        u, v = _fields(line, "edge line", "u v")
         if u > v:
             raise GraphError(f"edge line not normalized (u <= v): {line!r}")
         edges.append((u, v))

@@ -29,7 +29,6 @@ def union_params(n: int, d: int) -> UnionParams:
     return UnionParams(n, d, n // (2 * d))
 
 
-@lru_cache(maxsize=None)
 def kdd_matching_count(d: int, a: int) -> int:
     """Number of size-a matchings of K_{d,d}: binom(d,a)^2 a!
     (choose the endpoints in each class, then join them bijectively)."""
@@ -38,7 +37,6 @@ def kdd_matching_count(d: int, a: int) -> int:
     return math.comb(d, a) ** 2 * math.factorial(a)
 
 
-@lru_cache(maxsize=None)
 def kdd_independent_count(d: int, t: int) -> int:
     """Number of size-t independent sets of K_{d,d}: a nonempty one lies
     inside a single class, so 2 binom(d,t) for t >= 1 and 1 for t = 0."""

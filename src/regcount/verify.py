@@ -2,11 +2,15 @@
 
 Every check emits Verdict records instead of raising on a failed inequality,
 so a potential counterexample is reported with reproduction data rather than
-aborting a sweep.  Every bound with a power-cleared form (`bounds.Cleared`)
-is decided exactly, with zero slack, whether its verdict reports exact
-rationals or log2 values.  Only bounds without one are compared in log2
-under the shared slack: ind-count-upper-bipartite, which involves log2 e,
-and the log2-form lower bounds on the complete-bipartite union.
+aborting a sweep.  `_verdict` is the one constructor of every Verdict, and
+it holds the reproduction rule: a failed verdict about a given graph carries
+that graph's text form as the "graph_text" param.
+
+Every bound with a power-cleared form (`bounds.Cleared`) is decided exactly,
+with zero slack, whether its verdict reports exact rationals or log2 values.
+Only bounds without one are compared in log2 under the shared slack:
+ind-count-upper-bipartite, which involves log2 e, and the log2-form lower
+bounds on the complete-bipartite union.
 
 Checks return their verdicts in check order; `sort_verdicts` gives the
 report order, once per report.
@@ -149,12 +153,20 @@ def _params(**kw) -> dict:
     return out
 
 
-def _attach_repro(params: dict, g: Graph | None) -> dict:
-    if g is None:
-        return params
-    out = dict(params)
-    out["graph_text"] = graph_to_text(g)
-    return out
+def _verdict(
+    check_id: str,
+    label: str,
+    params: dict,
+    lhs,
+    rhs,
+    passed: bool,
+    margin,
+    graph: Graph | None = None,
+) -> Verdict:
+    """The Verdict, with graph's text appended to params when it failed."""
+    if graph is not None and not passed:
+        params = {**params, "graph_text": graph_to_text(graph)}
+    return Verdict(check_id, label, params, lhs, rhs, passed, margin)
 
 
 def _log_gap(lhs, rhs) -> object:
@@ -177,10 +189,9 @@ def exact_le(
     graph: Graph | None = None,
 ) -> Verdict:
     """Zero-slack verdict for lhs <= rhs over exact integers or rationals."""
-    passed = lhs <= rhs
-    if not passed:
-        params = _attach_repro(params, graph)
-    return Verdict(check_id, graph_label, params, lhs, rhs, passed, _log_gap(lhs, rhs))
+    return _verdict(
+        check_id, graph_label, params, lhs, rhs, lhs <= rhs, _log_gap(lhs, rhs), graph
+    )
 
 
 def exact_eq(
@@ -191,10 +202,9 @@ def exact_eq(
     rhs,
     graph: Graph | None = None,
 ) -> Verdict:
-    passed = lhs == rhs
-    if not passed:
-        params = _attach_repro(params, graph)
-    return Verdict(check_id, graph_label, params, lhs, rhs, passed, _log_gap(lhs, rhs))
+    return _verdict(
+        check_id, graph_label, params, lhs, rhs, lhs == rhs, _log_gap(lhs, rhs), graph
+    )
 
 
 def bound_verdict(
@@ -213,28 +223,24 @@ def bound_verdict(
     if cleared is not None:
         bound = cleared.log_bound()
     if count == 0:
-        if bound.direction == UPPER:
-            return Verdict(check_id, graph_label, params, 0, bound.value, True, inf)
-        verdict_pass = bool(bound.value == -inf)
-        if not verdict_pass:
-            params = _attach_repro(params, graph)
-        return Verdict(check_id, graph_label, params, 0, bound.value, verdict_pass, -inf)
+        upper = bound.direction == UPPER
+        passed = upper or bool(bound.value == -inf)
+        margin = inf if upper else -inf
+        return _verdict(
+            check_id, graph_label, params, 0, bound.value, passed, margin, graph
+        )
     log_count = log2(count)
     passed = bound.admits(log_count) if cleared is None else cleared.holds(count)
     if bound.direction == UPPER:
         lhs, rhs, margin = log_count, bound.value, bound.value - log_count
     else:
         lhs, rhs, margin = bound.value, log_count, log_count - bound.value
-    if not passed:
-        params = _attach_repro(params, graph)
-    return Verdict(check_id, graph_label, params, lhs, rhs, passed, margin)
+    return _verdict(check_id, graph_label, params, lhs, rhs, passed, margin, graph)
 
 
-def graph_label(g: Graph, index: int | None = None, n: int | None = None, d: int | None = None) -> str:
-    """Stable display label: census-indexed name when generated, canonical
-    form otherwise."""
-    if index is not None and n is not None and d is not None:
-        return f"{n}v-{d}r-{index:04d}"
+def graph_label(g: Graph) -> str:
+    """Stable display label of a graph without a census index: its canonical
+    form, or its vertex and edge counts past CANONICAL_FORM_LIMIT."""
     if g.vertex_count <= CANONICAL_FORM_LIMIT:
         return canonical_form(g)
     return f"{g.vertex_count}v-{g.edge_count}e"
@@ -269,7 +275,7 @@ class GraphProfile:
         label."""
         if self.index is None:
             return self.canonical_label
-        return graph_label(self.graph, self.index, self.graph.vertex_count, self.degree)
+        return f"{self.graph.vertex_count}v-{self.degree}r-{self.index:04d}"
 
     @cached_property
     def matching_polynomial(self):
@@ -348,39 +354,36 @@ def vertex_order(g: Graph, permutation: Sequence[int]) -> VertexOrder:
     return VertexOrder(perm, tuple(back))
 
 
+def _per_size(p: GraphProfile, check_id: str, poly, reference) -> list[Verdict]:
+    """One exact verdict per size s in 0..n/2, in size order, that the
+    coefficient of x^s in poly is at most reference(s)."""
+    n = p.graph.vertex_count
+    return [
+        exact_le(
+            check_id,
+            p.label,
+            _params(n=n, d=p.degree, size=s),
+            poly.coefficient(s),
+            reference(s),
+            graph=p.graph,
+        )
+        for s in range(n // 2 + 1)
+    ]
+
+
 def umc_graph_verdicts(p: GraphProfile) -> list[Verdict]:
     """Matching counts of one d-regular graph on n vertices, 2d | n, against
     the complete-bipartite-union reference, one exact verdict per size."""
-    n = p.graph.vertex_count
-    union = union_params(n, p.degree)
-    return [
-        exact_le(
-            "match-count-vs-union",
-            p.label,
-            _params(n=n, d=p.degree, size=ell),
-            p.matching_polynomial.coefficient(ell),
-            union_matching_count(union, ell),
-            graph=p.graph,
-        )
-        for ell in range(n // 2 + 1)
-    ]
+    union = union_params(p.graph.vertex_count, p.degree)
+    reference = partial(union_matching_count, union)
+    return _per_size(p, "match-count-vs-union", p.matching_polynomial, reference)
 
 
 def kahn_graph_verdicts(p: GraphProfile) -> list[Verdict]:
     """Independent-set counts of one graph against the union reference."""
-    n = p.graph.vertex_count
-    union = union_params(n, p.degree)
-    return [
-        exact_le(
-            "ind-count-vs-union",
-            p.label,
-            _params(n=n, d=p.degree, size=t),
-            p.independence_polynomial.coefficient(t),
-            union_independent_count(union, t),
-            graph=p.graph,
-        )
-        for t in range(n // 2 + 1)
-    ]
+    union = union_params(p.graph.vertex_count, p.degree)
+    reference = partial(union_independent_count, union)
+    return _per_size(p, "ind-count-vs-union", p.independence_polynomial, reference)
 
 
 def total_count_graph_verdicts(p: GraphProfile) -> list[Verdict]:
@@ -482,23 +485,12 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
     distance of the rightmost root from the imaginary axis.  The
     multiplicity-weighted reciprocal-root sum is checked against the edge
     count at ROOT_SUM_REL_TOL relative error.  An edgeless graph has a
-    constant polynomial and passes vacuously.
+    constant polynomial, which has no square-free factor and no root, so it
+    passes with lhs 0 and margin tol.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
     g = p.graph
-    base_params = dict(n=g.vertex_count, d=p.degree, tol=mpf(tol))
-    if g.edge_count == 0:
-        params = _params(**base_params, root_sum_rel_err=mpf(0))
-        return Verdict(
-            "match-poly-real-rooted",
-            p.canonical_label,
-            params,
-            mpf(0),
-            mpf(tol),
-            True,
-            mpf(tol),
-        )
     # Imported here, its only user, so other commands start without numpy.
     import numpy as np
 
@@ -518,10 +510,10 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
     sum_err = abs(recip_sum - g.edge_count) / max(1.0, g.edge_count)
     passed = rel_imag <= tol and worst_real < 0 and sum_err <= ROOT_SUM_REL_TOL
     margin = min(mpf(tol) - rel_imag, mpf(-worst_real))
-    params = _params(**base_params, root_sum_rel_err=mpf(sum_err))
-    if not passed:
-        params = _attach_repro(params, g)
-    return Verdict(
+    params = _params(
+        n=g.vertex_count, d=p.degree, tol=mpf(tol), root_sum_rel_err=mpf(sum_err)
+    )
+    return _verdict(
         "match-poly-real-rooted",
         p.canonical_label,
         params,
@@ -529,6 +521,7 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
         mpf(tol),
         passed,
         margin,
+        g,
     )
 
 
@@ -597,20 +590,12 @@ def verify_perfect_matching_bound(p: GraphProfile) -> list[Verdict]:
     graph has a perfect matching; verdicts in check order."""
     if not p.has_perfect_matching:
         raise DomainError("graph has no perfect matching")
-    n = p.graph.vertex_count
-    verdicts = []
-    for t in range(n // 2 + 1):
-        verdicts.append(
-            exact_le(
-                "ind-count-vs-pm-bound",
-                p.label,
-                _params(n=n, d=p.degree, size=t),
-                p.independence_polynomial.coefficient(t),
-                independent_upper_pm_exact(n, t),
-                graph=p.graph,
-            )
-        )
-    return verdicts
+    return _per_size(
+        p,
+        "ind-count-vs-pm-bound",
+        p.independence_polynomial,
+        partial(independent_upper_pm_exact, p.graph.vertex_count),
+    )
 
 
 def verify_bounds_suite(
@@ -689,39 +674,21 @@ def verify_union_lower_bounds(
     label = f"union-{n}v-{d}r"
     half = n // 2
     verdicts: list[Verdict] = []
+
+    def add(build, check_id, a, b, **params):
+        verdicts.append(build(check_id, label, _params(n=n, d=d, **params), a, b))
+
     for t in range(half + 1):
         count = union_independent_count(p, t)
         for c in c_grid:
             c = Fraction(c)
             bound = union_ind_lower_markov(n, d, t, c)
-            verdicts.append(
-                bound_verdict(
-                    "union-ind-lower-markov",
-                    label,
-                    _params(n=n, d=d, size=t, c=c),
-                    count,
-                    bound,
-                )
-            )
+            add(bound_verdict, "union-ind-lower-markov", count, bound, size=t, c=c)
         if t <= p.copies:
-            verdicts.append(
-                bound_verdict(
-                    "union-ind-lower-small-t-log",
-                    label,
-                    _params(n=n, d=d, size=t),
-                    count,
-                    union_ind_lower_small_t(n, d, t),
-                )
-            )
-            verdicts.append(
-                exact_le(
-                    "union-ind-lower-small-t-exact",
-                    label,
-                    _params(n=n, d=d, size=t),
-                    union_small_t_exact(n, d, t),
-                    count,
-                )
-            )
+            bound = union_ind_lower_small_t(n, d, t)
+            add(bound_verdict, "union-ind-lower-small-t-log", count, bound, size=t)
+            exact = union_small_t_exact(n, d, t)
+            add(exact_le, "union-ind-lower-small-t-exact", exact, count, size=t)
         # Brute-force block statistics over all t-subsets of the half set.
         blocks = [set(range(i * d, (i + 1) * d)) for i in range(p.copies)]
         misses = [0] * (p.copies + 1)
@@ -730,37 +697,13 @@ def verify_union_lower_bounds(
             missed = sum(1 for blk in blocks if not blk & chosen)
             misses[missed] += 1
         identity = sum(b * 2 ** (p.copies - k) for k, b in enumerate(misses))
-        verdicts.append(
-            exact_eq(
-                "union-block-identity",
-                label,
-                _params(n=n, d=d, size=t),
-                identity,
-                count,
-            )
-        )
+        add(exact_eq, "union-block-identity", identity, count, size=t)
         mu_exact = Fraction(
             sum(k * b for k, b in enumerate(misses)), math.comb(half, t)
         )
         mu_closed, mu_bound = block_miss_stats(n, d, t)
-        verdicts.append(
-            exact_eq(
-                "union-block-mean-closed-form",
-                label,
-                _params(n=n, d=d, size=t),
-                mu_exact,
-                mu_closed,
-            )
-        )
-        verdicts.append(
-            exact_le(
-                "union-block-mean-markov",
-                label,
-                _params(n=n, d=d, size=t),
-                mu_closed,
-                mu_bound,
-            )
-        )
+        add(exact_eq, "union-block-mean-closed-form", mu_exact, mu_closed, size=t)
+        add(exact_le, "union-block-mean-markov", mu_closed, mu_bound, size=t)
     return verdicts
 
 

@@ -121,6 +121,13 @@ def test_workers_below_one_is_a_usage_error(capsys, workers):
     assert "--workers" in captured.err
 
 
+def test_negative_orders_is_a_usage_error(capsys):
+    assert main(["verify-hom", "--n", "4", "--d", "2", "--orders", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--orders" in captured.err
+
+
 def test_pool_is_no_larger_than_the_census(capsys, monkeypatch):
     import regcount.cli as cli_mod
 
@@ -306,7 +313,16 @@ def test_count_with_more_vertices_than_dp_states_exits_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text", ["\u0663 0 0\n", "+3 0 0\n", "1_0 0 0\n", "2 1 0\n\uff10 1\n"]
+    "text",
+    [
+        "\u0663 0 0\n",
+        "+3 0 0\n",
+        "1_0 0 0\n",
+        "2 1 0\n\uff10 1\n",
+        "2 1\x1c0\n0 1\n",
+        "2 1 0\n0\x0b1\n",
+        "2 1 0\n0\xa01\n",
+    ],
 )
 def test_non_ascii_decimal_graph_file_exits_1(capsys, tmp_path, text):
     path = tmp_path / "bad.txt"

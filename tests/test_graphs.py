@@ -169,6 +169,9 @@ def test_text_roundtrip(c4, prism):
         assert graph_from_text(graph_to_text(g)) == g
     h = build_graph(2, [(0, 0), (0, 1)], allow_loops=True)
     assert graph_from_text(graph_to_text(h)) == h
+    # Tabs separate fields as spaces do, and CRLF line ends are read as LF.
+    crlf = graph_to_text(c4).replace(" ", "\t").replace("\n", "\r\n")
+    assert graph_from_text(crlf) == c4
 
 
 def test_text_rejects_malformed():
@@ -194,6 +197,11 @@ def test_text_rejects_malformed():
         "2 1 0\n0 \uff11",  # full-width one
         "2 1 0\n+0 1",
         "1" * 5000 + " 0 0",  # past int()'s digit limit
+        # Fields are separated by spaces and tabs only, though str.split()
+        # also splits on the characters below.
+        "2 1\x1c0\n0 1",  # file separator
+        "2 1 0\n0\x0b1",  # vertical tab
+        "2 1 0\n0\xa01",  # no-break space
     ):
         with pytest.raises(GraphError):
             graph_from_text(text)

@@ -4,6 +4,8 @@ Every asserted number is recomputed inside the test from the oracle-tested
 polynomials or from first principles.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -121,8 +123,8 @@ def test_sorting_and_jsonl_are_canonical(c8):
 
 
 def test_graph_label_forms(c4):
-    assert graph_label(c4, index=3, n=8, d=2) == "8v-2r-0003"
-    assert graph_label(c4) == canonical_form(c4)
+    assert GraphProfile(c4, 3).label == "4v-2r-0003"
+    assert GraphProfile(c4).label == graph_label(c4) == canonical_form(c4)
     big = build_graph(14, [(i, (i + 1) % 14) for i in range(14)])
     assert graph_label(big) == "14v-14e"
 
@@ -170,9 +172,18 @@ def test_real_rooted(c4, c8, petersen):
         assert v.passed
         assert v.check_id == "match-poly-real-rooted"
         assert v.margin > 0
-    # edgeless: constant polynomial, vacuous pass
-    empty = verify_real_rooted(GraphProfile(build_graph(3, [])))
-    assert empty.passed and empty.lhs == 0
+    # edgeless: a constant polynomial has no roots, so it passes at margin tol
+    for n in (0, 3):
+        empty = verify_real_rooted(GraphProfile(build_graph(n, [])))
+        assert empty.to_json_dict() == {
+            "check_id": "match-poly-real-rooted",
+            "graph_label": canonical_form(build_graph(n, [])),
+            "params": {"n": n, "d": 0, "tol": "1e-07", "root_sum_rel_err": "0"},
+            "lhs": "0",
+            "rhs": "1e-07",
+            "pass": True,
+            "margin": "1e-07",
+        }
     # high-multiplicity roots from repeated components must stay clean:
     # naive companion eigenvalues of (1+x)^5 carry ~eps^(1/5) imaginary dirt
     k2 = build_graph(2, [(0, 1)])
@@ -422,6 +433,17 @@ def test_union_lower_bounds():
     assert exact1.lhs == exact1.rhs == 8 and exact1.margin == 0
     with pytest.raises(DomainError):
         verify_union_lower_bounds(8, 2, c_grid=(Fraction(1),))
+
+
+def test_union_lower_bound_rows_are_pinned():
+    # No golden report holds these rows: verify-suite adds them only when
+    # 2d | n, and the golden verify-suite census is (8,3).
+    shapes = [(4, 2), (8, 2), (12, 2), (12, 3), (16, 4), (18, 3), (20, 5), (24, 4), (24, 3)]
+    rows = [v.to_json_dict() for n, d in shapes for v in verify_union_lower_bounds(n, d)]
+    assert len(rows) == 452
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "9cad254d2d5a515457f922f54259c04839b926a59edc04e1e128ffd2c6c66da9"
+    )
 
 
 def test_hom_graph_verdicts_reproducible(c4):
