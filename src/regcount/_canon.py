@@ -8,7 +8,21 @@ is the lexicographic minimum of the code over all orderings.
 There is one search, better_codes, which raises an incumbent code in place
 and yields after each raise.  Orderly generation starts it from the identity
 ordering's code and stops at the first yield; min_code starts it below every
-code and runs it to the end.  The minimum goes through the complement:
+code and runs it to the end.
+
+Each search node keeps its unplaced vertices as the ordered partition of
+individualisation-refinement (McKay & Piperno 2014, "Practical graph
+isomorphism, II"): cells of vertices with equal column, each a (column,
+bitmask) pair, in descending column order.  The first cell holds the
+vertices tied for the next position.  Placing a vertex v takes it out of
+that cell and splits every cell by adj[v], the part adjacent to v first, its
+column extended by bit 1; the rest get bit 0.  Appending one bit to distinct
+columns keeps their order, so the split cells need no sort and no max.  A
+child's top column, its first nonempty cell's column extended by one bit, is
+known before the child is built, and a child whose top column falls below the
+incumbent is skipped unbuilt.
+
+The minimum goes through the complement:
 flipping every adjacency and loop bit maps the code bit-for-bit, and bitwise
 NOT reverses lexicographic order, hence
 min_code(G) = bitflip(max_code(complement(G))).  A direct minimum search would
@@ -48,20 +62,25 @@ def better_codes(adj: Sequence[int], best: list[int]) -> Iterator[list[int]]:
 
     adj[v] is v's neighbour bitmask, bit v marking a loop; an entry -1 in
     `best` lies below every column.  Codes compare column by column, so the
-    depth-first search follows only candidates whose column ties the
+    depth-first search follows only children whose column ties the
     incumbent's.  A greater column beats the incumbent whatever follows: it
-    is raised, the later columns reset to -1.  Each branch carries its
-    unplaced vertices' columns as (column, vertex) pairs, extended by one bit
-    per placed vertex.  Swapping two unplaced twins fixes the placed prefix,
-    so one member of each twin class is tried per position.
+    is raised, the later columns reset to -1.
+
+    Each node holds its unplaced vertices as an ordered partition: cells of
+    equal column, (column, bitmask) pairs in descending column order, so the
+    first cell holds the candidates for the next position.  Placing v takes
+    it out of that cell and splits every cell by adj[v], the adjacent part
+    first with bit 1 appended to its column; appending a bit keeps the cells
+    in order.  A child's top column is known before it is built, from its
+    first nonempty cell, so a child below the incumbent is skipped unbuilt.
+    Swapping two unplaced twins fixes the placed prefix, and twins always
+    share a cell, so one member of each twin class is tried per position.
     """
     n = len(best)
     twin = _twin_classes(n, adj)
 
-    def search(pos: int, cands: list[tuple[int, int]]) -> Iterator[list[int]]:
-        top = max(cands)[0]
-        if top < best[pos]:
-            return
+    def search(pos: int, cells: list[tuple[int, int]]) -> Iterator[list[int]]:
+        top, first = cells[0]
         if top > best[pos]:
             best[pos] = top
             best[pos + 1:] = [-1] * (n - pos - 1)
@@ -69,16 +88,34 @@ def better_codes(adj: Sequence[int], best: list[int]) -> Iterator[list[int]]:
         if pos + 1 == n:
             return
         tried = 0
-        for col, v in cands:
-            if col != top or tried >> twin[v] & 1:
+        m = first
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            if tried >> twin[v] & 1:
                 continue
             tried |= 1 << twin[v]
-            yield from search(
-                pos + 1, [((c << 1) | (adj[w] >> v & 1), w) for c, w in cands if w != v]
-            )
+            a = adj[v]
+            rest = first ^ low
+            # The child's top column comes from its first nonempty cell.
+            col, cell = (top, rest) if rest else cells[1]
+            if col << 1 | (cell & a != 0) < best[pos + 1]:
+                continue
+            child = []
+            for col, cell in (top, rest), *cells[1:]:
+                hit = cell & a
+                if hit:
+                    child.append((col << 1 | 1, hit))
+                if cell != hit:
+                    child.append((col << 1, cell ^ hit))
+            yield from search(pos + 1, child)
 
-    if n:
-        yield from search(0, [(adj[v] >> v & 1, v) for v in range(n)])
+    # Before any vertex is placed, a column is just the loop bit.
+    loops = sum(adj[v] & 1 << v for v in range(n))
+    cells = [(c, m) for c, m in ((1, loops), (0, ((1 << n) - 1) ^ loops)) if m]
+    if cells and cells[0][0] >= best[0]:
+        yield from search(0, cells)
 
 
 def min_code(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:

@@ -19,7 +19,11 @@ plain generate-then-dedup pass over all labeled graphs would visit billions of
 leaves already at n = 12, d = 3.  The prefix check is the one code search of
 _canon, better_codes, started from a copy of the identity ordering's columns:
 the prefix is rejected at its first yield, the first ordering found to beat
-the identity.  Generation's columns are _canon's with the loop bit 0.
+the identity.  Generation's columns are _canon's with the loop bit 0, so the
+search starts from one cell holding vertices 0..k, splits the cells by each
+placed vertex's neighbours, and drops a branch as soon as its next column
+falls below the identity's; an accepted prefix is one where every branch
+ties or falls below.
 
 Before that search, place skips any candidate column of vertex k that the
 adjacent swap of vertices k-1 and k would beat.  The swap leaves columns

@@ -18,22 +18,25 @@ from regcount._canon import better_codes, min_code
 from regcount.graphs import adjacency_masks
 
 
+def oracle_code(g, perm):
+    """The column code of g under the ordering perm."""
+    cols = []
+    for level, v in enumerate(perm):
+        # loop bit first, then adjacency to earlier vertices, so the loop
+        # bit ends at position `level` and perm[i]'s bit at level-1-i
+        col = 1 if g.has_edge(v, v) else 0
+        for i in range(level):
+            col <<= 1
+            if g.has_edge(perm[i], v):
+                col |= 1
+        cols.append(col)
+    return tuple(cols)
+
+
 def oracle_codes(g):
     """The column code of g under each of its n! orderings."""
-    n = g.vertex_count
-    loops = {u for u, v in g.edges if u == v}
-    for perm in permutations(range(n)):
-        cols = []
-        for level, v in enumerate(perm):
-            # loop bit first, then adjacency to earlier vertices, so the loop
-            # bit ends at position `level` and perm[i]'s bit at level-1-i
-            col = 1 if v in loops else 0
-            for i in range(level):
-                col <<= 1
-                if g.has_edge(perm[i], v):
-                    col |= 1
-            cols.append(col)
-        yield tuple(cols)
+    for perm in permutations(range(g.vertex_count)):
+        yield oracle_code(g, perm)
 
 
 def oracle_min_code(g):
@@ -82,6 +85,23 @@ def test_min_code_with_loops_matches_oracle():
         assert package_min_code(g) == oracle_min_code(g), g
 
 
+def raises_from(g, incumbent):
+    """Run the search from `incumbent`; return its yields and final code."""
+    best = list(incumbent)
+    raises = [tuple(best) for _ in better_codes(loop_masks(g), best)]
+    return raises, tuple(best)
+
+
+def assert_search_from(g, incumbent):
+    # It yields iff some ordering beats the incumbent, each yield beats the
+    # one before, and it ends at the maximum code whether it yielded or not.
+    top = max(oracle_codes(g))
+    raises, final = raises_from(g, incumbent)
+    assert bool(raises) == (top > tuple(incumbent)), g
+    assert all(a < b for a, b in zip([tuple(incumbent)] + raises, raises)), g
+    assert final == top, g
+
+
 def test_max_code_matches_bruteforce_maximum():
     # The search, run to the end from an incumbent below every code, raises
     # it to the maximum, and every raise yields a strictly greater code.
@@ -95,11 +115,54 @@ def test_max_code_matches_bruteforce_maximum():
                     for v in range(u, n)
                     if rng.random() < (0.4 if u == v else p)
                 ]
-                g = build_graph(n, edges, allow_loops=True)
-                best = [-1] * n
-                raises = [tuple(best) for _ in better_codes(loop_masks(g), best)]
-                assert all(a < b for a, b in zip([(-1,) * n] + raises, raises)), g
-                assert tuple(best) == max(oracle_codes(g)), g
+                assert_search_from(build_graph(n, edges, allow_loops=True), [-1] * n)
+
+
+@st.composite
+def twin_heavy_graphs(draw):
+    """Blocks of up to three vertices that share their neighbours outside
+    the block, each block a clique or an independent set, with loops drawn
+    per block and then flipped on a few vertices, which splits their block."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    block = [b for b, size in enumerate(sizes) for _ in range(size)][:7]
+    n, k = len(block), len(sizes)
+    clique = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    linked = draw(st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
+    looped = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    flipped = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    edges = [(v, v) for v in range(n) if looped[block[v]] != (v in flipped)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            bu, bv = block[u], block[v]
+            if clique[bu] if bu == bv else (bu, bv) in linked or (bv, bu) in linked:
+                edges.append((u, v))
+    return build_graph(n, edges, allow_loops=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twin_heavy_graphs(), st.data())
+def test_search_from_any_ordering_code(g, data):
+    perm = data.draw(st.permutations(range(g.vertex_count)))
+    assert_search_from(g, oracle_code(g, perm))
+
+
+def test_search_on_the_smallest_and_looped_graphs():
+    paw = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    graphs = [
+        build_graph(0, []),
+        build_graph(1, []),
+        build_graph(1, [(0, 0)], allow_loops=True),
+        # every vertex looped: the search starts from one cell of column 1
+        build_graph(4, paw + [(v, v) for v in range(4)], allow_loops=True),
+        # mixed loops: the search starts from two cells
+        build_graph(5, paw + [(3, 4), (0, 0), (3, 3)], allow_loops=True),
+    ]
+    for g in graphs:
+        n = g.vertex_count
+        assert_search_from(g, [-1] * n)
+        assert_search_from(g, oracle_code(g, range(n)))
+    # an incumbent above every code is left alone
+    assert raises_from(build_graph(2, [(0, 1)]), [1, -1]) == ([], (1, -1))
 
 
 @settings(max_examples=60, deadline=None)
