@@ -108,7 +108,11 @@ class Cleared:
     cofactor: Fraction = Fraction(1)
 
     def lhs(self, q) -> Fraction:
-        return Fraction(q) ** self.k * self.cofactor
+        """q^k * cofactor for an integer or rational q, reduced once."""
+        return Fraction(
+            q.numerator**self.k * self.cofactor.numerator,
+            q.denominator**self.k * self.cofactor.denominator,
+        )
 
     def holds(self, q) -> bool:
         """The exact verdict for q."""
@@ -172,10 +176,11 @@ def bregman_pm(n: int, d: int) -> Cleared:
 def single_term(bound: Cleared, size: int, lam) -> Cleared:
     """The single-term extraction: Z(lambda) >= c_s lambda^s, so a bound
     Z^k * cofactor <= rhs on a partition function gives
-    c_s^k * (cofactor lambda^(ks)) <= rhs on its size-s coefficient."""
+    c_s^k * (cofactor lambda^(ks)) <= rhs on its size-s coefficient, for an
+    integer or rational lambda."""
     if size < 0 or lam < 0:
         raise DomainError(f"need size >= 0 and lambda >= 0, got {size} and {lam}")
-    return Cleared(bound.k, bound.rhs, bound.cofactor * Fraction(lam) ** (bound.k * size))
+    return Cleared(bound.k, bound.rhs, bound.cofactor * lam ** (bound.k * size))
 
 
 def optimal_lambda(n: int, d: int, size: int) -> Fraction:

@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .bounds import (
@@ -199,7 +200,7 @@ def _report(command: str, config: dict, verdicts=None, rows=None, extra=None) ->
     if rows is not None:
         doc["rows"] = rows
     if verdicts is not None:
-        doc["verdicts"] = [v.to_json_dict() for v in verdicts]
+        doc["verdicts"] = verdicts
         doc["summary"] = {
             "total": len(verdicts),
             "failed": sum(1 for v in verdicts if not v.passed),
@@ -214,7 +215,8 @@ def _render_csv(doc: dict) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     if "verdicts" in doc:
         writer.writerow(CSV_HEADER)
-        for v in doc["verdicts"]:
+        for verdict in doc["verdicts"]:
+            v = verdict.to_json_dict()
             writer.writerow(
                 [
                     v["check_id"],
@@ -249,14 +251,58 @@ def _render_csv(doc: dict) -> str:
     return buf.getvalue()
 
 
+def _json_text(value, pad: str) -> str:
+    """json.dumps(value, indent=2) for a value nested in a document, on a
+    line indented by pad.  A dict's keys and its string, int and bool values
+    are encoded in place, strings by the json module's C encoder; any other
+    value goes through json.dumps."""
+    if type(value) is not dict:
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    if not value:
+        return "{}"
+    inner = pad + "  "
+    parts = []
+    for key, v in value.items():
+        kind = type(v)
+        if kind is str:
+            text = encode_basestring_ascii(v)
+        elif kind is int:
+            text = str(v)
+        elif kind is bool:
+            text = "true" if v else "false"
+        else:
+            text = _json_text(v, inner)
+        parts.append(f"{encode_basestring_ascii(key)}: {text}")
+    return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+
+
+# An empty verdict list as json.dumps(report, indent=2) renders it: a key of
+# the top level, the only one with this indentation.
+_VERDICTS_SLOT = '\n  "verdicts": []'
+
+
+def _write_json(doc: dict, write) -> None:
+    """write(json.dumps(doc, indent=2) + "\n"), in pieces when doc has
+    verdicts (a list of Verdicts): the frame, which is the report with an
+    empty verdict list, through json.dumps, and each verdict's
+    to_json_dict() through _json_text."""
+    verdicts = doc.get("verdicts")
+    frame = json.dumps({**doc, "verdicts": []} if verdicts else doc, indent=2)
+    if not verdicts:
+        write(frame + "\n")
+        return
+    head, tail = frame.split(_VERDICTS_SLOT)
+    write(head + '\n  "verdicts": [')
+    for i, v in enumerate(verdicts):
+        write((",\n    " if i else "\n    ") + _json_text(v.to_json_dict(), "    "))
+    write("\n  ]" + tail + "\n")
+
+
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
-    else:
-        payload = _render_csv(doc)
+    """Write the report in args.format to args.out, or to standard output."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+            _write_report(doc, args.format, fh.write)
         summary = doc.get("summary")
         if summary:
             sys.stdout.write(
@@ -266,7 +312,14 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
         else:
             sys.stdout.write(f"{doc['command']}: report -> {args.out}\n")
     else:
-        sys.stdout.write(payload)
+        _write_report(doc, args.format, sys.stdout.write)
+
+
+def _write_report(doc: dict, fmt: str, write) -> None:
+    if fmt == "json":
+        _write_json(doc, write)
+    else:
+        write(_render_csv(doc))
 
 
 def _exit_status(verdicts) -> int:

@@ -179,12 +179,13 @@ def eval_partition(p: CountPolynomial, lam) -> Fraction:
     lam = Fraction(lam)
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
-    total = Fraction(0)
-    power = Fraction(1)
-    for c in p.coefficients:
-        total += c * power
-        power *= lam
-    return total
+    # Horner's rule on sum_k coeff_k num^k den^(m - k), m the degree.
+    num, den = lam.numerator, lam.denominator
+    total, scale = 0, 1
+    for c in reversed(p.coefficients):
+        total = total * num + c * scale
+        scale *= den
+    return Fraction(total * den, scale)
 
 
 def brute_force_count(g: Graph, kind: str, size: int) -> int:

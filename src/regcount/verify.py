@@ -8,7 +8,9 @@ that graph's text form as the "graph_text" param.
 
 Every bound with a power-cleared form (`bounds.Cleared`) is decided exactly,
 with zero slack, whether its verdict reports exact rationals or log2 values.
-Only bounds without one are compared in log2 under the shared slack:
+Such a verdict is decided on cross-multiplied integers, and its log2 values
+and margin are log2 ratios of those integers (`log2_ratio`).  Only bounds
+without one are compared in log2 under the shared slack:
 ind-count-upper-bipartite, which involves log2 e, and the log2-form lower
 bounds on the complete-bipartite union.
 
@@ -27,9 +29,10 @@ from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from mpmath import inf, isinf, mpf
+from mpmath import mp, mpf
 
 from .bounds import (
+    _PREC,
     UPPER,
     Cleared,
     LogBound,
@@ -84,20 +87,54 @@ DEFAULT_LAMBDA_GRID: tuple[Fraction, ...] = tuple(
 )
 DEFAULT_C_GRID: tuple[Fraction, ...] = (Fraction(2), Fraction(4))
 
+_LN2 = math.log(2)
+# Bound, in ulps of the result, on the error of log2_ratio's float.
+_LOG2_ULPS = 16
+
 
 def format_number(x) -> str:
-    """Canonical string form: integers and rationals verbatim, reals at 12
-    significant digits, infinities as 'inf'/'-inf'.  Used by every report
-    writer so reruns are byte-identical."""
+    """Canonical string form: integers and rationals verbatim, reals (floats
+    and mpfs) at 12 significant digits of their nearest float, infinities as
+    'inf'/'-inf'.  Used by every report writer so reruns are byte-identical."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinf(mpf(x)):
-        return "inf" if x > 0 else "-inf"
     return f"{float(x):.12g}"
+
+
+def log2_ratio(a: int, b: int, k: int = 1):
+    """log2(a / b) / k for positive integers a, b and k, as a float whose
+    format_number form is that of the exact value, or, where no float within
+    the error bound of the computed one can promise that, as a 120-bit mpf.
+
+    The float is shift + log1p(r) / ln 2, where r = a' / b' - 1 for a' / b'
+    the ratio scaled by 2^-shift into (1/2, 2).  shift is 0 whenever a / b
+    already lies in (1/2, 2), so a ratio near 1 keeps its relative accuracy
+    instead of cancelling against a shift of 1; elsewhere the result is at
+    least 1 in size, so the error of log1p's term, below 1, stays relative.
+    That error comes from rounding r, amplified at most 1.45-fold by log1p
+    on (-1/2, 1), log1p's own error of at most 1 ulp, and the roundings of
+    ln 2 and of each operation: under 8 ulps of the result in all, against
+    the _LOG2_ULPS checked.
+    """
+    if a <= 0 or b <= 0:
+        raise DomainError(f"log2 needs a positive ratio, got {a}/{b}")
+    if a == b:
+        return 0.0
+    shift = 0
+    if not (b < 2 * a and a < 2 * b):
+        shift = a.bit_length() - b.bit_length()
+        if shift > 0:
+            b <<= shift
+        else:
+            a <<= -shift
+    x = (shift + math.log1p((a - b) / b) / _LN2) / k
+    err = _LOG2_ULPS * math.ulp(x)
+    if f"{x - err:.12g}" == f"{x + err:.12g}":
+        return x
+    with mp.workprec(_PREC):
+        return (shift + mp.log1p(mpf(a - b) / b) / mp.ln2) / k
 
 
 @dataclass(frozen=True)
@@ -132,10 +169,18 @@ class Verdict:
 CSV_HEADER = ["check_id", "graph_label", "params", "lhs", "rhs", "pass", "margin"]
 
 
+# json.dumps(params, sort_keys=True), without building an encoder per call.
+_params_text = json.JSONEncoder(sort_keys=True).encode
+
+
 def sort_verdicts(verdicts: Iterable[Verdict]) -> list[Verdict]:
+    """Report order: by graph label, check id, then the JSON text of the
+    params with sorted keys.  The text orders numbers as strings, so a last
+    param "size": 10 comes before "size": 1 and "size": 2; the golden
+    reports and the pinned digests fix that order."""
     return sorted(
         verdicts,
-        key=lambda v: (v.graph_label, v.check_id, json.dumps(v.params, sort_keys=True)),
+        key=lambda v: (v.graph_label, v.check_id, _params_text(v.params)),
     )
 
 
@@ -144,7 +189,7 @@ def _params(**kw) -> dict:
     for key, val in kw.items():
         if val is None:
             continue
-        if isinstance(val, bool) or isinstance(val, (int, str)):
+        if isinstance(val, (int, str)):
             out[key] = val
         elif isinstance(val, Fraction):
             out[key] = str(val)
@@ -169,15 +214,18 @@ def _verdict(
     return Verdict(check_id, label, params, lhs, rhs, passed, margin)
 
 
-def _log_gap(lhs, rhs) -> object:
-    """log2(rhs) - log2(lhs) for nonnegative rationals, with 0 handled."""
-    if lhs == 0 and rhs == 0:
-        return mpf(0)
-    if lhs == 0:
-        return inf
-    if rhs == 0:
-        return -inf
-    return log2(Fraction(rhs)) - log2(Fraction(lhs))
+def _log_gap(a: int, b: int):
+    """The margin log2(rhs / lhs) of a verdict on nonnegative lhs and rhs,
+    from the cross products a = rhs.numerator * lhs.denominator and
+    b = rhs.denominator * lhs.numerator: 0 when both sides are 0, +-inf when
+    one is."""
+    if a == 0 and b == 0:
+        return 0.0
+    if b == 0:
+        return math.inf
+    if a == 0:
+        return -math.inf
+    return log2_ratio(a, b)
 
 
 def exact_le(
@@ -188,10 +236,11 @@ def exact_le(
     rhs,
     graph: Graph | None = None,
 ) -> Verdict:
-    """Zero-slack verdict for lhs <= rhs over exact integers or rationals."""
-    return _verdict(
-        check_id, graph_label, params, lhs, rhs, lhs <= rhs, _log_gap(lhs, rhs), graph
-    )
+    """Zero-slack verdict for lhs <= rhs over exact integers or rationals,
+    decided and measured on the cross-multiplied integers."""
+    a = rhs.numerator * lhs.denominator
+    b = rhs.denominator * lhs.numerator
+    return _verdict(check_id, graph_label, params, lhs, rhs, b <= a, _log_gap(a, b), graph)
 
 
 def exact_eq(
@@ -202,9 +251,9 @@ def exact_eq(
     rhs,
     graph: Graph | None = None,
 ) -> Verdict:
-    return _verdict(
-        check_id, graph_label, params, lhs, rhs, lhs == rhs, _log_gap(lhs, rhs), graph
-    )
+    a = rhs.numerator * lhs.denominator
+    b = rhs.denominator * lhs.numerator
+    return _verdict(check_id, graph_label, params, lhs, rhs, a == b, _log_gap(a, b), graph)
 
 
 def bound_verdict(
@@ -219,18 +268,29 @@ def bound_verdict(
     A Cleared bound is decided exactly, a LogBound under its slack."""
     if count < 0:
         raise DomainError(f"counts are nonnegative, got {count}")
-    cleared = bound if isinstance(bound, Cleared) else None
-    if cleared is not None:
-        bound = cleared.log_bound()
+    if isinstance(bound, Cleared):
+        # q^k * cofactor <= rhs reads q^k * bottom <= top over the integers,
+        # and log2 q <= log2(top / bottom) / k.
+        top = bound.rhs.numerator * bound.cofactor.denominator
+        bottom = bound.rhs.denominator * bound.cofactor.numerator
+        value = log2_ratio(top, bottom, bound.k)
+        if count == 0:
+            return _verdict(check_id, graph_label, params, 0, value, True, math.inf, graph)
+        powered = bottom * count**bound.k
+        margin = log2_ratio(top, powered, bound.k)
+        log_count = log2_ratio(count, 1)
+        return _verdict(
+            check_id, graph_label, params, log_count, value, powered <= top, margin, graph
+        )
     if count == 0:
         upper = bound.direction == UPPER
-        passed = upper or bool(bound.value == -inf)
-        margin = inf if upper else -inf
+        passed = upper or bool(bound.value == -math.inf)
+        margin = math.inf if upper else -math.inf
         return _verdict(
             check_id, graph_label, params, 0, bound.value, passed, margin, graph
         )
     log_count = log2(count)
-    passed = bound.admits(log_count) if cleared is None else cleared.holds(count)
+    passed = bound.admits(log_count)
     if bound.direction == UPPER:
         lhs, rhs, margin = log_count, bound.value, bound.value - log_count
     else:

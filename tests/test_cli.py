@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ from mpmath import mpf
 
 import regcount
 from regcount import graph_to_text
-from regcount.cli import main
-from regcount.verify import Verdict
+from regcount.cli import _report, _write_json, main
+from regcount.verify import Verdict, exact_le
 
 
 def run_cli(capsys, *argv):
@@ -393,3 +394,58 @@ def test_cli_import_leaves_mpmath_precision_alone():
 def test_every_exported_name_resolves():
     missing = [name for name in regcount.__all__ if not hasattr(regcount, name)]
     assert missing == []
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _written(doc) -> str:
+    pieces = []
+    _write_json(doc, pieces.append)
+    return "".join(pieces)
+
+
+def _number(text: str):
+    """A report's number back as the value it was formatted from."""
+    if "/" in text:
+        return Fraction(text)
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in GOLDEN.glob("*.json") if "verdicts" in json.loads(p.read_text())),
+)
+def test_verdict_writer_matches_json_dumps_on_golden_reports(name):
+    doc = json.loads((GOLDEN / name).read_text())
+    verdicts = [
+        Verdict(
+            row["check_id"],
+            row["graph_label"],
+            row["params"],
+            _number(row["lhs"]),
+            _number(row["rhs"]),
+            row["pass"],
+            _number(row["margin"]),
+        )
+        for row in doc["verdicts"]
+    ]
+    assert [v.to_json_dict() for v in verdicts] == doc["verdicts"]
+    assert verdicts
+    assert _written({**doc, "verdicts": verdicts}) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_verdict_writer_edge_cases(c4):
+    doc = _report("verify-umc", {"n": 4, "out": 'a "quoted"\nname'}, verdicts=[])
+    assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+    assert '"verdicts": []' in _written(doc)
+    failed = exact_le("demo", "4v-2r", {"n": 4, "d": 2}, 7, 0, graph=c4)
+    assert "\n" in failed.params["graph_text"]
+    # Param values the hot path does not encode in place go through json.dumps.
+    odd = Verdict("demo", "gé", {"w": [1, 2.5], "x": None, "y": {}}, 1, 2, True, 1.0)
+    doc = _report("verify-umc", {}, verdicts=[failed, odd])
+    rows = {**doc, "verdicts": [failed.to_json_dict(), odd.to_json_dict()]}
+    assert _written(doc) == json.dumps(rows, indent=2) + "\n"

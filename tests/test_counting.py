@@ -28,7 +28,7 @@ from regcount import (
     independence_polynomial,
     matching_polynomial,
 )
-from regcount.counting import INDEPENDENT_SET, MATCHING
+from regcount.counting import INDEPENDENT_SET, MATCHING, CountPolynomial
 
 
 def oracle_matching_counts(g):
@@ -139,6 +139,9 @@ def test_eval_partition(c4):
     assert eval_partition(poly, Fraction(1)) == 7
     assert eval_partition(poly, Fraction(1, 2)) == Fraction(7, 2)
     assert eval_partition(poly, Fraction(0)) == 1
+    lam = Fraction(2, 3)
+    assert eval_partition(poly, lam) == sum(c * lam**k for k, c in enumerate(poly.coefficients))
+    assert eval_partition(CountPolynomial((), MATCHING), lam) == 0
     with pytest.raises(DomainError):
         eval_partition(poly, Fraction(-1))
 

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import inf, mpf
 
 from regcount import (
@@ -32,6 +34,7 @@ from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
     GraphProfile,
     Verdict,
+    _params,
     bound_verdict,
     exact_eq,
     exact_le,
@@ -40,6 +43,7 @@ from regcount.verify import (
     hom_graph_verdicts,
     hom_targets,
     kahn_graph_verdicts,
+    log2_ratio,
     matching_lower_gap,
     sort_verdicts,
     suite_graph_verdicts,
@@ -67,6 +71,87 @@ def test_format_number():
     assert format_number(-inf) == "-inf"
     assert format_number(mpf(1) / 3) == "0.333333333333"
     assert format_number(mpf(2)) == "2"
+    assert format_number(1 / 3) == "0.333333333333"
+    assert format_number(2.0) == "2"
+    assert format_number(-1.5e-50) == "-1.5e-50"
+    assert format_number(float("inf")) == "inf"
+    assert format_number(float("-inf")) == "-inf"
+
+
+def _log2_oracle(a, b, k=1) -> str:
+    """log2(a / b) / k at 800 bits, at the 12 digits of format_number."""
+    with mpmath.workprec(800):
+        return f"{float(mpmath.log(mpf(a) / mpf(b), 2) / k):.12g}"
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, want",
+    [
+        (10**50, 10**50 + 1, "1.44269504089e-50"),
+        (3**200, 3**200 + 3**150, "2.00961009172e-24"),
+    ],
+)
+def test_near_tie_margins(lhs, rhs, want):
+    # The difference of two 120-bit logs of numbers this large keeps none of
+    # the margin's digits; the margin comes from the exact ratio instead.
+    v = exact_le("demo", "g", {}, lhs, rhs)
+    assert v.passed
+    assert format_number(v.margin) == want == _log2_oracle(rhs, lhs)
+    flipped = exact_le("demo", "g", {}, rhs, lhs)
+    assert not flipped.passed
+    assert format_number(flipped.margin) == "-" + want
+
+
+@pytest.mark.parametrize("m", [1, 2, 30, 52, 53, 54, 64, 200, 500])
+def test_margin_of_a_ratio_just_under_2_to_1(m):
+    # a / b = 2^m / (2^m - 1) lies just above 1, where the bit lengths of a
+    # and b differ by one: a shift of 1 would cancel against a log near -1.
+    a, b = 2**m, 2**m - 1
+    assert format_number(exact_le("demo", "g", {}, b, a).margin) == _log2_oracle(a, b)
+    assert format_number(exact_le("demo", "g", {}, a, b).margin) == _log2_oracle(b, a)
+    # And the ratios just under 2 and just over 1/2.
+    assert format_number(log2_ratio(2 * b, a)) == _log2_oracle(2 * b, a)
+    assert format_number(log2_ratio(a, 2 * b)) == _log2_oracle(a, 2 * b)
+
+
+@st.composite
+def _ratios(draw):
+    """Positive integer ratios, many near 1 or near a power of 2."""
+    a = draw(st.integers(1, 2**400))
+    shape = draw(st.sampled_from(["any", "near-1", "near-power-of-2"]))
+    if shape == "any":
+        b = draw(st.integers(1, 2**400))
+    else:
+        scale = 1 if shape == "near-1" else 2 ** draw(st.integers(1, 300))
+        b = a * scale + draw(st.integers(-(2**40), 2**40))
+    assume(b >= 1)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ratios(), st.integers(1, 16))
+def test_log2_ratio_agrees_with_an_800_bit_oracle(ratio, k):
+    a, b = ratio
+    x = log2_ratio(a, b, k)
+    assert format_number(x) == _log2_oracle(a, b, k)
+    if isinstance(x, float) and a != b:
+        with mpmath.workprec(800):
+            exact = mpmath.log(mpf(a) / mpf(b), 2) / k
+            assert abs(x - exact) <= 8 * math.ulp(x)
+
+
+def test_log2_ratio_falls_back_next_to_a_rounding_boundary():
+    # log2(a / b) within 2^-200 of 1.000000000005, halfway between two
+    # 12-digit values: no float error bound can settle the digit, so the
+    # value comes from mpmath.
+    b = 2**200
+    with mpmath.workprec(800):
+        a = int(mpmath.nint(mpmath.power(2, mpf("1.000000000005")) * b))
+    x = log2_ratio(a, b)
+    assert not isinstance(x, float)
+    assert format_number(x) == _log2_oracle(a, b)
+    with pytest.raises(DomainError):
+        log2_ratio(0, 1)
 
 
 def test_verdict_serialization(c4):
@@ -89,6 +174,9 @@ def test_exact_verdicts_and_margins(c4):
     assert "graph_text" not in ok.params
     eq = exact_eq("demo", "g", {}, Fraction(1, 3), Fraction(1, 3))
     assert eq.passed and eq.margin == 0
+    for lhs, rhs in ((Fraction(1, 3), Fraction(2, 3)), (2, 1)):
+        ne = exact_eq("demo", "g", {}, lhs, rhs)
+        assert not ne.passed and ne.margin == (1 if lhs < rhs else -1)
 
 
 def test_bound_verdict_directions(c4):
@@ -107,6 +195,14 @@ def test_bound_verdict_directions(c4):
 
 def _report_rows(verdicts):
     return [v.to_json_dict() for v in sort_verdicts(verdicts)]
+
+
+def test_sort_orders_params_by_their_json_text():
+    # The params key is the JSON text with sorted keys, where "10}" sorts
+    # before "1}" and "2}"; every report and pinned digest has this order.
+    # Sorting by the values would put 1 and 2 first.
+    verdicts = [exact_le("demo", "g", _params(n=24, d=3, size=s), 1, 2) for s in (2, 10, 1, 11)]
+    assert [v.params["size"] for v in sort_verdicts(verdicts)] == [10, 11, 1, 2]
 
 
 def test_sorting_and_jsonl_are_canonical(c8):
