@@ -7,48 +7,60 @@ bound, Bregman's bound, or a single-term extraction from a
 partition-function bound.  The verdict is the exact comparison, and
 `Cleared.log_bound()` is the bound on log2 q, log2(rhs / cofactor) / k.
 
-The other bounds, those that involve log2 e and the lower bounds on the
-K_{d,d} union, are `LogBound` values in log2, compared under a uniform slack
-of 2^-40 applied in the direction favorable to the inequality under test.
+A `Cleared` bound may also run the other way, q^k * cofactor >= rhs: the
+small-size lower bound on the K_{d,d} union (union-ind-lower-small-t-log)
+is a rational lower bound on a count.
 
-Every log2 value here is computed with mpmath at 120-bit precision (far
-above the 64 fractional bits the comparisons need), whatever mpmath's global
-precision is; importing this module leaves that precision as it was.  Each
-function that does mpf arithmetic sets the precision for its own duration
-with `mp.workprec`, except `log2`, which runs once or twice per verdict: it
-calls mpmath's low-level `libmp` functions, which take the precision as an
-argument, and so skips the cost of switching it.
+The other bounds, those that involve log2 e and the Markov-style lower bound
+on the K_{d,d} union, are `LogBound` values in log2, compared under a uniform
+slack of 2^-40 applied in the direction favorable to the inequality under
+test.
+
+Every log2 value here is a `decimal.Decimal` computed in `_CTX`, a context
+of 40 significant digits (about 133 bits, far above the 64 fractional bits
+the comparisons need), whatever the caller's decimal context is; importing
+this module leaves that context as it was.  Each function that does Decimal
+arithmetic runs in `_CTX` for its own duration (`_precise`), and `log2`
+calls `_CTX`'s methods directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-
-from mpmath import mp, mpf
-from mpmath.libmp import mpf_log, mpf_mul, mpf_sub, round_nearest
 
 from .errors import DivisibilityError, DomainError
 
-_PREC = 120
+_CTX = Context(prec=40)
 
-with mp.workprec(_PREC):
-    SLACK = mpf(2) ** -40
-    _LOG2E = 1 / mp.log(2)
+SLACK = _CTX.power(2, -40)
+_LOG2E = _CTX.divide(1, _CTX.ln(2))
 
 UPPER = "upper"
 LOWER = "lower"
+
+
+def _precise(fn):
+    """fn, run in _CTX whatever the caller's decimal context."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        with localcontext(_CTX):
+            return fn(*args, **kwargs)
+
+    return run
 
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _mpf_of(x) -> mpf:
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    return mpf(x)
+def _dec(x: Fraction) -> Decimal:
+    """A rational as a Decimal, rounded once in the current context."""
+    return Decimal(x.numerator) / x.denominator
 
 
 def _check(n: int, d: int, size: int = 0, lam=0) -> None:
@@ -64,31 +76,27 @@ def _check(n: int, d: int, size: int = 0, lam=0) -> None:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
 
 
-def _ln(x):
-    """ln x at 120 bits, as a raw mpf tuple; x, an int or an mpf, is taken
-    exactly."""
-    return mpf_log(mp.convert(x)._mpf_, _PREC, round_nearest)
-
-
-def log2(x) -> mpf:
-    """High-precision log base 2 of a positive number or Fraction."""
+def log2(x) -> Decimal:
+    """log2 of a positive int, float, Decimal or Fraction, as a Decimal
+    rounded to _CTX's 40 digits whatever the caller's context.  The argument
+    enters exactly, a Fraction as its quotient rounded to 40 digits.
+    Arithmetic on the result runs in the caller's context."""
     if x <= 0:
         raise DomainError(f"log2 needs a positive argument, got {x}")
     if isinstance(x, Fraction):
-        ln = mpf_sub(_ln(x.numerator), _ln(x.denominator), _PREC, round_nearest)
-    else:
-        ln = _ln(x)
-    return mp.make_mpf(mpf_mul(ln, _LOG2E._mpf_, _PREC, round_nearest))
+        x = _CTX.divide(x.numerator, x.denominator)
+    return _CTX.multiply(_CTX.ln(Decimal(x)), _LOG2E)
 
 
 @dataclass(frozen=True)
 class LogBound:
-    """A bound held in log2 domain with its direction."""
+    """A bound held in log2 domain with its direction.  value is a
+    `decimal.Decimal`; arithmetic on it runs in the caller's context."""
 
-    value: object  # mpf
+    value: Decimal
     direction: str
 
-    @mp.workprec(_PREC)
+    @_precise
     def admits(self, log_count) -> bool:
         """Does the exact count (given as log2) satisfy this bound, up to
         SLACK?"""
@@ -99,13 +107,14 @@ class LogBound:
 
 @dataclass(frozen=True)
 class Cleared:
-    """The upper bound q^k * cofactor <= rhs on a nonnegative quantity q,
-    cleared of roots and logarithms; rhs and cofactor are positive
-    rationals."""
+    """The bound q^k * cofactor <= rhs (direction UPPER) or >= rhs (LOWER)
+    on a nonnegative quantity q, cleared of roots and logarithms; rhs and
+    cofactor are positive rationals."""
 
     k: int
     rhs: Fraction
     cofactor: Fraction = Fraction(1)
+    direction: str = UPPER
 
     def lhs(self, q) -> Fraction:
         """q^k * cofactor for an integer or rational q, reduced once."""
@@ -116,25 +125,27 @@ class Cleared:
 
     def holds(self, q) -> bool:
         """The exact verdict for q."""
-        return self.lhs(q) <= self.rhs
+        if self.direction == UPPER:
+            return self.lhs(q) <= self.rhs
+        return self.lhs(q) >= self.rhs
 
-    @mp.workprec(_PREC)
+    @_precise
     def log_bound(self) -> LogBound:
         """The bound on log2 q: log2(rhs / cofactor) / k, the ratio reduced
         first."""
-        return LogBound(log2(Fraction(self.rhs, self.cofactor)) / self.k, UPPER)
+        return LogBound(log2(Fraction(self.rhs, self.cofactor)) / self.k, self.direction)
 
 
-@mp.workprec(_PREC)
-def binary_entropy(x) -> mpf:
-    """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
-    xf = _as_fraction(x) if isinstance(x, (int, Fraction)) else None
-    xv = _mpf_of(xf) if xf is not None else mpf(x)
-    if not 0 <= xv <= 1:
+@_precise
+def binary_entropy(x) -> Decimal:
+    """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0, for x
+    taken exactly."""
+    x = _as_fraction(x)
+    if not 0 <= x <= 1:
         raise DomainError(f"entropy argument must lie in [0,1], got {x}")
-    if xv == 0 or xv == 1:
-        return mpf(0)
-    return -xv * log2(xv) - (1 - xv) * log2(1 - xv)
+    if x == 0 or x == 1:
+        return Decimal(0)
+    return -_dec(x) * log2(x) - _dec(1 - x) * log2(1 - x)
 
 
 def match_pf_upper(n: int, d: int, lam) -> Cleared:
@@ -216,20 +227,20 @@ def ind_count_upper_general(n: int, d: int, t: int) -> Cleared:
     return Cleared(2 * d, 4**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d)
 
 
-@mp.workprec(_PREC)
+@_precise
 def ind_count_upper_bipartite(n: int, d: int, t: int) -> LogBound:
     """ind-count-upper-bipartite: log2 i_t <= (n/2)(H(2t/n) + 1/d -
     (log2 e / 2d)(1 - 2t/n)^d), for bipartite graphs.  At t = n/2 the
     entropy term vanishes and the formula is evaluated as written."""
     _check(n, d, t)
     alpha = Fraction(2 * t, n)
-    half = mpf(n) / 2
+    half = Decimal(n) / 2
     ent = binary_entropy(alpha)
-    miss = _mpf_of(1 - alpha) ** d
-    return LogBound(half * (ent + mpf(1) / d - _LOG2E / (2 * d) * miss), UPPER)
+    miss = _dec((1 - alpha) ** d)
+    return LogBound(half * (ent + Decimal(1) / d - _LOG2E / (2 * d) * miss), UPPER)
 
 
-@mp.workprec(_PREC)
+@_precise
 def union_matching_lower_explicit(n: int, d: int, size: int) -> LogBound:
     """Explicit part of the matching lower bound on the K_{d,d}-union reference
     graph: (n/2)[alpha log2 d + 2H(alpha) + alpha log2(alpha/e)], with
@@ -243,8 +254,8 @@ def union_matching_lower_explicit(n: int, d: int, size: int) -> LogBound:
     a = Fraction(2 * size, n)
     if a == 0 or a == 1:
         raise DomainError(f"alpha must lie strictly inside (0,1), got {a}")
-    av = _mpf_of(a)
-    value = mpf(n) / 2 * (av * log2(d) + 2 * binary_entropy(a) + av * (log2(a) - _LOG2E))
+    av = _dec(a)
+    value = Decimal(n) / 2 * (av * log2(d) + 2 * binary_entropy(a) + av * (log2(a) - _LOG2E))
     return LogBound(value, LOWER)
 
 
@@ -259,8 +270,8 @@ def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:
     return tuple([q + 1] * r + [q] * (copies - r))
 
 
-@mp.workprec(_PREC)
-def stirling_rhs(d: int, a: int, c) -> mpf:
+@_precise
+def stirling_rhs(d: int, a: int, c) -> Decimal:
     """Right side of the per-copy Stirling-style estimate:
     a log2 d + a log2(a/d) - a log2 e + 2 H(a/d) d - log2(c d)."""
     if d < 1 or not 0 <= a <= d:
@@ -269,7 +280,7 @@ def stirling_rhs(d: int, a: int, c) -> mpf:
     if c < 1:
         raise DomainError(f"need c >= 1, got {c}")
     if a == 0:
-        main = mpf(0)
+        main = Decimal(0)
     else:
         af = Fraction(a, d)
         main = a * log2(d) + a * log2(af) - a * _LOG2E + 2 * binary_entropy(af) * d
@@ -282,7 +293,7 @@ def stirling_term_check(d: int, a: int, c) -> bool:
     return lhs >= stirling_rhs(d, a, c)
 
 
-@mp.workprec(_PREC)
+@_precise
 def profile_matching_lower(n: int, d: int, profile, c) -> LogBound:
     """Lower bound on log2 of the size-ell matching count of the K_{d,d} union,
     summing the Stirling-style estimate over one witness profile.
@@ -290,7 +301,7 @@ def profile_matching_lower(n: int, d: int, profile, c) -> LogBound:
     Valid whenever stirling_term_check(d, a, c) holds for every a in the
     profile; the acceptance suite pins such a c.
     """
-    value = mpf(0)
+    value = Decimal(0)
     for a in profile:
         value += stirling_rhs(d, a, c)
     return LogBound(value, LOWER)
@@ -323,7 +334,7 @@ def union_small_t_exact(n: int, d: int, t: int) -> int:
     return (2 * d) ** t * math.comb(copies, t)
 
 
-@mp.workprec(_PREC)
+@_precise
 def union_ind_lower_markov(n: int, d: int, t: int, c) -> LogBound:
     """union-ind-lower-markov: log2 of the size-t independent-set count of
     the K_{d,d} union is at least
@@ -333,25 +344,22 @@ def union_ind_lower_markov(n: int, d: int, t: int, c) -> LogBound:
     if c <= 1:
         raise DomainError(f"Markov constant must exceed 1, got {c}")
     head = log2(Fraction(1 - Fraction(1, c)) * math.comb(n // 2, t))
-    miss = _mpf_of(1 - Fraction(2 * t, n)) ** d
-    tail = mpf(n) / 2 * (mpf(1) / d - _mpf_of(c) / d * miss)
-    return LogBound(head + tail, LOWER)
+    tail = Fraction(n, 2 * d) * (1 - c * (1 - Fraction(2 * t, n)) ** d)
+    return LogBound(head + _dec(tail), LOWER)
 
 
-@mp.workprec(_PREC)
-def union_ind_lower_small_t(n: int, d: int, t: int) -> LogBound:
-    """union-ind-lower-small-t-log: log2 of the size-t independent-set count
-    of the K_{d,d} union is at least
-    log2[2^t binom(n/2, t) prod_{k=1}^{t-1}(1 - 2kd/n)], for t <= n/2d."""
+def union_ind_lower_small_t(n: int, d: int, t: int) -> Cleared:
+    """union-ind-lower-small-t-log: the size-t independent-set count of the
+    K_{d,d} union is at least 2^t binom(n/2, t) prod_{k=1}^{t-1}(1 - 2kd/n),
+    for t <= n/2d; a rational, so the verdict is exact.  At t <= 1 the
+    bound is the count itself."""
     _check(n, d, t)
     if n % (2 * d) != 0:
         raise DivisibilityError(f"need 2d | n, got n={n}, d={d}")
     if t > n // (2 * d):
         raise DomainError(f"small-t bound needs t <= {n // (2 * d)}, got {t}")
-    value = mpf(t) + log2(Fraction(math.comb(n // 2, t)))
-    for k in range(1, t):
-        value += log2(1 - Fraction(2 * k * d, n))
-    return LogBound(value, LOWER)
+    scattered = math.prod(Fraction(n - 2 * k * d, n) for k in range(1, t))
+    return Cleared(1, 2**t * math.comb(n // 2, t) * Fraction(scattered), direction=LOWER)
 
 
 def block_miss_stats(n: int, d: int, size: int) -> tuple[Fraction, Fraction]:

@@ -15,12 +15,14 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from decimal import localcontext
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .bounds import (
+    _CTX,
     balanced_profile,
     block_miss_stats,
     ind_count_upper_bipartite,
@@ -376,7 +378,9 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
             explicit = union_matching_lower_explicit(n, d, ell)
             add("union-match-lower-explicit", explicit.value, "reference", size=ell)
             if count:
-                add("explicit-gap-log2", log2(count) - explicit.value, "info", size=ell)
+                with localcontext(_CTX):
+                    gap = log2(count) - explicit.value
+                add("explicit-gap-log2", gap, "info", size=ell)
         profile = balanced_profile(n, d, ell)
         for c in cs:
             add(
@@ -420,7 +424,7 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
                     c=c,
                 )
         if t <= p.copies:
-            bound = union_ind_lower_small_t(n, d, t)
+            bound = union_ind_lower_small_t(n, d, t).log_bound()
             add("union-ind-lower-small-t-log", bound.value, "lower", size=t)
             add("union-ind-lower-small-t-exact", union_small_t_exact(n, d, t), "lower", size=t)
         mu, mu_bound = block_miss_stats(n, d, t)

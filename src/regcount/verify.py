@@ -11,8 +11,8 @@ with zero slack, whether its verdict reports exact rationals or log2 values.
 Such a verdict is decided on cross-multiplied integers, and its log2 values
 and margin are log2 ratios of those integers (`log2_ratio`).  Only bounds
 without one are compared in log2 under the shared slack:
-ind-count-upper-bipartite, which involves log2 e, and the log2-form lower
-bounds on the complete-bipartite union.
+ind-count-upper-bipartite, which involves log2 e, and the Markov-style lower
+bound on the complete-bipartite union.
 
 Checks return their verdicts in check order; `sort_verdicts` gives the
 report order, once per report.
@@ -24,15 +24,15 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from mpmath import mp, mpf
-
 from .bounds import (
-    _PREC,
+    _CTX,
+    _LOG2E,
     UPPER,
     Cleared,
     LogBound,
@@ -94,8 +94,9 @@ _LOG2_ULPS = 16
 
 def format_number(x) -> str:
     """Canonical string form: integers and rationals verbatim, reals (floats
-    and mpfs) at 12 significant digits of their nearest float, infinities as
-    'inf'/'-inf'.  Used by every report writer so reruns are byte-identical."""
+    and Decimals) at 12 significant digits of their nearest float,
+    infinities as 'inf'/'-inf'.  Used by every report writer so reruns are
+    byte-identical."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, Fraction)):
@@ -106,7 +107,7 @@ def format_number(x) -> str:
 def log2_ratio(a: int, b: int, k: int = 1):
     """log2(a / b) / k for positive integers a, b and k, as a float whose
     format_number form is that of the exact value, or, where no float within
-    the error bound of the computed one can promise that, as a 120-bit mpf.
+    the error bound of the computed one can promise that, as a Decimal.
 
     The float is shift + log1p(r) / ln 2, where r = a' / b' - 1 for a' / b'
     the ratio scaled by 2^-shift into (1/2, 2).  shift is 0 whenever a / b
@@ -117,6 +118,12 @@ def log2_ratio(a: int, b: int, k: int = 1):
     on (-1/2, 1), log1p's own error of at most 1 ulp, and the roundings of
     ln 2 and of each operation: under 8 ulps of the result in all, against
     the _LOG2_ULPS checked.
+
+    The Decimal is (shift + ln(a' / b') log2 e) / k in _CTX, its precision
+    raised by the digits that a ratio near 1 cancels: a' / b' = 1 + r with
+    |r| above 2^-(bit length of b' - bit length of |a' - b'| + 1), and
+    ln(1 + r) is about r, so a' / b' rounded to that many more digits keeps
+    _CTX's digits of r.
     """
     if a <= 0 or b <= 0:
         raise DomainError(f"log2 needs a positive ratio, got {a}/{b}")
@@ -133,8 +140,10 @@ def log2_ratio(a: int, b: int, k: int = 1):
     err = _LOG2_ULPS * math.ulp(x)
     if f"{x - err:.12g}" == f"{x + err:.12g}":
         return x
-    with mp.workprec(_PREC):
-        return (shift + mp.log1p(mpf(a - b) / b) / mp.ln2) / k
+    cancelled = b.bit_length() - abs(a - b).bit_length() + 1
+    with localcontext(_CTX) as ctx:
+        ctx.prec += max(0, cancelled) * 30103 // 100000 + 1
+        return (shift + (Decimal(a) / b).ln() * _LOG2E) / k
 
 
 @dataclass(frozen=True)
@@ -264,37 +273,37 @@ def bound_verdict(
     bound: LogBound | Cleared,
     graph: Graph | None = None,
 ) -> Verdict:
-    """Verdict comparing an exact count against a bound, reported in log2.
-    A Cleared bound is decided exactly, a LogBound under its slack."""
+    """Verdict comparing an exact count against a bound, reported in log2
+    with the bound's side first for a lower bound.  A Cleared bound is
+    decided exactly, a LogBound under its slack."""
     if count < 0:
         raise DomainError(f"counts are nonnegative, got {count}")
+    upper = bound.direction == UPPER
     if isinstance(bound, Cleared):
         # q^k * cofactor <= rhs reads q^k * bottom <= top over the integers,
-        # and log2 q <= log2(top / bottom) / k.
+        # and log2 q <= log2(top / bottom) / k; likewise for >=.
         top = bound.rhs.numerator * bound.cofactor.denominator
         bottom = bound.rhs.denominator * bound.cofactor.numerator
         value = log2_ratio(top, bottom, bound.k)
-        if count == 0:
-            return _verdict(check_id, graph_label, params, 0, value, True, math.inf, graph)
-        powered = bottom * count**bound.k
-        margin = log2_ratio(top, powered, bound.k)
-        log_count = log2_ratio(count, 1)
-        return _verdict(
-            check_id, graph_label, params, log_count, value, powered <= top, margin, graph
-        )
-    if count == 0:
-        upper = bound.direction == UPPER
-        passed = upper or bool(bound.value == -math.inf)
-        margin = math.inf if upper else -math.inf
-        return _verdict(
-            check_id, graph_label, params, 0, bound.value, passed, margin, graph
-        )
-    log_count = log2(count)
-    passed = bound.admits(log_count)
-    if bound.direction == UPPER:
-        lhs, rhs, margin = log_count, bound.value, bound.value - log_count
     else:
-        lhs, rhs, margin = bound.value, log_count, log_count - bound.value
+        value = bound.value
+    if count == 0:
+        passed = upper or bool(value == -math.inf)
+        margin = math.inf if upper else -math.inf
+        return _verdict(check_id, graph_label, params, 0, value, passed, margin, graph)
+    if isinstance(bound, Cleared):
+        powered = bottom * count**bound.k
+        log_count = log2_ratio(count, 1)
+        if upper:
+            passed, margin = powered <= top, log2_ratio(top, powered, bound.k)
+        else:
+            passed, margin = powered >= top, log2_ratio(powered, top, bound.k)
+    else:
+        log_count = log2(count)
+        passed = bound.admits(log_count)
+        with localcontext(_CTX):
+            margin = value - log_count if upper else log_count - value
+    lhs, rhs = (log_count, value) if upper else (value, log_count)
     return _verdict(check_id, graph_label, params, lhs, rhs, passed, margin, graph)
 
 
@@ -569,19 +578,10 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
         recip_sum += mult * float(sum(-1.0 / r for r in roots).real)
     sum_err = abs(recip_sum - g.edge_count) / max(1.0, g.edge_count)
     passed = rel_imag <= tol and worst_real < 0 and sum_err <= ROOT_SUM_REL_TOL
-    margin = min(mpf(tol) - rel_imag, mpf(-worst_real))
-    params = _params(
-        n=g.vertex_count, d=p.degree, tol=mpf(tol), root_sum_rel_err=mpf(sum_err)
-    )
+    margin = min(tol - rel_imag, -worst_real)
+    params = _params(n=g.vertex_count, d=p.degree, tol=tol, root_sum_rel_err=sum_err)
     return _verdict(
-        "match-poly-real-rooted",
-        p.canonical_label,
-        params,
-        mpf(rel_imag),
-        mpf(tol),
-        passed,
-        margin,
-        g,
+        "match-poly-real-rooted", p.canonical_label, params, rel_imag, tol, passed, margin, g
     )
 
 
@@ -827,7 +827,7 @@ def hom_graph_verdicts(
     return verdicts
 
 
-def matching_lower_gap(d: int) -> tuple[mpf, mpf]:
+def matching_lower_gap(d: int) -> tuple[Decimal, Decimal]:
     """Measured per-block-column gap, for a single complete bipartite block
     at its central matching size, between log2 of the exact count and the
     explicit entropy-form lower value; also the gap scaled by d / log2(d).
@@ -840,6 +840,7 @@ def matching_lower_gap(d: int) -> tuple[mpf, mpf]:
     ell = d // 2
     count = kdd_matching_count(d, ell)
     explicit = union_matching_lower_explicit(2 * d, d, ell)
-    gap = (log2(count) - explicit.value) / d
-    ratio = gap * d / log2(d)
+    with localcontext(_CTX):
+        gap = (log2(count) - explicit.value) / d
+        ratio = gap * d / log2(d)
     return gap, ratio

@@ -5,6 +5,7 @@ or the oracle-tested polynomials.
 
 import math
 import time
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -43,49 +44,54 @@ from regcount import (
     union_matching_lower_explicit,
     union_small_t_exact,
 )
-from regcount.bounds import LOWER, UPPER, log2
+from regcount.bounds import _CTX, LOWER, UPPER, log2
 from regcount.verify import DEFAULT_LAMBDA_GRID, GraphProfile
 
-TIGHT = 1e-30  # far above 120-bit rounding, far below any real discrepancy
+TIGHT = 1e-30  # far above 40-digit rounding, far below any real discrepancy
 
 
 @pytest.fixture
-def prec120():
-    """Arithmetic on bound values in the test itself at the bounds' own
-    120-bit precision, so that TIGHT can tell them apart."""
-    with mpmath.workprec(120):
+def bounds_precision():
+    """Arithmetic on bound values in the test itself in the bounds' own
+    decimal context, so that TIGHT can tell them apart."""
+    with localcontext(_CTX):
         yield
+
+
+def _mp(x):
+    """A package Decimal as an mpf at the current mpmath precision."""
+    return mpf(str(x))
 
 
 def test_log2_and_entropy():
     assert abs(log2(Fraction(8)) - 3) < TIGHT
-    assert abs(log2(Fraction(3, 4)) - math.log2(0.75)) < 1e-12
+    assert abs(float(log2(Fraction(3, 4))) - math.log2(0.75)) < 1e-12
     with pytest.raises(DomainError):
         log2(Fraction(0))
     assert binary_entropy(Fraction(1, 2)) == 1
     assert binary_entropy(0) == 0
     assert binary_entropy(1) == 0
-    assert abs(binary_entropy(Fraction(1, 4)) - (2 - 0.75 * math.log2(3))) < 1e-12
+    assert abs(float(binary_entropy(Fraction(1, 4))) - (2 - 0.75 * math.log2(3))) < 1e-12
     with pytest.raises(DomainError):
         binary_entropy(Fraction(3, 2))
-    # 120 bits whatever the caller's precision; at 53 bits the log of 3^40
+    # 40 digits whatever the caller's context; at 16 digits the log of 3^40
     # would be off by about 1e-14
-    with mpmath.workprec(53):
+    with localcontext(Context(prec=16)):
         got = [log2(3**40), log2(Fraction(3**40, 2**7)), binary_entropy(Fraction(1, 3))]
     with mpmath.workprec(120):
         ln3 = mpmath.log(3) / mpmath.log(2)
         want = [40 * ln3, 40 * ln3 - 7, ln3 - mpf(2) / 3]
-        assert all(abs(g - w) < TIGHT for g, w in zip(got, want))
+        assert all(abs(_mp(g) - w) < TIGHT for g, w in zip(got, want))
 
 
-def test_logbound_admits_slack():
-    up = LogBound(mpf(3), UPPER)
-    assert up.admits(mpf(3))
-    assert up.admits(mpf(3) + mpf(2) ** -41)
-    assert not up.admits(mpf(3) + mpf(2) ** -39)
-    lo = LogBound(mpf(3), LOWER)
-    assert lo.admits(mpf(3) - mpf(2) ** -41)
-    assert not lo.admits(mpf(3) - mpf(2) ** -39)
+def test_logbound_admits_slack(bounds_precision):
+    up = LogBound(Decimal(3), UPPER)
+    assert up.admits(Decimal(3))
+    assert up.admits(Decimal(3) + Decimal(2) ** -41)
+    assert not up.admits(Decimal(3) + Decimal(2) ** -39)
+    lo = LogBound(Decimal(3), LOWER)
+    assert lo.admits(Decimal(3) - Decimal(2) ** -41)
+    assert not lo.admits(Decimal(3) - Decimal(2) ** -39)
 
 
 def _case(definition, *args, name=None):
@@ -133,7 +139,7 @@ def test_definitions_reject_inputs_outside_their_domain(definition, args):
         definition(*args)
 
 
-def test_matching_partition_upper_against_cycle(c8, prec120):
+def test_matching_partition_upper_against_cycle(c8, bounds_precision):
     b = match_pf_upper(8, 2, Fraction(1)).log_bound()
     assert b.direction == UPPER
     assert abs(b.value - 4 * log2(Fraction(3))) < TIGHT
@@ -204,7 +210,7 @@ def test_stirling_check_holds_at_c_one_small_grid():
         stirling_rhs(4, 5, 1)
 
 
-def test_profile_lower_is_sum_of_terms_and_holds(prec120):
+def test_profile_lower_is_sum_of_terms_and_holds(bounds_precision):
     from regcount import union_matching_count, union_params
 
     prof = balanced_profile(8, 2, 2)
@@ -215,7 +221,7 @@ def test_profile_lower_is_sum_of_terms_and_holds(prec120):
     assert b.admits(log2(Fraction(exact)))
 
 
-def test_gurvits_bound(c8, prec120):
+def test_gurvits_bound(c8, bounds_precision):
     b = match_pf_gurvits(c8.edge_count, GraphProfile(c8).nu, Fraction(1)).log_bound()
     # nu = 4 and |E|/nu = 2, so the bound is 4 log2(3); cleared: z <= 3^4
     assert abs(b.value - 4 * log2(Fraction(3))) < TIGHT
@@ -235,7 +241,7 @@ def test_gurvits_bound_reads_nu_from_the_matching_polynomial():
     assert abs(b.value - 40) < TIGHT
 
 
-def test_independent_partition_upper(c8, k33, prec120):
+def test_independent_partition_upper(c8, k33, bounds_precision):
     from regcount import independence_polynomial
 
     z8 = eval_partition(independence_polynomial(c8), Fraction(1))
@@ -313,9 +319,12 @@ def test_union_independent_lower_variants():
     assert abs(markov.value - log2(Fraction(6))) < TIGHT
     assert log2(Fraction(20)) >= markov.value
     small = union_ind_lower_small_t(8, 2, 2)
-    # log-product form gives exactly log2 12, weaker than the exact scattered
+    # the product form gives exactly 12, weaker than the exact scattered
     # count 16 because it rounds each conditional factor down
-    assert abs(small.value - log2(Fraction(12))) < TIGHT
+    assert small.direction == LOWER
+    assert Fraction(small.rhs, small.cofactor) == 12
+    assert small.holds(12) and not small.holds(11)
+    assert abs(small.log_bound().value - log2(Fraction(12))) < TIGHT
     assert union_small_t_exact(8, 2, 2) == 16
     with pytest.raises(DomainError):
         union_ind_lower_markov(8, 2, 2, Fraction(1))
@@ -359,22 +368,22 @@ def test_log2_forms_match_the_closed_formulas():
                 for s in range(n // 2 + 1):
                     a = mpf(2 * s) / n
                     want = half * (a * mpmath.log(d, 2) + _entropy(a))
-                    got = match_count_upper(n, d, s).log_bound().value
+                    got = _mp(match_count_upper(n, d, s).log_bound().value)
                     assert abs(got - want) < TIGHT, (n, d, s)
                     want = half * (_entropy(a) + mpf(2) / d)
-                    got = ind_count_upper_general(n, d, s).log_bound().value
+                    got = _mp(ind_count_upper_general(n, d, s).log_bound().value)
                     assert abs(got - want) < TIGHT, (n, d, s)
                 for lam in DEFAULT_LAMBDA_GRID:
                     x = mpf(lam.numerator) / lam.denominator
                     want = half * mpmath.log(1 + d * x, 2)
-                    got = match_pf_upper(n, d, lam).log_bound().value
+                    got = _mp(match_pf_upper(n, d, lam).log_bound().value)
                     assert abs(got - want) < TIGHT, (n, d, lam)
                     want = mpf(n) / d + half * mpmath.log(1 + x, 2)
-                    got = ind_pf_upper_general(n, d, lam).log_bound().value
+                    got = _mp(ind_pf_upper_general(n, d, lam).log_bound().value)
                     assert abs(got - want) < TIGHT, (n, d, lam)
                     edges, nu = n * d // 2, n // 2
                     want = nu * mpmath.log(1 + x * edges / nu, 2)
-                    got = match_pf_gurvits(edges, nu, lam).log_bound().value
+                    got = _mp(match_pf_gurvits(edges, nu, lam).log_bound().value)
                     assert abs(got - want) < TIGHT, (n, d, lam)
 
 

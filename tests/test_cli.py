@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from mpmath import mpf
 
@@ -281,7 +282,7 @@ def test_exit_code_2_on_failed_verdict(capsys, monkeypatch):
     import regcount.cli as cli_mod
 
     def fake_verdict(g, tol):
-        return Verdict("match-poly-real-rooted", "stub", {}, mpf(1), mpf(0), False, mpf(-1))
+        return Verdict("match-poly-real-rooted", "stub", {}, 1.0, 0.0, False, -1.0)
 
     monkeypatch.setattr(cli_mod, "verify_real_rooted", fake_verdict)
     code, doc = run_json(capsys, "verify-roots", "--n", "4", "--d", "2")
@@ -385,10 +386,28 @@ def test_cli_import_does_not_load_numpy():
     assert _fresh_python(code) == "False"
 
 
-def test_cli_import_leaves_mpmath_precision_alone():
-    # the bounds set 120-bit precision only while they compute
-    code = "import mpmath, regcount.cli; print(mpmath.mp.prec)"
-    assert _fresh_python(code) == "53"
+def test_high_precision_logs_need_no_mpmath_and_keep_the_decimal_context():
+    # Every high-precision log comes from the standard library's decimal
+    # module, in the package's own context: the caller's context, precision
+    # and flags alike, is left as it was.  log2(a / b) lies next to a
+    # rounding boundary of its 12 printed digits, so log2_ratio falls back.
+    b = 2**200
+    with mpmath.workprec(800):
+        a = int(mpmath.nint(mpmath.power(2, mpf("1.000000000005")) * b))
+    code = f"""
+import decimal, sys
+before = repr(decimal.getcontext())
+import regcount.cli
+from fractions import Fraction
+from regcount.bounds import LOWER, LogBound, ind_count_upper_bipartite, log2
+from regcount.verify import bound_verdict, log2_ratio
+log2(Fraction(3, 7))
+ind_count_upper_bipartite(12, 3, 2)
+bound_verdict("demo", "g", {{}}, 5, LogBound(log2(3), LOWER))
+assert not isinstance(log2_ratio({a}, {b}), float)
+print("mpmath" in sys.modules, repr(decimal.getcontext()) == before)
+"""
+    assert _fresh_python(code) == "False True"
 
 
 def test_every_exported_name_resolves():

@@ -8,13 +8,14 @@ import hashlib
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mpmath import inf, mpf
+from mpmath import mpf
 
 from regcount import (
     CountPolynomial,
@@ -28,7 +29,7 @@ from regcount import (
     independence_polynomial,
     matching_polynomial,
 )
-from regcount.bounds import LOWER, UPPER, LogBound, log2
+from regcount.bounds import LOWER, UPPER, Cleared, LogBound, log2
 from regcount.counting import INDEPENDENT_SET, MATCHING
 from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
@@ -67,10 +68,10 @@ def test_format_number():
     assert format_number(False) == "false"
     assert format_number(17) == "17"
     assert format_number(Fraction(3, 4)) == "3/4"
-    assert format_number(inf) == "inf"
-    assert format_number(-inf) == "-inf"
-    assert format_number(mpf(1) / 3) == "0.333333333333"
-    assert format_number(mpf(2)) == "2"
+    assert format_number(Decimal("Infinity")) == "inf"
+    assert format_number(Decimal("-Infinity")) == "-inf"
+    assert format_number(Decimal(1) / 3) == "0.333333333333"
+    assert format_number(Decimal(2)) == "2"
     assert format_number(1 / 3) == "0.333333333333"
     assert format_number(2.0) == "2"
     assert format_number(-1.5e-50) == "-1.5e-50"
@@ -92,7 +93,7 @@ def _log2_oracle(a, b, k=1) -> str:
     ],
 )
 def test_near_tie_margins(lhs, rhs, want):
-    # The difference of two 120-bit logs of numbers this large keeps none of
+    # The difference of two 40-digit logs of numbers this large keeps none of
     # the margin's digits; the margin comes from the exact ratio instead.
     v = exact_le("demo", "g", {}, lhs, rhs)
     assert v.passed
@@ -141,15 +142,16 @@ def test_log2_ratio_agrees_with_an_800_bit_oracle(ratio, k):
 
 
 def test_log2_ratio_falls_back_next_to_a_rounding_boundary():
-    # log2(a / b) within 2^-200 of 1.000000000005, halfway between two
+    # log2(a / b) within about 1/b of the target, halfway between two
     # 12-digit values: no float error bound can settle the digit, so the
-    # value comes from mpmath.
-    b = 2**200
-    with mpmath.workprec(800):
-        a = int(mpmath.nint(mpmath.power(2, mpf("1.000000000005")) * b))
-    x = log2_ratio(a, b)
-    assert not isinstance(x, float)
-    assert format_number(x) == _log2_oracle(a, b)
+    # value comes from the decimal fallback.  Near 1, as at the second
+    # target, a / b cancels about 30 digits, which the fallback must add.
+    for b, target in ((2**200, "1.000000000005"), (2**400, "1.000000000005e-30")):
+        with mpmath.workprec(800):
+            a = int(mpmath.nint(mpmath.power(2, mpf(target)) * b))
+        x = log2_ratio(a, b)
+        assert not isinstance(x, float), target
+        assert format_number(x) == _log2_oracle(a, b), target
     with pytest.raises(DomainError):
         log2_ratio(0, 1)
 
@@ -166,9 +168,9 @@ def test_exact_verdicts_and_margins(c4):
     v = exact_le("demo", "g", {}, 5, 40)
     assert v.passed and abs(v.margin - 3) < 1e-12
     assert exact_le("demo", "g", {}, 0, 0).margin == 0
-    assert exact_le("demo", "g", {}, 0, 7).margin == inf
+    assert exact_le("demo", "g", {}, 0, 7).margin == math.inf
     bad = exact_le("demo", "g", {}, 7, 0, graph=c4)
-    assert not bad.passed and bad.margin == -inf
+    assert not bad.passed and bad.margin == -math.inf
     assert "graph_text" in bad.params
     ok = exact_le("demo", "g", {}, 7, 9, graph=c4)
     assert "graph_text" not in ok.params
@@ -180,17 +182,31 @@ def test_exact_verdicts_and_margins(c4):
 
 
 def test_bound_verdict_directions(c4):
-    up = bound_verdict("demo", "g", {}, 8, LogBound(mpf(4), UPPER))
+    up = bound_verdict("demo", "g", {}, 8, LogBound(Decimal(4), UPPER))
     assert up.passed and abs(up.margin - 1) < 1e-12
     assert abs(up.lhs - 3) < 1e-12  # log2(count) on the left for upper bounds
-    lo = bound_verdict("demo", "g", {}, 8, LogBound(mpf(2), LOWER))
+    lo = bound_verdict("demo", "g", {}, 8, LogBound(Decimal(2), LOWER))
     assert lo.passed and abs(lo.margin - 1) < 1e-12 and abs(lo.rhs - 3) < 1e-12
-    zero_up = bound_verdict("demo", "g", {}, 0, LogBound(mpf(4), UPPER))
-    assert zero_up.passed and zero_up.margin == inf
-    zero_lo = bound_verdict("demo", "g", {}, 0, LogBound(mpf(0), LOWER), graph=c4)
+    zero_up = bound_verdict("demo", "g", {}, 0, LogBound(Decimal(4), UPPER))
+    assert zero_up.passed and zero_up.margin == math.inf
+    zero_lo = bound_verdict("demo", "g", {}, 0, LogBound(Decimal(0), LOWER), graph=c4)
     assert not zero_lo.passed and "graph_text" in zero_lo.params
     with pytest.raises(DomainError):
-        bound_verdict("demo", "g", {}, -1, LogBound(mpf(0), UPPER))
+        bound_verdict("demo", "g", {}, -1, LogBound(Decimal(0), UPPER))
+    # A cleared lower bound, count >= 24 / 2, is decided on integers, with
+    # the bound's side first.
+    twelve = Cleared(1, Fraction(24), Fraction(2), direction=LOWER)
+    meets = bound_verdict("demo", "g", {}, 12, twelve)
+    assert meets.passed and format_number(meets.margin) == "0"
+    above = bound_verdict("demo", "g", {}, 48, twelve)
+    assert above.passed and format_number(above.margin) == "2"
+    assert format_number(above.lhs) == "3.58496250072"
+    assert format_number(above.rhs) == "5.58496250072"
+    below = bound_verdict("demo", "g", {}, 11, twelve, graph=c4)
+    assert not below.passed and "graph_text" in below.params
+    assert format_number(below.margin) == _log2_oracle(11, 12)
+    zero = bound_verdict("demo", "g", {}, 0, twelve)
+    assert not zero.passed and zero.margin == -math.inf
 
 
 def _report_rows(verdicts):
@@ -527,6 +543,16 @@ def test_union_lower_bounds():
         if v.check_id == "union-ind-lower-small-t-exact" and v.params["size"] == 1
     ][0]
     assert exact1.lhs == exact1.rhs == 8 and exact1.margin == 0
+    # At sizes 0 and 1 the small-size bound is the count itself, and the
+    # integer verdict prints the tie as a zero margin, not as rounding noise.
+    ties = [
+        v.to_json_dict()
+        for n, d in ((8, 2), (16, 4), (24, 4), (24, 3))
+        for v in verify_union_lower_bounds(n, d)
+        if v.check_id == "union-ind-lower-small-t-log" and v.params["size"] <= 1
+    ]
+    assert len(ties) == 8
+    assert all(r["pass"] and r["margin"] == "0" and r["lhs"] == r["rhs"] for r in ties)
     with pytest.raises(DomainError):
         verify_union_lower_bounds(8, 2, c_grid=(Fraction(1),))
 
@@ -538,7 +564,7 @@ def test_union_lower_bound_rows_are_pinned():
     rows = [v.to_json_dict() for n, d in shapes for v in verify_union_lower_bounds(n, d)]
     assert len(rows) == 452
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
-        "9cad254d2d5a515457f922f54259c04839b926a59edc04e1e128ffd2c6c66da9"
+        "7b2caedb2dca0077d2b5d046874eecce2b02a40200a76370929424c7bc0458e9"
     )
 
 
