@@ -10,65 +10,20 @@ real values are formatted at 12 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from decimal import localcontext
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .bounds import (
-    _CTX,
-    balanced_profile,
-    block_miss_stats,
-    ind_count_upper_bipartite,
-    ind_count_upper_general,
-    ind_pf_upper_bipartite,
-    ind_pf_upper_general,
-    independent_upper_pm_exact,
-    log2,
-    match_count_upper,
-    match_pf_upper,
-    optimal_lambda,
-    profile_matching_lower,
-    stirling_term_check,
-    union_ind_lower_markov,
-    union_ind_lower_small_t,
-    union_matching_lower_explicit,
-    union_small_t_exact,
-)
-from .counting import (
-    INDEPENDENT_SET,
-    MATCHING,
-    independence_polynomial,
-    matching_polynomial,
-)
 from .errors import DivisibilityError, DomainError, GraphError, ScaleError
-from .generate import CANONICAL_FORM_LIMIT, GenSpec, canonical_form, generate
-from .graphs import graph_from_text, graph_to_text
-from .kdd import union_independent_count, union_matching_count, union_params
-from .verify import (
-    CSV_HEADER,
-    DEFAULT_C_GRID,
-    DEFAULT_LAMBDA_GRID,
-    DEFAULT_ROOT_TOL,
-    GraphProfile,
-    _params,
-    format_number,
-    hom_graph_verdicts,
-    kahn_graph_verdicts,
-    profile_verdicts,
-    sort_verdicts,
-    suite_graph_verdicts,
-    sweep,
-    umc_graph_verdicts,
-    verify_real_rooted,
-    verify_union_lower_bounds,
-)
+
+# counting.MATCHING and counting.INDEPENDENT_SET, and verify.DEFAULT_ROOT_TOL:
+# the parser is built for every command, --version included, so it names
+# them without importing those layers.
+_KINDS = ("matching", "independent-set")
+_DEFAULT_ROOT_TOL = 1e-7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +55,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--workers", type=_at_least(1), default=1)
 
     sp = sub.add_parser("count", help="exact count polynomial of a graph file")
-    sp.add_argument("--kind", choices=(MATCHING, INDEPENDENT_SET), required=True)
+    sp.add_argument("--kind", choices=_KINDS, required=True)
     sp.add_argument("--graph", required=True)
     common(sp, workers=False)
 
@@ -133,7 +88,7 @@ def _build_parser() -> _Parser:
             sp.add_argument("--graph", help="single graph file instead of a sweep")
             sp.add_argument("--n", type=int)
             sp.add_argument("--d", type=int)
-            sp.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL)
+            sp.add_argument("--tol", type=float, default=_DEFAULT_ROOT_TOL)
         else:
             sp.add_argument("--n", type=int, required=True)
             sp.add_argument("--d", type=int, required=True)
@@ -167,6 +122,8 @@ def _pmap(fn, items, workers: int) -> list:
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -211,11 +168,16 @@ def _report(command: str, config: dict, verdicts=None, rows=None, extra=None) ->
 
 
 def _render_csv(doc: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     buf.write(f"# tool={doc['tool']} version={doc['version']} command={doc['command']}\n")
     buf.write(f"# config={json.dumps(doc['config'], sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     if "verdicts" in doc:
+        from .verify import CSV_HEADER
+
         writer.writerow(CSV_HEADER)
         for verdict in doc["verdicts"]:
             v = verdict.to_json_dict()
@@ -329,6 +291,8 @@ def _exit_status(verdicts) -> int:
 
 
 def _read_graph(path: str):
+    from .graphs import graph_from_text
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -338,6 +302,8 @@ def _read_graph(path: str):
 
 
 def _cmd_count(args) -> int:
+    from .counting import MATCHING, independence_polynomial, matching_polynomial
+
     g = _read_graph(args.graph)
     if args.kind == MATCHING:
         poly = matching_polynomial(g)
@@ -353,6 +319,31 @@ def _cmd_count(args) -> int:
 
 
 def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
+    from decimal import localcontext
+
+    from .bounds import (
+        _CTX,
+        balanced_profile,
+        block_miss_stats,
+        ind_count_upper_bipartite,
+        ind_count_upper_general,
+        ind_pf_upper_bipartite,
+        ind_pf_upper_general,
+        independent_upper_pm_exact,
+        log2,
+        match_count_upper,
+        match_pf_upper,
+        optimal_lambda,
+        profile_matching_lower,
+        stirling_term_check,
+        union_ind_lower_markov,
+        union_ind_lower_small_t,
+        union_matching_lower_explicit,
+        union_small_t_exact,
+    )
+    from .kdd import union_independent_count, union_matching_count, union_params
+    from .verify import _params, format_number
+
     p = union_params(n, d)
     rows: list[dict] = []
 
@@ -434,6 +425,9 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
 
 
 def _cmd_bounds(args) -> int:
+    from .kdd import union_params
+    from .verify import DEFAULT_C_GRID, DEFAULT_LAMBDA_GRID
+
     n, d = args.n, args.d
     union_params(n, d)
     ells = args.ell if args.ell else list(range(n // 2 + 1))
@@ -450,6 +444,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import CANONICAL_FORM_LIMIT, GenSpec, canonical_form, generate
+    from .graphs import graph_to_text
+
     spec = GenSpec(
         args.n,
         args.d,
@@ -479,6 +476,8 @@ def _cmd_gen(args) -> int:
 
 
 def _union_shape(args) -> None:
+    from .kdd import union_params
+
     union_params(args.n, args.d)
 
 
@@ -487,34 +486,37 @@ def _roots_source(args) -> None:
         raise DomainError("verify-roots needs either --graph or both --n and --d")
 
 
-def _c_grid(args) -> tuple:
-    return tuple(args.c) if args.c else DEFAULT_C_GRID
+def _c_grid(args) -> dict:
+    """The --c grid as a keyword argument; none, for the check's default."""
+    return {"c_grid": tuple(args.c)} if args.c else {}
 
 
 def _union_lowers(args) -> list:
+    from .verify import verify_union_lower_bounds
+
     if args.d >= 1 and args.n % (2 * args.d) == 0:
-        return verify_union_lower_bounds(args.n, args.d, _c_grid(args))
+        return verify_union_lower_bounds(args.n, args.d, **_c_grid(args))
     return []
 
 
 # verify command -> (name of its per-graph check, the check's settings from
-# the args, precondition on the args, verdicts added after the sweep).
-# Checks are held by name and looked up among this module's globals (they
-# are imported above for that) when the command runs, so that a rebinding of
-# the global (a stub, a tracing hook) is what runs.
+# the args, precondition on the args, verdicts added after the sweep).  A
+# setting left out takes the check's default.  Checks are held by name and
+# looked up on regcount.verify when the command runs, so that a rebinding of
+# the module's name (a stub, a tracing hook) is what runs.
 _VERIFY = {
     "verify-umc": ("umc_graph_verdicts", lambda args: {}, _union_shape, None),
     "verify-kahn": ("kahn_graph_verdicts", lambda args: {}, _union_shape, None),
     "verify-suite": (
         "suite_graph_verdicts",
-        lambda args: {"lambda_grid": tuple(args.lam) if args.lam else DEFAULT_LAMBDA_GRID},
+        lambda args: {"lambda_grid": tuple(args.lam)} if args.lam else {},
         None,
         _union_lowers,
     ),
     "verify-roots": ("verify_real_rooted", lambda args: {"tol": args.tol}, _roots_source, None),
     "verify-hom": (
         "hom_graph_verdicts",
-        lambda args: {"random_orders": args.orders, "seed": args.seed, "c_grid": _c_grid(args)},
+        lambda args: {"random_orders": args.orders, "seed": args.seed, **_c_grid(args)},
         None,
         None,
     ),
@@ -522,19 +524,22 @@ _VERIFY = {
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+    from .generate import GenSpec
+
     check_name, settings, precondition, trailing = _VERIFY[args.command]
     if precondition:
         precondition(args)
-    check = partial(globals()[check_name], **settings(args))
+    check = partial(getattr(verify, check_name), **settings(args))
     if getattr(args, "graph", None):
-        verdicts = profile_verdicts(GraphProfile(_read_graph(args.graph)), check)
+        verdicts = verify.profile_verdicts(verify.GraphProfile(_read_graph(args.graph)), check)
     else:
-        verdicts = sweep(
+        verdicts = verify.sweep(
             GenSpec(args.n, args.d), check, map=partial(_pmap, workers=args.workers)
         )
     if trailing:
         verdicts += trailing(args)
-    verdicts = sort_verdicts(verdicts)
+    verdicts = verify.sort_verdicts(verdicts)
     doc = _report(args.command, _config_echo(args), verdicts=verdicts)
     _emit(doc, args)
     return _exit_status(verdicts)

@@ -681,40 +681,48 @@ def verify_bounds_suite(
     if d < 1:
         return verdicts
 
-    def exact(check_id, q, bound, **params):
-        params = _params(n=n, d=d, **params)
+    def exact(check_id, q, bound, params):
         verdicts.append(exact_le(check_id, label, params, bound.lhs(q), bound.rhs, graph=g))
 
-    def in_log2(check_id, count, bound, **params):
-        params = _params(n=n, d=d, **params)
+    def in_log2(check_id, count, bound, params):
         verdicts.append(bound_verdict(check_id, label, params, count, bound, graph=g))
 
     mpoly, ipoly = p.matching_polynomial, p.independence_polynomial
     sizes = range(n // 2 + 1)
+    # The verdicts of one lambda, or of one size, share one params dict;
+    # _verdict copies it before adding to it.
+    sized = [_params(n=n, d=d, size=s) for s in sizes]
     for lam in grid:
         zm, zi = eval_partition(mpoly, lam), eval_partition(ipoly, lam)
+        at_lam = _params(n=n, d=d, lam=lam)
         matching = match_pf_upper(n, d, lam)
-        exact("match-pf-upper", zm, matching, lam=lam)
-        exact("match-pf-gurvits", zm, match_pf_gurvits(g.edge_count, p.nu, lam), lam=lam)
-        exact("ind-pf-upper-general", zi, ind_pf_upper_general(n, d, lam), lam=lam)
+        exact("match-pf-upper", zm, matching, at_lam)
+        exact("match-pf-gurvits", zm, match_pf_gurvits(g.edge_count, p.nu, lam), at_lam)
+        exact("ind-pf-upper-general", zi, ind_pf_upper_general(n, d, lam), at_lam)
         if p.bipartite:
-            exact("ind-pf-upper-bipartite", zi, ind_pf_upper_bipartite(n, d, lam), lam=lam)
+            exact("ind-pf-upper-bipartite", zi, ind_pf_upper_bipartite(n, d, lam), at_lam)
+        # single_term(matching, ell, lam), its cofactor multiplied up by
+        # lam^k from one size to the next.
+        cofactor, step = matching.cofactor, lam**matching.k
         for ell in sizes:
-            bound = single_term(matching, ell, lam)
-            exact("match-single-term", mpoly.coefficient(ell), bound, size=ell, lam=lam)
+            bound = Cleared(matching.k, matching.rhs, cofactor)
+            params = {**sized[ell], "lam": at_lam["lam"]}
+            exact("match-single-term", mpoly.coefficient(ell), bound, params)
+            cofactor *= step
     for ell in range(1, (n - 1) // 2 + 1):
         lam = optimal_lambda(n, d, ell)
         bound = single_term(match_pf_upper(n, d, lam), ell, lam)
-        exact("match-single-term-opt", mpoly.coefficient(ell), bound, size=ell, lam=lam)
+        params = _params(n=n, d=d, size=ell, lam=lam)
+        exact("match-single-term-opt", mpoly.coefficient(ell), bound, params)
     for s in sizes:
-        in_log2("match-count-upper", mpoly.coefficient(s), match_count_upper(n, d, s), size=s)
+        in_log2("match-count-upper", mpoly.coefficient(s), match_count_upper(n, d, s), sized[s])
         bound = ind_count_upper_general(n, d, s)
-        in_log2("ind-count-upper-general", ipoly.coefficient(s), bound, size=s)
+        in_log2("ind-count-upper-general", ipoly.coefficient(s), bound, sized[s])
         if p.bipartite:
             bound = ind_count_upper_bipartite(n, d, s)
-            in_log2("ind-count-upper-bipartite", ipoly.coefficient(s), bound, size=s)
+            in_log2("ind-count-upper-bipartite", ipoly.coefficient(s), bound, sized[s])
     if p.bipartite and n % 2 == 0:
-        exact("bregman-pm", mpoly.coefficient(n // 2), bregman_pm(n, d))
+        exact("bregman-pm", mpoly.coefficient(n // 2), bregman_pm(n, d), _params(n=n, d=d))
     return verdicts
 
 

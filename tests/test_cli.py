@@ -19,6 +19,8 @@ from regcount import graph_to_text
 from regcount.cli import _report, _write_json, main
 from regcount.verify import Verdict, exact_le
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -131,7 +133,7 @@ def test_negative_orders_is_a_usage_error(capsys):
 
 
 def test_pool_is_no_larger_than_the_census(capsys, monkeypatch):
-    import regcount.cli as cli_mod
+    import concurrent.futures
 
     sizes = []
 
@@ -150,7 +152,7 @@ def test_pool_is_no_larger_than_the_census(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     code, doc = run_json(capsys, "verify-umc", "--n", "6", "--d", "3", "--workers", "8")
     assert code == 0 and doc["summary"]["total"] == 8  # 2 graphs, sizes 0..3
     assert sizes == [2]
@@ -279,12 +281,12 @@ def test_verify_hom_cli(capsys):
 
 
 def test_exit_code_2_on_failed_verdict(capsys, monkeypatch):
-    import regcount.cli as cli_mod
+    import regcount.verify as verify_mod
 
     def fake_verdict(g, tol):
         return Verdict("match-poly-real-rooted", "stub", {}, 1.0, 0.0, False, -1.0)
 
-    monkeypatch.setattr(cli_mod, "verify_real_rooted", fake_verdict)
+    monkeypatch.setattr(verify_mod, "verify_real_rooted", fake_verdict)
     code, doc = run_json(capsys, "verify-roots", "--n", "4", "--d", "2")
     assert code == 2
     assert doc["summary"]["failed"] == 1
@@ -386,6 +388,64 @@ def test_cli_import_does_not_load_numpy():
     assert _fresh_python(code) == "False"
 
 
+# Layers and standard-library modules that count and --version never use.
+_NOT_FOR_COUNT = (
+    "regcount.verify",
+    "regcount.bounds",
+    "regcount.kdd",
+    "concurrent.futures.process",
+    "csv",
+    "numpy",
+)
+
+
+def _loaded_after(argv: list[str], names) -> str:
+    """The list of those of names that are imported after main(argv) runs in
+    a new interpreter, as printed."""
+    code = f"""
+import sys
+from regcount.cli import main
+main({argv!r})
+print([name for name in {tuple(names)!r} if name in sys.modules])
+"""
+    return _fresh_python(code).splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["count", "--kind", "matching", "--graph", str(GOLDEN / "petersen.txt")]],
+    ids=lambda argv: argv[0],
+)
+def test_count_and_version_import_only_their_layers(argv):
+    assert _loaded_after(argv, _NOT_FOR_COUNT) == "[]"
+
+
+def test_one_worker_starts_no_process_pool():
+    argv = ["verify-roots", "--n", "6", "--d", "3", "--workers", "1"]
+    assert _loaded_after(argv, ["concurrent.futures.process"]) == "[]"
+
+
+@pytest.mark.parametrize(
+    "before",
+    [
+        "import regcount.generate",
+        "from regcount.cli import main; main(['verify-umc', '--n', '6', '--d', '3'])",
+    ],
+    ids=["submodule", "verify"],
+)
+def test_generate_stays_the_function(before):
+    # The submodule regcount.generate shares the name of the function.
+    code = f"{before}\nfrom regcount import generate\nprint(callable(generate))"
+    assert _fresh_python(code).splitlines()[-1] == "True"
+
+
+def test_parser_constants_match_their_layers():
+    from regcount import cli, counting, verify
+
+    assert cli._KINDS == (counting.MATCHING, counting.INDEPENDENT_SET)
+    assert cli._DEFAULT_ROOT_TOL == verify.DEFAULT_ROOT_TOL
+
+
 def test_high_precision_logs_need_no_mpmath_and_keep_the_decimal_context():
     # Every high-precision log comes from the standard library's decimal
     # module, in the package's own context: the caller's context, precision
@@ -415,7 +475,14 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-GOLDEN = Path(__file__).parent / "golden"
+def test_every_exported_name_is_listed_and_resolves_in_a_new_interpreter():
+    # dir() lists the names before their submodules are imported.
+    code = """
+import regcount
+print(sorted(set(regcount.__all__) - set(dir(regcount))))
+print([name for name in regcount.__all__ if not hasattr(regcount, name)])
+"""
+    assert _fresh_python(code) == "[]\n[]"
 
 
 def _written(doc) -> str:
