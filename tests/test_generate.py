@@ -9,15 +9,20 @@ with the generator:
   missing isomorphism classes,
 * pairwise-distinct canonical labels over each census, each unchanged by a
   random relabelling,
-* a brute-force maximum over all orderings for the prefix canonicity test
-  and for the adjacent-swap test that skips prefixes before it,
+* a brute-force maximum over all orderings for the canonicity test, for the
+  adjacent-swap test that skips prefixes before it, and for the carry-down
+  fact that lets generation search a prefix only where it branches (a
+  beaten prefix stays beaten when extended),
 * pinned SHA-256 digests of the emission order, which census names such as
-  12v-3r-0042 index.
+  12v-3r-0042 index, for (10,4), (11,4), (12,3), (12,4) and (14,3),
+* pinned counts of canonicity searches on (10,3) and (12,3), so a return to
+  one search per prefix fails.
 """
 
 import hashlib
 import math
 import random
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -410,6 +415,21 @@ def test_beats_identity_matches_bruteforce_orderings(g):
     assert raised == oracle_beats_identity(g)
 
 
+def induced_prefix(g, k):
+    """The subgraph induced on vertices 0..k-1, loops included."""
+    return build_graph(k, [(u, v) for u, v in g.edges if v < k], allow_loops=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_heavy_graphs())
+def test_beaten_prefix_stays_beaten_when_extended(g):
+    # Generation searches a prefix only where it branches, and a leaf
+    # before it is emitted.  That is sound because an ordering of 0..k-1
+    # that beats the identity, with vertex k put last, beats it on 0..k.
+    beaten = [oracle_beats_identity(induced_prefix(g, k)) for k in range(1, g.vertex_count + 1)]
+    assert beaten == sorted(beaten)
+
+
 @settings(max_examples=150, deadline=None)
 @given(twin_heavy_graphs())
 def test_adjacent_swap_rejects_only_beaten_orderings(g):
@@ -445,3 +465,37 @@ def test_cubic_14_census_is_pinned():
     assert emission_digest(census) == (
         "135da80170cf00f8bb9ef6e75eccd780e03f8c86259fe5cdfc99541b3c76b37a"
     )
+
+
+@pytest.mark.parametrize(
+    "n,d,size,digest",
+    [
+        (11, 4, 266, "8882d340a1049f968f78c45c3f9da55d28669fbd2d1428d35e0ab35fc6b65483"),
+        (12, 4, 1547, "fef9a1a9ed88dabdd9734f1defd691a56912394a3793a05046bd86888ac42580"),
+    ],
+    ids=["11-4", "12-4"],
+)
+def test_quartic_censuses_are_pinned(n, d, size, digest):
+    # Sizes are the published census counts of connected and disconnected
+    # 4-regular graphs together.
+    census = gen_list(n, d)
+    assert len(census) == size
+    assert emission_digest(census) == digest
+
+
+@pytest.mark.parametrize("n,d,searches", [(10, 3, 356), (12, 3, 2205)])
+def test_canonicity_searches_only_where_generation_branches(monkeypatch, n, d, searches):
+    # One search per single-child chain and none at dead ends; searching
+    # every prefix would take 836 and 5,836 searches on these censuses.
+    # regcount.generate names the function, so take the module itself.
+    module = sys.modules["regcount.generate"]
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return better_codes(*args)
+
+    monkeypatch.setattr(module, "better_codes", counting)
+    list(generate(GenSpec(n, d)))
+    assert calls == searches
