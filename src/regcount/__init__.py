@@ -34,7 +34,6 @@ _EXPORTS = {
         "match_count_upper",
         "match_pf_gurvits",
         "match_pf_upper",
-        "occupancy_lambda",
         "optimal_lambda",
         "profile_matching_lower",
         "single_term",
@@ -47,7 +46,6 @@ _EXPORTS = {
     ),
     "counting": (
         "CountPolynomial",
-        "brute_force_count",
         "count_homomorphisms",
         "eval_partition",
         "independence_polynomial",
@@ -62,8 +60,6 @@ _EXPORTS = {
         "build_graph",
         "build_hardcore_target",
         "build_kdd",
-        "build_kdd_union",
-        "disjoint_union",
         "graph_from_text",
         "graph_to_text",
         "regular_degree",

@@ -123,12 +123,6 @@ class Cleared:
             q.denominator**self.k * self.cofactor.denominator,
         )
 
-    def holds(self, q) -> bool:
-        """The exact verdict for q."""
-        if self.direction == UPPER:
-            return self.lhs(q) <= self.rhs
-        return self.lhs(q) >= self.rhs
-
     @_precise
     def log_bound(self) -> LogBound:
         """The bound on log2 q: log2(rhs / cofactor) / k, the ratio reduced
@@ -218,10 +212,11 @@ def match_count_upper(n: int, d: int, ell: int) -> Cleared:
 
 def ind_count_upper_general(n: int, d: int, t: int) -> Cleared:
     """ind-count-upper-general: single_term(ind_pf_upper_general(n, d, lam),
-    t, lam) at lam = 2t / (n - 2t) (occupancy_lambda), both sides multiplied
-    by (n - 2t)^(nd):  i_t^(2d) ((2t)^(2t) (n - 2t)^(n - 2t))^d <= 2^(2n) n^(nd).
-    With 0^0 = 1 it holds at t = 0 and, in the limit of large lam, at
-    t = n/2.  In log2 it reads (n/2)(H(2t/n) + 2/d)."""
+    t, lam) at lam = 2t / (n - 2t), the weight with expected occupancy t on
+    n/2 pairs, both sides multiplied by (n - 2t)^(nd):
+    i_t^(2d) ((2t)^(2t) (n - 2t)^(n - 2t))^d <= 2^(2n) n^(nd).  With 0^0 = 1
+    it holds at t = 0 and, in the limit of large lam, at t = n/2.  In log2
+    it reads (n/2)(H(2t/n) + 2/d)."""
     _check(n, d, t)
     rest = n - 2 * t
     return Cleared(2 * d, 4**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d)
@@ -305,13 +300,6 @@ def profile_matching_lower(n: int, d: int, profile, c) -> LogBound:
     for a in profile:
         value += stirling_rhs(d, a, c)
     return LogBound(value, LOWER)
-
-
-def occupancy_lambda(n: int, t: int) -> Fraction:
-    """The weight with expected occupancy t on n/2 pairs: lambda = 2t/(n-2t)."""
-    if not 0 <= t < n / 2:
-        raise DomainError(f"need 0 <= t < n/2, got t={t}, n={n}")
-    return Fraction(2 * t, n - 2 * t)
 
 
 def independent_upper_pm_exact(n: int, t: int) -> int:

@@ -482,8 +482,22 @@ def _union_shape(args) -> None:
 
 
 def _roots_source(args) -> None:
+    if args.graph and (args.n is not None or args.d is not None):
+        raise DomainError("verify-roots takes --graph or --n and --d, not both")
     if not args.graph and (args.n is None or args.d is None):
         raise DomainError("verify-roots needs either --graph or both --n and --d")
+
+
+def _markov_constants(args) -> None:
+    for c in args.c or ():
+        if c <= 1:
+            raise DomainError(f"Markov constant must exceed 1, got {c}")
+
+
+def _clique_sizes(args) -> None:
+    for c in args.c or ():
+        if c.denominator != 1 or c < 1:
+            raise DomainError(f"clique sizes must be positive integers, got {c}")
 
 
 def _c_grid(args) -> dict:
@@ -510,14 +524,14 @@ _VERIFY = {
     "verify-suite": (
         "suite_graph_verdicts",
         lambda args: {"lambda_grid": tuple(args.lam)} if args.lam else {},
-        None,
+        _markov_constants,
         _union_lowers,
     ),
     "verify-roots": ("verify_real_rooted", lambda args: {"tol": args.tol}, _roots_source, None),
     "verify-hom": (
         "hom_graph_verdicts",
         lambda args: {"random_orders": args.orders, "seed": args.seed, **_c_grid(args)},
-        None,
+        _clique_sizes,
         None,
     ),
 }
@@ -561,10 +575,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (GraphError, DomainError, DivisibilityError, ScaleError) as exc:
-        sys.stderr.write(f"regcount: error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (GraphError, DomainError, DivisibilityError, ScaleError, OSError) as exc:
         sys.stderr.write(f"regcount: error: {exc}\n")
         return 1
 

@@ -1,5 +1,5 @@
 """Exact matching/independence polynomials, partition-function evaluation,
-brute-force oracles, and homomorphism counting.
+and homomorphism counting.
 
 Every count is an arbitrary-precision integer; no floating point enters this
 module.  Every count comes from a dynamic program that places the graph's
@@ -13,10 +13,8 @@ polynomials, in one table for homomorphisms) raise ScaleError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DomainError, GraphError, ScaleError
 from .graphs import Graph, adjacency_masks
@@ -24,8 +22,6 @@ from .graphs import Graph, adjacency_masks
 # Cap on the states a counting DP may reach: vertex subsets in one call of
 # the polynomial DP, frontier images in one table of the homomorphism DP.
 DP_STATE_LIMIT = 1_000_000
-# Guard for the subset-enumeration oracle: number of subsets actually walked.
-BRUTE_FORCE_SUBSET_LIMIT = 40_000_000
 
 _TOO_MANY_STATES = (
     f"instance too large: the counting DP needs more than {DP_STATE_LIMIT} states"
@@ -186,53 +182,6 @@ def eval_partition(p: CountPolynomial, lam) -> Fraction:
         total = total * num + c * scale
         scale *= den
     return Fraction(total * den, scale)
-
-
-def brute_force_count(g: Graph, kind: str, size: int) -> int:
-    """Independent oracle: enumerate all size-subsets and test the property.
-
-    Deliberately ignorant of the recursion machinery above.  The feasibility
-    guard caps the number of enumerated subsets rather than raw edge/vertex
-    counts, so dense-but-small instances (K_10 and friends) stay in reach.
-    """
-    if size < 0:
-        raise DomainError(f"size must be nonnegative, got {size}")
-    if any(u == v for u, v in g.edges):
-        raise GraphError("brute_force_count requires a loop-free graph")
-    if kind == MATCHING:
-        pool = [((1 << u) | (1 << v)) for u, v in g.sorted_edges()]
-    elif kind == INDEPENDENT_SET:
-        pool = list(range(g.vertex_count))
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
-    if size > len(pool):
-        return 0
-    if math.comb(len(pool), size) > BRUTE_FORCE_SUBSET_LIMIT:
-        raise ScaleError(
-            f"instance too large: C({len(pool)}, {size}) subsets exceed "
-            f"the enumeration limit"
-        )
-    count = 0
-    if kind == MATCHING:
-        for combo in combinations(pool, size):
-            acc = 0
-            for mask in combo:
-                if acc & mask:
-                    break
-                acc |= mask
-            else:
-                count += 1
-    else:
-        adj = adjacency_masks(g)
-        for combo in combinations(pool, size):
-            acc = 0
-            for v in combo:
-                if adj[v] & acc:
-                    break
-                acc |= 1 << v
-            else:
-                count += 1
-    return count
 
 
 def count_homomorphisms(g: Graph, h: Graph) -> int:

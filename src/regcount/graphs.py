@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DivisibilityError, DomainError, GraphError
+from .errors import DomainError, GraphError
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -28,11 +28,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: int) -> int:
-        # A loop contributes 1 to the degree here; only used on hom targets,
-        # where degrees never feed a formula.
-        return sum(1 for e in self.edges if v in e)
 
     def degree_sequence(self) -> list[int]:
         degs = [0] * self.vertex_count
@@ -137,17 +132,6 @@ def build_kdd(d: int) -> Graph:
     return Graph(2 * d, frozenset((a, d + b) for a in range(d) for b in range(d)))
 
 
-def build_kdd_union(n: int, d: int) -> Graph:
-    """Disjoint union of n/2d copies of K_{d,d} (requires 2d | n)."""
-    if d < 1 or n % (2 * d) != 0:
-        raise DivisibilityError(f"need 2d | n with d >= 1, got n={n}, d={d}")
-    edges = set()
-    for copy in range(n // (2 * d)):
-        base = copy * 2 * d
-        edges.update((base + a, base + d + b) for a in range(d) for b in range(d))
-    return Graph(n, frozenset(edges))
-
-
 def build_hardcore_target(clique_size: int, independent_size: int) -> Graph:
     """Hom target encoding the hard-core model: an independent set completely
     joined to a complete looped clique.
@@ -168,18 +152,6 @@ def build_hardcore_target(clique_size: int, independent_size: int) -> Graph:
         edges.update(_normalize_edge(w, x) for x in clique if x != w)
         edges.update((v, w) for v in range(k))
     return Graph(k + clique_size, frozenset(edges), allow_loops=True)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Side-by-side union; the second operand's labels shift by g1.vertex_count."""
-    shift = g1.vertex_count
-    edges = set(g1.edges)
-    edges.update((u + shift, v + shift) for u, v in g2.edges)
-    return Graph(
-        g1.vertex_count + g2.vertex_count,
-        frozenset(edges),
-        g1.allow_loops or g2.allow_loops,
-    )
 
 
 def graph_to_text(g: Graph) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DivisibilityError, DomainError
 
@@ -45,40 +44,30 @@ def kdd_independent_count(d: int, t: int) -> int:
     return 1 if t == 0 else 2 * math.comb(d, t)
 
 
-def _convolution_power(base: tuple[int, ...], copies: int) -> tuple[int, ...]:
-    out = (1,)
+def _convolution_power(base: list[int], copies: int) -> list[int]:
+    out = [1]
     for _ in range(copies):
         nxt = [0] * (len(out) + len(base) - 1)
         for i, x in enumerate(out):
             if x:
                 for j, y in enumerate(base):
                     nxt[i + j] += x * y
-        out = tuple(nxt)
+        out = nxt
     return out
-
-
-@lru_cache(maxsize=None)
-def _union_matching_coeffs(d: int, copies: int) -> tuple[int, ...]:
-    base = tuple(kdd_matching_count(d, a) for a in range(d + 1))
-    return _convolution_power(base, copies)
-
-
-@lru_cache(maxsize=None)
-def _union_independent_coeffs(d: int, copies: int) -> tuple[int, ...]:
-    base = tuple(kdd_independent_count(d, t) for t in range(d + 1))
-    return _convolution_power(base, copies)
 
 
 def union_matching_count(p: UnionParams, ell: int) -> int:
     """Exact number of size-ell matchings of the K_{d,d} union."""
     if not 0 <= ell <= p.n // 2:
         raise DomainError(f"ell must lie in [0, {p.n // 2}], got {ell}")
-    return _union_matching_coeffs(p.d, p.copies)[ell]
+    base = [kdd_matching_count(p.d, a) for a in range(p.d + 1)]
+    return _convolution_power(base, p.copies)[ell]
 
 
 def union_independent_count(p: UnionParams, t: int) -> int:
     """Exact number of size-t independent sets of the K_{d,d} union."""
     if not 0 <= t <= p.n // 2:
         raise DomainError(f"t must lie in [0, {p.n // 2}], got {t}")
-    return _union_independent_coeffs(p.d, p.copies)[t]
+    base = [kdd_independent_count(p.d, k) for k in range(p.d + 1)]
+    return _convolution_power(base, p.copies)[t]
 

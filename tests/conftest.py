@@ -1,12 +1,32 @@
-"""Shared fixtures: named small graphs and the verification corpus."""
+"""Shared fixtures: named small graphs and the verification corpus, and
+two graph constructions that only tests use."""
 
 import random
 
 import pytest
 
-from regcount import GenSpec, build_graph, build_kdd, generate
+from regcount import DivisibilityError, GenSpec, build_graph, build_kdd, generate
 
 CORPUS_GRID = ((4, 2), (8, 2), (12, 2), (6, 3), (12, 3))
+
+
+def disjoint_union(g1, g2):
+    """Side-by-side union; the second operand's labels shift by g1.vertex_count."""
+    shift = g1.vertex_count
+    edges = [*g1.edges, *((u + shift, v + shift) for u, v in g2.edges)]
+    return build_graph(
+        g1.vertex_count + g2.vertex_count, edges, g1.allow_loops or g2.allow_loops
+    )
+
+
+def build_kdd_union(n, d):
+    """Disjoint union of n/2d copies of K_{d,d} (requires 2d | n)."""
+    if d < 1 or n % (2 * d) != 0:
+        raise DivisibilityError(f"need 2d | n with d >= 1, got n={n}, d={d}")
+    g = build_graph(0, [])
+    for _ in range(n // (2 * d)):
+        g = disjoint_union(g, build_kdd(d))
+    return g
 
 
 @pytest.fixture(scope="session")

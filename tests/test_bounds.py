@@ -33,7 +33,6 @@ from regcount import (
     match_pf_gurvits,
     match_pf_upper,
     matching_polynomial,
-    occupancy_lambda,
     optimal_lambda,
     profile_matching_lower,
     single_term,
@@ -45,7 +44,7 @@ from regcount import (
     union_small_t_exact,
 )
 from regcount.bounds import _CTX, LOWER, UPPER, log2
-from regcount.verify import DEFAULT_LAMBDA_GRID, GraphProfile
+from regcount.verify import DEFAULT_LAMBDA_GRID, GraphProfile, bound_verdict
 
 TIGHT = 1e-30  # far above 40-digit rounding, far below any real discrepancy
 
@@ -261,6 +260,13 @@ def test_independent_partition_upper(c8, k33, bounds_precision):
     assert abs(bip33.value - log2(Fraction(15))) < TIGHT
 
 
+def occupancy_lambda(n, t):
+    """The weight with expected occupancy t on n/2 pairs: lambda = 2t/(n-2t)."""
+    if not 0 <= t < n / 2:
+        raise DomainError(f"need 0 <= t < n/2, got t={t}, n={n}")
+    return Fraction(2 * t, n - 2 * t)
+
+
 def test_occupancy_lambda():
     assert occupancy_lambda(8, 2) == 1
     assert occupancy_lambda(12, 2) == Fraction(1, 2)
@@ -323,7 +329,8 @@ def test_union_independent_lower_variants():
     # count 16 because it rounds each conditional factor down
     assert small.direction == LOWER
     assert Fraction(small.rhs, small.cofactor) == 12
-    assert small.holds(12) and not small.holds(11)
+    assert bound_verdict("union-ind-lower-small-t-log", "union-8v-2r", {}, 12, small).passed
+    assert not bound_verdict("union-ind-lower-small-t-log", "union-8v-2r", {}, 11, small).passed
     assert abs(small.log_bound().value - log2(Fraction(12))) < TIGHT
     assert union_small_t_exact(8, 2, 2) == 16
     with pytest.raises(DomainError):

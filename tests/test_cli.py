@@ -260,6 +260,42 @@ def test_verify_roots_modes(capsys, c4_file):
     assert main(["verify-roots"]) == 1  # needs --graph or --n/--d
 
 
+def test_verify_roots_graph_excludes_n_and_d(capsys, c4_file):
+    # a report would echo an n and d for a census that never ran
+    for extra in (["--n", "12", "--d", "4"], ["--n", "4"], ["--d", "2"]):
+        assert main(["verify-roots", "--graph", c4_file, *extra]) == 1
+        _assert_one_error_line(capsys)
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the census was generated")
+
+
+def test_suite_markov_constants_are_checked_before_generation(capsys, monkeypatch):
+    import regcount.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "sweep", _no_sweep)
+    # n = 10 has no union rows for the grid to reach, n = 12 has them
+    for n, c in (("10", "1/2"), ("12", "1/2"), ("12", "1")):
+        assert main(["verify-suite", "--n", n, "--d", "3", "--c", "2", "--c", c]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"regcount: error: Markov constant must exceed 1, got {c}\n"
+
+
+def test_hom_clique_sizes_are_checked_before_generation(capsys, monkeypatch):
+    import regcount.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "sweep", _no_sweep)
+    for c in ("0", "1/2", "3/2"):
+        assert main(["verify-hom", "--n", "6", "--d", "3", "--c", c]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"regcount: error: clique sizes must be positive integers, got {c}\n"
+        )
+
+
 def test_verify_suite_cli(capsys):
     code, doc = run_json(
         capsys, "verify-suite", "--n", "6", "--d", "3", "--lam", "1", "--lam", "2"

@@ -19,16 +19,16 @@ from regcount import (
     DomainError,
     GraphError,
     ScaleError,
-    brute_force_count,
     build_graph,
     build_hardcore_target,
     count_homomorphisms,
-    disjoint_union,
     eval_partition,
     independence_polynomial,
     matching_polynomial,
 )
-from regcount.counting import INDEPENDENT_SET, MATCHING, CountPolynomial
+from regcount.counting import MATCHING, CountPolynomial
+
+from conftest import disjoint_union
 
 
 def oracle_matching_counts(g):
@@ -144,17 +144,6 @@ def test_eval_partition(c4):
     assert eval_partition(CountPolynomial((), MATCHING), lam) == 0
     with pytest.raises(DomainError):
         eval_partition(poly, Fraction(-1))
-
-
-def test_brute_force_count_agrees_and_guards(c4):
-    assert brute_force_count(c4, MATCHING, 2) == 2
-    assert brute_force_count(c4, INDEPENDENT_SET, 2) == 2
-    assert brute_force_count(c4, MATCHING, 3) == 0
-    with pytest.raises(DomainError):
-        brute_force_count(c4, "nonsense", 1)
-    big = build_graph(40, [(u, v) for u in range(40) for v in range(u + 1, 40)])
-    with pytest.raises(ScaleError):
-        brute_force_count(big, MATCHING, 12)
 
 
 def test_hom_counts_match_oracle():

@@ -13,7 +13,6 @@ from regcount import (
     DomainError,
     bregman_pm,
     build_kdd,
-    build_kdd_union,
     independence_polynomial,
     kdd_independent_count,
     kdd_matching_count,
@@ -22,6 +21,9 @@ from regcount import (
     union_matching_count,
     union_params,
 )
+from regcount.verify import bound_verdict
+
+from conftest import build_kdd_union
 
 
 def test_single_block_counts_match_polynomials():
@@ -95,8 +97,8 @@ def test_bregman_strict_on_cycle(c8):
     pm = matching_polynomial(c8).coefficients[4]
     assert pm == 2
     b = bregman_pm(8, 2)
-    assert b.holds(pm) and b.lhs(pm) < b.rhs
-    assert not b.holds(5)
+    assert bound_verdict("bregman-pm", "C8", {}, pm, b).passed and b.lhs(pm) < b.rhs
+    assert not bound_verdict("bregman-pm", "C8", {}, 5, b).passed
 
 
 def test_bregman_rejects_bad_degrees():

@@ -60,6 +60,8 @@ from regcount.verify import (
     vertex_order,
 )
 
+from conftest import disjoint_union
+
 SMALL_GRID = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
@@ -277,8 +279,6 @@ def test_bipartite_total_count():
 
 
 def test_real_rooted(c4, c8, petersen):
-    from regcount import disjoint_union
-
     for g in (c8, petersen):
         v = verify_real_rooted(GraphProfile(g))
         assert v.passed
