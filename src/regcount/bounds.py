@@ -1,27 +1,21 @@
 """Closed-form bounds on matching and independent-set counts.
 
-Each bound is defined once, by a function named after its check id.  The
-bounds the per-graph suite decides exactly are power-cleared inequalities
-q^k * cofactor <= rhs over exact rationals (`Cleared`): a partition-function
-bound, Bregman's bound, or a single-term extraction from a
-partition-function bound.  The verdict is the exact comparison, and
-`Cleared.log_bound()` is the bound on log2 q, log2(rhs / cofactor) / k.
+Each bound is defined once, by a function named after its check id.  Every
+bound a verdict decides is a power-cleared inequality
+q^k * cofactor <= rhs * 2^pow2 * e^pow_e, or >= for a lower bound, with
+rhs and cofactor positive rationals and pow2 and pow_e rationals
+(`Cleared`); the factor 2^pow2 * e^pow_e carries the log2 e of Kahn's
+bound for bipartite graphs and the rational power of 2 of the Markov-style
+lower bound on the K_{d,d} union.  Every verdict is exact: over the
+integers where the factor is rational, and by `compare_power` where it is
+not.  `Cleared.log_bound()` is the bound on log2 q.
 
-A `Cleared` bound may also run the other way, q^k * cofactor >= rhs: the
-small-size lower bound on the K_{d,d} union (union-ind-lower-small-t-log)
-is a rational lower bound on a count.
-
-The other bounds, those that involve log2 e and the Markov-style lower bound
-on the K_{d,d} union, are `LogBound` values in log2, compared under a uniform
-slack of 2^-40 applied in the direction favorable to the inequality under
-test.
-
-Every log2 value here is a `decimal.Decimal` computed in `_CTX`, a context
-of 40 significant digits (about 133 bits, far above the 64 fractional bits
-the comparisons need), whatever the caller's decimal context is; importing
-this module leaves that context as it was.  Each function that does Decimal
-arithmetic runs in `_CTX` for its own duration (`_precise`), and `log2`
-calls `_CTX`'s methods directly.
+Decimal serves only to report values; no verdict reads one.  Every log2
+value here is a `decimal.Decimal` computed in `_CTX`, a context of 40
+significant digits (about 133 bits), whatever the caller's decimal context
+is; importing this module leaves that context as it was.  Each function
+that does Decimal arithmetic runs in `_CTX` for its own duration
+(`_precise`), and `log2` calls `_CTX`'s methods directly.
 """
 
 from __future__ import annotations
@@ -33,11 +27,14 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from .errors import DivisibilityError, DomainError
+from .kdd import kdd_matching_count
 
 _CTX = Context(prec=40)
 
-SLACK = _CTX.power(2, -40)
 _LOG2E = _CTX.divide(1, _CTX.ln(2))
+_LN2 = math.log(2)
+# Bound, in ulps of the result, on the error of log2_ratio's float.
+_LOG2_ULPS = 16
 
 UPPER = "upper"
 LOWER = "lower"
@@ -88,6 +85,132 @@ def log2(x) -> Decimal:
     return _CTX.multiply(_CTX.ln(Decimal(x)), _LOG2E)
 
 
+def log2_ratio(a: int, b: int, k: int = 1, pow2=0, pow_e=0):
+    """log2(a / b * 2^pow2 * e^pow_e) / k for positive integers a, b and k
+    and rationals pow2 and pow_e.  Where the factor 2^pow2 * e^pow_e is
+    irrational it is a Decimal in _CTX.  Elsewhere, the factor shifted into
+    a or b, it is a float whose 12-digit form is that of the exact value,
+    or, where no float within the error bound of the computed one can
+    promise that, a Decimal.
+
+    The float is shift + log1p(r) / ln 2, where r = a' / b' - 1 for a' / b'
+    the ratio scaled by 2^-shift into (1/2, 2).  shift is 0 whenever a / b
+    already lies in (1/2, 2), so a ratio near 1 keeps its relative accuracy
+    instead of cancelling against a shift of 1; elsewhere the result is at
+    least 1 in size, so the error of log1p's term, below 1, stays relative.
+    That error comes from rounding r, amplified at most 1.45-fold by log1p
+    on (-1/2, 1), log1p's own error of at most 1 ulp, and the roundings of
+    ln 2 and of each operation: under 8 ulps of the result in all, against
+    the _LOG2_ULPS checked.
+
+    The Decimal fallback is (shift + ln(a' / b') log2 e) / k in _CTX, its
+    precision raised by the digits that a ratio near 1 cancels: a' / b' =
+    1 + r with |r| above 2^-(bit length of b' - bit length of |a' - b'| + 1),
+    and ln(1 + r) is about r, so a' / b' rounded to that many more digits
+    keeps _CTX's digits of r.
+    """
+    if a <= 0 or b <= 0:
+        raise DomainError(f"log2 needs a positive ratio, got {a}/{b}")
+    if pow_e or pow2.denominator != 1:
+        with localcontext(_CTX):
+            return (log2(Fraction(a, b)) + _dec(pow2) + _dec(pow_e) * _LOG2E) / k
+    if pow2 > 0:
+        a <<= int(pow2)
+    elif pow2 < 0:
+        b <<= int(-pow2)
+    if a == b:
+        return 0.0
+    shift = 0
+    if not (b < 2 * a and a < 2 * b):
+        shift = a.bit_length() - b.bit_length()
+        if shift > 0:
+            b <<= shift
+        else:
+            a <<= -shift
+    x = (shift + math.log1p((a - b) / b) / _LN2) / k
+    err = _LOG2_ULPS * math.ulp(x)
+    if f"{x - err:.12g}" == f"{x + err:.12g}":
+        return x
+    cancelled = b.bit_length() - abs(a - b).bit_length() + 1
+    with localcontext(_CTX) as ctx:
+        ctx.prec += max(0, cancelled) * 30103 // 100000 + 1
+        return (shift + (Decimal(a) / b).ln() * _LOG2E) / k
+
+
+def _ln2_bounds(bits: int) -> tuple[int, int]:
+    """Integers lo and hi with lo <= 2^bits ln 2 <= hi = lo + bits + 1: lo
+    sums the first `bits` terms of ln 2 = sum over j >= 1 of 1 / (j 2^j),
+    each times 2^bits and rounded down, and hi adds one unit per rounded
+    term and the tail, below 1 / ((bits + 1) 2^bits)."""
+    lo = sum((1 << bits) // (j << j) for j in range(1, bits + 1))
+    return lo, lo + bits + 1
+
+
+def _exp_bounds(p: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= e^w <= hi for w = p / 2^bits with |w| <= 1: the Taylor
+    sum of e^w up to w^(m-1) / (m-1)!, less and plus the bound
+    e^|w| |w|^m / m! < 3 / m! on its remainder, with m! above 3 * 2^bits.
+    Over the denominator 2^(bits (m-1)) m!, the term of w^i is the integer
+    p^i 2^(bits (m-1-i)) m! / i!, and each but the unused last divides
+    exactly into the next."""
+    m, fact = 1, 1
+    while fact <= 3 << bits:
+        m += 1
+        fact *= m
+    term = denominator = fact << (bits * (m - 1))
+    total = 0
+    for i in range(1, m + 1):
+        total += term
+        term = term * p // (i << bits)
+    rest = 3 << (bits * (m - 1))
+    return Fraction(total - rest, denominator), Fraction(total + rest, denominator)
+
+
+def compare_power(num: int, den: int, pow2=0, pow_e=0) -> int:
+    """The sign (-1, 0 or 1) of num / den - 2^pow2 * e^pow_e, exactly, for
+    positive integers num and den and rationals pow2 and pow_e.
+
+    Where pow_e = 0 and pow2 is an integer the comparison is over the
+    integers.  Elsewhere num / den = 2^s u with 1 <= u < 2, and u is compared
+    with e^w, w = (pow2 - s) ln 2 + pow_e, between rational bounds on ln 2
+    and on e^w that tighten, twice the bits each round, until u lies outside
+    them.  The factor is then irrational (2^pow2 for a non-integer pow2, and
+    e^pow_e for pow_e != 0 by Lindemann's theorem), so never equal to u, and
+    the loop ends.
+    """
+    if num <= 0 or den <= 0:
+        raise DomainError(f"need a positive ratio, got {num}/{den}")
+    if not pow_e and pow2.denominator == 1:
+        if pow2 > 0:
+            den <<= int(pow2)
+        elif pow2 < 0:
+            num <<= int(-pow2)
+        return (num > den) - (num < den)
+    s = num.bit_length() - den.bit_length()
+    u = Fraction(num, den << s) if s >= 0 else Fraction(num << -s, den)
+    if u < 1:
+        u, s = 2 * u, s - 1
+    c = pow2 - s
+    bits = 32
+    while True:
+        lo2, hi2 = _ln2_bounds(bits)
+        if c < 0:
+            lo2, hi2 = hi2, lo2
+        # w lies in [lo, hi] / 2^bits.
+        one, shifted = 1 << bits, pow_e * (1 << bits)
+        lo, hi = math.floor(c * lo2 + shifted), math.ceil(c * hi2 + shifted)
+        if hi < 0:  # e^w < 1 <= u
+            return 1
+        if lo >= one:  # e^w > 2 > u
+            return -1
+        if -one < lo and hi <= one:
+            if u < _exp_bounds(lo, bits)[0]:
+                return -1
+            if u > _exp_bounds(hi, bits)[1]:
+                return 1
+        bits *= 2
+
+
 @dataclass(frozen=True)
 class LogBound:
     """A bound held in log2 domain with its direction.  value is a
@@ -96,25 +219,20 @@ class LogBound:
     value: Decimal
     direction: str
 
-    @_precise
-    def admits(self, log_count) -> bool:
-        """Does the exact count (given as log2) satisfy this bound, up to
-        SLACK?"""
-        if self.direction == UPPER:
-            return log_count <= self.value + SLACK
-        return log_count >= self.value - SLACK
-
 
 @dataclass(frozen=True)
 class Cleared:
-    """The bound q^k * cofactor <= rhs (direction UPPER) or >= rhs (LOWER)
-    on a nonnegative quantity q, cleared of roots and logarithms; rhs and
-    cofactor are positive rationals."""
+    """The bound q^k * cofactor <= rhs * 2^pow2 * e^pow_e (direction UPPER)
+    or >= (LOWER) on a nonnegative quantity q, cleared of roots and of every
+    logarithm but those of 2 and e; rhs and cofactor are positive rationals,
+    pow2 and pow_e rationals."""
 
     k: int
     rhs: Fraction
     cofactor: Fraction = Fraction(1)
     direction: str = UPPER
+    pow2: Fraction = Fraction(0)
+    pow_e: Fraction = Fraction(0)
 
     def lhs(self, q) -> Fraction:
         """q^k * cofactor for an integer or rational q, reduced once."""
@@ -125,9 +243,10 @@ class Cleared:
 
     @_precise
     def log_bound(self) -> LogBound:
-        """The bound on log2 q: log2(rhs / cofactor) / k, the ratio reduced
-        first."""
-        return LogBound(log2(Fraction(self.rhs, self.cofactor)) / self.k, self.direction)
+        """The bound on log2 q: (log2(rhs / cofactor) + pow2 + pow_e log2 e)
+        / k, the ratio reduced first."""
+        value = log2(Fraction(self.rhs, self.cofactor)) + _dec(self.pow2)
+        return LogBound((value + _dec(self.pow_e) * _LOG2E) / self.k, self.direction)
 
 
 @_precise
@@ -222,17 +341,15 @@ def ind_count_upper_general(n: int, d: int, t: int) -> Cleared:
     return Cleared(2 * d, 4**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d)
 
 
-@_precise
-def ind_count_upper_bipartite(n: int, d: int, t: int) -> LogBound:
+def ind_count_upper_bipartite(n: int, d: int, t: int) -> Cleared:
     """ind-count-upper-bipartite: log2 i_t <= (n/2)(H(2t/n) + 1/d -
-    (log2 e / 2d)(1 - 2t/n)^d), for bipartite graphs.  At t = n/2 the
-    entropy term vanishes and the formula is evaluated as written."""
+    (log2 e / 2d)(1 - 2t/n)^d), for bipartite graphs, cleared as
+    ind_count_upper_general is: i_t^(2d) ((2t)^(2t) (n - 2t)^(n - 2t))^d <=
+    2^n n^(nd) e^(-(n/2)(1 - 2t/n)^d), with 0^0 = 1."""
     _check(n, d, t)
-    alpha = Fraction(2 * t, n)
-    half = Decimal(n) / 2
-    ent = binary_entropy(alpha)
-    miss = _dec((1 - alpha) ** d)
-    return LogBound(half * (ent + Decimal(1) / d - _LOG2E / (2 * d) * miss), UPPER)
+    rest = n - 2 * t
+    pow_e = -Fraction(n, 2) * Fraction(rest, n) ** d
+    return Cleared(2 * d, 2**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d, pow_e=pow_e)
 
 
 @_precise
@@ -252,6 +369,23 @@ def union_matching_lower_explicit(n: int, d: int, size: int) -> LogBound:
     av = _dec(a)
     value = Decimal(n) / 2 * (av * log2(d) + 2 * binary_entropy(a) + av * (log2(a) - _LOG2E))
     return LogBound(value, LOWER)
+
+
+@_precise
+def matching_lower_gap(d: int) -> tuple[Decimal, Decimal]:
+    """Measured per-block-column gap, for a single complete bipartite block
+    at its central matching size, between log2 of the exact count and the
+    explicit entropy-form lower value; also the gap scaled by d / log2(d).
+
+    The explicit form carries an unstated O(log d / d) per-vertex deficit at
+    small d; this helper measures it rather than asserting the inequality.
+    """
+    if d < 2:
+        raise DomainError(f"gap measurement needs d >= 2, got {d}")
+    ell = d // 2
+    explicit = union_matching_lower_explicit(2 * d, d, ell)
+    gap = (log2(kdd_matching_count(d, ell)) - explicit.value) / d
+    return gap, gap * d / log2(d)
 
 
 def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:
@@ -322,18 +456,17 @@ def union_small_t_exact(n: int, d: int, t: int) -> int:
     return (2 * d) ** t * math.comb(copies, t)
 
 
-@_precise
-def union_ind_lower_markov(n: int, d: int, t: int, c) -> LogBound:
-    """union-ind-lower-markov: log2 of the size-t independent-set count of
-    the K_{d,d} union is at least
-    log2[(1 - 1/c) binom(n/2, t)] + (n/2)(1/d - (c/d)(1 - 2t/n)^d), for c > 1."""
+def union_ind_lower_markov(n: int, d: int, t: int, c) -> Cleared:
+    """union-ind-lower-markov: the size-t independent-set count of the K_{d,d}
+    union is at least (1 - 1/c) binom(n/2, t) 2^((n/2d)(1 - c(1 - 2t/n)^d)),
+    for c > 1; in log2, log2[(1 - 1/c) binom(n/2, t)] + (n/2)(1/d - (c/d)(1 -
+    2t/n)^d)."""
     _check(n, d, t)
     c = _as_fraction(c)
     if c <= 1:
         raise DomainError(f"Markov constant must exceed 1, got {c}")
-    head = log2(Fraction(1 - Fraction(1, c)) * math.comb(n // 2, t))
     tail = Fraction(n, 2 * d) * (1 - c * (1 - Fraction(2 * t, n)) ** d)
-    return LogBound(head + _dec(tail), LOWER)
+    return Cleared(1, (1 - 1 / c) * math.comb(n // 2, t), direction=LOWER, pow2=tail)
 
 
 def union_ind_lower_small_t(n: int, d: int, t: int) -> Cleared:

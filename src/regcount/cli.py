@@ -402,14 +402,14 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
             add("union-ind-count-log2", log2(count), "exact", size=t)
         bound = ind_count_upper_general(n, d, t).log_bound()
         add("ind-count-upper-general", bound.value, "upper", size=t)
-        bound = ind_count_upper_bipartite(n, d, t)
+        bound = ind_count_upper_bipartite(n, d, t).log_bound()
         add("ind-count-upper-bipartite", bound.value, "upper", size=t)
         add("ind-upper-pm-exact", independent_upper_pm_exact(n, t), "upper", size=t)
         for c in cs:
             if c > 1:
                 add(
                     "union-ind-lower-markov",
-                    union_ind_lower_markov(n, d, t, c).value,
+                    union_ind_lower_markov(n, d, t, c).log_bound().value,
                     "lower",
                     size=t,
                     c=c,

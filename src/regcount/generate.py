@@ -61,6 +61,7 @@ label contract the rest of the package relies on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -121,6 +122,7 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
     # lexicographic order: vertex 0 in the highest bit.
     cols_rev: list[int] = [0] * n
     levels = _candidate_lists(n, d)
+    neg_revs = [[-rev for rev, _, _ in cands] for cands in levels]
 
     def place(k: int) -> Iterator[Graph]:
         if k == n:
@@ -150,16 +152,16 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
                 full |= 1 << j
             resid += need
         children = []
-        for cand in levels[k]:
+        # Adjacent swap: exchanging vertices k-1 and k keeps columns 0..k-2
+        # and makes column k-1 equal to rev >> 1 (vertex k's column without
+        # its bit for k-1).  If that exceeds the present column k-1, that
+        # is, if rev > 2 cols_rev[k-1] + 1, the swapped ordering beats the
+        # identity, so the code search would reject this prefix anyway.
+        # levels[k] descends in rev, so those candidates are a prefix,
+        # skipped in one step.  At k < 2 rev >> 1 is 0, so none is skipped.
+        start = bisect_left(neg_revs[k], -2 * cols_rev[k - 1] - 1) if iso else 0
+        for cand in levels[k][start:]:
             rev, mask, subset = cand
-            # Adjacent swap: exchanging vertices k-1 and k keeps columns
-            # 0..k-2 and makes column k-1 equal to rev >> 1 (vertex k's
-            # column without its bit for k-1).  If that exceeds the present
-            # column k-1, the swapped ordering beats the identity, so
-            # the code search would reject this prefix anyway.  At k < 2
-            # rev >> 1 is 0, so the test never fires there.
-            if iso and rev >> 1 > cols_rev[k - 1]:
-                continue
             if mask & full or forced & ~mask:
                 continue
             back = len(subset)

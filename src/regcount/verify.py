@@ -6,13 +6,14 @@ aborting a sweep.  `_verdict` is the one constructor of every Verdict, and
 it holds the reproduction rule: a failed verdict about a given graph carries
 that graph's text form as the "graph_text" param.
 
-Every bound with a power-cleared form (`bounds.Cleared`) is decided exactly,
-with zero slack, whether its verdict reports exact rationals or log2 values.
-Such a verdict is decided on cross-multiplied integers, and its log2 values
-and margin are log2 ratios of those integers (`log2_ratio`).  Only bounds
-without one are compared in log2 under the shared slack:
-ind-count-upper-bipartite, which involves log2 e, and the Markov-style lower
-bound on the complete-bipartite union.
+Every verdict is decided exactly, with zero slack, whether it reports exact
+rationals or log2 values.  A bound is a power-cleared inequality
+(`bounds.Cleared`), decided on cross-multiplied integers, with
+`bounds.compare_power` where the bound carries an irrational factor
+2^pow2 * e^pow_e; its log2 values and margin are log2 ratios of those
+integers (`bounds.log2_ratio`).  The decimal module serves only to print
+those values where a float cannot settle their digits, and this module does
+no decimal arithmetic of its own.
 
 Checks return their verdicts in check order; `sort_verdicts` gives the
 report order, once per report.
@@ -24,26 +25,23 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bounds import (
-    _CTX,
-    _LOG2E,
     UPPER,
     Cleared,
-    LogBound,
     block_miss_stats,
     bregman_pm,
+    compare_power,
     ind_count_upper_bipartite,
     ind_count_upper_general,
     ind_pf_upper_bipartite,
     ind_pf_upper_general,
     independent_upper_pm_exact,
-    log2,
+    log2_ratio,
     match_count_upper,
     match_pf_gurvits,
     match_pf_upper,
@@ -51,7 +49,6 @@ from .bounds import (
     single_term,
     union_ind_lower_markov,
     union_ind_lower_small_t,
-    union_matching_lower_explicit,
     union_small_t_exact,
 )
 from .counting import (
@@ -73,7 +70,6 @@ from .graphs import (
     regular_degree,
 )
 from .kdd import (
-    kdd_matching_count,
     union_independent_count,
     union_matching_count,
     union_params,
@@ -87,63 +83,16 @@ DEFAULT_LAMBDA_GRID: tuple[Fraction, ...] = tuple(
 )
 DEFAULT_C_GRID: tuple[Fraction, ...] = (Fraction(2), Fraction(4))
 
-_LN2 = math.log(2)
-# Bound, in ulps of the result, on the error of log2_ratio's float.
-_LOG2_ULPS = 16
-
 
 def format_number(x) -> str:
-    """Canonical string form: integers and rationals verbatim, reals (floats
-    and Decimals) at 12 significant digits of their nearest float,
-    infinities as 'inf'/'-inf'.  Used by every report writer so reruns are
-    byte-identical."""
+    """Canonical string form: integers and rationals verbatim, other reals at
+    12 significant digits of their nearest float, infinities as
+    'inf'/'-inf'.  Used by every report writer so reruns are byte-identical."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, Fraction)):
         return str(x)
     return f"{float(x):.12g}"
-
-
-def log2_ratio(a: int, b: int, k: int = 1):
-    """log2(a / b) / k for positive integers a, b and k, as a float whose
-    format_number form is that of the exact value, or, where no float within
-    the error bound of the computed one can promise that, as a Decimal.
-
-    The float is shift + log1p(r) / ln 2, where r = a' / b' - 1 for a' / b'
-    the ratio scaled by 2^-shift into (1/2, 2).  shift is 0 whenever a / b
-    already lies in (1/2, 2), so a ratio near 1 keeps its relative accuracy
-    instead of cancelling against a shift of 1; elsewhere the result is at
-    least 1 in size, so the error of log1p's term, below 1, stays relative.
-    That error comes from rounding r, amplified at most 1.45-fold by log1p
-    on (-1/2, 1), log1p's own error of at most 1 ulp, and the roundings of
-    ln 2 and of each operation: under 8 ulps of the result in all, against
-    the _LOG2_ULPS checked.
-
-    The Decimal is (shift + ln(a' / b') log2 e) / k in _CTX, its precision
-    raised by the digits that a ratio near 1 cancels: a' / b' = 1 + r with
-    |r| above 2^-(bit length of b' - bit length of |a' - b'| + 1), and
-    ln(1 + r) is about r, so a' / b' rounded to that many more digits keeps
-    _CTX's digits of r.
-    """
-    if a <= 0 or b <= 0:
-        raise DomainError(f"log2 needs a positive ratio, got {a}/{b}")
-    if a == b:
-        return 0.0
-    shift = 0
-    if not (b < 2 * a and a < 2 * b):
-        shift = a.bit_length() - b.bit_length()
-        if shift > 0:
-            b <<= shift
-        else:
-            a <<= -shift
-    x = (shift + math.log1p((a - b) / b) / _LN2) / k
-    err = _LOG2_ULPS * math.ulp(x)
-    if f"{x - err:.12g}" == f"{x + err:.12g}":
-        return x
-    cancelled = b.bit_length() - abs(a - b).bit_length() + 1
-    with localcontext(_CTX) as ctx:
-        ctx.prec += max(0, cancelled) * 30103 // 100000 + 1
-        return (shift + (Decimal(a) / b).ln() * _LOG2E) / k
 
 
 @dataclass(frozen=True)
@@ -270,39 +219,33 @@ def bound_verdict(
     graph_label: str,
     params: dict,
     count: int,
-    bound: LogBound | Cleared,
+    bound: Cleared,
     graph: Graph | None = None,
 ) -> Verdict:
-    """Verdict comparing an exact count against a bound, reported in log2
-    with the bound's side first for a lower bound.  A Cleared bound is
-    decided exactly, a LogBound under its slack."""
+    """Exact verdict comparing a count against a Cleared bound, reported in
+    log2 with the bound's side first for a lower bound."""
     if count < 0:
         raise DomainError(f"counts are nonnegative, got {count}")
     upper = bound.direction == UPPER
-    if isinstance(bound, Cleared):
-        # q^k * cofactor <= rhs reads q^k * bottom <= top over the integers,
-        # and log2 q <= log2(top / bottom) / k; likewise for >=.
-        top = bound.rhs.numerator * bound.cofactor.denominator
-        bottom = bound.rhs.denominator * bound.cofactor.numerator
-        value = log2_ratio(top, bottom, bound.k)
-    else:
-        value = bound.value
+    # q^k * cofactor <= rhs * 2^pow2 * e^pow_e reads
+    # q^k * bottom <= top * 2^pow2 * e^pow_e over the integers, and
+    # log2 q <= log2(top / bottom * 2^pow2 * e^pow_e) / k; likewise for >=.
+    top = bound.rhs.numerator * bound.cofactor.denominator
+    bottom = bound.rhs.denominator * bound.cofactor.numerator
+    pow2, pow_e = bound.pow2, bound.pow_e
+    value = log2_ratio(top, bottom, bound.k, pow2, pow_e)
     if count == 0:
-        passed = upper or bool(value == -math.inf)
+        # 0 meets every upper bound and, its right side being positive, no
+        # lower one.
         margin = math.inf if upper else -math.inf
-        return _verdict(check_id, graph_label, params, 0, value, passed, margin, graph)
-    if isinstance(bound, Cleared):
-        powered = bottom * count**bound.k
-        log_count = log2_ratio(count, 1)
-        if upper:
-            passed, margin = powered <= top, log2_ratio(top, powered, bound.k)
-        else:
-            passed, margin = powered >= top, log2_ratio(powered, top, bound.k)
+        return _verdict(check_id, graph_label, params, 0, value, upper, margin, graph)
+    powered = bottom * count**bound.k
+    sign = compare_power(powered, top, pow2, pow_e)
+    log_count = log2_ratio(count, 1)
+    if upper:
+        passed, margin = sign <= 0, log2_ratio(top, powered, bound.k, pow2, pow_e)
     else:
-        log_count = log2(count)
-        passed = bound.admits(log_count)
-        with localcontext(_CTX):
-            margin = value - log_count if upper else log_count - value
+        passed, margin = sign >= 0, log2_ratio(powered, top, bound.k, -pow2, -pow_e)
     lhs, rhs = (log_count, value) if upper else (value, log_count)
     return _verdict(check_id, graph_label, params, lhs, rhs, passed, margin, graph)
 
@@ -666,9 +609,9 @@ def verify_bounds_suite(
     the graph, one Verdict per (bound, size, lambda) instance, in check
     order.
 
-    Every bound but ind-count-upper-bipartite, which involves log2 e, is a
-    power-cleared inequality and decided exactly.  The count bounds are
-    reported in log2, the others with both sides as exact rationals.
+    Every bound is a power-cleared inequality and decided exactly.  The
+    count bounds are reported in log2, the others with both sides as exact
+    rationals.
     """
     g, d, label = p.graph, p.degree, p.label
     if d is None:
@@ -833,22 +776,3 @@ def hom_graph_verdicts(
         for lam in (Fraction(0), Fraction(1), Fraction(1, c_int)):
             verdicts.append(verify_hardcore_hom_identity(p, c_int, lam))
     return verdicts
-
-
-def matching_lower_gap(d: int) -> tuple[Decimal, Decimal]:
-    """Measured per-block-column gap, for a single complete bipartite block
-    at its central matching size, between log2 of the exact count and the
-    explicit entropy-form lower value; also the gap scaled by d / log2(d).
-
-    The explicit form carries an unstated O(log d / d) per-vertex deficit at
-    small d; this helper measures it rather than asserting the inequality.
-    """
-    if d < 2:
-        raise DomainError(f"gap measurement needs d >= 2, got {d}")
-    ell = d // 2
-    count = kdd_matching_count(d, ell)
-    explicit = union_matching_lower_explicit(2 * d, d, ell)
-    with localcontext(_CTX):
-        gap = (log2(count) - explicit.value) / d
-        ratio = gap * d / log2(d)
-    return gap, ratio

@@ -19,7 +19,7 @@ from regcount import (
     matching_polynomial,
     stirling_term_check,
 )
-from regcount.bounds import SLACK, log2
+from regcount.bounds import matching_lower_gap
 from regcount.verify import (
     DEFAULT_C_GRID,
     DEFAULT_LAMBDA_GRID,
@@ -28,7 +28,7 @@ from regcount.verify import (
     GraphProfile,
     hom_graph_verdicts,
     kahn_graph_verdicts,
-    matching_lower_gap,
+    bound_verdict,
     suite_graph_verdicts,
     sweep,
     total_count_graph_verdicts,
@@ -143,8 +143,9 @@ def test_criterion_05_matching_count_entropy_bound(small_corpus):
             count = poly.coefficient(ell)
             if count == 0:
                 continue
-            bound = match_count_upper(n, d, ell).log_bound()
-            assert log2(count) <= bound.value + SLACK, (n, d, idx, ell)
+            bound = match_count_upper(n, d, ell)
+            verdict = bound_verdict("match-count-upper", "", {}, count, bound)
+            assert verdict.passed, (n, d, idx, ell)
     # spot: log2 20 <= 6.0 at (8, 2, 2)
     bound = match_count_upper(8, 2, 2).log_bound()
     assert abs(bound.value - 6) < 1e-30

@@ -5,12 +5,14 @@ or the oracle-tested polynomials.
 
 import math
 import time
-from decimal import Context, Decimal, localcontext
+from decimal import Context, localcontext
 from fractions import Fraction
 from itertools import combinations
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from regcount import (
@@ -43,7 +45,7 @@ from regcount import (
     union_matching_lower_explicit,
     union_small_t_exact,
 )
-from regcount.bounds import _CTX, LOWER, UPPER, log2
+from regcount.bounds import _CTX, LOWER, UPPER, _exp_bounds, _ln2_bounds, compare_power, log2
 from regcount.verify import DEFAULT_LAMBDA_GRID, GraphProfile, bound_verdict
 
 TIGHT = 1e-30  # far above 40-digit rounding, far below any real discrepancy
@@ -83,14 +85,67 @@ def test_log2_and_entropy():
         assert all(abs(_mp(g) - w) < TIGHT for g, w in zip(got, want))
 
 
-def test_logbound_admits_slack(bounds_precision):
-    up = LogBound(Decimal(3), UPPER)
-    assert up.admits(Decimal(3))
-    assert up.admits(Decimal(3) + Decimal(2) ** -41)
-    assert not up.admits(Decimal(3) + Decimal(2) ** -39)
-    lo = LogBound(Decimal(3), LOWER)
-    assert lo.admits(Decimal(3) - Decimal(2) ** -41)
-    assert not lo.admits(Decimal(3) - Decimal(2) ** -39)
+def _mp_fraction(x):
+    return mpf(x.numerator) / x.denominator
+
+
+@st.composite
+def _power_comparisons(draw):
+    """(num, den, pow2, pow_e): a ratio anywhere, or within about 2^-bits of
+    2^pow2 e^pow_e, or, with pow_e = 0 and pow2 an integer, next to or at
+    2^pow2."""
+    shape = draw(st.sampled_from(["any", "near", "exact"]))
+    pow2 = Fraction(draw(st.integers(-400, 400)), draw(st.integers(1, 60)))
+    pow_e = Fraction(draw(st.integers(-400, 400)), draw(st.integers(1, 60)))
+    if shape == "exact":
+        pow2, pow_e = Fraction(draw(st.integers(-400, 400))), Fraction(0)
+    if shape == "any":
+        return draw(st.integers(1, 2**300)), draw(st.integers(1, 2**300)), pow2, pow_e
+    bits = draw(st.integers(0, 200))
+    with mpmath.workprec(1600):
+        target = mpmath.power(2, _mp_fraction(pow2)) * mpmath.exp(_mp_fraction(pow_e))
+        den = 2 ** max(0, bits - int(mpmath.floor(mpmath.log(target, 2))))
+        num = int(mpmath.nint(target * den)) + draw(st.integers(-3, 3))
+    assume(num >= 1)
+    return num, den, pow2, pow_e
+
+
+@settings(max_examples=300, deadline=None)
+@given(_power_comparisons())
+def test_compare_power_agrees_with_a_300_bit_oracle(case):
+    num, den, pow2, pow_e = case
+    with mpmath.workprec(300):
+        gap = mpmath.log(num) - mpmath.log(den) - _mp_fraction(pow2) * mpmath.log(2) - _mp_fraction(pow_e)
+    if pow_e == 0 and pow2.denominator == 1 and num * 2 ** max(0, -pow2) == den * 2 ** max(0, pow2):
+        want = 0
+    else:
+        assume(abs(gap) > mpf(2) ** -260)
+        want = 1 if gap > 0 else -1
+    assert compare_power(num, den, pow2, pow_e) == want
+
+
+def test_rational_brackets_of_ln2_and_exp():
+    # The brackets compare_power tightens, at widths where the tail of the
+    # ln 2 series and the Taylor remainder of e^w decide them.
+    with mpmath.workprec(300):
+        for bits in range(1, 65):
+            lo, hi = _ln2_bounds(bits)
+            assert lo <= mpmath.ln2 * 2**bits <= hi
+        for bits in range(1, 9):
+            for p in range(-(1 << bits), (1 << bits) + 1):
+                lo, hi = _exp_bounds(p, bits)
+                assert _mp_fraction(lo) <= mpmath.exp(mpf(p) / 2**bits) <= _mp_fraction(hi)
+
+
+def test_compare_power_exact_branch_and_domain():
+    assert compare_power(2**5, 1, 5) == 0
+    assert compare_power(2**5 - 1, 1, 5) == -1
+    assert compare_power(1, 2**5, Fraction(-5)) == 0
+    assert compare_power(3, 1, Fraction(3, 2)) == 1  # 3 > 2^(3/2)
+    assert compare_power(2, 1, 0, 1) == -1  # 2 < e
+    assert compare_power(1, 1, 0, Fraction(1, 10**6)) == -1
+    with pytest.raises(DomainError):
+        compare_power(0, 1, 0, 1)
 
 
 def _case(definition, *args, name=None):
@@ -138,15 +193,23 @@ def test_definitions_reject_inputs_outside_their_domain(definition, args):
         definition(*args)
 
 
+def _admits(count, bound):
+    """Does the exact count, an integer or an integral Fraction, meet the
+    Cleared bound, decided exactly?"""
+    assert count.denominator == 1
+    return bound_verdict("demo", "g", {}, int(count), bound).passed
+
+
 def test_matching_partition_upper_against_cycle(c8, bounds_precision):
-    b = match_pf_upper(8, 2, Fraction(1)).log_bound()
+    bound = match_pf_upper(8, 2, Fraction(1))
+    b = bound.log_bound()
     assert b.direction == UPPER
     assert abs(b.value - 4 * log2(Fraction(3))) < TIGHT
     z = eval_partition(matching_polynomial(c8), Fraction(1))
     assert z == 47
     # power-cleared form of the same inequality, exactly: z^2 <= (1+d)^n
     assert z**2 <= 3**8
-    assert b.admits(log2(Fraction(z)))
+    assert _admits(z, bound)
 
 
 def test_optimal_lambda():
@@ -164,7 +227,7 @@ def test_matching_count_upper_values(c8):
     # alpha = 1/2 at (8, 2, 2) gives exactly (n/2)(1/2 + H(1/2)) = 6
     b = match_count_upper(8, 2, 2).log_bound()
     assert abs(b.value - 6) < TIGHT
-    assert b.admits(log2(Fraction(20)))
+    assert _admits(20, match_count_upper(8, 2, 2))
     assert matching_polynomial(c8).coefficient(2) == 20
     assert match_count_upper(8, 2, 0).log_bound().value == 0
     full = match_count_upper(8, 2, 4).log_bound()
@@ -217,16 +280,16 @@ def test_profile_lower_is_sum_of_terms_and_holds(bounds_precision):
     assert b.direction == LOWER
     assert abs(b.value - sum(stirling_rhs(2, a, 1) for a in prof)) < TIGHT
     exact = union_matching_count(union_params(8, 2), 2)
-    assert b.admits(log2(Fraction(exact)))
+    assert log2(Fraction(exact)) >= b.value
 
 
 def test_gurvits_bound(c8, bounds_precision):
-    b = match_pf_gurvits(c8.edge_count, GraphProfile(c8).nu, Fraction(1)).log_bound()
+    bound = match_pf_gurvits(c8.edge_count, GraphProfile(c8).nu, Fraction(1))
     # nu = 4 and |E|/nu = 2, so the bound is 4 log2(3); cleared: z <= 3^4
-    assert abs(b.value - 4 * log2(Fraction(3))) < TIGHT
+    assert abs(bound.log_bound().value - 4 * log2(Fraction(3))) < TIGHT
     z = eval_partition(matching_polynomial(c8), Fraction(1))
     assert z <= 3**4
-    assert b.admits(log2(Fraction(z)))
+    assert _admits(z, bound)
 
 
 def test_gurvits_bound_reads_nu_from_the_matching_polynomial():
@@ -245,13 +308,13 @@ def test_independent_partition_upper(c8, k33, bounds_precision):
 
     z8 = eval_partition(independence_polynomial(c8), Fraction(1))
     assert z8 == 47
-    gen = ind_pf_upper_general(8, 2, Fraction(1)).log_bound()
-    assert abs(gen.value - 8) < TIGHT
-    assert gen.admits(log2(Fraction(z8)))
-    bip = ind_pf_upper_bipartite(8, 2, Fraction(1)).log_bound()
-    assert abs(bip.value - 2 * log2(Fraction(7))) < TIGHT
+    gen = ind_pf_upper_general(8, 2, Fraction(1))
+    assert abs(gen.log_bound().value - 8) < TIGHT
+    assert _admits(z8, gen)
+    bip = ind_pf_upper_bipartite(8, 2, Fraction(1))
+    assert abs(bip.log_bound().value - 2 * log2(Fraction(7))) < TIGHT
     assert z8**2 <= 7**4
-    assert bip.admits(log2(Fraction(z8)))
+    assert _admits(z8, bip)
     # K_{3,3} at lambda = 1: z = 1 + 6 + 6 + 2 = 15 and the bipartite form
     # is exactly log2(2 * 2^3 - 1) = log2 15, equality on the block
     z33 = eval_partition(independence_polynomial(k33), Fraction(1))
@@ -291,13 +354,14 @@ def test_independent_upper_pm_exact(c8):
 def test_independent_count_upper_variants():
     pm = LogBound(log2(Fraction(independent_upper_pm_exact(8, 2))), UPPER)
     assert abs(pm.value - log2(Fraction(24))) < TIGHT
-    gen = ind_count_upper_general(8, 2, 2).log_bound()
-    assert abs(gen.value - 8) < TIGHT
+    assert log2(Fraction(20)) <= pm.value
+    gen = ind_count_upper_general(8, 2, 2)
+    assert abs(gen.log_bound().value - 8) < TIGHT
     bip = ind_count_upper_bipartite(8, 2, 2)
     want = 4 * (1 + 0.5 - math.log2(math.e) / 4 * 0.25)
-    assert abs(float(bip.value) - want) < 1e-12
-    for b in (gen, bip, pm):
-        assert b.admits(log2(Fraction(20)))
+    assert abs(float(bip.log_bound().value) - want) < 1e-12
+    for b in (gen, bip):
+        assert _admits(20, b)
 
 
 def test_union_small_t_exact_is_a_true_count():
@@ -322,8 +386,9 @@ def test_union_small_t_exact_is_a_true_count():
 def test_union_independent_lower_variants():
     markov = union_ind_lower_markov(8, 2, 2, Fraction(2))
     assert markov.direction == LOWER
-    assert abs(markov.value - log2(Fraction(6))) < TIGHT
-    assert log2(Fraction(20)) >= markov.value
+    # (1 - 1/2) binom(4, 2) 2^((8/4)(1 - 2 (1/2)^2)) = 3 * 2 = 6, exactly
+    assert abs(markov.log_bound().value - log2(Fraction(6))) < TIGHT
+    assert _admits(20, markov) and _admits(6, markov) and not _admits(5, markov)
     small = union_ind_lower_small_t(8, 2, 2)
     # the product form gives exactly 12, weaker than the exact scattered
     # count 16 because it rounds each conditional factor down
@@ -380,6 +445,16 @@ def test_log2_forms_match_the_closed_formulas():
                     want = half * (_entropy(a) + mpf(2) / d)
                     got = _mp(ind_count_upper_general(n, d, s).log_bound().value)
                     assert abs(got - want) < TIGHT, (n, d, s)
+                    miss = (1 - a) ** d
+                    want = half * (_entropy(a) + mpf(1) / d - miss / (2 * d * mpmath.log(2)))
+                    got = _mp(ind_count_upper_bipartite(n, d, s).log_bound().value)
+                    assert abs(got - want) < TIGHT, (n, d, s)
+                    for c in (2, Fraction(7, 3)):
+                        cm = mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpf(c)
+                        head = mpmath.log((1 - 1 / cm) * mpmath.binomial(n // 2, s), 2)
+                        want = head + half / d * (1 - cm * miss)
+                        got = _mp(union_ind_lower_markov(n, d, s, c).log_bound().value)
+                        assert abs(got - want) < TIGHT, (n, d, s, c)
                 for lam in DEFAULT_LAMBDA_GRID:
                     x = mpf(lam.numerator) / lam.denominator
                     want = half * mpmath.log(1 + d * x, 2)

@@ -307,6 +307,16 @@ def test_verify_suite_cli(capsys):
     assert "union-block-identity" in ids  # 2d | n, so union lowers are included
 
 
+def test_verify_suite_with_a_large_markov_constant(capsys):
+    # At c = 100000 the Markov-style exponents of 2 reach about -2 * 10^5,
+    # integers and fractions alike, and each verdict is still decided
+    # exactly.
+    code, doc = run_json(capsys, "verify-suite", "--n", "12", "--d", "3", "--c", "100000")
+    assert code == 0
+    markov = [v for v in doc["verdicts"] if v["check_id"] == "union-ind-lower-markov"]
+    assert len(markov) == 7 and all(v["pass"] for v in markov)
+
+
 def test_verify_hom_cli(capsys):
     code, doc = run_json(
         capsys, "verify-hom", "--n", "4", "--d", "2", "--orders", "2", "--seed", "7"
@@ -486,7 +496,9 @@ def test_high_precision_logs_need_no_mpmath_and_keep_the_decimal_context():
     # Every high-precision log comes from the standard library's decimal
     # module, in the package's own context: the caller's context, precision
     # and flags alike, is left as it was.  log2(a / b) lies next to a
-    # rounding boundary of its 12 printed digits, so log2_ratio falls back.
+    # rounding boundary of its 12 printed digits, so log2_ratio falls back;
+    # Kahn's bound carries a factor e^b, so its verdict reports decimal
+    # logs and decides the comparison with compare_power.
     b = 2**200
     with mpmath.workprec(800):
         a = int(mpmath.nint(mpmath.power(2, mpf("1.000000000005")) * b))
@@ -495,11 +507,13 @@ import decimal, sys
 before = repr(decimal.getcontext())
 import regcount.cli
 from fractions import Fraction
-from regcount.bounds import LOWER, LogBound, ind_count_upper_bipartite, log2
-from regcount.verify import bound_verdict, log2_ratio
+from regcount.bounds import ind_count_upper_bipartite, log2, log2_ratio
+from regcount.verify import bound_verdict
 log2(Fraction(3, 7))
-ind_count_upper_bipartite(12, 3, 2)
-bound_verdict("demo", "g", {{}}, 5, LogBound(log2(3), LOWER))
+bound = ind_count_upper_bipartite(12, 3, 2)
+assert bound.pow_e != 0
+verdict = bound_verdict("demo", "g", {{}}, 5, bound)
+assert verdict.passed and not isinstance(verdict.margin, float)
 assert not isinstance(log2_ratio({a}, {b}), float)
 print("mpmath" in sys.modules, repr(decimal.getcontext()) == before)
 """

@@ -35,6 +35,7 @@ CASES["verify-hom-6-3.csv"] = ["verify-hom", "--n", "6", "--d", "3", "--format",
 CASES["verify-kahn-6-3.json"] = ["verify-kahn", "--n", "6", "--d", "3"]
 CASES["verify-roots-8-3.json"] = ["verify-roots", "--n", "8", "--d", "3"]
 CASES["verify-roots-petersen.json"] = ["verify-roots", "--graph", "petersen.txt"]
+CASES["verify-suite-6-3.json"] = ["verify-suite", "--n", "6", "--d", "3"]
 CASES["verify-suite-8-3.json"] = ["verify-suite", "--n", "8", "--d", "3"]
 CASES["verify-suite-8-3.csv"] = ["verify-suite", "--n", "8", "--d", "3", "--format", "csv"]
 CASES["verify-umc-6-3.json"] = ["verify-umc", "--n", "6", "--d", "3"]

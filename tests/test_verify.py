@@ -29,7 +29,13 @@ from regcount import (
     independence_polynomial,
     matching_polynomial,
 )
-from regcount.bounds import LOWER, UPPER, Cleared, LogBound, log2
+from regcount.bounds import (
+    LOWER,
+    Cleared,
+    log2_ratio,
+    matching_lower_gap,
+    union_ind_lower_markov,
+)
 from regcount.counting import INDEPENDENT_SET, MATCHING
 from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
@@ -44,8 +50,6 @@ from regcount.verify import (
     hom_graph_verdicts,
     hom_targets,
     kahn_graph_verdicts,
-    log2_ratio,
-    matching_lower_gap,
     sort_verdicts,
     suite_graph_verdicts,
     sweep,
@@ -184,17 +188,18 @@ def test_exact_verdicts_and_margins(c4):
 
 
 def test_bound_verdict_directions(c4):
-    up = bound_verdict("demo", "g", {}, 8, LogBound(Decimal(4), UPPER))
-    assert up.passed and abs(up.margin - 1) < 1e-12
-    assert abs(up.lhs - 3) < 1e-12  # log2(count) on the left for upper bounds
-    lo = bound_verdict("demo", "g", {}, 8, LogBound(Decimal(2), LOWER))
-    assert lo.passed and abs(lo.margin - 1) < 1e-12 and abs(lo.rhs - 3) < 1e-12
-    zero_up = bound_verdict("demo", "g", {}, 0, LogBound(Decimal(4), UPPER))
+    up = bound_verdict("demo", "g", {}, 8, Cleared(1, Fraction(16)))
+    assert up.passed and up.margin == 1
+    assert up.lhs == 3 and up.rhs == 4  # log2(count) on the left for upper bounds
+    lo = bound_verdict("demo", "g", {}, 8, Cleared(1, Fraction(4), direction=LOWER))
+    assert lo.passed and lo.margin == 1 and lo.lhs == 2 and lo.rhs == 3
+    zero_up = bound_verdict("demo", "g", {}, 0, Cleared(1, Fraction(16)))
     assert zero_up.passed and zero_up.margin == math.inf
-    zero_lo = bound_verdict("demo", "g", {}, 0, LogBound(Decimal(0), LOWER), graph=c4)
-    assert not zero_lo.passed and "graph_text" in zero_lo.params
+    zero_lo = bound_verdict("demo", "g", {}, 0, Cleared(1, Fraction(1), direction=LOWER), graph=c4)
+    assert not zero_lo.passed and zero_lo.margin == -math.inf
+    assert "graph_text" in zero_lo.params
     with pytest.raises(DomainError):
-        bound_verdict("demo", "g", {}, -1, LogBound(Decimal(0), UPPER))
+        bound_verdict("demo", "g", {}, -1, Cleared(1, Fraction(16)))
     # A cleared lower bound, count >= 24 / 2, is decided on integers, with
     # the bound's side first.
     twelve = Cleared(1, Fraction(24), Fraction(2), direction=LOWER)
@@ -209,6 +214,19 @@ def test_bound_verdict_directions(c4):
     assert format_number(below.margin) == _log2_oracle(11, 12)
     zero = bound_verdict("demo", "g", {}, 0, twelve)
     assert not zero.passed and zero.margin == -math.inf
+    # count <= e = 2.718..., and count >= 2^(3/2) = 2.828..., are decided
+    # exactly; the log2 values and margins are 40-digit decimals.
+    e = Cleared(1, Fraction(1), pow_e=Fraction(1))
+    assert bound_verdict("demo", "g", {}, 2, e).passed
+    assert not bound_verdict("demo", "g", {}, 3, e).passed
+    with mpmath.workprec(800):
+        want = f"{float(mpmath.log(mpmath.e / 2, 2)):.12g}"
+    assert format_number(bound_verdict("demo", "g", {}, 2, e).margin) == want
+    root8 = Cleared(1, Fraction(1), direction=LOWER, pow2=Fraction(3, 2))
+    assert bound_verdict("demo", "g", {}, 3, root8).passed
+    below = bound_verdict("demo", "g", {}, 2, root8)
+    assert not below.passed and format_number(below.margin) == "-0.5"
+    assert format_number(below.lhs) == "1.5"
 
 
 def _report_rows(verdicts):
@@ -454,6 +472,55 @@ def test_count_bounds_are_decided_exactly(check_id, size, excess):
         assert not v.passed and "graph_text" in v.params
     else:
         assert v.passed and format_number(v.margin) == "0"
+
+
+def _entropy_bits(a):
+    return -a * mpmath.log(a, 2) - (1 - a) * mpmath.log(1 - a, 2)
+
+
+def test_bipartite_count_bound_is_decided_exactly():
+    # Kahn's bound on the size-18 count of a bipartite 4-regular graph on 72
+    # vertices, about 2^44.6, from its closed formula at 256 bits: the
+    # largest count it admits passes and one more fails.  Above 2^42 the
+    # larger count lies within a 2^-40 log2 slack.
+    n, d, size = 72, 4, 18
+    with mpmath.workprec(256):
+        a = mpf(2 * size) / n
+        log_bound = n / 2 * (_entropy_bits(a) + mpf(1) / d - (1 - a) ** d / (2 * d * mpmath.log(2)))
+        bound = mpmath.power(2, log_bound)
+        largest = int(mpmath.floor(bound))
+        assert bound > 2**42 and 2**-100 < bound - largest < 1 - 2**-100
+    g = build_graph(n, sorted({tuple(sorted((i, (i + o) % n))) for i in range(n) for o in (1, 3)}))
+    for count, admitted in ((largest, True), (largest + 1, False)):
+        profile = GraphProfile(g)
+        assert profile.bipartite
+        coefficients = (1,) * size + (count, 1)
+        profile.matching_polynomial = CountPolynomial(coefficients, MATCHING)
+        profile.independence_polynomial = CountPolynomial(coefficients, INDEPENDENT_SET)
+        [v] = [
+            v
+            for v in verify_bounds_suite(profile, (Fraction(1),))
+            if v.check_id == "ind-count-upper-bipartite" and v.params["size"] == size
+        ]
+        assert v.passed == admitted and ("graph_text" in v.params) != admitted
+
+
+@pytest.mark.parametrize("c", [Fraction(2), Fraction(7, 3)])
+def test_markov_lower_bound_is_decided_exactly(c):
+    # The Markov-style lower bound on the size-24 count of the K_{4,4} union
+    # on 96 vertices, (1 - 1/c) binom(48, 24) 2^(12 (1 - c / 16)), about
+    # 2^54 with a non-integer exponent, at 256 bits: the smallest count it
+    # admits passes and one less fails, which a 2^-40 log2 slack would admit.
+    n, d, t = 96, 4, 24
+    with mpmath.workprec(256):
+        cm = mpf(c.numerator) / c.denominator
+        exponent = mpf(n) / (2 * d) * (1 - cm * (1 - mpf(2 * t) / n) ** d)
+        bound = (1 - 1 / cm) * mpmath.binomial(n // 2, t) * mpmath.power(2, exponent)
+        smallest = int(mpmath.ceil(bound))
+        assert bound > 2**42 and 2**-100 < smallest - bound < 1 - 2**-100
+    markov = union_ind_lower_markov(n, d, t, c)
+    assert bound_verdict("union-ind-lower-markov", "u", {}, smallest, markov).passed
+    assert not bound_verdict("union-ind-lower-markov", "u", {}, smallest - 1, markov).passed
 
 
 def test_suite_graph_verdicts_adds_conditional_checks(c8, prism):
