@@ -7,16 +7,30 @@ isomorph rejection, and verdict-producing verifiers wired into a CLI.
 
 Each public name is imported from its submodule on first use, so a command
 of the CLI loads only the layers it runs.
+
+The function generate shares its name with the submodule that defines it.
+The import system binds a submodule's name on its package once the submodule
+is loaded, so the package is a module subclass whose __setattr__ ignores
+that one binding: regcount.generate is the function, however and whenever
+the submodule is imported, while any other value (a stub, a tracing hook)
+may still be bound to the name.
 """
 
 import importlib
-
-# The one eager import.  The function shares its name with the submodule, and
-# importing a submodule binds its name on the package; imported here, the
-# submodule is loaded once and the function is bound over it for good.
-from .generate import generate
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name, value):
+        if name == "generate" and isinstance(value, ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 _EXPORTS = {
     "bounds": (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -211,28 +211,26 @@ def compare_power(num: int, den: int, pow2=0, pow_e=0) -> int:
         bits *= 2
 
 
-@dataclass(frozen=True)
-class LogBound:
+class LogBound(namedtuple("LogBound", "value direction")):
     """A bound held in log2 domain with its direction.  value is a
     `decimal.Decimal`; arithmetic on it runs in the caller's context."""
 
-    value: Decimal
-    direction: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cleared:
+class Cleared(
+    namedtuple(
+        "Cleared",
+        "k rhs cofactor direction pow2 pow_e",
+        defaults=(Fraction(1), UPPER, Fraction(0), Fraction(0)),
+    )
+):
     """The bound q^k * cofactor <= rhs * 2^pow2 * e^pow_e (direction UPPER)
     or >= (LOWER) on a nonnegative quantity q, cleared of roots and of every
     logarithm but those of 2 and e; rhs and cofactor are positive rationals,
     pow2 and pow_e rationals."""
 
-    k: int
-    rhs: Fraction
-    cofactor: Fraction = Fraction(1)
-    direction: str = UPPER
-    pow2: Fraction = Fraction(0)
-    pow_e: Fraction = Fraction(0)
+    __slots__ = ()
 
     def lhs(self, q) -> Fraction:
         """q^k * cofactor for an integer or rational q, reduced once."""
@@ -384,8 +382,16 @@ def matching_lower_gap(d: int) -> tuple[Decimal, Decimal]:
         raise DomainError(f"gap measurement needs d >= 2, got {d}")
     ell = d // 2
     explicit = union_matching_lower_explicit(2 * d, d, ell)
-    gap = (log2(kdd_matching_count(d, ell)) - explicit.value) / d
+    gap = explicit_gap_log2(kdd_matching_count(d, ell), explicit) / d
     return gap, gap * d / log2(d)
+
+
+@_precise
+def explicit_gap_log2(count: int, explicit: LogBound) -> Decimal:
+    """log2(count) - explicit.value: how far log2 of an exact matching count
+    lies above the explicit lower value union_matching_lower_explicit gives
+    for it."""
+    return log2(count) - explicit.value
 
 
 def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:

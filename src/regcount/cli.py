@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
@@ -34,7 +33,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    """argparse type: a nonnegative rational, as a Fraction."""
+    from fractions import Fraction
+
     value = Fraction(text)
     if value < 0:
         raise ValueError(f"expected a nonnegative rational, got {text}")
@@ -129,6 +131,9 @@ def _pmap(fn, items, workers: int) -> list:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
+    # Only _fraction makes Fractions, and it imports the module first.
+    fractions = sys.modules.get("fractions")
+    fraction = fractions.Fraction if fractions else ()
     config = {}
     for key in sorted(vars(args)):
         if key == "command":
@@ -138,9 +143,9 @@ def _config_echo(args: argparse.Namespace) -> dict:
             continue
         if isinstance(value, list):
             config[key] = [
-                str(v) if isinstance(v, Fraction) else v for v in value
+                str(v) if isinstance(v, fraction) else v for v in value
             ]
-        elif isinstance(value, Fraction):
+        elif isinstance(value, fraction):
             config[key] = str(value)
         else:
             config[key] = value
@@ -319,12 +324,10 @@ def _cmd_count(args) -> int:
 
 
 def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
-    from decimal import localcontext
-
     from .bounds import (
-        _CTX,
         balanced_profile,
         block_miss_stats,
+        explicit_gap_log2,
         ind_count_upper_bipartite,
         ind_count_upper_general,
         ind_pf_upper_bipartite,
@@ -369,9 +372,7 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
             explicit = union_matching_lower_explicit(n, d, ell)
             add("union-match-lower-explicit", explicit.value, "reference", size=ell)
             if count:
-                with localcontext(_CTX):
-                    gap = log2(count) - explicit.value
-                add("explicit-gap-log2", gap, "info", size=ell)
+                add("explicit-gap-log2", explicit_gap_log2(count, explicit), "info", size=ell)
         profile = balanced_profile(n, d, ell)
         for c in cs:
             add(

@@ -13,8 +13,7 @@ polynomials, in one table for homomorphisms) raise ScaleError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from .errors import DomainError, GraphError, ScaleError
 from .graphs import Graph, adjacency_masks
@@ -31,12 +30,11 @@ MATCHING = "matching"
 INDEPENDENT_SET = "independent-set"
 
 
-@dataclass(frozen=True)
-class CountPolynomial:
-    """coefficients[k] = exact number of size-k objects; trailing zeros trimmed."""
+class CountPolynomial(namedtuple("CountPolynomial", "coefficients kind")):
+    """coefficients[k] = exact number of size-k objects, a tuple of ints with
+    trailing zeros trimmed; kind is MATCHING or INDEPENDENT_SET."""
 
-    coefficients: tuple[int, ...]
-    kind: str
+    __slots__ = ()
 
     def coefficient(self, k: int) -> int:
         if k < 0:
@@ -170,8 +168,11 @@ def independence_polynomial(g: Graph) -> CountPolynomial:
     return CountPolynomial(_subset_dp(g, INDEPENDENT_SET), INDEPENDENT_SET)
 
 
-def eval_partition(p: CountPolynomial, lam) -> Fraction:
-    """Exact partition-function value sum_k coeff_k * lam^k at rational lam >= 0."""
+def eval_partition(p: CountPolynomial, lam):
+    """Exact partition-function value sum_k coeff_k * lam^k at rational lam >= 0,
+    as a Fraction."""
+    from fractions import Fraction
+
     lam = Fraction(lam)
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")

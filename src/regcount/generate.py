@@ -62,7 +62,7 @@ label contract the rest of the package relies on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from typing import Iterator
 
@@ -74,26 +74,25 @@ ISO_VERTEX_LIMIT = 14
 CANONICAL_FORM_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    n: int
-    d: int
-    bipartite_only: bool = False
-    isomorph_reject: bool = True
+class GenSpec(namedtuple("GenSpec", "n d bipartite_only isomorph_reject")):
+    """What generate emits: the d-regular graphs on n vertices, only the
+    bipartite ones if bipartite_only, one per isomorphism class if
+    isomorph_reject.  Validated on construction."""
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"need n >= 1, got {self.n}")
-        if not 0 <= self.d < self.n:
-            raise DomainError(f"need 0 <= d < n, got d={self.d}, n={self.n}")
-        if self.n * self.d % 2 != 0:
-            raise DomainError(
-                f"parity violation: n*d must be even, got n={self.n}, d={self.d}"
-            )
-        if self.isomorph_reject and self.n > ISO_VERTEX_LIMIT:
+    __slots__ = ()
+
+    def __new__(cls, n: int, d: int, bipartite_only: bool = False, isomorph_reject: bool = True):
+        if n < 1:
+            raise DomainError(f"need n >= 1, got {n}")
+        if not 0 <= d < n:
+            raise DomainError(f"need 0 <= d < n, got d={d}, n={n}")
+        if n * d % 2 != 0:
+            raise DomainError(f"parity violation: n*d must be even, got n={n}, d={d}")
+        if isomorph_reject and n > ISO_VERTEX_LIMIT:
             raise ScaleError(
-                f"isomorph rejection supports n <= {ISO_VERTEX_LIMIT}, got {self.n}"
+                f"isomorph rejection supports n <= {ISO_VERTEX_LIMIT}, got {n}"
             )
+        return super().__new__(cls, n, d, bipartite_only, isomorph_reject)
 
 
 def _candidate_lists(n: int, d: int) -> list[list[tuple[int, int, tuple[int, ...]]]]:

@@ -8,7 +8,7 @@ target graphs; every counting routine works on simple graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, GraphError
 
@@ -17,13 +17,13 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable undirected graph; safe to share across workers."""
+class Graph(namedtuple("Graph", "vertex_count edges allow_loops", defaults=(False,))):
+    """Immutable undirected graph; safe to share across workers.
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    allow_loops: bool = False
+    vertex_count is an int, edges a frozenset of (u, v) tuples and
+    allow_loops a bool.  A Graph is a tuple of those three fields."""
+
+    __slots__ = ()
 
     @property
     def edge_count(self) -> int:
@@ -44,12 +44,11 @@ class Graph:
         return sorted(self.edges)
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """A two-coloring witness: every edge crosses between the classes."""
+class Bipartition(namedtuple("Bipartition", "class_a class_b")):
+    """A two-coloring witness: every edge crosses between the classes, two
+    frozensets of vertices."""
 
-    class_a: frozenset[int]
-    class_b: frozenset[int]
+    __slots__ = ()
 
 
 def build_graph(n: int, edges, allow_loops: bool = False) -> Graph:

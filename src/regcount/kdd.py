@@ -8,18 +8,15 @@ holds for independent sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DivisibilityError, DomainError
 
 
-@dataclass(frozen=True)
-class UnionParams:
+class UnionParams(namedtuple("UnionParams", "n d copies")):
     """Shape of a disjoint union of K_{d,d} copies on n vertices."""
 
-    n: int
-    d: int
-    copies: int
+    __slots__ = ()
 
 
 def union_params(n: int, d: int) -> UnionParams:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
@@ -95,23 +95,18 @@ def format_number(x) -> str:
     return f"{float(x):.12g}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(
+    namedtuple("Verdict", "check_id graph_label params lhs rhs passed margin")
+):
     """Outcome of one inequality or identity instance.
 
-    lhs and rhs are the two compared quantities (exact integers or rationals
-    for cleared comparisons, log2 values otherwise); margin is the log2 gap
-    in the favorable direction, so a positive margin means slack remains.
-    The serialized key for the outcome flag is "pass".
+    params is a dict; lhs and rhs are the two compared quantities (exact
+    integers or rationals for cleared comparisons, log2 values otherwise);
+    margin is the log2 gap in the favorable direction, so a positive margin
+    means slack remains.  The serialized key for the outcome flag is "pass".
     """
 
-    check_id: str
-    graph_label: str
-    params: dict
-    lhs: object
-    rhs: object
-    passed: bool
-    margin: object
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -334,13 +329,11 @@ def sweep(spec: GenSpec, check, map=map) -> list[Verdict]:
     return [v for batch in batches for v in batch]
 
 
-@dataclass(frozen=True)
-class VertexOrder:
+class VertexOrder(namedtuple("VertexOrder", "permutation back_degrees")):
     """A total order on the vertices with each vertex's count of earlier
     neighbors; those counts always sum to the edge count."""
 
-    permutation: tuple[int, ...]
-    back_degrees: tuple[int, ...]
+    __slots__ = ()
 
 
 def vertex_order(g: Graph, permutation: Sequence[int]) -> VertexOrder:

@@ -198,7 +198,11 @@ def test_genspec_validation():
         GenSpec(5, 3)
     with pytest.raises(ScaleError):
         GenSpec(15, 2)
-    GenSpec(15, 2, isomorph_reject=False)
+    with pytest.raises(DomainError):
+        GenSpec(n=5, d=3, isomorph_reject=False)
+    with pytest.raises(ScaleError):
+        GenSpec(15, 2, False, True)
+    assert GenSpec(15, 2, isomorph_reject=False) == (15, 2, False, False)
 
 
 @pytest.mark.parametrize(
