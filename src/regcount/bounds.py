@@ -1,26 +1,24 @@
 """Closed-form bounds on matching and independent-set counts.
 
-Each bound is defined once, by a function named after its check id.  Every
-bound a verdict decides is a power-cleared inequality
-q^k * cofactor <= rhs * 2^pow2 * e^pow_e, or >= for a lower bound, with
-rhs and cofactor positive rationals and pow2 and pow_e rationals
-(`Cleared`); the factor 2^pow2 * e^pow_e carries the log2 e of Kahn's
-bound for bipartite graphs and the rational power of 2 of the Markov-style
-lower bound on the K_{d,d} union.  Every verdict is exact: over the
-integers where the factor is rational, and by `compare_power` where it is
-not.  `Cleared.log_bound()` is the bound on log2 q.
+Each bound is defined once, by a function named after its check id, as a
+power-cleared inequality q^k * cofactor <= rhs * 2^pow2 * e^pow_e, or >= for
+a lower bound, with rhs and cofactor positive rationals and pow2 and pow_e
+rationals (`Cleared`); the factor 2^pow2 * e^pow_e carries the log2 e of
+Kahn's bound for bipartite graphs and of the entropy-form lower bounds on
+the K_{d,d} union, and the rational power of 2 of its Markov-style lower
+bound.  Every verdict is exact: over the integers where the factor is
+rational, and by `compare_power` where it is not.  `Cleared.log_bound()` is
+the bound on log2 q, and `log2_ratio` computes it, as it computes every
+log2 value a report prints.
 
-Decimal serves only to report values; no verdict reads one.  Every log2
-value here is a `decimal.Decimal` computed in `_CTX`, a context of 40
-significant digits (about 133 bits), whatever the caller's decimal context
-is; importing this module leaves that context as it was.  Each function
-that does Decimal arithmetic runs in `_CTX` for its own duration
-(`_precise`), and `log2` calls `_CTX`'s methods directly.
+Decimal serves only to print values; no verdict reads one.  Where a log2
+value needs one, it is computed in `_CTX`, a context of 40 significant
+digits (about 133 bits), whatever the caller's decimal context is; importing
+this module leaves that context as it was.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from decimal import Context, Decimal, localcontext
@@ -38,17 +36,6 @@ _LOG2_ULPS = 16
 
 UPPER = "upper"
 LOWER = "lower"
-
-
-def _precise(fn):
-    """fn, run in _CTX whatever the caller's decimal context."""
-
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        with localcontext(_CTX):
-            return fn(*args, **kwargs)
-
-    return run
 
 
 def _as_fraction(x) -> Fraction:
@@ -211,13 +198,6 @@ def compare_power(num: int, den: int, pow2=0, pow_e=0) -> int:
         bits *= 2
 
 
-class LogBound(namedtuple("LogBound", "value direction")):
-    """A bound held in log2 domain with its direction.  value is a
-    `decimal.Decimal`; arithmetic on it runs in the caller's context."""
-
-    __slots__ = ()
-
-
 class Cleared(
     namedtuple(
         "Cleared",
@@ -239,24 +219,12 @@ class Cleared(
             q.denominator**self.k * self.cofactor.denominator,
         )
 
-    @_precise
-    def log_bound(self) -> LogBound:
-        """The bound on log2 q: (log2(rhs / cofactor) + pow2 + pow_e log2 e)
-        / k, the ratio reduced first."""
-        value = log2(Fraction(self.rhs, self.cofactor)) + _dec(self.pow2)
-        return LogBound((value + _dec(self.pow_e) * _LOG2E) / self.k, self.direction)
-
-
-@_precise
-def binary_entropy(x) -> Decimal:
-    """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0, for x
-    taken exactly."""
-    x = _as_fraction(x)
-    if not 0 <= x <= 1:
-        raise DomainError(f"entropy argument must lie in [0,1], got {x}")
-    if x == 0 or x == 1:
-        return Decimal(0)
-    return -_dec(x) * log2(x) - _dec(1 - x) * log2(1 - x)
+    def log_bound(self):
+        """The bound on log2 q, (log2(rhs / cofactor) + pow2 + pow_e log2 e)
+        / k, as log2_ratio gives it: a float or a Decimal."""
+        top = self.rhs.numerator * self.cofactor.denominator
+        bottom = self.rhs.denominator * self.cofactor.numerator
+        return log2_ratio(top, bottom, self.k, self.pow2, self.pow_e)
 
 
 def match_pf_upper(n: int, d: int, lam) -> Cleared:
@@ -350,30 +318,29 @@ def ind_count_upper_bipartite(n: int, d: int, t: int) -> Cleared:
     return Cleared(2 * d, 2**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d, pow_e=pow_e)
 
 
-@_precise
-def union_matching_lower_explicit(n: int, d: int, size: int) -> LogBound:
+def union_matching_lower_explicit(n: int, d: int, size: int) -> Cleared:
     """Explicit part of the matching lower bound on the K_{d,d}-union reference
-    graph: (n/2)[alpha log2 d + 2H(alpha) + alpha log2(alpha/e)], with
-    alpha = 2 size / n.
+    graph: (n/2)[alpha log2 d + 2H(alpha) + alpha log2(alpha/e)] with
+    alpha = 2s/n, s = size, cleared: q >= d^s n^(n-s) e^(-s) / ((2s)^s
+    (n - 2s)^(n - 2s)).
 
     The remaining correction term of order log(d)/d carries an unspecified
     constant, so it is never fabricated here; callers report the measured gap
     against the exact count instead.
     """
     _check(n, d, size)
-    a = Fraction(2 * size, n)
-    if a == 0 or a == 1:
-        raise DomainError(f"alpha must lie strictly inside (0,1), got {a}")
-    av = _dec(a)
-    value = Decimal(n) / 2 * (av * log2(d) + 2 * binary_entropy(a) + av * (log2(a) - _LOG2E))
-    return LogBound(value, LOWER)
+    if not 0 < 2 * size < n:
+        raise DomainError(f"alpha must lie strictly inside (0,1), got {Fraction(2 * size, n)}")
+    rest = n - 2 * size
+    rhs = Fraction(d**size * n ** (n - size), (2 * size) ** size * rest**rest)
+    return Cleared(1, rhs, direction=LOWER, pow_e=-size)
 
 
-@_precise
-def matching_lower_gap(d: int) -> tuple[Decimal, Decimal]:
+def matching_lower_gap(d: int) -> tuple:
     """Measured per-block-column gap, for a single complete bipartite block
     at its central matching size, between log2 of the exact count and the
     explicit entropy-form lower value; also the gap scaled by d / log2(d).
+    Both are Decimals in _CTX.
 
     The explicit form carries an unstated O(log d / d) per-vertex deficit at
     small d; this helper measures it rather than asserting the inequality.
@@ -381,17 +348,10 @@ def matching_lower_gap(d: int) -> tuple[Decimal, Decimal]:
     if d < 2:
         raise DomainError(f"gap measurement needs d >= 2, got {d}")
     ell = d // 2
-    explicit = union_matching_lower_explicit(2 * d, d, ell)
-    gap = explicit_gap_log2(kdd_matching_count(d, ell), explicit) / d
-    return gap, gap * d / log2(d)
-
-
-@_precise
-def explicit_gap_log2(count: int, explicit: LogBound) -> Decimal:
-    """log2(count) - explicit.value: how far log2 of an exact matching count
-    lies above the explicit lower value union_matching_lower_explicit gives
-    for it."""
-    return log2(count) - explicit.value
+    rhs = union_matching_lower_explicit(2 * d, d, ell).rhs
+    # log2(count / rhs) + ell log2 e, the count over the explicit value.
+    total = log2_ratio(kdd_matching_count(d, ell) * rhs.denominator, rhs.numerator, 1, 0, ell)
+    return _CTX.divide(total, d), _CTX.divide(total, log2(d))
 
 
 def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:
@@ -405,41 +365,31 @@ def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:
     return tuple([q + 1] * r + [q] * (copies - r))
 
 
-@_precise
-def stirling_rhs(d: int, a: int, c) -> Decimal:
-    """Right side of the per-copy Stirling-style estimate:
-    a log2 d + a log2(a/d) - a log2 e + 2 H(a/d) d - log2(c d)."""
+def stirling_term(d: int, a: int, c) -> Cleared:
+    """The per-copy Stirling-style estimate, a lower bound on
+    binom(d, a)^2 a!: a log2 d + a log2(a/d) - a log2 e + 2 H(a/d) d -
+    log2(c d), cleared: d^(2d-1) e^(-a) / (c a^a (d - a)^(2(d - a))), with
+    0^0 = 1, for c > 0."""
     if d < 1 or not 0 <= a <= d:
         raise DomainError(f"need 1 <= d and 0 <= a <= d, got d={d}, a={a}")
     c = _as_fraction(c)
-    if c < 1:
-        raise DomainError(f"need c >= 1, got {c}")
-    if a == 0:
-        main = Decimal(0)
-    else:
-        af = Fraction(a, d)
-        main = a * log2(d) + a * log2(af) - a * _LOG2E + 2 * binary_entropy(af) * d
-    return main - log2(c * d)
+    if c <= 0:
+        raise DomainError(f"need c > 0, got {c}")
+    rest = d - a
+    return Cleared(1, d ** (2 * d - 1) / (c * a**a * rest ** (2 * rest)), direction=LOWER, pow_e=-a)
 
 
-def stirling_term_check(d: int, a: int, c) -> bool:
-    """Does log2(binom(d,a)^2 a!) dominate the Stirling-style right side?"""
-    lhs = log2(math.comb(d, a) ** 2 * math.factorial(a))
-    return lhs >= stirling_rhs(d, a, c)
+def profile_matching_lower(n: int, d: int, profile, c) -> Cleared:
+    """Lower bound on the size-ell matching count of the K_{d,d} union, the
+    product of the Stirling-style estimates (stirling_term) over one witness
+    profile summing to ell.
 
-
-@_precise
-def profile_matching_lower(n: int, d: int, profile, c) -> LogBound:
-    """Lower bound on log2 of the size-ell matching count of the K_{d,d} union,
-    summing the Stirling-style estimate over one witness profile.
-
-    Valid whenever stirling_term_check(d, a, c) holds for every a in the
-    profile; the acceptance suite pins such a c.
+    Valid whenever each estimate holds, binom(d, a)^2 a! meeting
+    stirling_term(d, a, c) for every a in the profile; the acceptance suite
+    pins such a c.
     """
-    value = Decimal(0)
-    for a in profile:
-        value += stirling_rhs(d, a, c)
-    return LogBound(value, LOWER)
+    rhs = math.prod(stirling_term(d, a, c).rhs for a in profile)
+    return Cleared(1, rhs, direction=LOWER, pow_e=-sum(profile))
 
 
 def independent_upper_pm_exact(n: int, t: int) -> int:

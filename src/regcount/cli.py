@@ -324,28 +324,29 @@ def _cmd_count(args) -> int:
 
 
 def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
+    import math
+
     from .bounds import (
         balanced_profile,
         block_miss_stats,
-        explicit_gap_log2,
         ind_count_upper_bipartite,
         ind_count_upper_general,
         ind_pf_upper_bipartite,
         ind_pf_upper_general,
         independent_upper_pm_exact,
-        log2,
+        log2_ratio,
         match_count_upper,
         match_pf_upper,
         optimal_lambda,
         profile_matching_lower,
-        stirling_term_check,
+        stirling_term,
         union_ind_lower_markov,
         union_ind_lower_small_t,
         union_matching_lower_explicit,
         union_small_t_exact,
     )
     from .kdd import union_independent_count, union_matching_count, union_params
-    from .verify import _params, format_number
+    from .verify import _params, bound_verdict, format_number
 
     p = union_params(n, d)
     rows: list[dict] = []
@@ -364,60 +365,57 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
         count = union_matching_count(p, ell)
         add("union-match-count", count, "exact", size=ell)
         if count:
-            add("union-match-count-log2", log2(count), "exact", size=ell)
-        bound = match_count_upper(n, d, ell).log_bound()
-        add("match-count-upper", bound.value, "upper", size=ell)
+            add("union-match-count-log2", log2_ratio(count, 1), "exact", size=ell)
+        add("match-count-upper", match_count_upper(n, d, ell).log_bound(), "upper", size=ell)
         if 0 < ell < n // 2:
             add("optimal-lambda", optimal_lambda(n, d, ell), "info", size=ell)
             explicit = union_matching_lower_explicit(n, d, ell)
-            add("union-match-lower-explicit", explicit.value, "reference", size=ell)
+            add("union-match-lower-explicit", explicit.log_bound(), "reference", size=ell)
             if count:
-                add("explicit-gap-log2", explicit_gap_log2(count, explicit), "info", size=ell)
+                # log2(count) less the explicit value, from one ratio.
+                rhs = explicit.rhs
+                gap = log2_ratio(count * rhs.denominator, rhs.numerator, 1, 0, ell)
+                add("explicit-gap-log2", gap, "info", size=ell)
         profile = balanced_profile(n, d, ell)
         for c in cs:
-            add(
-                "stirling-terms-ok",
-                all(stirling_term_check(d, a, c) for a in profile),
-                "info",
-                size=ell,
-                c=c,
+            # Does binom(d, a)^2 a! meet the Stirling-style term of each a?
+            ok = all(
+                bound_verdict(
+                    "stirling-terms-ok",
+                    "",
+                    {},
+                    math.comb(d, a) ** 2 * math.factorial(a),
+                    stirling_term(d, a, c),
+                ).passed
+                for a in set(profile)
             )
-            add(
-                "profile-match-lower",
-                profile_matching_lower(n, d, profile, c).value,
-                "lower",
-                size=ell,
-                c=c,
-            )
+            add("stirling-terms-ok", ok, "info", size=ell, c=c)
+            bound = profile_matching_lower(n, d, profile, c)
+            add("profile-match-lower", bound.log_bound(), "lower", size=ell, c=c)
     for lam in lams:
         for name, bound in (
             ("match-pf-upper", match_pf_upper),
             ("ind-pf-upper-general", ind_pf_upper_general),
             ("ind-pf-upper-bipartite", ind_pf_upper_bipartite),
         ):
-            add(name, bound(n, d, lam).log_bound().value, "upper", lam=lam)
+            add(name, bound(n, d, lam).log_bound(), "upper", lam=lam)
     for t in ts:
         count = union_independent_count(p, t)
         add("union-ind-count", count, "exact", size=t)
         if count:
-            add("union-ind-count-log2", log2(count), "exact", size=t)
-        bound = ind_count_upper_general(n, d, t).log_bound()
-        add("ind-count-upper-general", bound.value, "upper", size=t)
-        bound = ind_count_upper_bipartite(n, d, t).log_bound()
-        add("ind-count-upper-bipartite", bound.value, "upper", size=t)
+            add("union-ind-count-log2", log2_ratio(count, 1), "exact", size=t)
+        bound = ind_count_upper_general(n, d, t)
+        add("ind-count-upper-general", bound.log_bound(), "upper", size=t)
+        bound = ind_count_upper_bipartite(n, d, t)
+        add("ind-count-upper-bipartite", bound.log_bound(), "upper", size=t)
         add("ind-upper-pm-exact", independent_upper_pm_exact(n, t), "upper", size=t)
         for c in cs:
             if c > 1:
-                add(
-                    "union-ind-lower-markov",
-                    union_ind_lower_markov(n, d, t, c).log_bound().value,
-                    "lower",
-                    size=t,
-                    c=c,
-                )
+                bound = union_ind_lower_markov(n, d, t, c)
+                add("union-ind-lower-markov", bound.log_bound(), "lower", size=t, c=c)
         if t <= p.copies:
-            bound = union_ind_lower_small_t(n, d, t).log_bound()
-            add("union-ind-lower-small-t-log", bound.value, "lower", size=t)
+            bound = union_ind_lower_small_t(n, d, t)
+            add("union-ind-lower-small-t-log", bound.log_bound(), "lower", size=t)
             add("union-ind-lower-small-t-exact", union_small_t_exact(n, d, t), "lower", size=t)
         mu, mu_bound = block_miss_stats(n, d, t)
         add("block-miss-mean", mu, "exact", size=t)

@@ -1,5 +1,5 @@
 """Shared fixtures: named small graphs and the verification corpus, and
-two graph constructions that only tests use."""
+three graph constructions that only tests use."""
 
 import random
 
@@ -60,19 +60,22 @@ def petersen():
     return build_graph(10, outer + spokes + inner)
 
 
+def pairing_model(n, d, rng):
+    """A random d-regular graph on n vertices: stubs are paired at random
+    until the pairing is simple."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == n * d // 2 and all(u != v for u, v in edges):
+            return build_graph(n, sorted(edges))
+
+
 @pytest.fixture(scope="session")
 def large_cubic():
     """A random cubic graph on 150 vertices, beyond the counting DP's state
-    limit for both polynomials: stubs are paired at random until the
-    pairing is simple."""
-    n = 150
-    rng = random.Random(n)
-    while True:
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
-        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
-            return build_graph(n, sorted(edges))
+    limit for both polynomials."""
+    return pairing_model(150, 3, random.Random(150))
 
 
 @pytest.fixture(scope="session")

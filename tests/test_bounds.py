@@ -5,7 +5,7 @@ or the oracle-tested polynomials.
 
 import math
 import time
-from decimal import Context, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,9 +19,7 @@ from regcount import (
     Cleared,
     DivisibilityError,
     DomainError,
-    LogBound,
     balanced_profile,
-    binary_entropy,
     block_miss_stats,
     bregman_pm,
     build_graph,
@@ -38,14 +36,14 @@ from regcount import (
     optimal_lambda,
     profile_matching_lower,
     single_term,
-    stirling_rhs,
-    stirling_term_check,
+    stirling_term,
     union_ind_lower_markov,
     union_ind_lower_small_t,
     union_matching_lower_explicit,
     union_small_t_exact,
 )
 from regcount.bounds import _CTX, LOWER, UPPER, _exp_bounds, _ln2_bounds, compare_power, log2
+from regcount.cli import _bounds_rows
 from regcount.verify import DEFAULT_LAMBDA_GRID, GraphProfile, bound_verdict
 
 TIGHT = 1e-30  # far above 40-digit rounding, far below any real discrepancy
@@ -60,28 +58,32 @@ def bounds_precision():
 
 
 def _mp(x):
-    """A package Decimal as an mpf at the current mpmath precision."""
-    return mpf(str(x))
+    """A package value, a Decimal or a float, as an mpf at the current
+    mpmath precision."""
+    return mpf(str(x)) if isinstance(x, Decimal) else mpf(x)
 
 
-def test_log2_and_entropy():
+def _near(got, want):
+    """Does the log2 value got, a float or a 40-digit Decimal from
+    log2_ratio, lie within its error bound of want: TIGHT, and for a float
+    16 ulps (log2_ratio's bound) more?"""
+    slack = TIGHT + (16 * math.ulp(got) if isinstance(got, float) else 0)
+    with mpmath.workprec(120):
+        return abs(_mp(got) - _mp(want)) < slack
+
+
+def test_log2():
     assert abs(log2(Fraction(8)) - 3) < TIGHT
     assert abs(float(log2(Fraction(3, 4))) - math.log2(0.75)) < 1e-12
     with pytest.raises(DomainError):
         log2(Fraction(0))
-    assert binary_entropy(Fraction(1, 2)) == 1
-    assert binary_entropy(0) == 0
-    assert binary_entropy(1) == 0
-    assert abs(float(binary_entropy(Fraction(1, 4))) - (2 - 0.75 * math.log2(3))) < 1e-12
-    with pytest.raises(DomainError):
-        binary_entropy(Fraction(3, 2))
     # 40 digits whatever the caller's context; at 16 digits the log of 3^40
     # would be off by about 1e-14
     with localcontext(Context(prec=16)):
-        got = [log2(3**40), log2(Fraction(3**40, 2**7)), binary_entropy(Fraction(1, 3))]
+        got = [log2(3**40), log2(Fraction(3**40, 2**7))]
     with mpmath.workprec(120):
         ln3 = mpmath.log(3) / mpmath.log(2)
-        want = [40 * ln3, 40 * ln3 - 7, ln3 - mpf(2) / 3]
+        want = [40 * ln3, 40 * ln3 - 7]
         assert all(abs(_mp(g) - w) < TIGHT for g, w in zip(got, want))
 
 
@@ -202,9 +204,8 @@ def _admits(count, bound):
 
 def test_matching_partition_upper_against_cycle(c8, bounds_precision):
     bound = match_pf_upper(8, 2, Fraction(1))
-    b = bound.log_bound()
-    assert b.direction == UPPER
-    assert abs(b.value - 4 * log2(Fraction(3))) < TIGHT
+    assert bound.direction == UPPER
+    assert _near(bound.log_bound(), 4 * log2(Fraction(3)))
     z = eval_partition(matching_polynomial(c8), Fraction(1))
     assert z == 47
     # power-cleared form of the same inequality, exactly: z^2 <= (1+d)^n
@@ -225,13 +226,11 @@ def test_optimal_lambda():
 
 def test_matching_count_upper_values(c8):
     # alpha = 1/2 at (8, 2, 2) gives exactly (n/2)(1/2 + H(1/2)) = 6
-    b = match_count_upper(8, 2, 2).log_bound()
-    assert abs(b.value - 6) < TIGHT
+    assert _near(match_count_upper(8, 2, 2).log_bound(), 6)
     assert _admits(20, match_count_upper(8, 2, 2))
     assert matching_polynomial(c8).coefficient(2) == 20
-    assert match_count_upper(8, 2, 0).log_bound().value == 0
-    full = match_count_upper(8, 2, 4).log_bound()
-    assert abs(full.value - 4) < TIGHT
+    assert match_count_upper(8, 2, 0).log_bound() == 0
+    assert _near(match_count_upper(8, 2, 4).log_bound(), 4)
     with pytest.raises(DomainError):
         match_count_upper(8, 0, 2)
 
@@ -239,8 +238,10 @@ def test_matching_count_upper_values(c8):
 def test_union_matching_lower_explicit_value():
     b = union_matching_lower_explicit(8, 2, 2)
     assert b.direction == LOWER
+    # d^s n^(n-s) / ((2s)^s (n-2s)^(n-2s)) = 2^2 8^6 / (4^2 4^4) = 2^8, times e^-2
+    assert (b.rhs, b.pow_e) == (256, -2)
     want = 4 * (0.5 * 1 + 2 * 1 + 0.5 * (math.log2(0.5) - math.log2(math.e)))
-    assert abs(float(b.value) - want) < 1e-12
+    assert abs(float(b.log_bound()) - want) < 1e-12
     with pytest.raises(DomainError):
         union_matching_lower_explicit(8, 2, 0)
     with pytest.raises(DomainError):
@@ -261,15 +262,44 @@ def test_balanced_profile():
         balanced_profile(8, 2, 5)
 
 
+def _stirling_lhs(d, a):
+    return math.comb(d, a) ** 2 * math.factorial(a)
+
+
 def test_stirling_check_holds_at_c_one_small_grid():
     # the acceptance suite sweeps d <= 64; this is the cheap sanity slice
     for d in range(1, 11):
         for a in range(d + 1):
-            assert stirling_term_check(d, a, 1)
+            assert _admits(_stirling_lhs(d, a), stirling_term(d, a, 1))
     with pytest.raises(DomainError):
-        stirling_rhs(4, 2, Fraction(1, 2))
+        stirling_term(4, 2, 0)
     with pytest.raises(DomainError):
-        stirling_rhs(4, 5, 1)
+        stirling_term(4, 5, 1)
+
+
+def _stirling_row(d, a, c):
+    """The stirling-terms-ok value that `bounds` prints for one K_{d,d} at
+    matching size a, where the balanced profile is (a,)."""
+    [row] = [r for r in _bounds_rows(2 * d, d, [a], [], [], [c]) if r["name"] == "stirling-terms-ok"]
+    return row["value"]
+
+
+@pytest.mark.parametrize("d, a", [(1, 1), (2, 1), (5, 3), (16, 8), (64, 30)])
+def test_stirling_terms_ok_is_decided_exactly(d, a):
+    # binom(d, a)^2 a! meets the term d^(2d-1) e^-a / (c a^a (d-a)^(2(d-a)))
+    # from the constant c* = d^(2d-1) e^-a / (a^a (d-a)^(2(d-a)) binom(d, a)^2
+    # a!) up, found at 800 bits: the row is false at the largest multiple of
+    # 2^-210 below c* and true one multiple up, where the two values of
+    # log2(c d) differ by under 2^-200, far below a 40-digit comparison.
+    with mpmath.workprec(800):
+        rest = d - a
+        top = mpf(d) ** (2 * d - 1) * mpmath.exp(-a)
+        threshold = top / (mpf(a) ** a * mpf(rest) ** (2 * rest) * _stirling_lhs(d, a))
+        below = int(mpmath.floor(threshold * 2**210))
+        gap = threshold * 2**210 - below
+        assert 0 < threshold < 1 and 2**-80 < gap < 1 - 2**-80
+    assert _stirling_row(d, a, Fraction(below, 2**210)) == "false"
+    assert _stirling_row(d, a, Fraction(below + 1, 2**210)) == "true"
 
 
 def test_profile_lower_is_sum_of_terms_and_holds(bounds_precision):
@@ -278,15 +308,16 @@ def test_profile_lower_is_sum_of_terms_and_holds(bounds_precision):
     prof = balanced_profile(8, 2, 2)
     b = profile_matching_lower(8, 2, prof, 1)
     assert b.direction == LOWER
-    assert abs(b.value - sum(stirling_rhs(2, a, 1) for a in prof)) < TIGHT
+    assert _near(b.log_bound(), sum(stirling_term(2, a, 1).log_bound() for a in prof))
     exact = union_matching_count(union_params(8, 2), 2)
-    assert log2(Fraction(exact)) >= b.value
+    assert log2(Fraction(exact)) >= b.log_bound()
+    assert _admits(exact, b)
 
 
 def test_gurvits_bound(c8, bounds_precision):
     bound = match_pf_gurvits(c8.edge_count, GraphProfile(c8).nu, Fraction(1))
     # nu = 4 and |E|/nu = 2, so the bound is 4 log2(3); cleared: z <= 3^4
-    assert abs(bound.log_bound().value - 4 * log2(Fraction(3))) < TIGHT
+    assert _near(bound.log_bound(), 4 * log2(Fraction(3)))
     z = eval_partition(matching_polynomial(c8), Fraction(1))
     assert z <= 3**4
     assert _admits(z, bound)
@@ -300,7 +331,7 @@ def test_gurvits_bound_reads_nu_from_the_matching_polynomial():
     b = match_pf_gurvits(g.edge_count, GraphProfile(g).nu, Fraction(1)).log_bound()
     assert time.perf_counter() - start < 1
     # nu = 20 and |E|/nu = 3, so the bound is 20 log2(4) = 40
-    assert abs(b.value - 40) < TIGHT
+    assert _near(b, 40)
 
 
 def test_independent_partition_upper(c8, k33, bounds_precision):
@@ -309,10 +340,10 @@ def test_independent_partition_upper(c8, k33, bounds_precision):
     z8 = eval_partition(independence_polynomial(c8), Fraction(1))
     assert z8 == 47
     gen = ind_pf_upper_general(8, 2, Fraction(1))
-    assert abs(gen.log_bound().value - 8) < TIGHT
+    assert _near(gen.log_bound(), 8)
     assert _admits(z8, gen)
     bip = ind_pf_upper_bipartite(8, 2, Fraction(1))
-    assert abs(bip.log_bound().value - 2 * log2(Fraction(7))) < TIGHT
+    assert _near(bip.log_bound(), 2 * log2(Fraction(7)))
     assert z8**2 <= 7**4
     assert _admits(z8, bip)
     # K_{3,3} at lambda = 1: z = 1 + 6 + 6 + 2 = 15 and the bipartite form
@@ -320,7 +351,7 @@ def test_independent_partition_upper(c8, k33, bounds_precision):
     z33 = eval_partition(independence_polynomial(k33), Fraction(1))
     assert z33 == 15
     bip33 = ind_pf_upper_bipartite(6, 3, Fraction(1)).log_bound()
-    assert abs(bip33.value - log2(Fraction(15))) < TIGHT
+    assert _near(bip33, log2(Fraction(15)))
 
 
 def occupancy_lambda(n, t):
@@ -352,14 +383,12 @@ def test_independent_upper_pm_exact(c8):
 
 
 def test_independent_count_upper_variants():
-    pm = LogBound(log2(Fraction(independent_upper_pm_exact(8, 2))), UPPER)
-    assert abs(pm.value - log2(Fraction(24))) < TIGHT
-    assert log2(Fraction(20)) <= pm.value
+    assert 20 <= independent_upper_pm_exact(8, 2) == 24
     gen = ind_count_upper_general(8, 2, 2)
-    assert abs(gen.log_bound().value - 8) < TIGHT
+    assert _near(gen.log_bound(), 8)
     bip = ind_count_upper_bipartite(8, 2, 2)
     want = 4 * (1 + 0.5 - math.log2(math.e) / 4 * 0.25)
-    assert abs(float(bip.log_bound().value) - want) < 1e-12
+    assert abs(float(bip.log_bound()) - want) < 1e-12
     for b in (gen, bip):
         assert _admits(20, b)
 
@@ -387,7 +416,7 @@ def test_union_independent_lower_variants():
     markov = union_ind_lower_markov(8, 2, 2, Fraction(2))
     assert markov.direction == LOWER
     # (1 - 1/2) binom(4, 2) 2^((8/4)(1 - 2 (1/2)^2)) = 3 * 2 = 6, exactly
-    assert abs(markov.log_bound().value - log2(Fraction(6))) < TIGHT
+    assert _near(markov.log_bound(), log2(Fraction(6)))
     assert _admits(20, markov) and _admits(6, markov) and not _admits(5, markov)
     small = union_ind_lower_small_t(8, 2, 2)
     # the product form gives exactly 12, weaker than the exact scattered
@@ -396,7 +425,7 @@ def test_union_independent_lower_variants():
     assert Fraction(small.rhs, small.cofactor) == 12
     assert bound_verdict("union-ind-lower-small-t-log", "union-8v-2r", {}, 12, small).passed
     assert not bound_verdict("union-ind-lower-small-t-log", "union-8v-2r", {}, 11, small).passed
-    assert abs(small.log_bound().value - log2(Fraction(12))) < TIGHT
+    assert _near(small.log_bound(), log2(Fraction(12)))
     assert union_small_t_exact(8, 2, 2) == 16
     with pytest.raises(DomainError):
         union_ind_lower_markov(8, 2, 2, Fraction(1))
@@ -430,43 +459,68 @@ def _entropy(a):
     return 0 if a in (0, 1) else -a * mpmath.log(a, 2) - (1 - a) * mpmath.log(1 - a, 2)
 
 
+def _stirling_closed(d, a, c):
+    """a log2 d + a log2(a/d) - a log2 e + 2 H(a/d) d - log2(c d), with
+    0 log2 0 = 0."""
+    x = mpf(a) / d
+    head = a * mpmath.log(d, 2) + a * mpmath.log(x, 2) if a else 0
+    return head - a / mpmath.log(2) + 2 * _entropy(x) * d - mpmath.log(c * d, 2)
+
+
 def test_log2_forms_match_the_closed_formulas():
     # The log2 values derive from power-cleared inequalities; here each is
     # compared with its closed formula, evaluated with mpmath alone.
     with mpmath.workprec(120):
         for d in range(1, 9):
+            terms = {}
+            for c in (1, Fraction(7, 3)):
+                cm = mpf(c.numerator) / c.denominator
+                for a in range(d + 1):
+                    terms[a, c] = _stirling_closed(d, a, cm)
+                    got = stirling_term(d, a, c).log_bound()
+                    assert _near(got, terms[a, c]), (d, a, c)
             for n in range(d + 1, 41):
                 half = mpf(n) / 2
                 for s in range(n // 2 + 1):
                     a = mpf(2 * s) / n
                     want = half * (a * mpmath.log(d, 2) + _entropy(a))
-                    got = _mp(match_count_upper(n, d, s).log_bound().value)
-                    assert abs(got - want) < TIGHT, (n, d, s)
+                    got = match_count_upper(n, d, s).log_bound()
+                    assert _near(got, want), (n, d, s)
                     want = half * (_entropy(a) + mpf(2) / d)
-                    got = _mp(ind_count_upper_general(n, d, s).log_bound().value)
-                    assert abs(got - want) < TIGHT, (n, d, s)
+                    got = ind_count_upper_general(n, d, s).log_bound()
+                    assert _near(got, want), (n, d, s)
                     miss = (1 - a) ** d
                     want = half * (_entropy(a) + mpf(1) / d - miss / (2 * d * mpmath.log(2)))
-                    got = _mp(ind_count_upper_bipartite(n, d, s).log_bound().value)
-                    assert abs(got - want) < TIGHT, (n, d, s)
+                    got = ind_count_upper_bipartite(n, d, s).log_bound()
+                    assert _near(got, want), (n, d, s)
                     for c in (2, Fraction(7, 3)):
                         cm = mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpf(c)
                         head = mpmath.log((1 - 1 / cm) * mpmath.binomial(n // 2, s), 2)
                         want = head + half / d * (1 - cm * miss)
-                        got = _mp(union_ind_lower_markov(n, d, s, c).log_bound().value)
-                        assert abs(got - want) < TIGHT, (n, d, s, c)
+                        got = union_ind_lower_markov(n, d, s, c).log_bound()
+                        assert _near(got, want), (n, d, s, c)
+                    if 0 < 2 * s < n:
+                        want = half * (a * mpmath.log(d, 2) + 2 * _entropy(a) + a * mpmath.log(a / mpmath.e, 2))
+                        got = union_matching_lower_explicit(n, d, s).log_bound()
+                        assert _near(got, want), (n, d, s)
+                    if n % (2 * d) == 0:
+                        profile = balanced_profile(n, d, s)
+                        for c in (1, Fraction(7, 3)):
+                            want = sum(terms[x, c] for x in profile)
+                            got = profile_matching_lower(n, d, profile, c).log_bound()
+                            assert _near(got, want), (n, d, s, c)
                 for lam in DEFAULT_LAMBDA_GRID:
                     x = mpf(lam.numerator) / lam.denominator
                     want = half * mpmath.log(1 + d * x, 2)
-                    got = _mp(match_pf_upper(n, d, lam).log_bound().value)
-                    assert abs(got - want) < TIGHT, (n, d, lam)
+                    got = match_pf_upper(n, d, lam).log_bound()
+                    assert _near(got, want), (n, d, lam)
                     want = mpf(n) / d + half * mpmath.log(1 + x, 2)
-                    got = _mp(ind_pf_upper_general(n, d, lam).log_bound().value)
-                    assert abs(got - want) < TIGHT, (n, d, lam)
+                    got = ind_pf_upper_general(n, d, lam).log_bound()
+                    assert _near(got, want), (n, d, lam)
                     edges, nu = n * d // 2, n // 2
                     want = nu * mpmath.log(1 + x * edges / nu, 2)
-                    got = _mp(match_pf_gurvits(edges, nu, lam).log_bound().value)
-                    assert abs(got - want) < TIGHT, (n, d, lam)
+                    got = match_pf_gurvits(edges, nu, lam).log_bound()
+                    assert _near(got, want), (n, d, lam)
 
 
 def _ratio(bound):

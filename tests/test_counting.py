@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,18 +18,21 @@ from hypothesis import strategies as st
 
 from regcount import (
     DomainError,
+    GenSpec,
     GraphError,
     ScaleError,
     build_graph,
     build_hardcore_target,
     count_homomorphisms,
     eval_partition,
+    generate,
+    graph_from_text,
     independence_polynomial,
     matching_polynomial,
 )
 from regcount.counting import MATCHING, CountPolynomial
 
-from conftest import disjoint_union
+from conftest import disjoint_union, pairing_model
 
 
 def oracle_matching_counts(g):
@@ -85,6 +89,34 @@ def test_polynomials_match_oracle_on_random_graphs():
                 g = random_graph(rng, n, p)
                 assert list(matching_polynomial(g).coefficients) == oracle_matching_counts(g)
                 assert list(independence_polynomial(g).coefficients) == oracle_independent_counts(g)
+
+
+def _low_coefficient_graphs():
+    """Every (10,3) and (8,4) census graph, the circular ladder on 24
+    vertices, and pairing-model graphs the counting DP takes milliseconds
+    on."""
+    yield from generate(GenSpec(10, 3))
+    yield from generate(GenSpec(8, 4))
+    ladder = Path(__file__).parent / "golden" / "circular-ladder-24.txt"
+    yield graph_from_text(ladder.read_text())
+    for seed, (n, d) in enumerate(((30, 3), (36, 3), (24, 4), (20, 5))):
+        yield pairing_model(n, d, random.Random(seed))
+
+
+def test_low_coefficients_match_edge_and_degree_counts():
+    # m_1 = |E|; m_2 = binom(|E|, 2) less the pairs of edges sharing a
+    # vertex, binom(deg v, 2) at each v; i_1 = n; i_2 = binom(n, 2) - |E|.
+    for g in _low_coefficient_graphs():
+        n, edges = g.vertex_count, g.edge_count
+        degree = [0] * n
+        for u, v in g.edges:
+            degree[u] += 1
+            degree[v] += 1
+        touching = sum(math.comb(k, 2) for k in degree)
+        m = matching_polynomial(g).coefficients
+        i = independence_polynomial(g).coefficients
+        assert m[1:3] == (edges, math.comb(edges, 2) - touching), g
+        assert i[1:3] == (n, math.comb(n, 2) - edges), g
 
 
 def test_known_polynomials(c4, c8, k33, prism, petersen):

@@ -2,12 +2,11 @@
 pickle by their fields."""
 
 import pickle
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from regcount import Bipartition, Cleared, CountPolynomial, GenSpec, Graph, LogBound, UnionParams
+from regcount import Bipartition, Cleared, CountPolynomial, GenSpec, Graph, UnionParams
 from regcount.verify import Verdict, VertexOrder
 
 # Each value beside one that differs from it in a single field.
@@ -17,7 +16,6 @@ PAIRS = [
     (CountPolynomial((1, 3, 1), "matching"), CountPolynomial((1, 3, 1), "independent-set")),
     (GenSpec(8, 3), GenSpec(8, 3, bipartite_only=True)),
     (UnionParams(12, 3, 2), UnionParams(12, 2, 3)),
-    (LogBound(Decimal("1.5"), "upper"), LogBound(Decimal("1.5"), "lower")),
     (Cleared(2, Fraction(9, 2), pow_e=Fraction(-1, 3)), Cleared(2, Fraction(9, 2))),
     (
         Verdict("match-pf-upper", "6:1f", {"n": 6}, Fraction(3), Fraction(4), True, 0.4),
