@@ -9,30 +9,22 @@ the K_{d,d} union, and the rational power of 2 of its Markov-style lower
 bound.  Every verdict is exact: over the integers where the factor is
 rational, and by `compare_power` where it is not.  `Cleared.log_bound()` is
 the bound on log2 q, and `log2_ratio` computes it, as it computes every
-log2 value a report prints.
+log2 value a report prints, as a float.
 
-Decimal serves only to print values; no verdict reads one.  Where a log2
-value needs one, it is computed in `_CTX`, a context of 40 significant
-digits (about 133 bits), whatever the caller's decimal context is; importing
-this module leaves that context as it was.
+Both take their high precision from one routine, `_ln_bounds`, which
+brackets a logarithm between integers at a chosen number of bits.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from .errors import DivisibilityError, DomainError
 from .kdd import kdd_matching_count
 
-_CTX = Context(prec=40)
-
-_LOG2E = _CTX.divide(1, _CTX.ln(2))
 _LN2 = math.log(2)
-# Bound, in ulps of the result, on the error of log2_ratio's float.
-_LOG2_ULPS = 16
 
 UPPER = "upper"
 LOWER = "lower"
@@ -40,11 +32,6 @@ LOWER = "lower"
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _dec(x: Fraction) -> Decimal:
-    """A rational as a Decimal, rounded once in the current context."""
-    return Decimal(x.numerator) / x.denominator
 
 
 def _check(n: int, d: int, size: int = 0, lam=0) -> None:
@@ -60,53 +47,93 @@ def _check(n: int, d: int, size: int = 0, lam=0) -> None:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
 
 
-def log2(x) -> Decimal:
-    """log2 of a positive int, float, Decimal or Fraction, as a Decimal
-    rounded to _CTX's 40 digits whatever the caller's context.  The argument
-    enters exactly, a Fraction as its quotient rounded to 40 digits.
-    Arithmetic on the result runs in the caller's context."""
-    if x <= 0:
-        raise DomainError(f"log2 needs a positive argument, got {x}")
-    if isinstance(x, Fraction):
-        x = _CTX.divide(x.numerator, x.denominator)
-    return _CTX.multiply(_CTX.ln(Decimal(x)), _LOG2E)
+def _ln_bounds(num: int, den: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits ln(num / den) <= hi for integers with
+    1 <= num / den <= 2, summing ln x = 2 sum over j >= 0 of
+    z^(2j+1) / (2j+1), z = (num - den) / (num + den) <= 1/3, in units of
+    2^-bits with floors.
+
+    p_0 = floor(2^bits z) is short by e_0 < 1, and w = floor(p_0^2 / 2^bits)
+    of 2^bits z^2 by under 2z + 1 <= 5/3, so p_(j+1) = floor(p_j w / 2^bits)
+    is short of 2^bits z^(2j+3) by e_(j+1) < e_j / 9 + (1/3)(5/3) + 1: every
+    e_j < 7/4, and each quotient by 2j + 1 by under 2.  The sum stops at the
+    first p_m = 0, where 2^bits z^(2m+1) < 7/4 (1 at m = 0), so the tail,
+    under that over (2m + 1)(1 - z^2), is below 9/8.  Twice the shortfalls
+    stay below 4m + 9/4, so hi = lo + 4m + 3.
+    """
+    z = ((num - den) << bits) // (num + den)
+    w = z * z >> bits
+    total, power, j = 0, z, 1
+    while power:
+        total += power // j
+        power = power * w >> bits
+        j += 2
+    # j = 2m + 1 once the sum stops.
+    return 2 * total, 2 * total + 2 * j + 1
 
 
-def log2_ratio(a: int, b: int, k: int = 1, pow2=0, pow_e=0):
+def _ln_interval(num: int, den: int, pow2, pow_e, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits (ln(num / den) + pow2 ln 2 + pow_e) <= hi for
+    positive integers num and den and rationals pow2 and pow_e, from
+    num / den = 2^s u with 1 <= u < 2 and the brackets of ln u and ln 2."""
+    s = num.bit_length() - den.bit_length()
+    if s > 0:
+        den <<= s
+    elif s < 0:
+        num <<= -s
+    if num < den:
+        num, s = num << 1, s - 1
+    lo, hi = _ln_bounds(num, den, bits)
+    lo2, hi2 = _ln_bounds(2, 1, bits)
+    c, shifted = s + pow2, pow_e * (1 << bits)
+    if c < 0:
+        lo2, hi2 = hi2, lo2
+    return lo + math.floor(c * lo2 + shifted), hi + math.ceil(c * hi2 + shifted)
+
+
+def log2(x) -> float:
+    """log2 of a positive int or Fraction, as log2_ratio gives it."""
+    return log2_ratio(x.numerator, x.denominator)
+
+
+def log2_ratio(a: int, b: int, k: int = 1, pow2=0, pow_e=0) -> float:
     """log2(a / b * 2^pow2 * e^pow_e) / k for positive integers a, b and k
-    and rationals pow2 and pow_e.  Where the factor 2^pow2 * e^pow_e is
-    irrational it is a Decimal in _CTX.  Elsewhere, the factor shifted into
-    a or b, it is a float whose 12-digit form is that of the exact value,
-    or, where no float within the error bound of the computed one can
-    promise that, a Decimal.
+    and rationals pow2 and pow_e: a float whose 12-digit form is that of the
+    float nearest the exact value.
 
-    The float is shift + log1p(r) / ln 2, where r = a' / b' - 1 for a' / b'
-    the ratio scaled by 2^-shift into (1/2, 2).  shift is 0 whenever a / b
-    already lies in (1/2, 2), so a ratio near 1 keeps its relative accuracy
-    instead of cancelling against a shift of 1; elsewhere the result is at
-    least 1 in size, so the error of log1p's term, below 1, stays relative.
-    That error comes from rounding r, amplified at most 1.45-fold by log1p
-    on (-1/2, 1), log1p's own error of at most 1 ulp, and the roundings of
-    ln 2 and of each operation: under 8 ulps of the result in all, against
-    the _LOG2_ULPS checked.
+    A rational factor (pow_e = 0, pow2 an integer) is shifted into a or b.
+    The estimate is (t + p + q) / k, with p = float(pow2) and q =
+    float(pow_e) / ln 2, both 0 for a rational factor, and t = shift +
+    log1p(a' / b' - 1) / ln 2 for a' / b' the ratio scaled by 2^-shift into
+    (1/2, 2); shift is 0 where a / b already lies there, so a ratio near 1
+    keeps its relative accuracy, and elsewhere shares the sign of the log1p
+    term, so |t| >= 1.  t is off by under 4 ulps of t: the rounded quotient,
+    amplified at most 1.45-fold by log1p on (-1/2, 1), log1p's own ulp, and
+    the roundings of ln 2 and of each operation.  q is off by under 4 ulps
+    of q and p by half an ulp of p; the two sums add under 3 ulps of t, p
+    and q, and the division by k half an ulp of the result.
 
-    The Decimal fallback is (shift + ln(a' / b') log2 e) / k in _CTX, its
-    precision raised by the digits that a ratio near 1 cancels: a' / b' =
-    1 + r with |r| above 2^-(bit length of b' - bit length of |a' - b'| + 1),
-    and ln(1 + r) is about r, so a' / b' rounded to that many more digits
-    keeps _CTX's digits of r.
+    Where 16 ulps of t, p and q over k and 1 ulp of the result leave the 12
+    digits open, `_ln_interval` and the ln 2 bracket, at twice the bits
+    each round, bound the value until both ends round to one float.  Where
+    pow_e = 0 and a / b is a power of 2 the value is rational and rounded
+    once before that; every other value is irrational, never halfway
+    between two floats, so the loop ends.
     """
     if a <= 0 or b <= 0:
         raise DomainError(f"log2 needs a positive ratio, got {a}/{b}")
+    p = q = 0.0
     if pow_e or pow2.denominator != 1:
-        with localcontext(_CTX):
-            return (log2(Fraction(a, b)) + _dec(pow2) + _dec(pow_e) * _LOG2E) / k
-    if pow2 > 0:
-        a <<= int(pow2)
-    elif pow2 < 0:
-        b <<= int(-pow2)
-    if a == b:
-        return 0.0
+        try:
+            p, q = float(pow2), float(pow_e) / _LN2
+        except OverflowError:  # an exponent, and so the value, beyond any float
+            return math.inf if pow2 + pow_e > 0 else -math.inf
+    else:
+        if pow2 > 0:
+            a <<= int(pow2)
+        elif pow2 < 0:
+            b <<= int(-pow2)
+        pow2 = 0
     shift = 0
     if not (b < 2 * a and a < 2 * b):
         shift = a.bit_length() - b.bit_length()
@@ -114,43 +141,25 @@ def log2_ratio(a: int, b: int, k: int = 1, pow2=0, pow_e=0):
             b <<= shift
         else:
             a <<= -shift
-    x = (shift + math.log1p((a - b) / b) / _LN2) / k
-    err = _LOG2_ULPS * math.ulp(x)
+    if a == b and not pow_e:
+        return float((shift + pow2) / k)
+    t = shift + math.log1p((a - b) / b) / _LN2
+    x = (t + p + q) / k
+    err = 16 * (math.ulp(t) + math.ulp(p) + math.ulp(q)) / k + math.ulp(x)
     if f"{x - err:.12g}" == f"{x + err:.12g}":
         return x
-    cancelled = b.bit_length() - abs(a - b).bit_length() + 1
-    with localcontext(_CTX) as ctx:
-        ctx.prec += max(0, cancelled) * 30103 // 100000 + 1
-        return (shift + (Decimal(a) / b).ln() * _LOG2E) / k
-
-
-def _ln2_bounds(bits: int) -> tuple[int, int]:
-    """Integers lo and hi with lo <= 2^bits ln 2 <= hi = lo + bits + 1: lo
-    sums the first `bits` terms of ln 2 = sum over j >= 1 of 1 / (j 2^j),
-    each times 2^bits and rounded down, and hi adds one unit per rounded
-    term and the tail, below 1 / ((bits + 1) 2^bits)."""
-    lo = sum((1 << bits) // (j << j) for j in range(1, bits + 1))
-    return lo, lo + bits + 1
-
-
-def _exp_bounds(p: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= e^w <= hi for w = p / 2^bits with |w| <= 1: the Taylor
-    sum of e^w up to w^(m-1) / (m-1)!, less and plus the bound
-    e^|w| |w|^m / m! < 3 / m! on its remainder, with m! above 3 * 2^bits.
-    Over the denominator 2^(bits (m-1)) m!, the term of w^i is the integer
-    p^i 2^(bits (m-1-i)) m! / i!, and each but the unused last divides
-    exactly into the next."""
-    m, fact = 1, 1
-    while fact <= 3 << bits:
-        m += 1
-        fact *= m
-    term = denominator = fact << (bits * (m - 1))
-    total = 0
-    for i in range(1, m + 1):
-        total += term
-        term = term * p // (i << bits)
-    rest = 3 << (bits * (m - 1))
-    return Fraction(total - rest, denominator), Fraction(total + rest, denominator)
+    bits = 64
+    while True:
+        lo, hi = _ln_interval(a, b, shift + pow2, pow_e, bits)
+        lo2, hi2 = _ln_bounds(2, 1, bits)
+        if lo >= 0 or hi <= 0:
+            # Over k ln 2, the end nearer 0 shrinks most at hi2, the other
+            # grows most at lo2; int / int rounds to the nearest float.
+            near, far = (lo, hi) if lo >= 0 else (hi, lo)
+            x = near / (k * hi2)
+            if x == far / (k * lo2):
+                return x
+        bits *= 2
 
 
 def compare_power(num: int, den: int, pow2=0, pow_e=0) -> int:
@@ -158,12 +167,11 @@ def compare_power(num: int, den: int, pow2=0, pow_e=0) -> int:
     positive integers num and den and rationals pow2 and pow_e.
 
     Where pow_e = 0 and pow2 is an integer the comparison is over the
-    integers.  Elsewhere num / den = 2^s u with 1 <= u < 2, and u is compared
-    with e^w, w = (pow2 - s) ln 2 + pow_e, between rational bounds on ln 2
-    and on e^w that tighten, twice the bits each round, until u lies outside
-    them.  The factor is then irrational (2^pow2 for a non-integer pow2, and
-    e^pow_e for pow_e != 0 by Lindemann's theorem), so never equal to u, and
-    the loop ends.
+    integers.  Elsewhere it is the sign of ln(num / den) - pow2 ln 2 -
+    pow_e, bracketed by `_ln_interval` at twice the bits each round until
+    the bracket excludes 0.  The factor is then irrational (2^pow2 for a
+    non-integer pow2, and e^pow_e for pow_e != 0 by Lindemann's theorem), so
+    never equal to num / den, and the loop ends.
     """
     if num <= 0 or den <= 0:
         raise DomainError(f"need a positive ratio, got {num}/{den}")
@@ -173,28 +181,13 @@ def compare_power(num: int, den: int, pow2=0, pow_e=0) -> int:
         elif pow2 < 0:
             num <<= int(-pow2)
         return (num > den) - (num < den)
-    s = num.bit_length() - den.bit_length()
-    u = Fraction(num, den << s) if s >= 0 else Fraction(num << -s, den)
-    if u < 1:
-        u, s = 2 * u, s - 1
-    c = pow2 - s
     bits = 32
     while True:
-        lo2, hi2 = _ln2_bounds(bits)
-        if c < 0:
-            lo2, hi2 = hi2, lo2
-        # w lies in [lo, hi] / 2^bits.
-        one, shifted = 1 << bits, pow_e * (1 << bits)
-        lo, hi = math.floor(c * lo2 + shifted), math.ceil(c * hi2 + shifted)
-        if hi < 0:  # e^w < 1 <= u
+        lo, hi = _ln_interval(num, den, -pow2, -pow_e, bits)
+        if lo > 0:
             return 1
-        if lo >= one:  # e^w > 2 > u
+        if hi < 0:
             return -1
-        if -one < lo and hi <= one:
-            if u < _exp_bounds(lo, bits)[0]:
-                return -1
-            if u > _exp_bounds(hi, bits)[1]:
-                return 1
         bits *= 2
 
 
@@ -221,7 +214,7 @@ class Cleared(
 
     def log_bound(self):
         """The bound on log2 q, (log2(rhs / cofactor) + pow2 + pow_e log2 e)
-        / k, as log2_ratio gives it: a float or a Decimal."""
+        / k, as log2_ratio gives it."""
         top = self.rhs.numerator * self.cofactor.denominator
         bottom = self.rhs.denominator * self.cofactor.numerator
         return log2_ratio(top, bottom, self.k, self.pow2, self.pow_e)
@@ -340,7 +333,7 @@ def matching_lower_gap(d: int) -> tuple:
     """Measured per-block-column gap, for a single complete bipartite block
     at its central matching size, between log2 of the exact count and the
     explicit entropy-form lower value; also the gap scaled by d / log2(d).
-    Both are Decimals in _CTX.
+    Both are floats.
 
     The explicit form carries an unstated O(log d / d) per-vertex deficit at
     small d; this helper measures it rather than asserting the inequality.
@@ -351,7 +344,7 @@ def matching_lower_gap(d: int) -> tuple:
     rhs = union_matching_lower_explicit(2 * d, d, ell).rhs
     # log2(count / rhs) + ell log2 e, the count over the explicit value.
     total = log2_ratio(kdd_matching_count(d, ell) * rhs.denominator, rhs.numerator, 1, 0, ell)
-    return _CTX.divide(total, d), _CTX.divide(total, log2(d))
+    return total / d, total / log2(d)
 
 
 def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:

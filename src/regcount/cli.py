@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -480,14 +481,18 @@ def _union_shape(args) -> None:
     union_params(args.n, args.d)
 
 
-def _roots_source(args) -> None:
+def _roots_inputs(args) -> None:
     if args.graph and (args.n is not None or args.d is not None):
         raise DomainError("verify-roots takes --graph or --n and --d, not both")
     if not args.graph and (args.n is None or args.d is None):
         raise DomainError("verify-roots needs either --graph or both --n and --d")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {args.tol}")
 
 
-def _markov_constants(args) -> None:
+def _suite_inputs(args) -> None:
+    if any(lam <= 0 for lam in args.lam or ()):
+        raise DomainError("lambda grid must be positive")
     for c in args.c or ():
         if c <= 1:
             raise DomainError(f"Markov constant must exceed 1, got {c}")
@@ -523,10 +528,10 @@ _VERIFY = {
     "verify-suite": (
         "suite_graph_verdicts",
         lambda args: {"lambda_grid": tuple(args.lam)} if args.lam else {},
-        _markov_constants,
+        _suite_inputs,
         _union_lowers,
     ),
-    "verify-roots": ("verify_real_rooted", lambda args: {"tol": args.tol}, _roots_source, None),
+    "verify-roots": ("verify_real_rooted", lambda args: {"tol": args.tol}, _roots_inputs, None),
     "verify-hom": (
         "hom_graph_verdicts",
         lambda args: {"random_orders": args.orders, "seed": args.seed, **_c_grid(args)},

@@ -11,9 +11,8 @@ rationals or log2 values.  A bound is a power-cleared inequality
 (`bounds.Cleared`), decided on cross-multiplied integers, with
 `bounds.compare_power` where the bound carries an irrational factor
 2^pow2 * e^pow_e; its log2 values and margin are log2 ratios of those
-integers (`bounds.log2_ratio`).  The decimal module serves only to print
-those values where a float cannot settle their digits, and this module does
-no decimal arithmetic of its own.
+integers (`bounds.log2_ratio`), floats whose 12 printed digits are those of
+the exact value.
 
 Checks return their verdicts in check order; `sort_verdicts` gives the
 report order, once per report.

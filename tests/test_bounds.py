@@ -5,7 +5,6 @@ or the oracle-tested polynomials.
 
 import math
 import time
-from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,53 +41,36 @@ from regcount import (
     union_matching_lower_explicit,
     union_small_t_exact,
 )
-from regcount.bounds import _CTX, LOWER, UPPER, _exp_bounds, _ln2_bounds, compare_power, log2
+from regcount.bounds import LOWER, UPPER, _ln_bounds, compare_power, log2
 from regcount.cli import _bounds_rows
-from regcount.verify import DEFAULT_LAMBDA_GRID, GraphProfile, bound_verdict
-
-TIGHT = 1e-30  # far above 40-digit rounding, far below any real discrepancy
-
-
-@pytest.fixture
-def bounds_precision():
-    """Arithmetic on bound values in the test itself in the bounds' own
-    decimal context, so that TIGHT can tell them apart."""
-    with localcontext(_CTX):
-        yield
-
-
-def _mp(x):
-    """A package value, a Decimal or a float, as an mpf at the current
-    mpmath precision."""
-    return mpf(str(x)) if isinstance(x, Decimal) else mpf(x)
-
-
-def _near(got, want):
-    """Does the log2 value got, a float or a 40-digit Decimal from
-    log2_ratio, lie within its error bound of want: TIGHT, and for a float
-    16 ulps (log2_ratio's bound) more?"""
-    slack = TIGHT + (16 * math.ulp(got) if isinstance(got, float) else 0)
-    with mpmath.workprec(120):
-        return abs(_mp(got) - _mp(want)) < slack
-
-
-def test_log2():
-    assert abs(log2(Fraction(8)) - 3) < TIGHT
-    assert abs(float(log2(Fraction(3, 4))) - math.log2(0.75)) < 1e-12
-    with pytest.raises(DomainError):
-        log2(Fraction(0))
-    # 40 digits whatever the caller's context; at 16 digits the log of 3^40
-    # would be off by about 1e-14
-    with localcontext(Context(prec=16)):
-        got = [log2(3**40), log2(Fraction(3**40, 2**7))]
-    with mpmath.workprec(120):
-        ln3 = mpmath.log(3) / mpmath.log(2)
-        want = [40 * ln3, 40 * ln3 - 7]
-        assert all(abs(_mp(g) - w) < TIGHT for g, w in zip(got, want))
+from regcount.verify import DEFAULT_LAMBDA_GRID, GraphProfile, bound_verdict, format_number
 
 
 def _mp_fraction(x):
     return mpf(x.numerator) / x.denominator
+
+
+def _lg(x):
+    """log2 of a positive int or Fraction at 1200 bits, with mpmath alone."""
+    with mpmath.workprec(1200):
+        return mpmath.log(_mp_fraction(Fraction(x)), 2)
+
+
+def _near(got, want):
+    """Is the log2 value got a float that prints as the float nearest want,
+    a value from mpmath, prints?"""
+    return isinstance(got, float) and format_number(got) == f"{float(want):.12g}"
+
+
+def test_log2():
+    assert log2(8) == log2(Fraction(8)) == 3.0
+    with pytest.raises(DomainError):
+        log2(Fraction(0))
+    # 3^40 / 2^7 and 1 + 10^-50 cancel against a shift and against 1.
+    for x in (Fraction(3, 4), 3**40, Fraction(3**40, 2**7), Fraction(10**50 + 1, 10**50)):
+        got = log2(x)
+        assert _near(got, _lg(x)), x
+        assert abs(got - float(_lg(x))) <= 2 * math.ulp(got), x
 
 
 @st.composite
@@ -126,17 +108,19 @@ def test_compare_power_agrees_with_a_300_bit_oracle(case):
     assert compare_power(num, den, pow2, pow_e) == want
 
 
-def test_rational_brackets_of_ln2_and_exp():
-    # The brackets compare_power tightens, at widths where the tail of the
-    # ln 2 series and the Taylor remainder of e^w decide them.
-    with mpmath.workprec(300):
-        for bits in range(1, 65):
-            lo, hi = _ln2_bounds(bits)
-            assert lo <= mpmath.ln2 * 2**bits <= hi
-        for bits in range(1, 9):
-            for p in range(-(1 << bits), (1 << bits) + 1):
-                lo, hi = _exp_bounds(p, bits)
-                assert _mp_fraction(lo) <= mpmath.exp(mpf(p) / 2**bits) <= _mp_fraction(hi)
+def test_ln_bounds_bracket_ln_within_a_bounded_width():
+    # The one bracket both compare_power and log2_ratio tighten.  Its width
+    # is 4m + 3 for m series terms, and m <= (bits / log2 3 + 1) / 2.  Next
+    # to 1, where no term survives the rounding, the bracket is [0, 3] and
+    # the 3 alone covers 2^bits ln(num / den), up to 1.
+    for bits in (1, 2, 7, 32, 64, 200, 1000):
+        ratios = [(1, 1), (2, 1), (3, 2), (4, 3), (2**bits + 1, 2**bits), (2**1000 + 1, 2**1000)]
+        ratios += [(2 * 3**600 - 1, 3**600), (3**630 + 5**400, 3**630), (7**356 + 1, 7**356)]
+        with mpmath.workprec(2 * bits + 1200):
+            for num, den in ratios:
+                lo, hi = _ln_bounds(num, den, bits)
+                assert lo <= mpmath.log(mpf(num) / den) * 2**bits <= hi, (bits, num, den)
+                assert hi - lo <= 4 * bits / 3 + 5, (bits, num, den)
 
 
 def test_compare_power_exact_branch_and_domain():
@@ -202,10 +186,10 @@ def _admits(count, bound):
     return bound_verdict("demo", "g", {}, int(count), bound).passed
 
 
-def test_matching_partition_upper_against_cycle(c8, bounds_precision):
+def test_matching_partition_upper_against_cycle(c8):
     bound = match_pf_upper(8, 2, Fraction(1))
     assert bound.direction == UPPER
-    assert _near(bound.log_bound(), 4 * log2(Fraction(3)))
+    assert _near(bound.log_bound(), 4 * _lg(3))
     z = eval_partition(matching_polynomial(c8), Fraction(1))
     assert z == 47
     # power-cleared form of the same inequality, exactly: z^2 <= (1+d)^n
@@ -290,7 +274,7 @@ def test_stirling_terms_ok_is_decided_exactly(d, a):
     # from the constant c* = d^(2d-1) e^-a / (a^a (d-a)^(2(d-a)) binom(d, a)^2
     # a!) up, found at 800 bits: the row is false at the largest multiple of
     # 2^-210 below c* and true one multiple up, where the two values of
-    # log2(c d) differ by under 2^-200, far below a 40-digit comparison.
+    # log2(c d) differ by under 2^-200, far below a float's resolution.
     with mpmath.workprec(800):
         rest = d - a
         top = mpf(d) ** (2 * d - 1) * mpmath.exp(-a)
@@ -302,22 +286,23 @@ def test_stirling_terms_ok_is_decided_exactly(d, a):
     assert _stirling_row(d, a, Fraction(below + 1, 2**210)) == "true"
 
 
-def test_profile_lower_is_sum_of_terms_and_holds(bounds_precision):
+def test_profile_lower_is_sum_of_terms_and_holds():
     from regcount import union_matching_count, union_params
 
     prof = balanced_profile(8, 2, 2)
     b = profile_matching_lower(8, 2, prof, 1)
     assert b.direction == LOWER
-    assert _near(b.log_bound(), sum(stirling_term(2, a, 1).log_bound() for a in prof))
+    with mpmath.workprec(120):
+        assert _near(b.log_bound(), sum(_stirling_closed(2, a, 1) for a in prof))
     exact = union_matching_count(union_params(8, 2), 2)
     assert log2(Fraction(exact)) >= b.log_bound()
     assert _admits(exact, b)
 
 
-def test_gurvits_bound(c8, bounds_precision):
+def test_gurvits_bound(c8):
     bound = match_pf_gurvits(c8.edge_count, GraphProfile(c8).nu, Fraction(1))
     # nu = 4 and |E|/nu = 2, so the bound is 4 log2(3); cleared: z <= 3^4
-    assert _near(bound.log_bound(), 4 * log2(Fraction(3)))
+    assert _near(bound.log_bound(), 4 * _lg(3))
     z = eval_partition(matching_polynomial(c8), Fraction(1))
     assert z <= 3**4
     assert _admits(z, bound)
@@ -334,7 +319,7 @@ def test_gurvits_bound_reads_nu_from_the_matching_polynomial():
     assert _near(b, 40)
 
 
-def test_independent_partition_upper(c8, k33, bounds_precision):
+def test_independent_partition_upper(c8, k33):
     from regcount import independence_polynomial
 
     z8 = eval_partition(independence_polynomial(c8), Fraction(1))
@@ -343,7 +328,7 @@ def test_independent_partition_upper(c8, k33, bounds_precision):
     assert _near(gen.log_bound(), 8)
     assert _admits(z8, gen)
     bip = ind_pf_upper_bipartite(8, 2, Fraction(1))
-    assert _near(bip.log_bound(), 2 * log2(Fraction(7)))
+    assert _near(bip.log_bound(), 2 * _lg(7))
     assert z8**2 <= 7**4
     assert _admits(z8, bip)
     # K_{3,3} at lambda = 1: z = 1 + 6 + 6 + 2 = 15 and the bipartite form
@@ -351,7 +336,7 @@ def test_independent_partition_upper(c8, k33, bounds_precision):
     z33 = eval_partition(independence_polynomial(k33), Fraction(1))
     assert z33 == 15
     bip33 = ind_pf_upper_bipartite(6, 3, Fraction(1)).log_bound()
-    assert _near(bip33, log2(Fraction(15)))
+    assert _near(bip33, _lg(15))
 
 
 def occupancy_lambda(n, t):
@@ -416,7 +401,7 @@ def test_union_independent_lower_variants():
     markov = union_ind_lower_markov(8, 2, 2, Fraction(2))
     assert markov.direction == LOWER
     # (1 - 1/2) binom(4, 2) 2^((8/4)(1 - 2 (1/2)^2)) = 3 * 2 = 6, exactly
-    assert _near(markov.log_bound(), log2(Fraction(6)))
+    assert _near(markov.log_bound(), _lg(6))
     assert _admits(20, markov) and _admits(6, markov) and not _admits(5, markov)
     small = union_ind_lower_small_t(8, 2, 2)
     # the product form gives exactly 12, weaker than the exact scattered
@@ -425,7 +410,7 @@ def test_union_independent_lower_variants():
     assert Fraction(small.rhs, small.cofactor) == 12
     assert bound_verdict("union-ind-lower-small-t-log", "union-8v-2r", {}, 12, small).passed
     assert not bound_verdict("union-ind-lower-small-t-log", "union-8v-2r", {}, 11, small).passed
-    assert _near(small.log_bound(), log2(Fraction(12)))
+    assert _near(small.log_bound(), _lg(12))
     assert union_small_t_exact(8, 2, 2) == 16
     with pytest.raises(DomainError):
         union_ind_lower_markov(8, 2, 2, Fraction(1))

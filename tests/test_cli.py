@@ -283,6 +283,29 @@ def test_suite_markov_constants_are_checked_before_generation(capsys, monkeypatc
         assert captured.err == f"regcount: error: Markov constant must exceed 1, got {c}\n"
 
 
+def test_suite_lambda_grid_is_checked_before_generation(capsys, monkeypatch):
+    import regcount.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "sweep", _no_sweep)
+    assert main(["verify-suite", "--n", "14", "--d", "3", "--lam", "1", "--lam", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "regcount: error: lambda grid must be positive\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_roots_tolerance_is_checked_before_generation(capsys, monkeypatch, tol):
+    import regcount.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "sweep", _no_sweep)
+    assert main(["verify-roots", "--n", "14", "--d", "3", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"regcount: error: tolerance must be finite and positive, got {float(tol)}\n"
+    )
+
+
 def test_hom_clique_sizes_are_checked_before_generation(capsys, monkeypatch):
     import regcount.verify as verify_mod
 
@@ -509,12 +532,12 @@ def test_parser_constants_match_their_layers():
 
 
 def test_high_precision_logs_need_no_mpmath_and_keep_the_decimal_context():
-    # Every high-precision log comes from the standard library's decimal
-    # module, in the package's own context: the caller's context, precision
-    # and flags alike, is left as it was.  log2(a / b) lies next to a
-    # rounding boundary of its 12 printed digits, so log2_ratio falls back;
-    # Kahn's bound carries a factor e^b, so its verdict reports decimal
-    # logs and decides the comparison with compare_power.
+    # Every high-precision log comes from integer brackets on ln, with no
+    # mpmath and no decimal arithmetic: the caller's decimal context,
+    # precision and flags alike, is left as it was.  log2(a / b) lies next
+    # to a rounding boundary of its 12 printed digits, so log2_ratio
+    # brackets it; Kahn's bound carries a factor e^b, so its verdict decides
+    # the comparison with compare_power.  Both report floats.
     b = 2**200
     with mpmath.workprec(800):
         a = int(mpmath.nint(mpmath.power(2, mpf("1.000000000005")) * b))
@@ -525,12 +548,12 @@ import regcount.cli
 from fractions import Fraction
 from regcount.bounds import ind_count_upper_bipartite, log2, log2_ratio
 from regcount.verify import bound_verdict
-log2(Fraction(3, 7))
 bound = ind_count_upper_bipartite(12, 3, 2)
 assert bound.pow_e != 0
 verdict = bound_verdict("demo", "g", {{}}, 5, bound)
-assert verdict.passed and not isinstance(verdict.margin, float)
-assert not isinstance(log2_ratio({a}, {b}), float)
+assert verdict.passed and isinstance(verdict.margin, float)
+assert isinstance(log2(Fraction(3, 7)), float)
+assert isinstance(log2_ratio({a}, {b}), float)
 print("mpmath" in sys.modules, repr(decimal.getcontext()) == before)
 """
     assert _fresh_python(code) == "False True"

@@ -85,10 +85,28 @@ def test_format_number():
     assert format_number(float("-inf")) == "-inf"
 
 
-def _log2_oracle(a, b, k=1) -> str:
-    """log2(a / b) / k at 800 bits, at the 12 digits of format_number."""
+def _log2_exact(a, b, k=1, pow2=0, pow_e=0):
+    """log2(a / b * 2^pow2 * e^pow_e) / k at 800 bits, rounded to the
+    nearest float."""
     with mpmath.workprec(800):
-        return f"{float(mpmath.log(mpf(a) / mpf(b), 2) / k):.12g}"
+        pow2, pow_e = (mpf(x.numerator) / x.denominator for x in (Fraction(pow2), Fraction(pow_e)))
+        return float((mpmath.log(mpf(a) / mpf(b), 2) + pow2 + pow_e / mpmath.ln2) / k)
+
+
+def _log2_oracle(a, b, k=1, pow2=0, pow_e=0) -> str:
+    """log2(a / b * 2^pow2 * e^pow_e) / k at 800 bits, at the 12 digits of
+    format_number."""
+    return f"{_log2_exact(a, b, k, pow2, pow_e):.12g}"
+
+
+def _ratio_at(value, k, pow2, pow_e, bits):
+    """Integers a and b with log2(a / b * 2^pow2 * e^pow_e) / k within
+    about 2^-bits of the decimal string value, b a power of 2."""
+    with mpmath.workprec(800):
+        pow2, pow_e = (mpf(x.numerator) / x.denominator for x in (Fraction(pow2), Fraction(pow_e)))
+        ratio = mpmath.power(2, k * mpf(value) - pow2) * mpmath.exp(-pow_e)
+        b = 2 ** max(0, bits - int(mpmath.floor(mpmath.log(ratio, 2))))
+        return int(mpmath.nint(ratio * b)), b
 
 
 @pytest.mark.parametrize(
@@ -135,31 +153,68 @@ def _ratios(draw):
     return (b, a) if draw(st.booleans()) else (a, b)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_ratios(), st.integers(1, 16))
-def test_log2_ratio_agrees_with_an_800_bit_oracle(ratio, k):
-    a, b = ratio
-    x = log2_ratio(a, b, k)
-    assert format_number(x) == _log2_oracle(a, b, k)
-    if isinstance(x, float) and a != b:
+_EXPONENTS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-300, 300).map(Fraction),
+    st.builds(Fraction, st.integers(-400, 400), st.integers(1, 60)),
+)
+
+
+@st.composite
+def _log2_cases(draw):
+    """(a, b, k, pow2, pow_e): a ratio from _ratios times 2^pow2 * e^pow_e,
+    with integer or rational exponents or none, or a ratio that puts the
+    value within about 2^-bits of a midpoint between two 12-digit values."""
+    k = draw(st.integers(1, 16))
+    pow2, pow_e = draw(_EXPONENTS), draw(_EXPONENTS)
+    if draw(st.booleans()):
+        return (*draw(_ratios()), k, pow2, pow_e)
+    digits = draw(st.integers(10**11, 10**12 - 1))
+    sign = draw(st.sampled_from(["", "-"]))
+    value = f"{sign}{digits}5e{draw(st.integers(-42, -10))}"
+    a, b = _ratio_at(value, k, pow2, pow_e, draw(st.integers(60, 300)))
+    assume(a >= 1)
+    return a, b, k, pow2, pow_e
+
+
+@settings(max_examples=600, deadline=None)
+@given(_log2_cases())
+def test_log2_ratio_agrees_with_an_800_bit_oracle(case):
+    a, b, k, pow2, pow_e = case
+    x = log2_ratio(a, b, k, pow2, pow_e)
+    assert isinstance(x, float)
+    assert format_number(x) == _log2_oracle(a, b, k, pow2, pow_e)
+    if pow2 == pow_e == 0 and a != b:
         with mpmath.workprec(800):
             exact = mpmath.log(mpf(a) / mpf(b), 2) / k
             assert abs(x - exact) <= 8 * math.ulp(x)
 
 
 def test_log2_ratio_falls_back_next_to_a_rounding_boundary():
-    # log2(a / b) within about 1/b of the target, halfway between two
+    # The value within about 2^-200 of the target, halfway between two
     # 12-digit values: no float error bound can settle the digit, so the
-    # value comes from the decimal fallback.  Near 1, as at the second
-    # target, a / b cancels about 30 digits, which the fallback must add.
-    for b, target in ((2**200, "1.000000000005"), (2**400, "1.000000000005e-30")):
-        with mpmath.workprec(800):
-            a = int(mpmath.nint(mpmath.power(2, mpf(target)) * b))
-        x = log2_ratio(a, b)
-        assert not isinstance(x, float), target
-        assert format_number(x) == _log2_oracle(a, b), target
+    # value comes from the brackets on ln, as the float nearest the exact
+    # value.  Near 1, as at the second target, a / b cancels about 100 bits;
+    # at the third, log2(a / b) cancels against the irrational factor.
+    cases = [
+        ("1.000000000005", 0, 0),
+        ("1.000000000005e-30", 0, 0),
+        ("2.000000000005e-20", Fraction(7, 3), Fraction(-5, 2)),
+    ]
+    for target, pow2, pow_e in cases:
+        a, b = _ratio_at(target, 1, pow2, pow_e, 200)
+        x = log2_ratio(a, b, 1, pow2, pow_e)
+        assert x == _log2_exact(a, b, 1, pow2, pow_e), target
+        assert format_number(x) == _log2_oracle(a, b, 1, pow2, pow_e), target
     with pytest.raises(DomainError):
         log2_ratio(0, 1)
+
+
+def test_log2_ratio_beyond_float_range_is_infinite():
+    # A Markov constant of 400 digits puts 2^pow2 far past any float; the
+    # nearest float to its log2 is -inf, as the bounds row prints it.
+    assert log2_ratio(3, 1, 2, Fraction(-(10**400), 7)) == -math.inf
+    assert log2_ratio(3, 1, 2, Fraction(10**400, 7), Fraction(1, 2)) == math.inf
 
 
 def test_verdict_serialization(c4):
@@ -215,7 +270,8 @@ def test_bound_verdict_directions(c4):
     zero = bound_verdict("demo", "g", {}, 0, twelve)
     assert not zero.passed and zero.margin == -math.inf
     # count <= e = 2.718..., and count >= 2^(3/2) = 2.828..., are decided
-    # exactly; the log2 values and margins are 40-digit decimals.
+    # exactly, and so are the 12 printed digits of their log2 values and
+    # margins.
     e = Cleared(1, Fraction(1), pow_e=Fraction(1))
     assert bound_verdict("demo", "g", {}, 2, e).passed
     assert not bound_verdict("demo", "g", {}, 3, e).passed
