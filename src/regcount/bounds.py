@@ -21,8 +21,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DivisibilityError, DomainError
-from .kdd import kdd_matching_count
+from .errors import DomainError
+from .kdd import kdd_matching_count, union_params
 
 _LN2 = math.log(2)
 
@@ -101,17 +101,16 @@ def log2_ratio(a: int, b: int, k: int = 1, pow2=0, pow_e=0) -> float:
     and rationals pow2 and pow_e: a float whose 12-digit form is that of the
     float nearest the exact value.
 
-    A rational factor (pow_e = 0, pow2 an integer) is shifted into a or b.
-    The estimate is (t + p + q) / k, with p = float(pow2) and q =
-    float(pow_e) / ln 2, both 0 for a rational factor, and t = shift +
-    log1p(a' / b' - 1) / ln 2 for a' / b' the ratio scaled by 2^-shift into
-    (1/2, 2); shift is 0 where a / b already lies there, so a ratio near 1
-    keeps its relative accuracy, and elsewhere shares the sign of the log1p
-    term, so |t| >= 1.  t is off by under 4 ulps of t: the rounded quotient,
-    amplified at most 1.45-fold by log1p on (-1/2, 1), log1p's own ulp, and
-    the roundings of ln 2 and of each operation.  q is off by under 4 ulps
-    of q and p by half an ulp of p; the two sums add under 3 ulps of t, p
-    and q, and the division by k half an ulp of the result.
+    The estimate is (t + p + q) / k, with p = float(pow2), q = float(pow_e)
+    / ln 2 and t = shift + log1p(a' / b' - 1) / ln 2 for a' / b' the ratio
+    scaled by 2^-shift into (1/2, 2); shift is 0 where a / b already lies
+    there, so a ratio near 1 keeps its relative accuracy, and elsewhere
+    shares the sign of the log1p term, so |t| >= 1.  t is off by under 4
+    ulps of t: the rounded quotient, amplified at most 1.45-fold by log1p on
+    (-1/2, 1), log1p's own ulp, and the roundings of ln 2 and of each
+    operation.  q is off by under 4 ulps of q and p by half an ulp of p; the
+    two sums add under 3 ulps of t, p and q, and the division by k half an
+    ulp of the result.
 
     Where 16 ulps of t, p and q over k and 1 ulp of the result leave the 12
     digits open, `_ln_interval` and the ln 2 bracket, at twice the bits
@@ -122,18 +121,10 @@ def log2_ratio(a: int, b: int, k: int = 1, pow2=0, pow_e=0) -> float:
     """
     if a <= 0 or b <= 0:
         raise DomainError(f"log2 needs a positive ratio, got {a}/{b}")
-    p = q = 0.0
-    if pow_e or pow2.denominator != 1:
-        try:
-            p, q = float(pow2), float(pow_e) / _LN2
-        except OverflowError:  # an exponent, and so the value, beyond any float
-            return math.inf if pow2 + pow_e > 0 else -math.inf
-    else:
-        if pow2 > 0:
-            a <<= int(pow2)
-        elif pow2 < 0:
-            b <<= int(-pow2)
-        pow2 = 0
+    try:
+        p, q = float(pow2), float(pow_e) / _LN2
+    except OverflowError:  # an exponent, and so the value, beyond any float
+        return math.inf if pow2 + pow_e > 0 else -math.inf
     shift = 0
     if not (b < 2 * a and a < 2 * b):
         shift = a.bit_length() - b.bit_length()
@@ -167,7 +158,8 @@ def compare_power(num: int, den: int, pow2=0, pow_e=0) -> int:
     positive integers num and den and rationals pow2 and pow_e.
 
     Where pow_e = 0 and pow2 is an integer the comparison is over the
-    integers.  Elsewhere it is the sign of ln(num / den) - pow2 ln 2 -
+    integers, shifted only where the bit lengths of num and den leave it
+    open.  Elsewhere it is the sign of ln(num / den) - pow2 ln 2 -
     pow_e, bracketed by `_ln_interval` at twice the bits each round until
     the bracket excludes 0.  The factor is then irrational (2^pow2 for a
     non-integer pow2, and e^pow_e for pow_e != 0 by Lindemann's theorem), so
@@ -176,10 +168,15 @@ def compare_power(num: int, den: int, pow2=0, pow_e=0) -> int:
     if num <= 0 or den <= 0:
         raise DomainError(f"need a positive ratio, got {num}/{den}")
     if not pow_e and pow2.denominator == 1:
-        if pow2 > 0:
-            den <<= int(pow2)
-        elif pow2 < 0:
-            num <<= int(-pow2)
+        # num / den lies in (2^(s-1), 2^(s+1)), so any pow2 but s decides the
+        # sign by itself.
+        s = num.bit_length() - den.bit_length()
+        if pow2 != s:
+            return 1 if pow2 < s else -1
+        if s > 0:
+            den <<= s
+        else:
+            num <<= -s
         return (num > den) - (num < den)
     bits = 32
     while True:
@@ -349,9 +346,7 @@ def matching_lower_gap(d: int) -> tuple:
 
 def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:
     """Per-copy matching sizes a_i, each floor or ceil of alpha*d, summing to ell."""
-    if d < 1 or n % (2 * d) != 0:
-        raise DivisibilityError(f"need 2d | n with d >= 1, got n={n}, d={d}")
-    copies = n // (2 * d)
+    copies = union_params(n, d).copies
     if not 0 <= ell <= n // 2:
         raise DomainError(f"ell must lie in [0, {n // 2}], got {ell}")
     q, r = divmod(ell, copies)
@@ -397,9 +392,7 @@ def independent_upper_pm_exact(n: int, t: int) -> int:
 def union_small_t_exact(n: int, d: int, t: int) -> int:
     """Exact count (2d)^t binom(n/2d, t) of the scattered independent sets:
     one vertex in each of t distinct K_{d,d} copies."""
-    if d < 1 or n % (2 * d) != 0:
-        raise DivisibilityError(f"need 2d | n with d >= 1, got n={n}, d={d}")
-    copies = n // (2 * d)
+    copies = union_params(n, d).copies
     if not 0 <= t <= copies:
         raise DomainError(f"small-t bound needs t <= {copies}, got {t}")
     return (2 * d) ** t * math.comb(copies, t)
@@ -424,10 +417,9 @@ def union_ind_lower_small_t(n: int, d: int, t: int) -> Cleared:
     for t <= n/2d; a rational, so the verdict is exact.  At t <= 1 the
     bound is the count itself."""
     _check(n, d, t)
-    if n % (2 * d) != 0:
-        raise DivisibilityError(f"need 2d | n, got n={n}, d={d}")
-    if t > n // (2 * d):
-        raise DomainError(f"small-t bound needs t <= {n // (2 * d)}, got {t}")
+    copies = union_params(n, d).copies
+    if t > copies:
+        raise DomainError(f"small-t bound needs t <= {copies}, got {t}")
     scattered = math.prod(Fraction(n - 2 * k * d, n) for k in range(1, t))
     return Cleared(1, 2**t * math.comb(n // 2, t) * Fraction(scattered), direction=LOWER)
 
@@ -437,8 +429,7 @@ def block_miss_stats(n: int, d: int, size: int) -> tuple[Fraction, Fraction]:
     items: exact mu = (n/2d) binom(n/2-d, size)/binom(n/2, size), and its
     analytic bound (n/2d)(1 - 2 size/n)^d.  Both are rational, so the
     comparison is exact."""
-    if d < 1 or n % (2 * d) != 0:
-        raise DivisibilityError(f"need 2d | n with d >= 1, got n={n}, d={d}")
+    union_params(n, d)
     _check(n, d, size)
     half = n // 2
     mu = Fraction(n, 2 * d) * Fraction(math.comb(half - d, size), math.comb(half, size))

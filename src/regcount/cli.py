@@ -5,6 +5,10 @@ verdicts), 2 when at least one verdict failed (a potential counterexample),
 1 on usage or input errors.  Re-running a command with the same configuration
 reproduces the report byte for byte: verdicts are sorted canonically and all
 real values are formatted at 12 significant digits.
+
+Each format has one writer, and both stream the report to its output: JSON,
+indented by 2, a top-level key and a verdict or row at a time; CSV a row at
+a time.
 """
 
 from __future__ import annotations
@@ -173,106 +177,111 @@ def _report(command: str, config: dict, verdicts=None, rows=None, extra=None) ->
     return doc
 
 
-def _render_csv(doc: dict) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    buf.write(f"# tool={doc['tool']} version={doc['version']} command={doc['command']}\n")
-    buf.write(f"# config={json.dumps(doc['config'], sort_keys=True)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    if "verdicts" in doc:
-        from .verify import CSV_HEADER
-
-        writer.writerow(CSV_HEADER)
-        for verdict in doc["verdicts"]:
-            v = verdict.to_json_dict()
-            writer.writerow(
-                [
-                    v["check_id"],
-                    v["graph_label"],
-                    json.dumps(v["params"], sort_keys=True),
-                    v["lhs"],
-                    v["rhs"],
-                    "true" if v["pass"] else "false",
-                    v["margin"],
-                ]
-            )
-    elif "rows" in doc:
-        rows = doc["rows"]
-        if rows:
-            header = list(rows[0].keys())
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [
-                        json.dumps(row[k], sort_keys=True)
-                        if isinstance(row[k], dict)
-                        else row[k]
-                        for k in header
-                    ]
-                )
-    else:
-        writer.writerow(["key", "value"])
-        for key, value in doc.items():
-            if key in ("tool", "version", "command", "config"):
-                continue
-            writer.writerow([key, json.dumps(value, sort_keys=True)])
-    return buf.getvalue()
+# json.dumps(value, sort_keys=True), without building an encoder per call.
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def _json_text(value, pad: str) -> str:
-    """json.dumps(value, indent=2) for a value nested in a document, on a
-    line indented by pad.  A dict's keys and its string, int and bool values
-    are encoded in place, strings by the json module's C encoder; any other
-    value goes through json.dumps."""
-    if type(value) is not dict:
-        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    """What json.dumps indented by 2 prints for a value nested in a report,
+    on a line indented by pad.  A Verdict is encoded as its to_json_dict().
+    Dicts, lists and tuples are encoded in place, and so are their members
+    of exact type str (by the json module's C encoder), int and bool; any
+    other value goes through json.dumps."""
+    # Duck-typed, so that count need not import regcount.verify, and checked
+    # before the tuples, because a Verdict is a named tuple.
+    to_json_dict = getattr(value, "to_json_dict", None)
+    if to_json_dict is not None:
+        value = to_json_dict()
+    if isinstance(value, dict):
+        keyed, brackets, items = True, "{}", value.items()
+    elif isinstance(value, (list, tuple)):
+        keyed, brackets, items = False, "[]", enumerate(value)
+    else:
+        return json.dumps(value)
     if not value:
-        return "{}"
+        return brackets
     inner = pad + "  "
     parts = []
-    for key, v in value.items():
-        kind = type(v)
+    for key, item in items:
+        kind = type(item)
         if kind is str:
-            text = encode_basestring_ascii(v)
+            text = encode_basestring_ascii(item)
         elif kind is int:
-            text = str(v)
+            text = str(item)
         elif kind is bool:
-            text = "true" if v else "false"
+            text = "true" if item else "false"
         else:
-            text = _json_text(v, inner)
-        parts.append(f"{encode_basestring_ascii(key)}: {text}")
-    return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+            text = _json_text(item, inner)
+        parts.append(f"{encode_basestring_ascii(key)}: {text}" if keyed else text)
+    return f"{brackets[0]}\n{inner}" + (",\n" + inner).join(parts) + f"\n{pad}{brackets[1]}"
 
 
-# An empty verdict list as json.dumps(report, indent=2) renders it: a key of
-# the top level, the only one with this indentation.
-_VERDICTS_SLOT = '\n  "verdicts": []'
+def _write_json(doc: dict, out) -> None:
+    """Write json.dumps(doc) indented by 2, and a newline, to out in pieces:
+    a top-level key at a time, and a top-level list an item at a time."""
+    write = out.write
+    sep = "{\n  "
+    for key, value in doc.items():
+        write(f"{sep}{encode_basestring_ascii(key)}: ")
+        if isinstance(value, list) and value:
+            item_sep = "[\n    "
+            for item in value:
+                write(item_sep + _json_text(item, "    "))
+                item_sep = ",\n    "
+            write("\n  ]")
+        else:
+            write(_json_text(value, "  "))
+        sep = ",\n  "
+    write("\n}\n")
 
 
-def _write_json(doc: dict, write) -> None:
-    """write(json.dumps(doc, indent=2) + "\n"), in pieces when doc has
-    verdicts (a list of Verdicts): the frame, which is the report with an
-    empty verdict list, through json.dumps, and each verdict's
-    to_json_dict() through _json_text."""
-    verdicts = doc.get("verdicts")
-    frame = json.dumps({**doc, "verdicts": []} if verdicts else doc, indent=2)
-    if not verdicts:
-        write(frame + "\n")
-        return
-    head, tail = frame.split(_VERDICTS_SLOT)
-    write(head + '\n  "verdicts": [')
-    for i, v in enumerate(verdicts):
-        write((",\n    " if i else "\n    ") + _json_text(v.to_json_dict(), "    "))
-    write("\n  ]" + tail + "\n")
+def _csv_cell(value):
+    """A dict or bool as its JSON text with sorted keys; any other value as
+    it is."""
+    if isinstance(value, dict):
+        return _sorted_json(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def _write_csv(doc: dict, out) -> None:
+    """The report as CSV on out: two # lines, a header, then a row of
+    _csv_cell()s per record.  The records are each verdict's to_json_dict()
+    under CSV_HEADER, else the rows of a rows report, else the key and
+    JSON-encoded value of each key of the report body."""
+    import csv
+
+    out.write(f"# tool={doc['tool']} version={doc['version']} command={doc['command']}\n")
+    out.write(f"# config={_sorted_json(doc['config'])}\n")
+    if "verdicts" in doc:
+        from .verify import CSV_HEADER
+
+        header = CSV_HEADER
+        records = (v.to_json_dict() for v in doc["verdicts"])
+    elif "rows" in doc:
+        records = doc["rows"]
+        header = list(records[0]) if records else []
+    else:
+        header = ["key", "value"]
+        records = [
+            {"key": key, "value": _sorted_json(value)}
+            for key, value in doc.items()
+            if key not in ("tool", "version", "command", "config")
+        ]
+    writer = csv.writer(out, lineterminator="\n")
+    if header:
+        writer.writerow(header)
+    for record in records:
+        writer.writerow([_csv_cell(record[key]) for key in header])
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
     """Write the report in args.format to args.out, or to standard output."""
+    writer = _write_json if args.format == "json" else _write_csv
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_report(doc, args.format, fh.write)
+            writer(doc, fh)
         summary = doc.get("summary")
         if summary:
             sys.stdout.write(
@@ -282,18 +291,7 @@ def _emit(doc: dict, args: argparse.Namespace) -> None:
         else:
             sys.stdout.write(f"{doc['command']}: report -> {args.out}\n")
     else:
-        _write_report(doc, args.format, sys.stdout.write)
-
-
-def _write_report(doc: dict, fmt: str, write) -> None:
-    if fmt == "json":
-        _write_json(doc, write)
-    else:
-        write(_render_csv(doc))
-
-
-def _exit_status(verdicts) -> int:
-    return 2 if any(not v.passed for v in verdicts) else 0
+        writer(doc, sys.stdout)
 
 
 def _read_graph(path: str):
@@ -560,7 +558,7 @@ def _cmd_verify(args) -> int:
     verdicts = verify.sort_verdicts(verdicts)
     doc = _report(args.command, _config_echo(args), verdicts=verdicts)
     _emit(doc, args)
-    return _exit_status(verdicts)
+    return 2 if doc["summary"]["failed"] else 0
 
 
 _COMMANDS = {

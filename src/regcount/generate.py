@@ -173,8 +173,6 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
             future_internal = m_future * d - total_resid
             if future_internal > m_future * (m_future - 1):
                 continue
-            if d > m_future - 1 and total_resid < m_future * (d - m_future + 1):
-                continue
             children.append(cand)
         # One search decides every child of a branch point; a single child
         # is left to its own search, a dead end to none.

@@ -39,6 +39,7 @@ from regcount import (
     union_ind_lower_markov,
     union_ind_lower_small_t,
     union_matching_lower_explicit,
+    union_params,
     union_small_t_exact,
 )
 from regcount.bounds import LOWER, UPPER, _ln_bounds, compare_power, log2
@@ -130,6 +131,10 @@ def test_compare_power_exact_branch_and_domain():
     assert compare_power(3, 1, Fraction(3, 2)) == 1  # 3 > 2^(3/2)
     assert compare_power(2, 1, 0, 1) == -1  # 2 < e
     assert compare_power(1, 1, 0, Fraction(1, 10**6)) == -1
+    # An integer exponent far from log2(num / den) decides the sign without
+    # a shift of 10^30 bits.
+    assert compare_power(1, 1, 10**30) == -1
+    assert compare_power(3, 1, Fraction(-(10**30))) == 1
     with pytest.raises(DomainError):
         compare_power(0, 1, 0, 1)
 
@@ -428,6 +433,17 @@ def oracle_mean_missed_blocks(n, d, t):
         subsets += 1
         total += sum(1 for b in blocks if not (b & chosen))
     return Fraction(total, subsets)
+
+
+@pytest.mark.parametrize(
+    "definition", [balanced_profile, union_small_t_exact, union_ind_lower_small_t, block_miss_stats]
+)
+def test_union_shapes_are_checked_by_union_params(definition):
+    with pytest.raises(DivisibilityError) as want:
+        union_params(10, 4)
+    with pytest.raises(DivisibilityError) as got:
+        definition(10, 4, 1)
+    assert str(got.value) == str(want.value)
 
 
 def test_block_miss_stats_exact_and_bounded():

@@ -16,7 +16,7 @@ from mpmath import mpf
 
 import regcount
 from regcount import graph_to_text
-from regcount.cli import _report, _write_json, main
+from regcount.cli import _report, _write_csv, _write_json, main
 from regcount.verify import Verdict, exact_le
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -340,6 +340,28 @@ def test_verify_suite_with_a_large_markov_constant(capsys):
     assert len(markov) == 7 and all(v["pass"] for v in markov)
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["verify-suite", "--n", "6", "--d", "3"], "-1e+22"),
+        (["bounds", "--n", "12", "--d", "3", "--t", "0"], "-2e+22"),
+    ],
+    ids=["verify-suite", "bounds"],
+)
+def test_markov_constant_with_an_integer_exponent_past_any_shift(capsys, argv, value):
+    # At t = 0 and c = 10^22 the Markov-style exponent of 2, (n/2d)(1 - c),
+    # is an integer of 22 digits.
+    code, doc = run_json(capsys, *argv, "--c", str(10**22))
+    assert code == 0
+    if "verdicts" in doc:
+        rows = [v for v in doc["verdicts"] if v["check_id"] == "union-ind-lower-markov"]
+        assert all(v["pass"] for v in rows)
+        assert [v["lhs"] for v in rows if v["params"]["size"] == 0] == [value]
+    else:
+        rows = [r for r in doc["rows"] if r["name"] == "union-ind-lower-markov"]
+        assert [r["value"] for r in rows] == [value]
+
+
 def test_verify_hom_cli(capsys):
     code, doc = run_json(
         capsys, "verify-hom", "--n", "4", "--d", "2", "--orders", "2", "--seed", "7"
@@ -574,9 +596,15 @@ print([name for name in regcount.__all__ if not hasattr(regcount, name)])
     assert _fresh_python(code) == "[]\n[]"
 
 
+class _Pieces(list):
+    """An output stream that keeps each write as one piece."""
+
+    write = list.append
+
+
 def _written(doc) -> str:
-    pieces = []
-    _write_json(doc, pieces.append)
+    pieces = _Pieces()
+    _write_json(doc, pieces)
     return "".join(pieces)
 
 
@@ -624,3 +652,13 @@ def test_verdict_writer_edge_cases(c4):
     doc = _report("verify-umc", {}, verdicts=[failed, odd])
     rows = {**doc, "verdicts": [failed.to_json_dict(), odd.to_json_dict()]}
     assert _written(doc) == json.dumps(rows, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("writer", [_write_json, _write_csv], ids=["json", "csv"])
+def test_report_writers_stream_each_verdict_by_itself(writer):
+    verdicts = [
+        Verdict("demo", f"g{i}", {"i": i}, i, i + 1, True, 1.0) for i in range(5)
+    ]
+    pieces = _Pieces()
+    writer(_report("verify-umc", {}, verdicts=verdicts), pieces)
+    assert sum("demo" in piece for piece in pieces) == len(verdicts)

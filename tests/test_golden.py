@@ -29,12 +29,14 @@ CASES["count-matching-petersen.csv"] = [
 ]
 CASES["bounds-8-2.json"] = ["bounds", "--n", "8", "--d", "2"]
 CASES["bounds-12-3.csv"] = ["bounds", "--n", "12", "--d", "3", "--format", "csv"]
+CASES["gen-8-3.csv"] = ["gen", "--n", "8", "--d", "3", "--format", "csv"]
 CASES["gen-10-3.json"] = ["gen", "--n", "10", "--d", "3"]
 CASES["verify-hom-6-3.json"] = ["verify-hom", "--n", "6", "--d", "3"]
 CASES["verify-hom-6-3.csv"] = ["verify-hom", "--n", "6", "--d", "3", "--format", "csv"]
 CASES["verify-kahn-6-3.json"] = ["verify-kahn", "--n", "6", "--d", "3"]
 CASES["verify-roots-8-3.json"] = ["verify-roots", "--n", "8", "--d", "3"]
 CASES["verify-roots-petersen.json"] = ["verify-roots", "--graph", "petersen.txt"]
+CASES["verify-suite-5-0.csv"] = ["verify-suite", "--n", "5", "--d", "0", "--format", "csv"]
 CASES["verify-suite-6-3.json"] = ["verify-suite", "--n", "6", "--d", "3"]
 CASES["verify-suite-8-3.json"] = ["verify-suite", "--n", "8", "--d", "3"]
 CASES["verify-suite-8-3.csv"] = ["verify-suite", "--n", "8", "--d", "3", "--format", "csv"]

@@ -217,6 +217,12 @@ def test_log2_ratio_beyond_float_range_is_infinite():
     assert log2_ratio(3, 1, 2, Fraction(10**400, 7), Fraction(1, 2)) == math.inf
 
 
+def test_log2_ratio_of_a_large_integer_power_of_2():
+    # An integer exponent is added as a float, not shifted into a or b.
+    assert log2_ratio(1, 1, 1, -(10**30)) == -1e30
+    assert format_number(log2_ratio(3, 1, 2, 10**30)) == "5e+29"
+
+
 def test_verdict_serialization(c4):
     v = exact_le("demo", "g", {"n": 4}, 3, 5)
     d = v.to_json_dict()
