@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
-from .kdd import kdd_matching_count, union_params
+from .kdd import union_params
 
 _LN2 = math.log(2)
 
@@ -324,24 +324,6 @@ def union_matching_lower_explicit(n: int, d: int, size: int) -> Cleared:
     rest = n - 2 * size
     rhs = Fraction(d**size * n ** (n - size), (2 * size) ** size * rest**rest)
     return Cleared(1, rhs, direction=LOWER, pow_e=-size)
-
-
-def matching_lower_gap(d: int) -> tuple:
-    """Measured per-block-column gap, for a single complete bipartite block
-    at its central matching size, between log2 of the exact count and the
-    explicit entropy-form lower value; also the gap scaled by d / log2(d).
-    Both are floats.
-
-    The explicit form carries an unstated O(log d / d) per-vertex deficit at
-    small d; this helper measures it rather than asserting the inequality.
-    """
-    if d < 2:
-        raise DomainError(f"gap measurement needs d >= 2, got {d}")
-    ell = d // 2
-    rhs = union_matching_lower_explicit(2 * d, d, ell).rhs
-    # log2(count / rhs) + ell log2 e, the count over the explicit value.
-    total = log2_ratio(kdd_matching_count(d, ell) * rhs.denominator, rhs.numerator, 1, 0, ell)
-    return total / d, total / log2(d)
 
 
 def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:

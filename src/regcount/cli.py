@@ -323,8 +323,6 @@ def _cmd_count(args) -> int:
 
 
 def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
-    import math
-
     from .bounds import (
         balanced_profile,
         block_miss_stats,
@@ -344,7 +342,12 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
         union_matching_lower_explicit,
         union_small_t_exact,
     )
-    from .kdd import union_independent_count, union_matching_count, union_params
+    from .kdd import (
+        kdd_matching_count,
+        union_independent_count,
+        union_matching_count,
+        union_params,
+    )
     from .verify import _params, bound_verdict, format_number
 
     p = union_params(n, d)
@@ -371,9 +374,8 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
             explicit = union_matching_lower_explicit(n, d, ell)
             add("union-match-lower-explicit", explicit.log_bound(), "reference", size=ell)
             if count:
-                # log2(count) less the explicit value, from one ratio.
-                rhs = explicit.rhs
-                gap = log2_ratio(count * rhs.denominator, rhs.numerator, 1, 0, ell)
+                # log2(count) less the explicit value: the verdict's margin.
+                gap = bound_verdict("", "", {}, count, explicit).margin
                 add("explicit-gap-log2", gap, "info", size=ell)
         profile = balanced_profile(n, d, ell)
         for c in cs:
@@ -383,7 +385,7 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
                     "stirling-terms-ok",
                     "",
                     {},
-                    math.comb(d, a) ** 2 * math.factorial(a),
+                    kdd_matching_count(d, a),
                     stirling_term(d, a, c),
                 ).passed
                 for a in set(profile)
@@ -575,11 +577,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact values may pass the default limit of 4,300 digits on int-to-str
+    # conversion (Python 3.10.7 on): lift it for the command.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except (GraphError, DomainError, DivisibilityError, ScaleError, OSError) as exc:
         sys.stderr.write(f"regcount: error: {exc}\n")
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

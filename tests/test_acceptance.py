@@ -6,6 +6,7 @@ stated runtime budget assert wall-clock time.  Regression constants measured
 on the first full run are pinned here with comments saying so.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -19,7 +20,8 @@ from regcount import (
     matching_polynomial,
     stirling_term,
 )
-from regcount.bounds import matching_lower_gap
+from regcount.bounds import log2
+from regcount.cli import main
 from regcount.verify import (
     DEFAULT_C_GRID,
     DEFAULT_LAMBDA_GRID,
@@ -152,7 +154,7 @@ def test_criterion_05_matching_count_entropy_bound(small_corpus):
     assert math.log2(20) < 6
 
 
-def test_criterion_06_explicit_lower_gap_trend():
+def test_criterion_06_explicit_lower_gap_trend(capsys):
     # regression values measured on the first full run and pinned; the band
     # and the per-parity shrinking of |gap| are the acceptance property
     pinned_ratio = {
@@ -164,12 +166,18 @@ def test_criterion_06_explicit_lower_gap_trend():
         7: -0.490308,
         8: -0.461897,
     }
+    # The gap is the bounds command's explicit-gap-log2 row on one K_{d,d}
+    # block at size d // 2, over d (per block column) and over log2 d.
     gaps = {}
     for d in range(2, 9):
-        gap, ratio = matching_lower_gap(d)
-        gaps[d] = float(gap)
-        assert -0.60 <= float(ratio) <= -0.40, (d, float(ratio))
-        assert abs(float(ratio) - pinned_ratio[d]) < 5e-4, (d, float(ratio))
+        argv = ["bounds", "--n", str(2 * d), "--d", str(d), "--ell", str(d // 2), "--t", "0"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        [total] = [float(r["value"]) for r in rows if r["name"] == "explicit-gap-log2"]
+        gaps[d] = total / d
+        ratio = total / log2(d)
+        assert -0.60 <= ratio <= -0.40, (d, ratio)
+        assert abs(ratio - pinned_ratio[d]) < 5e-4, (d, ratio)
     # |gap| decreases with d within each parity class (the discrete alpha
     # differs between parities, so the classes are not interleaved)
     for seq in ((2, 4, 6, 8), (3, 5, 7)):

@@ -362,6 +362,52 @@ def test_markov_constant_with_an_integer_exponent_past_any_shift(capsys, argv, v
         assert [r["value"] for r in rows] == [value]
 
 
+def _int_str_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-suite", "--n", "14", "--d", "13", "--lam", "1e30"],
+        ["bounds", "--n", "6", "--d", "3", "--lam", "1e5000"],
+        ["verify-suite", "--n", "6", "--d", "3", "--lam", "1e1000"],
+    ],
+    ids=["K14", "bounds-echo", "verify-suite-out"],
+)
+def test_reports_with_values_past_the_int_str_digit_limit(capsys, tmp_path, argv):
+    # Each report holds an exact value of more than 4,300 digits, the
+    # interpreter's default limit for int-to-str conversion; main lifts it
+    # for the command and restores it.
+    from regcount import GenSpec, eval_partition, generate, matching_polynomial
+    from regcount.bounds import match_pf_upper
+
+    out = tmp_path / "report.json"
+    limit = _int_str_limit()
+    code = main([*argv, "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert _int_str_limit() == limit
+    doc = json.loads(out.read_text())
+    n, d, lam = int(argv[2]), int(argv[4]), Fraction(10) ** int(argv[6][2:])
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert doc["config"]["lam"] == [str(lam)]
+        if "verdicts" in doc:
+            [v] = [
+                v
+                for v in doc["verdicts"]
+                if v["check_id"] == "match-pf-upper" and v["graph_label"].endswith("-0000")
+            ]
+            g = next(iter(generate(GenSpec(n, d))))
+            z = eval_partition(matching_polynomial(g), lam)
+            assert Fraction(v["lhs"]) == match_pf_upper(n, d, lam).lhs(z)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_verify_hom_cli(capsys):
     code, doc = run_json(
         capsys, "verify-hom", "--n", "4", "--d", "2", "--orders", "2", "--seed", "7"

@@ -31,12 +31,15 @@ from regcount import (
 )
 from regcount.bounds import (
     LOWER,
+    UPPER,
     Cleared,
+    log2,
     log2_ratio,
-    matching_lower_gap,
     union_ind_lower_markov,
+    union_matching_lower_explicit,
 )
 from regcount.counting import INDEPENDENT_SET, MATCHING
+from regcount.kdd import kdd_matching_count
 from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
     GraphProfile,
@@ -46,7 +49,6 @@ from regcount.verify import (
     exact_eq,
     exact_le,
     format_number,
-    graph_label,
     hom_graph_verdicts,
     hom_targets,
     kahn_graph_verdicts,
@@ -291,6 +293,40 @@ def test_bound_verdict_directions(c4):
     assert format_number(below.lhs) == "1.5"
 
 
+_nonnegative = st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**6))
+_positive = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_nonnegative, _nonnegative)
+def test_exact_verdicts_decide_like_fractions(x, y):
+    assert exact_le("demo", "g", {}, x, y).passed == (x <= y)
+    assert exact_eq("demo", "g", {}, x, y).passed == (x == y)
+    assert exact_eq("demo", "g", {}, x, x).passed
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 10**4),
+    st.integers(1, 3),
+    _positive,
+    _positive,
+    st.sampled_from([UPPER, LOWER]),
+    st.integers(-40, 40),
+)
+def test_bound_verdicts_decide_like_fractions(q, k, r, cof, direction, pow2):
+    bound = Cleared(k, r, cof, direction, pow2=pow2)
+    lhs, rhs = q**k * cof, r * Fraction(2) ** pow2
+    want = lhs <= rhs if direction == UPPER else lhs >= rhs
+    assert bound_verdict("demo", "g", {}, q, bound).passed == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10**6), _positive)
+def test_bound_verdict_and_exact_le_share_one_margin(q, r):
+    assert bound_verdict("demo", "g", {}, q, Cleared(1, r)).margin == exact_le("demo", "g", {}, q, r).margin
+
+
 def _report_rows(verdicts):
     return [v.to_json_dict() for v in sort_verdicts(verdicts)]
 
@@ -318,9 +354,9 @@ def test_sorting_and_jsonl_are_canonical(c8):
 
 def test_graph_label_forms(c4):
     assert GraphProfile(c4, 3).label == "4v-2r-0003"
-    assert GraphProfile(c4).label == graph_label(c4) == canonical_form(c4)
+    assert GraphProfile(c4).label == GraphProfile(c4).canonical_label == canonical_form(c4)
     big = build_graph(14, [(i, (i + 1) % 14) for i in range(14)])
-    assert graph_label(big) == "14v-14e"
+    assert GraphProfile(big).canonical_label == "14v-14e"
 
 
 def test_vertex_order(c4):
@@ -426,14 +462,14 @@ def test_hom_inequality_examples(c4, k33):
     assert v.lhs == 4 and v.rhs == 8 and v.passed
     # class order on a complete bipartite block gives equality
     block = build_kdd(2)
-    [vb] = verify_hom_inequality(GraphProfile(block), k2, [vertex_order(block, [0, 1, 2, 3])])
+    [vb] = verify_hom_inequality(GraphProfile(block), k2, [vertex_order(block, [0, 1, 2, 3])], "K2")
     assert vb.lhs == vb.rhs == count_homomorphisms(block, k2) ** 2
     # the all-permissive looped vertex gives 1 on both sides
     loop = build_graph(1, [(0, 0)], allow_loops=True)
-    [vl] = verify_hom_inequality(GraphProfile(k33), loop, [vertex_order(k33, list(range(6)))])
+    [vl] = verify_hom_inequality(GraphProfile(k33), loop, [vertex_order(k33, list(range(6)))], "K1-loop")
     assert vl.lhs == 1 and vl.rhs == 1 and vl.passed
     with pytest.raises(DomainError):
-        verify_hom_inequality(GraphProfile(build_graph(3, [(0, 1)])), k2, [vertex_order(build_graph(3, [(0, 1)]), [0, 1, 2])])
+        verify_hom_inequality(GraphProfile(build_graph(3, [(0, 1)])), k2, [vertex_order(build_graph(3, [(0, 1)]), [0, 1, 2])], "K2")
 
 
 def test_hardcore_hom_identity(c4, k33):
@@ -722,13 +758,16 @@ def test_hom_targets_fixed_menu():
 
 
 def test_matching_lower_gap_measured_values():
+    # The margin of the explicit lower bound on one K_{d,d} block at size
+    # d // 2: log2 of the exact count less the explicit value.
     pinned = {2: -0.5574, 3: -0.5659, 4: -0.4726, 5: -0.5086}
     for d, want in pinned.items():
-        gap, ratio = matching_lower_gap(d)
-        assert gap < 0
-        assert abs(float(ratio) - want) < 5e-4
+        bound = union_matching_lower_explicit(2 * d, d, d // 2)
+        v = bound_verdict("", "", {}, kdd_matching_count(d, d // 2), bound)
+        assert v.margin < 0 and not v.passed
+        assert abs(v.margin / log2(d) - want) < 5e-4
     with pytest.raises(DomainError):
-        matching_lower_gap(1)
+        union_matching_lower_explicit(2, 1, 0)
 
 
 def test_default_lambda_grid_shape():
