@@ -3,10 +3,13 @@ and homomorphism counting.
 
 Every count is an arbitrary-precision integer; no floating point enters this
 module.  Every count comes from a dynamic program that places the graph's
-vertices in breadth-first order, with a table local to each call; none needs
-canonical labels or keeps a cache between calls.  Both polynomials share one
-DP over induced vertex subsets, and homomorphisms are counted by a DP over
-the images of the placed vertices that still have an unplaced neighbour.
+vertices one at a time, with a table local to each call; none needs
+canonical labels or keeps a cache between calls.  Both DPs take the source's
+masks from _placed, which renames vertex i the i-th in
+graphs.placement_order, so each walks the vertices 0..n-1 in that order.
+Both polynomials share one DP over induced vertex subsets, and
+homomorphisms are counted by a DP over the images of the placed vertices
+that still have an unplaced neighbour.
 Inputs whose DP would reach more than DP_STATE_LIMIT states (in all for the
 polynomials, in one table for homomorphisms) raise ScaleError.
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, GraphError, ScaleError
-from .graphs import Graph, adjacency_masks
+from .graphs import Graph, adjacency_masks, placement_order, relabel
 
 # Cap on the states a counting DP may reach: vertex subsets in one call of
 # the polynomial DP, frontier images in one table of the homomorphism DP.
@@ -49,46 +52,18 @@ class CountPolynomial(namedtuple("CountPolynomial", "coefficients kind")):
         return [str(c) for c in self.coefficients]
 
 
-def _bfs_order(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """Vertices in breadth-first order, each component searched from its
-    lowest unvisited vertex."""
-    order: list[int] = []
-    seen = 0
-    for root in range(len(adj)):
-        if seen >> root & 1:
-            continue
-        seen |= 1 << root
-        queue = [root]
-        for v in queue:
-            fresh = adj[v] & ~seen
-            seen |= fresh
-            while fresh:
-                queue.append((fresh & -fresh).bit_length() - 1)
-                fresh &= fresh - 1
-        order.extend(queue)
-    return tuple(order)
+def _placed(g: Graph, refusal: str) -> tuple[int, ...]:
+    """g's adjacency masks with its vertices renamed in placement order, so
+    vertex i is the i-th placed; GraphError(refusal) if g has a loop."""
+    if any(u == v for u, v in g.edges):
+        raise GraphError(refusal)
+    adj = adjacency_masks(g)
+    return relabel(adj, placement_order(adj))
 
 
-def _relabel(adj: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, ...]:
-    """Adjacency masks with vertex order[i] renamed i, built from the set bits
-    of each mask, so in time proportional to the edges."""
-    index = [0] * len(adj)
-    for i, v in enumerate(order):
-        index[v] = i
-    out = []
-    for v in order:
-        m = 0
-        rest = adj[v]
-        while rest:
-            low = rest & -rest
-            m |= 1 << index[low.bit_length() - 1]
-            rest ^= low
-        out.append(m)
-    return tuple(out)
-
-
-def _subset_dp(g: Graph, kind: str) -> tuple[int, ...]:
-    """Count polynomial of a loop-free graph by a DP over vertex subsets.
+def _subset_dp(g: Graph, kind: str, refusal: str) -> tuple[int, ...]:
+    """Count polynomial of a loop-free graph by a DP over vertex subsets;
+    GraphError(refusal) if g has a loop.
 
     Each step takes out the lowest vertex v of the remaining set S:
       matching:      M(S) = M(S - v) + x * sum_{u in N(v) & S} M(S - v - u)
@@ -96,7 +71,7 @@ def _subset_dp(g: Graph, kind: str) -> tuple[int, ...]:
     The table runs forward from S = V, so a state's weight counts the partial
     matchings (independent sets) that leave S; states are kept by their
     lowest vertex and expanded in vertex order, each once.  Vertices are
-    renumbered in breadth-first order first, which keeps the reachable S few
+    renumbered in placement order first, which keeps the reachable S few
     while the search frontier is narrow.
 
     A weight is a polynomial packed into one integer, `width` bits per
@@ -109,12 +84,8 @@ def _subset_dp(g: Graph, kind: str) -> tuple[int, ...]:
     n = g.vertex_count
     if n > DP_STATE_LIMIT:
         raise ScaleError(_TOO_MANY_STATES)
-    adj = adjacency_masks(g)
-    adj = _relabel(adj, _bfs_order(adj))
-    if kind == MATCHING:
-        width = sum(m.bit_count() for m in adj) // 2 + 1
-    else:
-        width = n + 1
+    adj = _placed(g, refusal)
+    width = g.edge_count + 1 if kind == MATCHING else n + 1
     # pending[v]: the states whose lowest vertex is v.  The empty set has
     # (0 & -0).bit_length() - 1 == -1, so it lands in pending[n], the last.
     pending: list[dict[int, int]] = [{} for _ in range(n + 1)]
@@ -156,16 +127,14 @@ def _subset_dp(g: Graph, kind: str) -> tuple[int, ...]:
 
 def matching_polynomial(g: Graph) -> CountPolynomial:
     """coefficients[k] = number of k-edge matchings of g."""
-    if any(u == v for u, v in g.edges):
-        raise GraphError("matching_polynomial requires a loop-free graph")
-    return CountPolynomial(_subset_dp(g, MATCHING), MATCHING)
+    refusal = "matching_polynomial requires a loop-free graph"
+    return CountPolynomial(_subset_dp(g, MATCHING, refusal), MATCHING)
 
 
 def independence_polynomial(g: Graph) -> CountPolynomial:
     """coefficients[t] = number of independent vertex sets of size t."""
-    if any(u == v for u, v in g.edges):
-        raise GraphError("independence_polynomial requires a loop-free graph")
-    return CountPolynomial(_subset_dp(g, INDEPENDENT_SET), INDEPENDENT_SET)
+    refusal = "independence_polynomial requires a loop-free graph"
+    return CountPolynomial(_subset_dp(g, INDEPENDENT_SET, refusal), INDEPENDENT_SET)
 
 
 def eval_partition(p: CountPolynomial, lam):
@@ -190,7 +159,7 @@ def count_homomorphisms(g: Graph, h: Graph) -> int:
 
     A loop on w in h permits mapping adjacent source vertices to w.  The
     source must be loop-free.  The maps are counted by a DP that places the
-    source's vertices in breadth-first order: its table maps the images of
+    source's vertices in placement order: its table maps the images of
     the frontier (the placed vertices that still have an unplaced neighbour)
     to the number of partial maps that agree with them.  Placing v
     intersects the target neighbourhoods of the images of v's placed
@@ -199,38 +168,25 @@ def count_homomorphisms(g: Graph, h: Graph) -> int:
     starts from an empty frontier and so needs no special case.  A table of
     more than DP_STATE_LIMIT frontier images raises ScaleError.
     """
-    if any(u == v for u, v in g.edges):
-        raise GraphError("count_homomorphisms requires a loop-free source graph")
+    adj = _placed(g, "count_homomorphisms requires a loop-free source graph")
     n, nh = g.vertex_count, h.vertex_count
     if n == 0:
         return 1
     if nh == 0:
         return 0
-    # Target adjacency with loops folded in as self-bits.
-    hadj = [0] * nh
-    for u, v in h.edges:
-        hadj[u] |= 1 << v
-        hadj[v] |= 1 << u
+    hadj = adjacency_masks(h)
     full = (1 << nh) - 1
-    adj = adjacency_masks(g)
-    order = _bfs_order(adj)
-    step = [0] * n
-    for i, v in enumerate(order):
-        step[v] = i
-    # leave[v]: the step after which v is in no key, the later of its own
-    # step and its last neighbour's.
-    leave = step[:]
-    for u, v in g.edges:
-        leave[u] = max(leave[u], step[v])
-        leave[v] = max(leave[v], step[u])
+    # Vertex v is placed at step v.  leave[v]: the step after which v is in
+    # no key, the later of v and its last neighbour.
+    leave = [max(v, m.bit_length() - 1) for v, m in enumerate(adj)]
     frontier: list[int] = []
     table: dict[tuple[int, ...], int] = {(): 1}
-    for i, v in enumerate(order):
+    for v in range(n):
         # Key positions of v's placed neighbours, and of the vertices kept.
         nbrs = [j for j, u in enumerate(frontier) if adj[v] >> u & 1]
-        keep = [j for j, u in enumerate(frontier) if leave[u] > i]
+        keep = [j for j, u in enumerate(frontier) if leave[u] > v]
         frontier = [frontier[j] for j in keep]
-        stays = leave[v] > i
+        stays = leave[v] > v
         if stays:
             frontier.append(v)
         nxt: dict[tuple[int, ...], int] = {}

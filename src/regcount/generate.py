@@ -236,11 +236,7 @@ def canonical_form(g: Graph) -> str:
         raise ScaleError(
             f"canonical_form supports n <= {CANONICAL_FORM_LIMIT}, got {n}"
         )
-    masks = list(adjacency_masks(g))
-    for u, v in g.edges:
-        if u == v:
-            masks[u] |= 1 << u
-    code = min_code(n, tuple(masks))
+    code = min_code(n, adjacency_masks(g))
     packed = 0
     for level, col in enumerate(code):
         packed = (packed << (level + 1)) | col

@@ -3,7 +3,9 @@
 Vertices are 0-indexed contiguous integers.  Edges are unordered pairs stored
 as (u, v) tuples with u <= v; a loop is the pair (v, v) and is legal only when
 the graph was built with allow_loops set.  Loops appear only on homomorphism
-target graphs; every counting routine works on simple graphs.
+target graphs; every counting routine works on simple graphs.  The counting
+DPs and bipartition visit the vertices in one order, placement_order; relabel
+renames the adjacency masks so that a walk's i-th vertex is vertex i.
 """
 
 from __future__ import annotations
@@ -73,13 +75,51 @@ def build_graph(n: int, edges, allow_loops: bool = False) -> Graph:
 
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Per-vertex neighbor bitmasks (loops excluded)."""
+    """Per-vertex neighbor bitmasks; a loop on v sets bit v of mask v."""
     masks = [0] * g.vertex_count
     for u, v in g.edges:
-        if u != v:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     return tuple(masks)
+
+
+def placement_order(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """The order in which the counting DPs and bipartition place the
+    vertices: breadth first, each component searched from its lowest
+    unvisited vertex."""
+    order: list[int] = []
+    seen = 0
+    for root in range(len(adj)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        queue = [root]
+        for v in queue:
+            fresh = adj[v] & ~seen
+            seen |= fresh
+            while fresh:
+                queue.append((fresh & -fresh).bit_length() - 1)
+                fresh &= fresh - 1
+        order.extend(queue)
+    return tuple(order)
+
+
+def relabel(adj: tuple[int, ...], order: tuple[int, ...]) -> tuple[int, ...]:
+    """Adjacency masks with vertex order[i] renamed i, built from the set bits
+    of each mask, so in time proportional to the edges."""
+    index = [0] * len(adj)
+    for i, v in enumerate(order):
+        index[v] = i
+    out = []
+    for v in order:
+        m = 0
+        rest = adj[v]
+        while rest:
+            low = rest & -rest
+            m |= 1 << index[low.bit_length() - 1]
+            rest ^= low
+        out.append(m)
+    return tuple(out)
 
 
 def regular_degree(g: Graph) -> int | None:
@@ -92,35 +132,27 @@ def regular_degree(g: Graph) -> int | None:
 
 
 def bipartition(g: Graph) -> Bipartition | None:
-    """Two-color g by BFS; None if an odd cycle exists.
+    """Two-color g in placement order; None if an odd cycle exists.
 
-    Deterministic: components are rooted at their smallest vertex, the root
-    goes to class_a.  The empty graph puts every vertex in class_a.
+    Each vertex takes the side opposite its placed neighbors, so a
+    component's lowest vertex, placed first, goes to class_a; placed
+    neighbors on both sides close an odd cycle.  The empty graph puts every
+    vertex in class_a.
     """
     if any(u == v for u, v in g.edges):
         raise GraphError("bipartition requires a loop-free graph")
-    n = g.vertex_count
     adj = adjacency_masks(g)
-    color = [-1] * n
-    for root in range(n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            mask = adj[u]
-            while mask:
-                v = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
+    placed = side_b = 0
+    for v in placement_order(adj):
+        back = adj[v] & placed
+        placed |= 1 << v
+        if back & -back & ~side_b:
+            side_b |= 1 << v
+        if back & (side_b if side_b >> v & 1 else ~side_b):
+            return None
     return Bipartition(
-        frozenset(v for v in range(n) if color[v] == 0),
-        frozenset(v for v in range(n) if color[v] == 1),
+        frozenset(v for v in range(g.vertex_count) if not side_b >> v & 1),
+        frozenset(v for v in range(g.vertex_count) if side_b >> v & 1),
     )
 
 

@@ -44,16 +44,8 @@ def oracle_min_code(g):
     return min(oracle_codes(g))
 
 
-def loop_masks(g):
-    masks = list(adjacency_masks(g))
-    for u, v in g.edges:
-        if u == v:
-            masks[u] |= 1 << u
-    return tuple(masks)
-
-
 def package_min_code(g):
-    return min_code(g.vertex_count, loop_masks(g))
+    return min_code(g.vertex_count, adjacency_masks(g))
 
 
 def random_graph(rng, n, p):
@@ -88,7 +80,7 @@ def test_min_code_with_loops_matches_oracle():
 def raises_from(g, incumbent):
     """Run the search from `incumbent`; return its yields and final code."""
     best = list(incumbent)
-    raises = [tuple(best) for _ in better_codes(loop_masks(g), best)]
+    raises = [tuple(best) for _ in better_codes(adjacency_masks(g), best)]
     return raises, tuple(best)
 
 

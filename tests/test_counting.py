@@ -31,6 +31,7 @@ from regcount import (
     matching_polynomial,
 )
 from regcount.counting import MATCHING, CountPolynomial
+from regcount.verify import hom_targets
 
 from conftest import disjoint_union, pairing_model
 
@@ -290,6 +291,24 @@ def test_coefficients_do_not_depend_on_vertex_order(fourteen, perm):
     h = build_graph(14, [(perm[u], perm[v]) for u, v in g.edges])
     assert list(matching_polynomial(h).coefficients) == matchings
     assert list(independence_polynomial(h).coefficients) == independent
+
+
+@pytest.fixture(scope="module")
+def fourteen_homs(fourteen):
+    """Each hom_targets() target with its count from the fixed 14-vertex
+    graph: up to 4^14 vertex maps, too many to check one by one."""
+    g = fourteen[0]
+    return [(h, count_homomorphisms(g, h)) for _, h in hom_targets()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm=st.permutations(range(14)))
+def test_hom_counts_do_not_depend_on_vertex_order(fourteen, fourteen_homs, perm):
+    g = fourteen[0]
+    h_perm = build_graph(14, [(perm[u], perm[v]) for u, v in g.edges])
+    assert [count_homomorphisms(h_perm, h) for h, _ in fourteen_homs] == [
+        count for _, count in fourteen_homs
+    ]
 
 
 def test_path_longer_than_recursion_limit():

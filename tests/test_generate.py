@@ -389,15 +389,6 @@ def twin_heavy_graphs(draw):
     return build_graph(n, [(perm[u], perm[v]) for u, v in edges], allow_loops=True)
 
 
-def loop_masks(g):
-    """Adjacency masks with bit v of mask v marking a loop."""
-    masks = list(adjacency_masks(g))
-    for v in range(g.vertex_count):
-        if g.has_edge(v, v):
-            masks[v] |= 1 << v
-    return masks
-
-
 def identity_columns(adj):
     """Column of each vertex p: its loop bit, then its adjacency to 0..p-1,
     vertex 0 highest."""
@@ -414,7 +405,7 @@ def test_beats_identity_matches_bruteforce_orderings(g):
     # Generation rejects a prefix at the search's first raise from the
     # identity columns; that raise must come exactly when some ordering
     # beats the identity.
-    adj = loop_masks(g)
+    adj = adjacency_masks(g)
     raised = next(better_codes(adj, identity_columns(adj)), None) is not None
     assert raised == oracle_beats_identity(g)
 
@@ -440,7 +431,7 @@ def test_adjacent_swap_rejects_only_beaten_orderings(g):
     # The generator skips a column when swapping it with the previous one
     # raises the code, without running the full search.  Wherever that test
     # fires, some ordering must beat the identity.
-    cols_rev = identity_columns(loop_masks(g))
+    cols_rev = identity_columns(adjacency_masks(g))
     if any(cols_rev[p + 1] >> 1 > cols_rev[p] for p in range(g.vertex_count - 1)):
         assert oracle_beats_identity(g)
 

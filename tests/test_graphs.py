@@ -20,6 +20,7 @@ from regcount import (
     matching_polynomial,
     regular_degree,
 )
+from regcount.graphs import adjacency_masks
 from regcount.verify import GraphProfile
 
 from conftest import build_kdd_union, disjoint_union
@@ -121,6 +122,60 @@ def test_max_matching_and_perfect_matching(c4, c8, prism, petersen):
     c40 = build_graph(40, {tuple(sorted((i, (i + s) % 40))) for i in range(40) for s in (1, 20)})
     assert regular_degree(c40) == 3
     assert nu(c40) == 20 and has_pm(c40)
+
+
+def test_adjacency_masks_mark_loops_on_their_own_bit():
+    g = build_graph(3, [(0, 0), (0, 1), (1, 2)], allow_loops=True)
+    assert adjacency_masks(g) == (0b011, 0b101, 0b010)
+
+
+def reference_two_colouring(g):
+    """(class_a, class_b) by flood fill over neighbour sets, each component
+    coloured from its lowest vertex; None if an edge joins one colour."""
+    nbrs = {v: set() for v in range(g.vertex_count)}
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    colour = {}
+    for root in range(g.vertex_count):
+        if root in colour:
+            continue
+        colour[root] = 0
+        todo = [root]
+        while todo:
+            u = todo.pop()
+            for w in nbrs[u]:
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    todo.append(w)
+    if any(colour[u] == colour[v] for u, v in g.edges):
+        return None
+    return (
+        frozenset(v for v, c in colour.items() if c == 0),
+        frozenset(v for v, c in colour.items() if c == 1),
+    )
+
+
+@st.composite
+def near_bipartite_graphs(draw):
+    """Up to 12 vertices, edges drawn across a random split (so most graphs
+    are bipartite and many disconnected), at times with an odd cycle added."""
+    n = draw(st.integers(0, 12))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cross = [(u, v) for u, v in combinations(range(n), 2) if side[u] != side[v]]
+    edges = draw(st.sets(st.sampled_from(cross))) if cross else set()
+    if n >= 3 and draw(st.booleans()):
+        k = draw(st.sampled_from(range(3, n + 1, 2)))
+        cycle = draw(st.permutations(range(n)))[:k]
+        edges |= {tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(k)}
+    return build_graph(n, sorted(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_bipartite_graphs())
+def test_bipartition_matches_reference_two_colouring(g):
+    b = bipartition(g)
+    assert (None if b is None else (b.class_a, b.class_b)) == reference_two_colouring(g)
 
 
 def test_build_kdd_shape():

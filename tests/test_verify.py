@@ -10,6 +10,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import pytest
@@ -21,6 +22,7 @@ from regcount import (
     CountPolynomial,
     DomainError,
     GenSpec,
+    GraphError,
     build_graph,
     build_kdd,
     canonical_form,
@@ -369,6 +371,24 @@ def test_vertex_order(c4):
         vertex_order(c4, [0, 1, 2, 2])
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_back_degrees_count_earlier_neighbours(data):
+    n = data.draw(st.integers(0, 10))
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = build_graph(n, sorted(edges))
+    perm = data.draw(st.permutations(range(n)))
+    position = {v: i for i, v in enumerate(perm)}
+    earlier = tuple(
+        sum(1 for u in range(n) if g.has_edge(u, v) and position[u] < position[v])
+        for v in range(n)
+    )
+    vo = vertex_order(g, perm)
+    assert vo.back_degrees == earlier
+    assert sum(vo.back_degrees) == g.edge_count
+
+
 def test_umc_and_kahn_sweeps(c8):
     umc = sweep(GenSpec(8, 2), umc_graph_verdicts)
     kahn = sweep(GenSpec(8, 2), kahn_graph_verdicts)
@@ -470,6 +490,10 @@ def test_hom_inequality_examples(c4, k33):
     assert vl.lhs == 1 and vl.rhs == 1 and vl.passed
     with pytest.raises(DomainError):
         verify_hom_inequality(GraphProfile(build_graph(3, [(0, 1)])), k2, [vertex_order(build_graph(3, [(0, 1)]), [0, 1, 2])], "K2")
+    # a looped source is refused by the homomorphism count itself
+    looped = build_graph(1, [(0, 0)], allow_loops=True)
+    with pytest.raises(GraphError, match="count_homomorphisms requires a loop-free source graph"):
+        verify_hom_inequality(GraphProfile(looped), k2, [vertex_order(looped, [0])], "K2")
 
 
 def test_hardcore_hom_identity(c4, k33):
