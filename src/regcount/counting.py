@@ -2,16 +2,13 @@
 and homomorphism counting.
 
 Every count is an arbitrary-precision integer; no floating point enters this
-module.  Every count comes from a dynamic program that places the graph's
-vertices one at a time, with a table local to each call; none needs
-canonical labels or keeps a cache between calls.  Both DPs take the source's
-masks from _placed, which renames vertex i the i-th in
-graphs.placement_order, so each walks the vertices 0..n-1 in that order.
-Both polynomials share one DP over induced vertex subsets, and
-homomorphisms are counted by a DP over the images of the placed vertices
-that still have an unplaced neighbour.
-Inputs whose DP would reach more than DP_STATE_LIMIT states (in all for the
-polynomials, in one table for homomorphisms) raise ScaleError.
+module.  Every count comes from one dynamic program, _subset_dp, that places
+the source's vertices one at a time in graphs.placement_order, with a table
+local to each call; it needs no canonical labels and keeps no cache between
+calls.  Its state records, for each unplaced vertex, what is still open to
+it: whether it is still free, for the two polynomials, or the target
+vertices it may still map to, for homomorphisms.  Inputs whose DP would
+reach more than DP_STATE_LIMIT states in all raise ScaleError.
 """
 
 from __future__ import annotations
@@ -21,8 +18,7 @@ from collections import namedtuple
 from .errors import DomainError, GraphError, ScaleError
 from .graphs import Graph, adjacency_masks, placement_order, relabel
 
-# Cap on the states a counting DP may reach: vertex subsets in one call of
-# the polynomial DP, frontier images in one table of the homomorphism DP.
+# Cap on the states one call of the counting DP may reach.
 DP_STATE_LIMIT = 1_000_000
 
 _TOO_MANY_STATES = (
@@ -31,6 +27,7 @@ _TOO_MANY_STATES = (
 
 MATCHING = "matching"
 INDEPENDENT_SET = "independent-set"
+HOMOMORPHISM = "homomorphism"
 
 
 class CountPolynomial(namedtuple("CountPolynomial", "coefficients kind")):
@@ -52,29 +49,31 @@ class CountPolynomial(namedtuple("CountPolynomial", "coefficients kind")):
         return [str(c) for c in self.coefficients]
 
 
-def _placed(g: Graph, refusal: str) -> tuple[int, ...]:
-    """g's adjacency masks with its vertices renamed in placement order, so
-    vertex i is the i-th placed; GraphError(refusal) if g has a loop."""
-    if any(u == v for u, v in g.edges):
-        raise GraphError(refusal)
-    adj = adjacency_masks(g)
-    return relabel(adj, placement_order(adj))
+def _subset_dp(g: Graph, kind: str, refusal: str, target: Graph | None = None) -> int:
+    """The weight of the empty state of a DP over the unplaced vertices of a
+    loop-free graph; GraphError(refusal) if g has a loop.
 
-
-def _subset_dp(g: Graph, kind: str, refusal: str) -> tuple[int, ...]:
-    """Count polynomial of a loop-free graph by a DP over vertex subsets;
-    GraphError(refusal) if g has a loop.
-
-    Each step takes out the lowest vertex v of the remaining set S:
+    Vertices are renamed in placement order first, which keeps the states
+    few while the search frontier is narrow.  A state is one int with a slot
+    of `slot` bits per vertex.  The slot's lowest bit is set while the vertex
+    is unplaced, so for the polynomials, whose slot is that bit alone, the
+    state is the remaining set S.  For homomorphisms the |V(target)| bits above
+    it hold the target vertices still open to the vertex: the intersection
+    of the target neighbourhoods of its placed neighbours' images.  Each step
+    takes out the lowest unplaced vertex v:
       matching:      M(S) = M(S - v) + x * sum_{u in N(v) & S} M(S - v - u)
       independence:  I(S) = I(S - v) + x * I(S - N[v])
-    The table runs forward from S = V, so a state's weight counts the partial
-    matchings (independent sets) that leave S; states are kept by their
-    lowest vertex and expanded in vertex order, each once.  Vertices are
-    renumbered in placement order first, which keeps the reachable S few
-    while the search frontier is narrow.
+      homomorphism:  v takes an open image c, and each later neighbour keeps
+                     only the images adjacent to c.
+    The table runs forward from the state with every slot full, so a state's
+    weight counts the partial matchings (independent sets, maps) that lead
+    to it; states are kept by their lowest set bit and expanded in vertex
+    order, each once.  Images that leave the same slots move together, so a
+    vertex with no later neighbour adds weight x open images to one state.
+    A map that leaves a later neighbour no image cannot be extended, so it is
+    dropped at once rather than carried to that neighbour.
 
-    A weight is a polynomial packed into one integer, `width` bits per
+    A polynomial weight is packed into one integer, `width` bits per
     coefficient: no partial count exceeds the graph's number of matchings
     (< 2^|E|) or independent sets (< 2^n), so no coefficient spills over.
 
@@ -84,30 +83,65 @@ def _subset_dp(g: Graph, kind: str, refusal: str) -> tuple[int, ...]:
     n = g.vertex_count
     if n > DP_STATE_LIMIT:
         raise ScaleError(_TOO_MANY_STATES)
-    adj = _placed(g, refusal)
-    width = g.edge_count + 1 if kind == MATCHING else n + 1
-    # pending[v]: the states whose lowest vertex is v.  The empty set has
-    # (0 & -0).bit_length() - 1 == -1, so it lands in pending[n], the last.
-    pending: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    pending[0][(1 << n) - 1] = 1
+    if any(u == v for u, v in g.edges):
+        raise GraphError(refusal)
+    adj = adjacency_masks(g)
+    adj = relabel(adj, placement_order(adj))
+    if kind == HOMOMORPHISM:
+        hadj = adjacency_masks(target)
+        full = (1 << len(hadj)) - 1
+        slot = len(hadj) + 1
+    else:
+        slot = 1
+        width = g.edge_count + 1 if kind == MATCHING else n + 1
+    # pending[i]: the states whose lowest set bit is i, the first bit of the
+    # lowest unplaced vertex's slot.  The empty state has
+    # (0 & -0).bit_length() - 1 == -1, so it lands in pending[n * slot], the last.
+    pending: list[dict[int, int]] = [{} for _ in range(n * slot + 1)]
+    pending[0][(1 << n * slot) - 1] = 1
     states = 1
     for v in range(n):
+        shift = v * slot
         bit = 1 << v
         nbrs = adj[v]
-        for s, w in pending[v].items():
+        if kind == HOMOMORPHISM:
+            # later: the offsets of the image bits of v's later neighbours.
+            # moves: each mask that an image c leaves on them, clearing the
+            # images outside hadj[c], with every c that leaves it.
+            later = []
+            m = nbrs >> v + 1
+            while m:
+                low = m & -m
+                m ^= low
+                later.append((v + low.bit_length()) * slot + 1)
+            moves: dict[int, int] = {}
+            for c, hn in enumerate(hadj):
+                keep = ~sum((full ^ hn) << u for u in later)
+                moves[keep] = moves.get(keep, 0) | 1 << c
+        for s, w in pending[shift].items():
             if states > DP_STATE_LIMIT:
                 raise ScaleError(_TOO_MANY_STATES)
-            rest = s ^ bit
-            succ = [(rest, w)]
-            w <<= width
             if kind == MATCHING:
+                rest = s ^ bit
+                succ = [(rest, w)]
+                w <<= width
                 m = nbrs & rest
                 while m:
                     low = m & -m
                     m ^= low
                     succ.append((rest ^ low, w))
+            elif kind == INDEPENDENT_SET:
+                rest = s ^ bit
+                succ = [(rest, w), (rest & ~nbrs, w << width)]
             else:
-                succ.append((rest & ~nbrs, w))
+                images = s >> shift + 1 & full
+                rest = s >> shift + slot << shift + slot
+                succ = []
+                for keep, members in moves.items():
+                    kept = rest & keep
+                    k = (images & members).bit_count()
+                    if k and all(kept >> u & full for u in later):
+                        succ.append((kept, w * k))
             for t, x in succ:
                 table = pending[(t & -t).bit_length() - 1]
                 if t in table:
@@ -115,26 +149,31 @@ def _subset_dp(g: Graph, kind: str, refusal: str) -> tuple[int, ...]:
                 else:
                     table[t] = x
                     states += 1
-        pending[v] = {}
-    packed = pending[-1][0]
+        pending[shift] = {}
+    return pending[-1].get(0, 0)
+
+
+def _polynomial(g: Graph, kind: str, refusal: str) -> CountPolynomial:
+    """The count polynomial of the given kind, unpacked from _subset_dp."""
+    packed = _subset_dp(g, kind, refusal)
+    width = g.edge_count + 1 if kind == MATCHING else g.vertex_count + 1
     mask = (1 << width) - 1
     coeffs = []
     while packed:
         coeffs.append(packed & mask)
         packed >>= width
-    return tuple(coeffs)
+    return CountPolynomial(tuple(coeffs), kind)
 
 
 def matching_polynomial(g: Graph) -> CountPolynomial:
     """coefficients[k] = number of k-edge matchings of g."""
-    refusal = "matching_polynomial requires a loop-free graph"
-    return CountPolynomial(_subset_dp(g, MATCHING, refusal), MATCHING)
+    return _polynomial(g, MATCHING, "matching_polynomial requires a loop-free graph")
 
 
 def independence_polynomial(g: Graph) -> CountPolynomial:
     """coefficients[t] = number of independent vertex sets of size t."""
     refusal = "independence_polynomial requires a loop-free graph"
-    return CountPolynomial(_subset_dp(g, INDEPENDENT_SET, refusal), INDEPENDENT_SET)
+    return _polynomial(g, INDEPENDENT_SET, refusal)
 
 
 def eval_partition(p: CountPolynomial, lam):
@@ -158,59 +197,8 @@ def count_homomorphisms(g: Graph, h: Graph) -> int:
     """Number of adjacency-preserving maps V(g) -> V(h).
 
     A loop on w in h permits mapping adjacent source vertices to w.  The
-    source must be loop-free.  The maps are counted by a DP that places the
-    source's vertices in placement order: its table maps the images of
-    the frontier (the placed vertices that still have an unplaced neighbour)
-    to the number of partial maps that agree with them.  Placing v
-    intersects the target neighbourhoods of the images of v's placed
-    neighbours, which all lie in the frontier, and a vertex leaves the key
-    once its last neighbour is placed.  A component or an isolated vertex
-    starts from an empty frontier and so needs no special case.  A table of
-    more than DP_STATE_LIMIT frontier images raises ScaleError.
+    source must be loop-free.  The maps are counted by _subset_dp, whose
+    state holds the images still open to each unplaced vertex.
     """
-    adj = _placed(g, "count_homomorphisms requires a loop-free source graph")
-    n, nh = g.vertex_count, h.vertex_count
-    if n == 0:
-        return 1
-    if nh == 0:
-        return 0
-    hadj = adjacency_masks(h)
-    full = (1 << nh) - 1
-    # Vertex v is placed at step v.  leave[v]: the step after which v is in
-    # no key, the later of v and its last neighbour.
-    leave = [max(v, m.bit_length() - 1) for v, m in enumerate(adj)]
-    frontier: list[int] = []
-    table: dict[tuple[int, ...], int] = {(): 1}
-    for v in range(n):
-        # Key positions of v's placed neighbours, and of the vertices kept.
-        nbrs = [j for j, u in enumerate(frontier) if adj[v] >> u & 1]
-        keep = [j for j, u in enumerate(frontier) if leave[u] > v]
-        frontier = [frontier[j] for j in keep]
-        stays = leave[v] > v
-        if stays:
-            frontier.append(v)
-        nxt: dict[tuple[int, ...], int] = {}
-        for key, count in table.items():
-            cand = full
-            for j in nbrs:
-                cand &= hadj[key[j]]
-            if not cand:
-                continue
-            base = tuple([key[j] for j in keep])
-            if stays:
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    t = base + (low.bit_length() - 1,)
-                    nxt[t] = nxt.get(t, 0) + count
-            else:
-                nxt[base] = nxt.get(base, 0) + count * cand.bit_count()
-            if len(nxt) > DP_STATE_LIMIT:
-                raise ScaleError(
-                    f"instance too large: the homomorphism DP needs more than "
-                    f"{DP_STATE_LIMIT} frontier states"
-                )
-        if not nxt:
-            return 0
-        table = nxt
-    return table[()]
+    refusal = "count_homomorphisms requires a loop-free source graph"
+    return _subset_dp(g, HOMOMORPHISM, refusal, h)

@@ -4,7 +4,7 @@ Vertices are 0-indexed contiguous integers.  Edges are unordered pairs stored
 as (u, v) tuples with u <= v; a loop is the pair (v, v) and is legal only when
 the graph was built with allow_loops set.  Loops appear only on homomorphism
 target graphs; every counting routine works on simple graphs.  The counting
-DPs and bipartition visit the vertices in one order, placement_order; relabel
+DP and bipartition visit the vertices in one order, placement_order; relabel
 renames the adjacency masks so that a walk's i-th vertex is vertex i.
 """
 
@@ -84,7 +84,7 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
 
 
 def placement_order(adj: tuple[int, ...]) -> tuple[int, ...]:
-    """The order in which the counting DPs and bipartition place the
+    """The order in which the counting DP and bipartition place the
     vertices: breadth first, each component searched from its lowest
     unvisited vertex."""
     order: list[int] = []

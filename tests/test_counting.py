@@ -218,12 +218,87 @@ def test_hom_path_longer_than_recursion_limit():
     assert count_homomorphisms(path, build_graph(2, [(0, 1)])) == 2
 
 
-def test_hom_frontier_table_raises_scale_error_fast():
-    dense = build_graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)])
+def test_hom_complete_graph_into_hardcore_target():
+    # A map from K_n into hardcore(c, a) sends at most one vertex to the a
+    # unlooped vertices, which are pairwise non-adjacent, and the rest to the
+    # c looped clique vertices: c^n + n * a * c^(n-1) maps.
+    for n, c, a, maps in ((1, 1, 0, 1), (5, 2, 3, 272), (12, 4, 4, 218_103_808)):
+        k = build_graph(n, list(combinations(range(n), 2)))
+        assert maps == c**n + n * a * c ** (n - 1)
+        assert count_homomorphisms(k, build_hardcore_target(c, a)) == maps
+
+
+def test_hom_dp_raises_scale_error_fast(large_cubic):
+    triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     start = time.perf_counter()
     with pytest.raises(ScaleError):
-        count_homomorphisms(dense, build_hardcore_target(4, 4))
+        count_homomorphisms(large_cubic, triangle)
     assert time.perf_counter() - start < 10
+
+
+def _components_and_bipartite(g):
+    """Component count and bipartiteness by a plain two-colouring search."""
+    neighbours = {v: [] for v in range(g.vertex_count)}
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    colour = {}
+    components, bipartite = 0, True
+    for root in range(g.vertex_count):
+        if root in colour:
+            continue
+        components += 1
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in neighbours[u]:
+                if v not in colour:
+                    colour[v] = 1 - colour[u]
+                    stack.append(v)
+                elif colour[v] == colour[u]:
+                    bipartite = False
+    return components, bipartite
+
+
+def _closed_form_sources():
+    """The circular ladder on 24 vertices, pairing-model graphs on 24 to 60
+    vertices, and disjoint unions of them, all beyond the brute-force
+    oracle's reach."""
+    ladder = Path(__file__).parent / "golden" / "circular-ladder-24.txt"
+    ladder = graph_from_text(ladder.read_text())
+    rng = random.Random(2460)
+    sizes = ((24, 3), (40, 3), (60, 3), (30, 4), (24, 5))
+    cubic24, cubic40, cubic60, quartic30, quintic24 = (pairing_model(n, d, rng) for n, d in sizes)
+    return [
+        ladder, cubic24, cubic40, cubic60, quartic30, quintic24,
+        disjoint_union(ladder, cubic24),
+        disjoint_union(build_graph(3, []), cubic60),
+    ]
+
+
+def test_hom_counts_match_closed_forms():
+    # hom(G, K2) = 2^(components) if G is bipartite and 0 otherwise;
+    # hom(G, K1 with a loop) = 1.  Neither form shares code with the DP.
+    k2 = build_graph(2, [(0, 1)])
+    k1_loop = build_graph(1, [(0, 0)], allow_loops=True)
+    bipartite_seen = set()
+    for g in _closed_form_sources():
+        components, bipartite = _components_and_bipartite(g)
+        bipartite_seen.add(bipartite)
+        assert count_homomorphisms(g, k2) == (2**components if bipartite else 0)
+        assert count_homomorphisms(g, k1_loop) == 1
+    assert bipartite_seen == {True, False}
+
+
+def test_hom_cycles_into_complete_graphs():
+    # hom(C_n, K_q) = (q - 1)^n + (-1)^n (q - 1), the chromatic polynomial
+    # of the cycle.
+    for n in (24, 25, 41, 60):
+        cycle = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        for q in (2, 3, 4):
+            k = build_graph(q, list(combinations(range(q), 2)))
+            assert count_homomorphisms(cycle, k) == (q - 1) ** n + (-1) ** n * (q - 1)
 
 
 @st.composite

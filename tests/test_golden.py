@@ -33,6 +33,7 @@ CASES["gen-8-3.csv"] = ["gen", "--n", "8", "--d", "3", "--format", "csv"]
 CASES["gen-10-3.json"] = ["gen", "--n", "10", "--d", "3"]
 CASES["verify-hom-6-3.json"] = ["verify-hom", "--n", "6", "--d", "3"]
 CASES["verify-hom-6-3.csv"] = ["verify-hom", "--n", "6", "--d", "3", "--format", "csv"]
+CASES["verify-hom-10-3.csv"] = ["verify-hom", "--n", "10", "--d", "3", "--format", "csv"]
 CASES["verify-kahn-6-3.json"] = ["verify-kahn", "--n", "6", "--d", "3"]
 CASES["verify-roots-8-3.json"] = ["verify-roots", "--n", "8", "--d", "3"]
 CASES["verify-roots-petersen.json"] = ["verify-roots", "--graph", "petersen.txt"]
