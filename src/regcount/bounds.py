@@ -6,13 +6,12 @@ a lower bound, with rhs and cofactor positive rationals and pow2 and pow_e
 rationals (`Cleared`); the factor 2^pow2 * e^pow_e carries the log2 e of
 Kahn's bound for bipartite graphs and of the entropy-form lower bounds on
 the K_{d,d} union, and the rational power of 2 of its Markov-style lower
-bound.  Every verdict is exact: over the integers where the factor is
-rational, and by `compare_power` where it is not.  `Cleared.log_bound()` is
-the bound on log2 q, and `log2_ratio` computes it, as it computes every
-log2 value a report prints, as a float.
-
-Both take their high precision from one routine, `_ln_bounds`, which
-brackets a logarithm between integers at a chosen number of bits.
+bound.  One evaluation, `signed_log2_ratio`, gives the exact sign of every
+comparison, which decides its verdict, and the float every report prints
+for it; `Cleared.log_bound()`, the bound on log2 q, and every other log2
+value come from it through `log2_ratio`.  Its high precision comes from one
+routine, `_ln_bounds`, which brackets a logarithm between integers at a
+chosen number of bits.
 """
 
 from __future__ import annotations
@@ -97,9 +96,23 @@ def log2(x) -> float:
 
 
 def log2_ratio(a: int, b: int, k: int = 1, pow2=0, pow_e=0) -> float:
-    """log2(a / b * 2^pow2 * e^pow_e) / k for positive integers a, b and k
-    and rationals pow2 and pow_e: a float whose 12-digit form is that of the
-    float nearest the exact value.
+    """log2(a / b * 2^pow2 * e^pow_e) / k, as signed_log2_ratio gives it."""
+    return signed_log2_ratio(a, b, k, pow2, pow_e)[1]
+
+
+def _float(num: int, den: int) -> float:
+    """num / den for den > 0, rounded to the nearest float, and +-inf beyond
+    float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def signed_log2_ratio(a: int, b: int, k: int, pow2, pow_e) -> tuple[int, float]:
+    """v = log2(a / b * 2^pow2 * e^pow_e) / k for positive integers a, b and
+    k and rationals pow2 and pow_e: the exact sign of v (-1, 0 or 1), and a
+    float whose 12-digit form is that of the float nearest v.
 
     The estimate is (t + p + q) / k, with p = float(pow2), q = float(pow_e)
     / ln 2 and t = shift + log1p(a' / b' - 1) / ln 2 for a' / b' the ratio
@@ -112,19 +125,19 @@ def log2_ratio(a: int, b: int, k: int = 1, pow2=0, pow_e=0) -> float:
     two sums add under 3 ulps of t, p and q, and the division by k half an
     ulp of the result.
 
-    Where 16 ulps of t, p and q over k and 1 ulp of the result leave the 12
-    digits open, `_ln_interval` and the ln 2 bracket, at twice the bits
-    each round, bound the value until both ends round to one float.  Where
-    pow_e = 0 and a / b is a power of 2 the value is rational and rounded
-    once before that; every other value is irrational, never halfway
-    between two floats, so the loop ends.
+    Where pow_e = 0 and a / b is a power of 2, v is rational, and its sign
+    and its rounding are exact.  Where the estimate x, give or take err = 16
+    ulps of t, p and q over k and 1 ulp of x, prints one set of 12 digits,
+    both ends of [x - err, x + err] share one nonzero sign, so v has it.
+    Elsewhere, an exponent or the estimate beyond float range included,
+    `_ln_interval` and the ln 2 bracket, at twice the bits each round, bound
+    v until the bracket excludes 0 and both ends round to one float, +-inf
+    beyond float range.  Every such v is irrational (2^pow2 for a
+    non-integer pow2, and e^pow_e for pow_e != 0 by Lindemann's theorem), so
+    neither 0 nor halfway between two floats, and the loop ends.
     """
     if a <= 0 or b <= 0:
         raise DomainError(f"log2 needs a positive ratio, got {a}/{b}")
-    try:
-        p, q = float(pow2), float(pow_e) / _LN2
-    except OverflowError:  # an exponent, and so the value, beyond any float
-        return math.inf if pow2 + pow_e > 0 else -math.inf
     shift = 0
     if not (b < 2 * a and a < 2 * b):
         shift = a.bit_length() - b.bit_length()
@@ -133,58 +146,29 @@ def log2_ratio(a: int, b: int, k: int = 1, pow2=0, pow_e=0) -> float:
         else:
             a <<= -shift
     if a == b and not pow_e:
-        return float((shift + pow2) / k)
+        v = Fraction(shift + pow2, k)
+        return (v > 0) - (v < 0), _float(v.numerator, v.denominator)
     t = shift + math.log1p((a - b) / b) / _LN2
+    try:
+        p, q = float(pow2), float(pow_e) / _LN2
+    except OverflowError:  # an exponent beyond float range
+        p = q = math.inf
     x = (t + p + q) / k
     err = 16 * (math.ulp(t) + math.ulp(p) + math.ulp(q)) / k + math.ulp(x)
+    # An infinite x makes one end nan, so the loop decides it.
     if f"{x - err:.12g}" == f"{x + err:.12g}":
-        return x
+        return (1 if x > 0 else -1), x
     bits = 64
     while True:
         lo, hi = _ln_interval(a, b, shift + pow2, pow_e, bits)
-        lo2, hi2 = _ln_bounds(2, 1, bits)
-        if lo >= 0 or hi <= 0:
+        if lo > 0 or hi < 0:
             # Over k ln 2, the end nearer 0 shrinks most at hi2, the other
-            # grows most at lo2; int / int rounds to the nearest float.
-            near, far = (lo, hi) if lo >= 0 else (hi, lo)
-            x = near / (k * hi2)
-            if x == far / (k * lo2):
-                return x
-        bits *= 2
-
-
-def compare_power(num: int, den: int, pow2=0, pow_e=0) -> int:
-    """The sign (-1, 0 or 1) of num / den - 2^pow2 * e^pow_e, exactly, for
-    positive integers num and den and rationals pow2 and pow_e.
-
-    Where pow_e = 0 and pow2 is an integer the comparison is over the
-    integers, shifted only where the bit lengths of num and den leave it
-    open.  Elsewhere it is the sign of ln(num / den) - pow2 ln 2 -
-    pow_e, bracketed by `_ln_interval` at twice the bits each round until
-    the bracket excludes 0.  The factor is then irrational (2^pow2 for a
-    non-integer pow2, and e^pow_e for pow_e != 0 by Lindemann's theorem), so
-    never equal to num / den, and the loop ends.
-    """
-    if num <= 0 or den <= 0:
-        raise DomainError(f"need a positive ratio, got {num}/{den}")
-    if not pow_e and pow2.denominator == 1:
-        # num / den lies in (2^(s-1), 2^(s+1)), so any pow2 but s decides the
-        # sign by itself.
-        s = num.bit_length() - den.bit_length()
-        if pow2 != s:
-            return 1 if pow2 < s else -1
-        if s > 0:
-            den <<= s
-        else:
-            num <<= -s
-        return (num > den) - (num < den)
-    bits = 32
-    while True:
-        lo, hi = _ln_interval(num, den, -pow2, -pow_e, bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+            # grows most at lo2.
+            lo2, hi2 = _ln_bounds(2, 1, bits)
+            near, far = (lo, hi) if lo > 0 else (hi, lo)
+            x = _float(near, k * hi2)
+            if x == _float(far, k * lo2):
+                return (1 if lo > 0 else -1), x
         bits *= 2
 
 

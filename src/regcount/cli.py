@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -124,9 +125,14 @@ def _at_least(low: int):
 
 def _pmap(fn, items, workers: int) -> list:
     """[fn(item) for item in items], over a pool of at most one process per
-    item when workers > 1.  Pools fork all their processes at once."""
+    item and per usable CPU when workers > 1.  Pools fork all their
+    processes at once."""
     items = list(items)
-    workers = min(workers, len(items))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(workers, len(items), cpus)
     if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor

@@ -8,10 +8,11 @@ that graph's text form as the "graph_text" param.
 
 Every verdict is decided exactly, with zero slack, whether it reports exact
 rationals or log2 values, by one rule, `_decide`: b <= a * 2^pow2 *
-e^pow_e (or =) on nonnegative integers a and b, decided by
-`bounds.compare_power`, with the margin log2(a / b * 2^pow2 * e^pow_e) / k
-from `bounds.log2_ratio`, a float whose 12 printed digits are those of the
-exact value.  `exact_le` and `exact_eq` pass it the cross-multiplied sides
+e^pow_e (or =) on nonnegative integers a and b.  One call to
+`bounds.signed_log2_ratio` gives both the exact sign of the margin
+log2(a / b * 2^pow2 * e^pow_e) / k, which decides the verdict, and the
+margin itself, a float whose 12 printed digits are those of the exact
+value.  `exact_le` and `exact_eq` pass it the cross-multiplied sides
 of a comparison of rationals; `bound_verdict` the cleared sides of a
 power-cleared inequality (`bounds.Cleared`), whose factor 2^pow2 * e^pow_e
 may be irrational.  `_decide` alone holds the rule for a zero side.
@@ -36,7 +37,6 @@ from .bounds import (
     Cleared,
     block_miss_stats,
     bregman_pm,
-    compare_power,
     ind_count_upper_bipartite,
     ind_count_upper_general,
     ind_pf_upper_bipartite,
@@ -47,6 +47,7 @@ from .bounds import (
     match_pf_gurvits,
     match_pf_upper,
     optimal_lambda,
+    signed_log2_ratio,
     single_term,
     union_ind_lower_markov,
     union_ind_lower_small_t,
@@ -167,15 +168,15 @@ def _verdict(
 def _decide(a: int, b: int, k: int = 1, pow2=0, pow_e=0, equal: bool = False):
     """The one decision rule: (passed, margin) for b <= a * 2^pow2 * e^pow_e,
     or b = a * 2^pow2 * e^pow_e when equal is set, on nonnegative integers a
-    and b, decided exactly by compare_power.  The margin is log2(a / b *
-    2^pow2 * e^pow_e) / k: 0 when both sides are 0, +inf when only b is,
-    -inf when only a is."""
+    and b.  The margin is log2(a / b * 2^pow2 * e^pow_e) / k: 0 when both
+    sides are 0, +inf when only b is, -inf when only a is, and otherwise
+    from signed_log2_ratio, whose exact sign decides the verdict."""
     if not b:
         return not (a and equal), math.inf if a else 0.0
     if not a:
         return False, -math.inf
-    sign = compare_power(b, a, pow2, pow_e)
-    return (sign == 0 if equal else sign <= 0), log2_ratio(a, b, k, pow2, pow_e)
+    sign, margin = signed_log2_ratio(a, b, k, pow2, pow_e)
+    return (sign == 0 if equal else sign >= 0), margin
 
 
 def exact_le(

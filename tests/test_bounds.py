@@ -42,9 +42,16 @@ from regcount import (
     union_params,
     union_small_t_exact,
 )
-from regcount.bounds import LOWER, UPPER, _ln_bounds, compare_power, log2
+from regcount.bounds import LOWER, UPPER, _ln_bounds, log2, signed_log2_ratio
 from regcount.cli import _bounds_rows
-from regcount.verify import DEFAULT_LAMBDA_GRID, GraphProfile, bound_verdict, format_number
+from regcount.verify import (
+    DEFAULT_LAMBDA_GRID,
+    GraphProfile,
+    bound_verdict,
+    exact_eq,
+    exact_le,
+    format_number,
+)
 
 
 def _mp_fraction(x):
@@ -74,17 +81,33 @@ def test_log2():
         assert abs(got - float(_lg(x))) <= 2 * math.ulp(got), x
 
 
+def _sign(num, den, pow2=0, pow_e=0):
+    """The sign of num / den - 2^pow2 * e^pow_e, as signed_log2_ratio gives
+    it for log2(num / den * 2^-pow2 * e^-pow_e)."""
+    return signed_log2_ratio(num, den, 1, -pow2, -pow_e)[0]
+
+
 @st.composite
 def _power_comparisons(draw):
     """(num, den, pow2, pow_e): a ratio anywhere, or within about 2^-bits of
     2^pow2 e^pow_e, or, with pow_e = 0 and pow2 an integer, next to or at
-    2^pow2."""
-    shape = draw(st.sampled_from(["any", "near", "exact"]))
+    2^pow2, or any ratio against exponents of opposite signs beyond float
+    range, whose sum in log2 lies anywhere from about 2^-200 to beyond float
+    range."""
+    shape = draw(st.sampled_from(["any", "near", "exact", "huge"]))
     pow2 = Fraction(draw(st.integers(-400, 400)), draw(st.integers(1, 60)))
     pow_e = Fraction(draw(st.integers(-400, 400)), draw(st.integers(1, 60)))
     if shape == "exact":
         pow2, pow_e = Fraction(draw(st.integers(-400, 400))), Fraction(0)
-    if shape == "any":
+    if shape == "huge":
+        pow2 = Fraction(draw(st.integers(10**308, 10**400)), draw(st.integers(1, 60)))
+        pow2 *= draw(st.sampled_from([1, -1]))
+        scale = 2 ** draw(st.integers(0, 200))
+        offset = draw(st.integers(-(2**1400), 2**1400)) >> draw(st.integers(0, 1400))
+        with mpmath.workprec(1800):
+            cancel = int(mpmath.nint(-_mp_fraction(pow2) * mpmath.log(2) * scale))
+        pow_e = Fraction(cancel + offset, scale)
+    if shape in ("any", "huge"):
         return draw(st.integers(1, 2**300)), draw(st.integers(1, 2**300)), pow2, pow_e
     bits = draw(st.integers(0, 200))
     with mpmath.workprec(1600):
@@ -97,20 +120,112 @@ def _power_comparisons(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_power_comparisons())
-def test_compare_power_agrees_with_a_300_bit_oracle(case):
+def test_signed_log2_ratio_sign_agrees_with_a_300_bit_oracle(case):
+    # 300 bits past the magnitude of the exponents, which cancel in "huge".
     num, den, pow2, pow_e = case
-    with mpmath.workprec(300):
+    with mpmath.workprec(300 + int(abs(pow2) + abs(pow_e)).bit_length()):
         gap = mpmath.log(num) - mpmath.log(den) - _mp_fraction(pow2) * mpmath.log(2) - _mp_fraction(pow_e)
     if pow_e == 0 and pow2.denominator == 1 and num * 2 ** max(0, -pow2) == den * 2 ** max(0, pow2):
         want = 0
     else:
         assume(abs(gap) > mpf(2) ** -260)
         want = 1 if gap > 0 else -1
-    assert compare_power(num, den, pow2, pow_e) == want
+    sign, x = signed_log2_ratio(num, den, 1, -pow2, -pow_e)
+    assert sign == want
+    assert (x == 0) if want == 0 else (math.copysign(1, x) == want)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(1, 2**64), st.integers(1, 2**64))
+
+
+@st.composite
+def _verdict_cases(draw):
+    """(count, bound): a Cleared bound of either direction and a count
+    anywhere, or, with k = 1, next to the bound's value or at it."""
+    k = draw(st.integers(1, 6))
+    rhs, cofactor = draw(_RATIONALS), draw(_RATIONALS)
+    pow2 = Fraction(draw(st.integers(-400, 400)), draw(st.integers(1, 60)))
+    pow_e = Fraction(draw(st.integers(-400, 400)), draw(st.integers(1, 60)))
+    if draw(st.booleans()):
+        pow_e = Fraction(0)
+    direction = draw(st.sampled_from([UPPER, LOWER]))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 2**64)), Cleared(k, rhs, cofactor, direction, pow2, pow_e)
+    pow2 = Fraction(draw(st.integers(-60, 60)))
+    with mpmath.workprec(1200):
+        value = _mp_fraction(rhs / cofactor) * mpmath.power(2, _mp_fraction(pow2)) * mpmath.exp(_mp_fraction(pow_e))
+        count = int(mpmath.nint(value)) + draw(st.integers(-2, 2))
+    assume(count >= 0)
+    if not pow_e and draw(st.booleans()):
+        cofactor = rhs * 2**pow2 / max(count, 1)  # a tie
+    return count, Cleared(1, rhs, cofactor, direction, pow2, pow_e)
+
+
+@st.composite
+def _rational_pairs(draw):
+    """(lhs, rhs): nonnegative rationals, independent, equal, or apart by
+    one part in up to 2^128."""
+    lhs = Fraction(draw(st.integers(0, 2**64)), draw(st.integers(1, 2**64)))
+    shape = draw(st.sampled_from(["any", "equal", "near"]))
+    if shape == "any":
+        return lhs, Fraction(draw(st.integers(0, 2**64)), draw(st.integers(1, 2**64)))
+    if shape == "equal":
+        return lhs, lhs
+    return lhs, lhs * (1 + Fraction(draw(st.sampled_from([1, -1])), draw(st.integers(2, 2**128))))
+
+
+def _mp_sign(gap):
+    assume(abs(gap) > mpf(2) ** -500)
+    return 1 if gap > 0 else -1
+
+
+def _agrees(verdict, want):
+    """Do the verdict's pass flag and the sign of its margin match the
+    sign want of its margin's exact value?"""
+    return verdict.passed == (want >= 0) and (
+        verdict.margin == 0 if want == 0 else math.copysign(1, verdict.margin) == want
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_verdict_cases(), _rational_pairs())
+def test_verdicts_agree_with_a_600_bit_sign(case, pair):
+    count, bound = case
+    k, rhs, cofactor, direction, pow2, pow_e = bound
+    # v = ln(rhs 2^pow2 e^pow_e / (count^k cofactor)), negated for a lower
+    # bound; exact where it is rational.
+    if count == 0:
+        want = 1
+    elif not pow_e and pow2.denominator == 1:
+        top, powered = rhs * 2**pow2, count**k * cofactor
+        want = (top > powered) - (top < powered)
+    else:
+        with mpmath.workprec(600):
+            want = _mp_sign(
+                mpmath.log(_mp_fraction(rhs))
+                - mpmath.log(_mp_fraction(cofactor))
+                - k * mpmath.log(count)
+                + _mp_fraction(pow2) * mpmath.log(2)
+                + _mp_fraction(pow_e)
+            )
+    if direction == LOWER:
+        want = -want
+    assert _agrees(bound_verdict("demo", "g", {}, count, bound), want)
+    # v = ln(rhs / lhs) for exact_le and exact_eq.
+    lhs, rhs = pair
+    if lhs == rhs:
+        want = 0
+    elif not (lhs and rhs):
+        want = 1 if rhs else -1
+    else:
+        with mpmath.workprec(600):
+            want = _mp_sign(mpmath.log(_mp_fraction(rhs)) - mpmath.log(_mp_fraction(lhs)))
+    assert _agrees(exact_le("demo", "g", {}, lhs, rhs), want)
+    assert exact_eq("demo", "g", {}, lhs, rhs).passed == (want == 0)
 
 
 def test_ln_bounds_bracket_ln_within_a_bounded_width():
-    # The one bracket both compare_power and log2_ratio tighten.  Its width
+    # The one bracket signed_log2_ratio tightens.  Its width
     # is 4m + 3 for m series terms, and m <= (bits / log2 3 + 1) / 2.  Next
     # to 1, where no term survives the rounding, the bracket is [0, 3] and
     # the 3 alone covers 2^bits ln(num / den), up to 1.
@@ -124,19 +239,24 @@ def test_ln_bounds_bracket_ln_within_a_bounded_width():
                 assert hi - lo <= 4 * bits / 3 + 5, (bits, num, den)
 
 
-def test_compare_power_exact_branch_and_domain():
-    assert compare_power(2**5, 1, 5) == 0
-    assert compare_power(2**5 - 1, 1, 5) == -1
-    assert compare_power(1, 2**5, Fraction(-5)) == 0
-    assert compare_power(3, 1, Fraction(3, 2)) == 1  # 3 > 2^(3/2)
-    assert compare_power(2, 1, 0, 1) == -1  # 2 < e
-    assert compare_power(1, 1, 0, Fraction(1, 10**6)) == -1
+def test_signed_log2_ratio_exact_branch_and_domain():
+    assert _sign(2**5, 1, 5) == 0
+    assert _sign(2**5 - 1, 1, 5) == -1
+    assert _sign(1, 2**5, Fraction(-5)) == 0
+    assert _sign(3, 1, Fraction(3, 2)) == 1  # 3 > 2^(3/2)
+    assert _sign(2, 1, 0, 1) == -1  # 2 < e
+    assert _sign(1, 1, 0, Fraction(1, 10**6)) == -1
     # An integer exponent far from log2(num / den) decides the sign without
     # a shift of 10^30 bits.
-    assert compare_power(1, 1, 10**30) == -1
-    assert compare_power(3, 1, Fraction(-(10**30))) == 1
+    assert _sign(1, 1, 10**30) == -1
+    assert _sign(3, 1, Fraction(-(10**30))) == 1
     with pytest.raises(DomainError):
-        compare_power(0, 1, 0, 1)
+        _sign(0, 1, 0, 1)
+    # log2(1 + 2^-1100) underflows below 2^-1074: the float is a signed 0,
+    # and the sign stays exact.
+    for num, den, want in ((2**1100 + 1, 2**1100, 1), (2**1100, 2**1100 + 1, -1)):
+        sign, x = signed_log2_ratio(num, den, 1, 0, 0)
+        assert sign == want and x == 0 and math.copysign(1, x) == want
 
 
 def _case(definition, *args, name=None):

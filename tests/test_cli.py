@@ -153,12 +153,25 @@ def test_pool_is_no_larger_than_the_census(capsys, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     code, doc = run_json(capsys, "verify-umc", "--n", "6", "--d", "3", "--workers", "8")
     assert code == 0 and doc["summary"]["total"] == 8  # 2 graphs, sizes 0..3
     assert sizes == [2]
     # a census of one graph runs in process, with no pool
     code, _ = run_json(capsys, "verify-umc", "--n", "4", "--d", "2", "--workers", "8")
     assert code == 0 and sizes == [2]
+    # nor is the pool larger than the usable CPUs: 2 for 3 graphs, and none
+    # for 1, also where only the CPU count is known
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    code, doc = run_json(capsys, "verify-umc", "--n", "8", "--d", "2", "--workers", "1000")
+    assert code == 0 and sizes == [2, 2] and doc["config"]["workers"] == 1000
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, _ = run_json(capsys, "verify-umc", "--n", "8", "--d", "2", "--workers", "1000")
+    assert code == 0 and sizes == [2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    code, _ = run_json(capsys, "verify-umc", "--n", "8", "--d", "2", "--workers", "1000")
+    assert code == 0 and sizes == [2, 2]
 
 
 @pytest.mark.parametrize("command", ["verify-umc", "verify-kahn"])
@@ -604,8 +617,9 @@ def test_high_precision_logs_need_no_mpmath_and_keep_the_decimal_context():
     # mpmath and no decimal arithmetic: the caller's decimal context,
     # precision and flags alike, is left as it was.  log2(a / b) lies next
     # to a rounding boundary of its 12 printed digits, so log2_ratio
-    # brackets it; Kahn's bound carries a factor e^b, so its verdict decides
-    # the comparison with compare_power.  Both report floats.
+    # brackets it; Kahn's bound carries a factor e^b, so its verdict takes
+    # the exact sign of its margin from signed_log2_ratio.  Both report
+    # floats.
     b = 2**200
     with mpmath.workprec(800):
         a = int(mpmath.nint(mpmath.power(2, mpf("1.000000000005")) * b))

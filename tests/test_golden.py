@@ -41,6 +41,9 @@ CASES["verify-suite-5-0.csv"] = ["verify-suite", "--n", "5", "--d", "0", "--form
 CASES["verify-suite-6-3.json"] = ["verify-suite", "--n", "6", "--d", "3"]
 CASES["verify-suite-8-3.json"] = ["verify-suite", "--n", "8", "--d", "3"]
 CASES["verify-suite-8-3.csv"] = ["verify-suite", "--n", "8", "--d", "3", "--format", "csv"]
+CASES["verify-suite-8-2-grids.json"] = [
+    "verify-suite", "--n", "8", "--d", "2", "--lam", "1/3", "--lam", "5", "--c", "3/2", "--c", "7/3"
+]
 CASES["verify-umc-6-3.json"] = ["verify-umc", "--n", "6", "--d", "3"]
 CASES["verify-umc-6-3.csv"] = ["verify-umc", "--n", "6", "--d", "3", "--format", "csv"]
 

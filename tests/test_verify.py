@@ -221,6 +221,21 @@ def test_log2_ratio_beyond_float_range_is_infinite():
     assert log2_ratio(3, 1, 2, Fraction(10**400, 7), Fraction(1, 2)) == math.inf
 
 
+def test_beyond_float_range_the_sign_is_the_values_not_the_exponents():
+    # 10^400 (1 - 0.7 log2 e) < 0, though pow2 + pow_e > 0.
+    assert log2_ratio(1, 1, 1, Fraction(10**400), Fraction(-7 * 10**399)) == -math.inf
+    verdict = bound_verdict("demo", "g", {}, 1, Cleared(1, Fraction(1), pow2=10**400, pow_e=-7 * 10**399))
+    assert not verdict.passed and verdict.margin == verdict.rhs == -math.inf
+
+
+def test_beyond_float_range_the_brackets_quotient_is_infinite():
+    # float(pow_e) / ln 2 overflows to inf, and so does the bracket's
+    # int / int quotient, which raises rather than round.
+    assert log2_ratio(1, 1, 1, 0, Fraction(15 * 10**307)) == math.inf
+    verdict = bound_verdict("demo", "g", {}, 1, Cleared(1, Fraction(1), pow_e=Fraction(15 * 10**307)))
+    assert verdict.passed and verdict.margin == verdict.rhs == math.inf
+
+
 def test_log2_ratio_of_a_large_integer_power_of_2():
     # An integer exponent is added as a float, not shifted into a or b.
     assert log2_ratio(1, 1, 1, -(10**30)) == -1e30
