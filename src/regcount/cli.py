@@ -6,9 +6,9 @@ verdicts), 2 when at least one verdict failed (a potential counterexample),
 reproduces the report byte for byte: verdicts are sorted canonically and all
 real values are formatted at 12 significant digits.
 
-Each format has one writer, and both stream the report to its output: JSON,
-indented by 2, a top-level key and a verdict or row at a time; CSV a row at
-a time.
+Each format has one writer, and both stream the report to its output: JSON
+a top-level key a line and a verdict or row a line, each as json.dumps
+prints it; CSV a row at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from functools import partial
-from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import DivisibilityError, DomainError, GraphError, ScaleError
@@ -142,24 +141,19 @@ def _pmap(fn, items, workers: int) -> list:
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
-    # Only _fraction makes Fractions, and it imports the module first.
-    fractions = sys.modules.get("fractions")
-    fraction = fractions.Fraction if fractions else ()
+    """The parsed arguments by name, without command and those left unset.
+    A value that is not a str, int or float (a Fraction) is echoed as its
+    str(), in a list too, so that json.dumps encodes every value."""
+
+    def echo(value):
+        return value if isinstance(value, (str, int, float)) else str(value)
+
     config = {}
     for key in sorted(vars(args)):
-        if key == "command":
-            continue
         value = getattr(args, key)
-        if value is None:
+        if key == "command" or value is None:
             continue
-        if isinstance(value, list):
-            config[key] = [
-                str(v) if isinstance(v, fraction) else v for v in value
-            ]
-        elif isinstance(value, fraction):
-            config[key] = str(value)
-        else:
-            config[key] = value
+        config[key] = [echo(v) for v in value] if isinstance(value, list) else echo(value)
     return config
 
 
@@ -187,56 +181,25 @@ def _report(command: str, config: dict, verdicts=None, rows=None, extra=None) ->
 _sorted_json = json.JSONEncoder(sort_keys=True).encode
 
 
-def _json_text(value, pad: str) -> str:
-    """What json.dumps indented by 2 prints for a value nested in a report,
-    on a line indented by pad.  A Verdict is encoded as its to_json_dict().
-    Dicts, lists and tuples are encoded in place, and so are their members
-    of exact type str (by the json module's C encoder), int and bool; any
-    other value goes through json.dumps."""
-    # Duck-typed, so that count need not import regcount.verify, and checked
-    # before the tuples, because a Verdict is a named tuple.
-    to_json_dict = getattr(value, "to_json_dict", None)
-    if to_json_dict is not None:
-        value = to_json_dict()
-    if isinstance(value, dict):
-        keyed, brackets, items = True, "{}", value.items()
-    elif isinstance(value, (list, tuple)):
-        keyed, brackets, items = False, "[]", enumerate(value)
-    else:
-        return json.dumps(value)
-    if not value:
-        return brackets
-    inner = pad + "  "
-    parts = []
-    for key, item in items:
-        kind = type(item)
-        if kind is str:
-            text = encode_basestring_ascii(item)
-        elif kind is int:
-            text = str(item)
-        elif kind is bool:
-            text = "true" if item else "false"
-        else:
-            text = _json_text(item, inner)
-        parts.append(f"{encode_basestring_ascii(key)}: {text}" if keyed else text)
-    return f"{brackets[0]}\n{inner}" + (",\n" + inner).join(parts) + f"\n{pad}{brackets[1]}"
-
-
 def _write_json(doc: dict, out) -> None:
-    """Write json.dumps(doc) indented by 2, and a newline, to out in pieces:
-    a top-level key at a time, and a top-level list an item at a time."""
+    """Write doc as JSON, and a newline, to out in pieces: a top-level key
+    a line, and a top-level list an item a line, each value and item as
+    json.dumps prints it.  A list item with a to_json_dict() (a Verdict) is
+    written as that dict."""
     write = out.write
     sep = "{\n  "
     for key, value in doc.items():
-        write(f"{sep}{encode_basestring_ascii(key)}: ")
+        write(f"{sep}{json.dumps(key)}: ")
         if isinstance(value, list) and value:
             item_sep = "[\n    "
             for item in value:
-                write(item_sep + _json_text(item, "    "))
+                # Duck-typed, so that count need not import regcount.verify.
+                to_json_dict = getattr(item, "to_json_dict", None)
+                write(item_sep + json.dumps(to_json_dict() if to_json_dict else item))
                 item_sep = ",\n    "
             write("\n  ]")
         else:
-            write(_json_text(value, "  "))
+            write(json.dumps(value))
         sep = ",\n  "
     write("\n}\n")
 

@@ -259,13 +259,15 @@ class GraphProfile:
 
     @cached_property
     def canonical_label(self) -> str:
-        """Stable display label without a census index: the canonical form,
-        or the vertex and edge counts past CANONICAL_FORM_LIMIT.
-        verify-roots and verify-hom name graphs by this label, in a census
-        too."""
+        """Stable display label: the canonical form, or past
+        CANONICAL_FORM_LIMIT the census name, or for a graph without an
+        index the vertex and edge counts.  verify-roots and verify-hom name
+        graphs by this label, in a census too."""
         g = self.graph
         if g.vertex_count <= CANONICAL_FORM_LIMIT:
             return canonical_form(g)
+        if self.index is not None:
+            return self.label
         return f"{g.vertex_count}v-{g.edge_count}e"
 
     @cached_property
@@ -508,11 +510,11 @@ def verify_hom_inequality(
     hom(K_{b,b}, h) with b the back degree of v under that order.  The
     zero-by-zero block contributes an empty product of 1.  hom(g, h) and each
     hom(K_{b,b}, h) are counted once for all orders.  h_name names h in each
-    verdict's target param.  A looped source raises GraphError from
-    count_homomorphisms."""
+    verdict's target param.  At d = 0 both sides are 1.  A looped source
+    raises GraphError from count_homomorphisms."""
     g, d = p.graph, p.degree
-    if d is None or d < 1:
-        raise DomainError("source graph must be d-regular with d >= 1")
+    if d is None:
+        raise DomainError("source graph must be d-regular")
     lhs = count_homomorphisms(g, h) ** d
     factors = {0: 1}
     for order in orders:

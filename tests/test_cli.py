@@ -430,6 +430,18 @@ def test_verify_hom_cli(capsys):
     assert doc["summary"] == {"total": 26, "failed": 0}
 
 
+def test_verify_hom_accepts_degree_zero(capsys):
+    # hom(G, H)^0 = 1, and every back degree is 0, so both sides are 1.
+    code, doc = run_json(capsys, "verify-hom", "--n", "4", "--d", "0")
+    assert code == 0
+    # 1 class x (5 targets x 7 orders + 2 c x 3 weights)
+    assert doc["summary"] == {"total": 41, "failed": 0}
+    checks = [v["check_id"] for v in doc["verdicts"]]
+    assert checks.count("hom-order-product") == 35
+    assert checks.count("hardcore-hom-identity") == 6
+    assert {v["margin"] for v in doc["verdicts"]} == {"0"}
+
+
 def test_exit_code_2_on_failed_verdict(capsys, monkeypatch):
     import regcount.verify as verify_mod
 
@@ -678,6 +690,27 @@ def _number(text: str):
         return float(text)
 
 
+def _layout(doc: dict) -> str:
+    """The report layout, built from json.dumps: a top-level key a line, and
+    a nonempty top-level list an item a line, each value and item on one
+    line as json.dumps prints it."""
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value:
+            items = ",\n".join("    " + json.dumps(item) for item in value)
+            lines.append(f"  {json.dumps(key)}: [\n{items}\n  ]")
+        else:
+            lines.append(f"  {json.dumps(key)}: {json.dumps(value)}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _assert_written_as(doc, parsed):
+    """doc is written in the layout of parsed, and reads back as parsed."""
+    written = _written(doc)
+    assert written == _layout(parsed)
+    assert json.loads(written) == parsed
+
+
 @pytest.mark.parametrize(
     "name",
     sorted(p.name for p in GOLDEN.glob("*.json") if "verdicts" in json.loads(p.read_text())),
@@ -698,20 +731,19 @@ def test_verdict_writer_matches_json_dumps_on_golden_reports(name):
     ]
     assert [v.to_json_dict() for v in verdicts] == doc["verdicts"]
     assert verdicts
-    assert _written({**doc, "verdicts": verdicts}) == json.dumps(doc, indent=2) + "\n"
+    _assert_written_as({**doc, "verdicts": verdicts}, doc)
 
 
 def test_verdict_writer_edge_cases(c4):
     doc = _report("verify-umc", {"n": 4, "out": 'a "quoted"\nname'}, verdicts=[])
-    assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+    _assert_written_as(doc, doc)
     assert '"verdicts": []' in _written(doc)
     failed = exact_le("demo", "4v-2r", {"n": 4, "d": 2}, 7, 0, graph=c4)
     assert "\n" in failed.params["graph_text"]
-    # Param values the hot path does not encode in place go through json.dumps.
     odd = Verdict("demo", "gé", {"w": [1, 2.5], "x": None, "y": {}}, 1, 2, True, 1.0)
     doc = _report("verify-umc", {}, verdicts=[failed, odd])
     rows = {**doc, "verdicts": [failed.to_json_dict(), odd.to_json_dict()]}
-    assert _written(doc) == json.dumps(rows, indent=2) + "\n"
+    _assert_written_as(doc, rows)
 
 
 @pytest.mark.parametrize("writer", [_write_json, _write_csv], ids=["json", "csv"])

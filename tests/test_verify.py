@@ -374,6 +374,8 @@ def test_graph_label_forms(c4):
     assert GraphProfile(c4).label == GraphProfile(c4).canonical_label == canonical_form(c4)
     big = build_graph(14, [(i, (i + 1) % 14) for i in range(14)])
     assert GraphProfile(big).canonical_label == "14v-14e"
+    # Past CANONICAL_FORM_LIMIT a census graph keeps its census name.
+    assert GraphProfile(big, 7).canonical_label == GraphProfile(big, 7).label == "14v-2r-0007"
 
 
 def test_vertex_order(c4):
