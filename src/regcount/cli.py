@@ -413,7 +413,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .generate import CANONICAL_FORM_LIMIT, GenSpec, canonical_form, generate
+    from .generate import CANONICAL_FORM_LIMIT, GenSpec, canonical_form, census_name, generate
     from .graphs import graph_to_text
 
     spec = GenSpec(
@@ -427,7 +427,7 @@ def _cmd_gen(args) -> int:
         if spec.isomorph_reject and args.n <= CANONICAL_FORM_LIMIT:
             label = canonical_form(g)
         else:
-            label = f"{args.n}v-{args.d}r-{idx:06d}"
+            label = census_name(args.n, args.d, idx)
         rows.append(
             {
                 "index": idx,

@@ -8,7 +8,8 @@ local to each call; it needs no canonical labels and keeps no cache between
 calls.  Its state records, for each unplaced vertex, what is still open to
 it: whether it is still free, for the two polynomials, or the target
 vertices it may still map to, for homomorphisms.  Inputs whose DP would
-reach more than DP_STATE_LIMIT states in all raise ScaleError.
+reach more than DP_STATE_LIMIT states in all raise ScaleError.  The DP reads
+each graph's adjacency masks, Graph.adj, as they are stored.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, GraphError, ScaleError
-from .graphs import Graph, adjacency_masks, placement_order, relabel
+from .graphs import Graph, placement_order, relabel
 
 # Cap on the states one call of the counting DP may reach.
 DP_STATE_LIMIT = 1_000_000
@@ -83,12 +84,11 @@ def _subset_dp(g: Graph, kind: str, refusal: str, target: Graph | None = None) -
     n = g.vertex_count
     if n > DP_STATE_LIMIT:
         raise ScaleError(_TOO_MANY_STATES)
-    if any(u == v for u, v in g.edges):
+    if any(m >> v & 1 for v, m in enumerate(g.adj)):
         raise GraphError(refusal)
-    adj = adjacency_masks(g)
-    adj = relabel(adj, placement_order(adj))
+    adj = relabel(g.adj, placement_order(g.adj))
     if kind == HOMOMORPHISM:
-        hadj = adjacency_masks(target)
+        hadj = target.adj
         full = (1 << len(hadj)) - 1
         slot = len(hadj) + 1
     else:

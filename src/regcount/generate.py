@@ -6,7 +6,8 @@ level (every subset of at most d earlier vertices, in descending column
 order) are listed once per stream; each node keeps those that avoid vertices
 already of degree d.  Degree-residual feasibility checks, O(1) per candidate
 from sums taken once per node, prune branches that cannot complete to a
-d-regular graph on n vertices.
+d-regular graph on n vertices.  An emitted Graph is a copy of the search's
+adjacency masks.
 
 With isomorph rejection on, the search keeps only the graphs whose identity
 ordering achieves the lexicographically maximal column code among all
@@ -68,7 +69,7 @@ from typing import Iterator
 
 from ._canon import better_codes, min_code
 from .errors import DomainError, ScaleError
-from .graphs import Graph, adjacency_masks, bipartition
+from .graphs import Graph, bipartition
 
 ISO_VERTEX_LIMIT = 14
 CANONICAL_FORM_LIMIT = 12
@@ -128,14 +129,7 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
             # Ancestors were searched only where they branched.
             if iso and next(better_codes(adj, cols_rev[:]), None) is not None:
                 return
-            edges = []
-            for v in range(n):
-                m = adj[v] & ((1 << v) - 1)
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    edges.append((u, v))
-            yield Graph(n, frozenset(edges))
+            yield Graph(tuple(adj))
             return
         m_future = n - k - 1
         # Residual feasibility: placed vertices can only reach future ones,
@@ -198,11 +192,9 @@ def _regular_stream(n: int, d: int, iso: bool) -> Iterator[Graph]:
 
 
 def _complement(g: Graph) -> Graph:
-    n = g.vertex_count
-    edges = frozenset(
-        (u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)
-    )
-    return Graph(n, edges)
+    """The complement of a loop-free graph: every mask flipped but its own bit."""
+    full = (1 << g.vertex_count) - 1
+    return Graph(tuple(m ^ full ^ 1 << v for v, m in enumerate(g.adj)))
 
 
 def generate(spec: GenSpec) -> Iterator[Graph]:
@@ -224,6 +216,11 @@ def generate(spec: GenSpec) -> Iterator[Graph]:
         yield g
 
 
+def census_name(n: int, d: int, index: int) -> str:
+    """The name of the index-th graph that generate emits for n and d."""
+    return f"{n}v-{d}r-{index:04d}"
+
+
 def canonical_form(g: Graph) -> str:
     """Permutation-invariant label: equal labels iff isomorphic.
 
@@ -236,7 +233,7 @@ def canonical_form(g: Graph) -> str:
         raise ScaleError(
             f"canonical_form supports n <= {CANONICAL_FORM_LIMIT}, got {n}"
         )
-    code = min_code(n, adjacency_masks(g))
+    code = min_code(n, g.adj)
     packed = 0
     for level, col in enumerate(code):
         packed = (packed << (level + 1)) | col

@@ -1,11 +1,11 @@
 """Graph representation, structural predicates, and named constructions.
 
-Vertices are 0-indexed contiguous integers.  Edges are unordered pairs stored
-as (u, v) tuples with u <= v; a loop is the pair (v, v) and is legal only when
-the graph was built with allow_loops set.  Loops appear only on homomorphism
-target graphs; every counting routine works on simple graphs.  The counting
-DP and bipartition visit the vertices in one order, placement_order; relabel
-renames the adjacency masks so that a walk's i-th vertex is vertex i.
+A graph is its adjacency bitmasks on vertices 0..n-1: bit u of mask v is set
+when u and v are adjacent, and bit v of mask v marks a loop, legal only with
+allow_loops.  Loops appear only on homomorphism target graphs; every counting
+routine works on simple graphs.  The counting DP and bipartition visit the
+vertices in one order, placement_order; relabel renames the masks so that a
+walk's i-th vertex is vertex i.
 """
 
 from __future__ import annotations
@@ -15,35 +15,46 @@ from collections import namedtuple
 from .errors import DomainError, GraphError
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
-
-
-class Graph(namedtuple("Graph", "vertex_count edges allow_loops", defaults=(False,))):
+class Graph(namedtuple("Graph", "adj allow_loops", defaults=(False,))):
     """Immutable undirected graph; safe to share across workers.
 
-    vertex_count is an int, edges a frozenset of (u, v) tuples and
-    allow_loops a bool.  A Graph is a tuple of those three fields."""
+    A Graph is the tuple (adj, allow_loops): adj[v] is vertex v's neighbour
+    bitmask, bit v set for a loop.  Every other view is read from the masks."""
 
     __slots__ = ()
 
     @property
+    def vertex_count(self) -> int:
+        return len(self.adj)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges (u, v) with u <= v, sorted: the text form's order."""
+        out = []
+        for u, m in enumerate(self.adj):
+            m >>= u
+            while m:
+                low = m & -m
+                m ^= low
+                out.append((u, u + low.bit_length() - 1))
+        return out
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        # Each mask counts its loop once and every other edge at both ends.
+        ends = sum(map(int.bit_count, self.adj))
+        if self.allow_loops:
+            ends += sum(m >> v & 1 for v, m in enumerate(self.adj))
+        return ends // 2
 
     def degree_sequence(self) -> list[int]:
-        degs = [0] * self.vertex_count
-        for u, v in self.edges:
-            degs[u] += 1
-            if v != u:
-                degs[v] += 1
-        return degs
+        """Neighbour counts, a loop counted once."""
+        return [m.bit_count() for m in self.adj]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Whether u and v are adjacent; False if either is not a vertex."""
+        n = len(self.adj)
+        return 0 <= u < n and 0 <= v < n and bool(self.adj[u] >> v & 1)
 
 
 class Bipartition(namedtuple("Bipartition", "class_a class_b")):
@@ -61,26 +72,17 @@ def build_graph(n: int, edges, allow_loops: bool = False) -> Graph:
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    seen: set[tuple[int, int]] = set()
+    adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
         if u == v and not allow_loops:
             raise GraphError(f"loop on vertex {u} but allow_loops is false")
-        e = _normalize_edge(u, v)
-        if e in seen:
-            raise GraphError(f"duplicate edge ({e[0]}, {e[1]})")
-        seen.add(e)
-    return Graph(n, frozenset(seen), allow_loops)
-
-
-def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Per-vertex neighbor bitmasks; a loop on v sets bit v of mask v."""
-    masks = [0] * g.vertex_count
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
+        if adj[u] >> v & 1:
+            raise GraphError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(tuple(adj), allow_loops)
 
 
 def placement_order(adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -139,9 +141,9 @@ def bipartition(g: Graph) -> Bipartition | None:
     neighbors on both sides close an odd cycle.  The empty graph puts every
     vertex in class_a.
     """
-    if any(u == v for u, v in g.edges):
+    adj = g.adj
+    if any(m >> v & 1 for v, m in enumerate(adj)):
         raise GraphError("bipartition requires a loop-free graph")
-    adj = adjacency_masks(g)
     placed = side_b = 0
     for v in placement_order(adj):
         back = adj[v] & placed
@@ -160,7 +162,8 @@ def build_kdd(d: int) -> Graph:
     """Complete bipartite graph K_{d,d}: classes {0..d-1} and {d..2d-1}."""
     if d < 1:
         raise DomainError(f"K_dd needs d >= 1, got {d}")
-    return Graph(2 * d, frozenset((a, d + b) for a in range(d) for b in range(d)))
+    side = (1 << d) - 1
+    return Graph((side << d,) * d + (side,) * d)
 
 
 def build_hardcore_target(clique_size: int, independent_size: int) -> Graph:
@@ -176,19 +179,16 @@ def build_hardcore_target(clique_size: int, independent_size: int) -> Graph:
     if independent_size < 0:
         raise DomainError(f"independent size must be >= 0, got {independent_size}")
     k = independent_size
-    edges = set()
-    clique = range(k, k + clique_size)
-    for w in clique:
-        edges.add((w, w))
-        edges.update(_normalize_edge(w, x) for x in clique if x != w)
-        edges.update((v, w) for v in range(k))
-    return Graph(k + clique_size, frozenset(edges), allow_loops=True)
+    everything = (1 << k + clique_size) - 1
+    clique = everything >> k << k
+    return Graph((clique,) * k + (everything,) * clique_size, allow_loops=True)
 
 
 def graph_to_text(g: Graph) -> str:
     """Bit-exact text form: 'N M L' then M lines 'u v' (u <= v), sorted, LF."""
-    lines = [f"{g.vertex_count} {g.edge_count} {1 if g.allow_loops else 0}"]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    edges = g.edges
+    lines = [f"{g.vertex_count} {len(edges)} {1 if g.allow_loops else 0}"]
+    lines.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(lines) + "\n"
 
 

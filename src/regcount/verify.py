@@ -60,10 +60,9 @@ from .counting import (
     matching_polynomial,
 )
 from .errors import DomainError
-from .generate import CANONICAL_FORM_LIMIT, GenSpec, canonical_form, generate
+from .generate import CANONICAL_FORM_LIMIT, GenSpec, canonical_form, census_name, generate
 from .graphs import (
     Graph,
-    adjacency_masks,
     bipartition,
     build_graph,
     build_hardcore_target,
@@ -276,7 +275,7 @@ class GraphProfile:
         label."""
         if self.index is None:
             return self.canonical_label
-        return f"{self.graph.vertex_count}v-{self.degree}r-{self.index:04d}"
+        return census_name(self.graph.vertex_count, self.degree, self.index)
 
     @cached_property
     def matching_polynomial(self):
@@ -335,7 +334,7 @@ def vertex_order(g: Graph, permutation: Sequence[int]) -> VertexOrder:
     if sorted(perm) != list(range(g.vertex_count)):
         raise DomainError(f"not a permutation of 0..{g.vertex_count - 1}: {perm}")
     back = [0] * g.vertex_count
-    for i, m in enumerate(relabel(adjacency_masks(g), perm)):
+    for i, m in enumerate(relabel(g.adj, perm)):
         back[perm[i]] = (m & ((1 << i) - 1)).bit_count()
     return VertexOrder(perm, tuple(back))
 

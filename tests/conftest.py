@@ -1,7 +1,14 @@
-"""Shared fixtures: named small graphs and the verification corpus, and
-three graph constructions that only tests use."""
+"""Shared fixtures: named small graphs and the verification corpus, the
+graph constructions that only tests use, and the brute-force counting
+oracles.
+
+The oracles enumerate subsets with itertools and read only g.edges and
+has_edge, with no bitmasks and no recursion, so they share nothing with the
+package's counting paths.
+"""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -58,6 +65,43 @@ def petersen():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return build_graph(10, outer + spokes + inner)
+
+
+def random_graph(rng, n, p):
+    """A graph on n vertices with each pair an edge with probability p."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return build_graph(n, edges)
+
+
+def oracle_matching_counts(g):
+    """Size-indexed matching counts by plain subset enumeration."""
+    edges = g.edges
+    counts = [0] * (g.vertex_count // 2 + 1)
+    for k in range(len(counts)):
+        for subset in combinations(edges, k):
+            seen = set()
+            for u, v in subset:
+                if u in seen or v in seen:
+                    break
+                seen.add(u)
+                seen.add(v)
+            else:
+                counts[k] += 1
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+def oracle_independent_counts(g):
+    """Size-indexed independent-set counts by plain subset enumeration."""
+    counts = [0] * (g.vertex_count + 1)
+    for t in range(len(counts)):
+        for subset in combinations(range(g.vertex_count), t):
+            if all(not g.has_edge(u, v) for u, v in combinations(subset, 2)):
+                counts[t] += 1
+    while counts and counts[-1] == 0:
+        counts.pop()
+    return counts
 
 
 def pairing_model(n, d, rng):

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from regcount import GenSpec, build_graph, canonical_form, generate
 from regcount._canon import better_codes, min_code
-from regcount.graphs import adjacency_masks
+
+from conftest import random_graph
 
 
 def oracle_code(g, perm):
@@ -45,14 +46,7 @@ def oracle_min_code(g):
 
 
 def package_min_code(g):
-    return min_code(g.vertex_count, adjacency_masks(g))
-
-
-def random_graph(rng, n, p):
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return build_graph(n, edges)
+    return min_code(g.vertex_count, g.adj)
 
 
 def test_min_code_matches_bruteforce_oracle():
@@ -80,7 +74,7 @@ def test_min_code_with_loops_matches_oracle():
 def raises_from(g, incumbent):
     """Run the search from `incumbent`; return its yields and final code."""
     best = list(incumbent)
-    raises = [tuple(best) for _ in better_codes(adjacency_masks(g), best)]
+    raises = [tuple(best) for _ in better_codes(g.adj, best)]
     return raises, tuple(best)
 
 

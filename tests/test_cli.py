@@ -206,9 +206,26 @@ def test_gen_census_and_labeled(capsys):
         assert row["edges"] == 9
     code, doc = run_json(capsys, "gen", "--n", "6", "--d", "2", "--labeled")
     assert code == 0 and doc["count"] == 70
-    assert doc["rows"][0]["label"] == "6v-2r-000000"
+    assert doc["rows"][0]["label"] == "6v-2r-0000"
     code, doc = run_json(capsys, "gen", "--n", "8", "--d", "2", "--bipartite-only")
     assert code == 0 and doc["count"] == 2
+
+
+@pytest.mark.parametrize("flags", [(), ("--labeled",)], ids=["census", "labeled"])
+def test_gen_names_a_graph_as_the_verify_reports_do(capsys, monkeypatch, flags):
+    # Past the canonical-label limit, and under --labeled, a gen row carries
+    # the census name that verify's GraphProfile gives the same graph.
+    from regcount import graph_from_text
+    from regcount.verify import GraphProfile
+
+    # The package binds the name generate to the function, not the module.
+    monkeypatch.setattr(sys.modules["regcount.generate"], "CANONICAL_FORM_LIMIT", 5)
+    code, doc = run_json(capsys, "gen", "--n", "6", "--d", "2", *flags)
+    assert code == 0 and doc["count"] == (70 if flags else 2)
+    for row in doc["rows"]:
+        g = graph_from_text(row["graph"])
+        assert row["label"] == GraphProfile(g, row["index"]).label
+    assert doc["rows"][-1]["label"] == ("6v-2r-0069" if flags else "6v-2r-0001")
 
 
 def test_bounds_report(capsys):

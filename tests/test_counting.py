@@ -1,7 +1,8 @@
 """Exact counting: polynomials, partition evaluation, homomorphisms.
 
-Oracles are written here from scratch over itertools, with no bitmasks and no
-recursion, so they share nothing with the package's counting paths.
+The polynomial oracles are conftest's; the homomorphism oracle here is
+written the same way, over itertools, with no bitmasks and no recursion, so
+neither shares anything with the package's counting paths.
 """
 
 import math
@@ -33,39 +34,13 @@ from regcount import (
 from regcount.counting import MATCHING, CountPolynomial
 from regcount.verify import hom_targets
 
-from conftest import disjoint_union, pairing_model
-
-
-def oracle_matching_counts(g):
-    """Size-indexed matching counts by plain subset enumeration."""
-    edges = list(g.edges)
-    counts = [0] * (g.vertex_count // 2 + 2)
-    for k in range(len(counts)):
-        for subset in combinations(edges, k):
-            seen = set()
-            ok = True
-            for u, v in subset:
-                if u in seen or v in seen:
-                    ok = False
-                    break
-                seen.add(u)
-                seen.add(v)
-            if ok:
-                counts[k] += 1
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return counts
-
-
-def oracle_independent_counts(g):
-    counts = [0] * (g.vertex_count + 1)
-    for t in range(len(counts)):
-        for subset in combinations(range(g.vertex_count), t):
-            if all(not g.has_edge(u, v) for u, v in combinations(subset, 2)):
-                counts[t] += 1
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return counts
+from conftest import (
+    disjoint_union,
+    oracle_independent_counts,
+    oracle_matching_counts,
+    pairing_model,
+    random_graph,
+)
 
 
 def oracle_hom_count(g, h):
@@ -75,11 +50,6 @@ def oracle_hom_count(g, h):
         if all(h.has_edge(image[u], image[v]) for u, v in g.edges):
             total += 1
     return total
-
-
-def random_graph(rng, n, p):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return build_graph(n, edges)
 
 
 def test_polynomials_match_oracle_on_random_graphs():

@@ -41,7 +41,6 @@ from regcount import (
     generate,
 )
 from regcount._canon import better_codes
-from regcount.graphs import adjacency_masks
 
 ALL_PAIRS = {n: list(combinations(range(n), 2)) for n in range(1, 7)}
 
@@ -405,7 +404,7 @@ def test_beats_identity_matches_bruteforce_orderings(g):
     # Generation rejects a prefix at the search's first raise from the
     # identity columns; that raise must come exactly when some ordering
     # beats the identity.
-    adj = adjacency_masks(g)
+    adj = g.adj
     raised = next(better_codes(adj, identity_columns(adj)), None) is not None
     assert raised == oracle_beats_identity(g)
 
@@ -431,7 +430,7 @@ def test_adjacent_swap_rejects_only_beaten_orderings(g):
     # The generator skips a column when swapping it with the previous one
     # raises the code, without running the full search.  Wherever that test
     # fires, some ordering must beat the identity.
-    cols_rev = identity_columns(adjacency_masks(g))
+    cols_rev = identity_columns(g.adj)
     if any(cols_rev[p + 1] >> 1 > cols_rev[p] for p in range(g.vertex_count - 1)):
         assert oracle_beats_identity(g)
 

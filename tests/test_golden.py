@@ -31,6 +31,7 @@ CASES["bounds-8-2.json"] = ["bounds", "--n", "8", "--d", "2"]
 CASES["bounds-12-3.csv"] = ["bounds", "--n", "12", "--d", "3", "--format", "csv"]
 CASES["gen-8-3.csv"] = ["gen", "--n", "8", "--d", "3", "--format", "csv"]
 CASES["gen-10-3.json"] = ["gen", "--n", "10", "--d", "3"]
+CASES["gen-6-3-labeled.csv"] = ["gen", "--n", "6", "--d", "3", "--labeled", "--format", "csv"]
 CASES["verify-hom-6-3.json"] = ["verify-hom", "--n", "6", "--d", "3"]
 CASES["verify-hom-6-3.csv"] = ["verify-hom", "--n", "6", "--d", "3", "--format", "csv"]
 CASES["verify-hom-10-3.csv"] = ["verify-hom", "--n", "10", "--d", "3", "--format", "csv"]

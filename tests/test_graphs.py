@@ -1,5 +1,6 @@
 """Graph construction, predicates, and the text format."""
 
+import pickle
 from functools import lru_cache
 from itertools import combinations
 
@@ -20,7 +21,7 @@ from regcount import (
     matching_polynomial,
     regular_degree,
 )
-from regcount.graphs import adjacency_masks
+from regcount.generate import _complement
 from regcount.verify import GraphProfile
 
 from conftest import build_kdd_union, disjoint_union
@@ -126,7 +127,53 @@ def test_max_matching_and_perfect_matching(c4, c8, prism, petersen):
 
 def test_adjacency_masks_mark_loops_on_their_own_bit():
     g = build_graph(3, [(0, 0), (0, 1), (1, 2)], allow_loops=True)
-    assert adjacency_masks(g) == (0b011, 0b101, 0b010)
+    assert g.adj == (0b011, 0b101, 0b010)
+
+
+@st.composite
+def edge_lists(draw, loops=st.booleans()):
+    """(n, edges, allow_loops): distinct edges in random order, each pair in
+    a random orientation, loops among them only when allow_loops is set."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    allow_loops = draw(loops)
+    pairs = [(u, v) for u in range(n) for v in range(u if allow_loops else u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)], allow_loops
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_views_read_the_edges_back(case):
+    n, edges, allow_loops = case
+    g = build_graph(n, edges, allow_loops)
+    normal = sorted((min(u, v), max(u, v)) for u, v in edges)
+    assert g.vertex_count == n
+    assert g.edges == normal and g.edge_count == len(edges)
+    present = set(normal)
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert g.has_edge(u, v) == g.has_edge(v, u) == ((min(u, v), max(u, v)) in present)
+    degrees = [0] * n
+    for u, v in normal:
+        degrees[u] += 1
+        if v != u:
+            degrees[v] += 1
+    assert g.degree_sequence() == degrees
+    assert graph_from_text(graph_to_text(g)) == g
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(g, protocol)) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(loops=st.just(False)))
+def test_complement_twice_is_the_graph(case):
+    n, edges, _ = case
+    g = build_graph(n, edges)
+    h = _complement(g)
+    assert h.edge_count == n * (n - 1) // 2 - len(edges)
+    assert not set(h.edges) & set(g.edges)
+    assert _complement(h) == g
 
 
 def reference_two_colouring(g):

@@ -11,7 +11,7 @@ from regcount.verify import Verdict, VertexOrder
 
 # Each value beside one that differs from it in a single field.
 PAIRS = [
-    (Graph(3, frozenset({(0, 1), (1, 2)})), Graph(3, frozenset({(0, 1)}))),
+    (Graph((0b010, 0b101, 0b010)), Graph((0b010, 0b001, 0b000))),
     (Bipartition(frozenset({0, 2}), frozenset({1})), Bipartition(frozenset({0}), frozenset({1}))),
     (CountPolynomial((1, 3, 1), "matching"), CountPolynomial((1, 3, 1), "independent-set")),
     (GenSpec(8, 3), GenSpec(8, 3, bipartite_only=True)),
