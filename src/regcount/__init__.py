@@ -77,12 +77,11 @@ _EXPORTS = {
         "regular_degree",
     ),
     "kdd": (
-        "UnionParams",
         "kdd_independent_count",
         "kdd_matching_count",
-        "union_independent_count",
-        "union_matching_count",
-        "union_params",
+        "union_copies",
+        "union_independence_polynomial",
+        "union_matching_polynomial",
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

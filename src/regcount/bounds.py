@@ -21,7 +21,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
-from .kdd import union_params
+from .kdd import union_copies
 
 _LN2 = math.log(2)
 
@@ -312,7 +312,7 @@ def union_matching_lower_explicit(n: int, d: int, size: int) -> Cleared:
 
 def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:
     """Per-copy matching sizes a_i, each floor or ceil of alpha*d, summing to ell."""
-    copies = union_params(n, d).copies
+    copies = union_copies(n, d)
     if not 0 <= ell <= n // 2:
         raise DomainError(f"ell must lie in [0, {n // 2}], got {ell}")
     q, r = divmod(ell, copies)
@@ -358,7 +358,7 @@ def independent_upper_pm_exact(n: int, t: int) -> int:
 def union_small_t_exact(n: int, d: int, t: int) -> int:
     """Exact count (2d)^t binom(n/2d, t) of the scattered independent sets:
     one vertex in each of t distinct K_{d,d} copies."""
-    copies = union_params(n, d).copies
+    copies = union_copies(n, d)
     if not 0 <= t <= copies:
         raise DomainError(f"small-t bound needs t <= {copies}, got {t}")
     return (2 * d) ** t * math.comb(copies, t)
@@ -383,7 +383,7 @@ def union_ind_lower_small_t(n: int, d: int, t: int) -> Cleared:
     for t <= n/2d; a rational, so the verdict is exact.  At t <= 1 the
     bound is the count itself."""
     _check(n, d, t)
-    copies = union_params(n, d).copies
+    copies = union_copies(n, d)
     if t > copies:
         raise DomainError(f"small-t bound needs t <= {copies}, got {t}")
     scattered = math.prod(Fraction(n - 2 * k * d, n) for k in range(1, t))
@@ -395,7 +395,7 @@ def block_miss_stats(n: int, d: int, size: int) -> tuple[Fraction, Fraction]:
     items: exact mu = (n/2d) binom(n/2-d, size)/binom(n/2, size), and its
     analytic bound (n/2d)(1 - 2 size/n)^d.  Both are rational, so the
     comparison is exact."""
-    union_params(n, d)
+    union_copies(n, d)
     _check(n, d, size)
     half = n // 2
     mu = Fraction(n, 2 * d) * Fraction(math.comb(half - d, size), math.comb(half, size))

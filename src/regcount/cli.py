@@ -313,13 +313,13 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
     )
     from .kdd import (
         kdd_matching_count,
-        union_independent_count,
-        union_matching_count,
-        union_params,
+        union_copies,
+        union_independence_polynomial,
+        union_matching_polynomial,
     )
     from .verify import _params, bound_verdict, format_number
 
-    p = union_params(n, d)
+    copies = union_copies(n, d)
     rows: list[dict] = []
 
     def add(name, value, direction, **params):
@@ -332,8 +332,9 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
             }
         )
 
+    union = union_matching_polynomial(n, d)
     for ell in ells:
-        count = union_matching_count(p, ell)
+        count = union.coefficient(ell)
         add("union-match-count", count, "exact", size=ell)
         if count:
             add("union-match-count-log2", log2_ratio(count, 1), "exact", size=ell)
@@ -369,8 +370,9 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
             ("ind-pf-upper-bipartite", ind_pf_upper_bipartite),
         ):
             add(name, bound(n, d, lam).log_bound(), "upper", lam=lam)
+    union = union_independence_polynomial(n, d)
     for t in ts:
-        count = union_independent_count(p, t)
+        count = union.coefficient(t)
         add("union-ind-count", count, "exact", size=t)
         if count:
             add("union-ind-count-log2", log2_ratio(count, 1), "exact", size=t)
@@ -383,7 +385,7 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
             if c > 1:
                 bound = union_ind_lower_markov(n, d, t, c)
                 add("union-ind-lower-markov", bound.log_bound(), "lower", size=t, c=c)
-        if t <= p.copies:
+        if t <= copies:
             bound = union_ind_lower_small_t(n, d, t)
             add("union-ind-lower-small-t-log", bound.log_bound(), "lower", size=t)
             add("union-ind-lower-small-t-exact", union_small_t_exact(n, d, t), "lower", size=t)
@@ -394,11 +396,11 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
 
 
 def _cmd_bounds(args) -> int:
-    from .kdd import union_params
+    from .kdd import union_copies
     from .verify import DEFAULT_C_GRID, DEFAULT_LAMBDA_GRID
 
     n, d = args.n, args.d
-    union_params(n, d)
+    union_copies(n, d)
     ells = args.ell if args.ell else list(range(n // 2 + 1))
     ts = args.t if args.t else list(range(n // 2 + 1))
     lams = args.lam if args.lam else list(DEFAULT_LAMBDA_GRID)
@@ -445,9 +447,9 @@ def _cmd_gen(args) -> int:
 
 
 def _union_shape(args) -> None:
-    from .kdd import union_params
+    from .kdd import union_copies
 
-    union_params(args.n, args.d)
+    union_copies(args.n, args.d)
 
 
 def _roots_inputs(args) -> None:

@@ -1,28 +1,23 @@
-"""Closed-form exact counts for K_{d,d} and disjoint unions of its copies.
+"""Closed-form exact counts for K_{d,d} and the disjoint union of n/2d copies.
 
-A matching meets each K_{d,d} copy in some number of edges, so the union's
-matching counts are convolution powers of the single-copy counts; the same
-holds for independent sets.
+A matching meets each copy in some number of edges, so the union's matching
+polynomial, a CountPolynomial built once per (n, d), is a convolution power
+of the single-copy counts; the same holds for independent sets.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
+from .counting import INDEPENDENT_SET, MATCHING, CountPolynomial
 from .errors import DivisibilityError, DomainError
 
 
-class UnionParams(namedtuple("UnionParams", "n d copies")):
-    """Shape of a disjoint union of K_{d,d} copies on n vertices."""
-
-    __slots__ = ()
-
-
-def union_params(n: int, d: int) -> UnionParams:
+def union_copies(n: int, d: int) -> int:
+    """The number n/2d of K_{d,d} copies in the union on n vertices."""
     if d < 1 or n % (2 * d) != 0:
         raise DivisibilityError(f"need 2d | n with d >= 1, got n={n}, d={d}")
-    return UnionParams(n, d, n // (2 * d))
+    return n // (2 * d)
 
 
 def kdd_matching_count(d: int, a: int) -> int:
@@ -53,18 +48,15 @@ def _convolution_power(base: list[int], copies: int) -> list[int]:
     return out
 
 
-def union_matching_count(p: UnionParams, ell: int) -> int:
-    """Exact number of size-ell matchings of the K_{d,d} union."""
-    if not 0 <= ell <= p.n // 2:
-        raise DomainError(f"ell must lie in [0, {p.n // 2}], got {ell}")
-    base = [kdd_matching_count(p.d, a) for a in range(p.d + 1)]
-    return _convolution_power(base, p.copies)[ell]
+def union_matching_polynomial(n: int, d: int) -> CountPolynomial:
+    """Exact matching polynomial of the K_{d,d} union on n vertices."""
+    copies = union_copies(n, d)
+    base = [kdd_matching_count(d, a) for a in range(d + 1)]
+    return CountPolynomial(tuple(_convolution_power(base, copies)), MATCHING)
 
 
-def union_independent_count(p: UnionParams, t: int) -> int:
-    """Exact number of size-t independent sets of the K_{d,d} union."""
-    if not 0 <= t <= p.n // 2:
-        raise DomainError(f"t must lie in [0, {p.n // 2}], got {t}")
-    base = [kdd_independent_count(p.d, k) for k in range(p.d + 1)]
-    return _convolution_power(base, p.copies)[t]
-
+def union_independence_polynomial(n: int, d: int) -> CountPolynomial:
+    """Exact independence polynomial of the K_{d,d} union on n vertices."""
+    copies = union_copies(n, d)
+    base = [kdd_independent_count(d, t) for t in range(d + 1)]
+    return CountPolynomial(tuple(_convolution_power(base, copies)), INDEPENDENT_SET)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
@@ -71,11 +72,7 @@ from .graphs import (
     regular_degree,
     relabel,
 )
-from .kdd import (
-    union_independent_count,
-    union_matching_count,
-    union_params,
-)
+from .kdd import union_copies, union_independence_polynomial, union_matching_polynomial
 
 DEFAULT_ROOT_TOL = 1e-7
 ROOT_SUM_REL_TOL = 1e-6
@@ -128,14 +125,24 @@ CSV_HEADER = ["check_id", "graph_label", "params", "lhs", "rhs", "pass", "margin
 _params_text = json.JSONEncoder(sort_keys=True).encode
 
 
+# A census name (generate.census_name): its "nv-dr-" head, then its index.
+_CENSUS_NAME = re.compile(r"(\d+v-\d+r-)(\d+)")
+
+
 def sort_verdicts(verdicts: Iterable[Verdict]) -> list[Verdict]:
-    """Report order: by graph label, check id, then the JSON text of the
-    params with sorted keys.  The text orders numbers as strings, so a last
-    param "size": 10 comes before "size": 1 and "size": 2; the golden
+    """Report order: by graph label as text, but a census name's index as a
+    number (14v-4r-2000 before 14v-4r-10000), check id, then the JSON text
+    of the params with sorted keys.  The text orders numbers as strings, so
+    a last param "size": 10 comes before "size": 1 and "size": 2; the golden
     reports and the pinned digests fix that order."""
+    verdicts = list(verdicts)
+    labels = {}
+    for label in {v.graph_label for v in verdicts}:
+        m = _CENSUS_NAME.fullmatch(label)
+        labels[label] = (m[1], int(m[2])) if m else (label, -1)
     return sorted(
         verdicts,
-        key=lambda v: (v.graph_label, v.check_id, _params_text(v.params)),
+        key=lambda v: (labels[v.graph_label], v.check_id, _params_text(v.params)),
     )
 
 
@@ -359,16 +366,14 @@ def _per_size(p: GraphProfile, check_id: str, poly, reference) -> list[Verdict]:
 def umc_graph_verdicts(p: GraphProfile) -> list[Verdict]:
     """Matching counts of one d-regular graph on n vertices, 2d | n, against
     the complete-bipartite-union reference, one exact verdict per size."""
-    union = union_params(p.graph.vertex_count, p.degree)
-    reference = partial(union_matching_count, union)
-    return _per_size(p, "match-count-vs-union", p.matching_polynomial, reference)
+    union = union_matching_polynomial(p.graph.vertex_count, p.degree)
+    return _per_size(p, "match-count-vs-union", p.matching_polynomial, union.coefficient)
 
 
 def kahn_graph_verdicts(p: GraphProfile) -> list[Verdict]:
     """Independent-set counts of one graph against the union reference."""
-    union = union_params(p.graph.vertex_count, p.degree)
-    reference = partial(union_independent_count, union)
-    return _per_size(p, "ind-count-vs-union", p.independence_polynomial, reference)
+    union = union_independence_polynomial(p.graph.vertex_count, p.degree)
+    return _per_size(p, "ind-count-vs-union", p.independence_polynomial, union.coefficient)
 
 
 def total_count_graph_verdicts(p: GraphProfile) -> list[Verdict]:
@@ -651,9 +656,10 @@ def verify_union_lower_bounds(
     The Markov-style and small-size lower bounds are asserted against the
     exact union counts; the block-miss statistics are recomputed by brute
     force and checked against the closed forms and the weighted identity.
-    Verdicts come in check order.
+    c_grid is a set.  Verdicts come in check order.
     """
-    p = union_params(n, d)
+    copies = union_copies(n, d)
+    union = union_independence_polynomial(n, d)
     label = f"union-{n}v-{d}r"
     half = n // 2
     verdicts: list[Verdict] = []
@@ -661,25 +667,25 @@ def verify_union_lower_bounds(
     def add(build, check_id, a, b, **params):
         verdicts.append(build(check_id, label, _params(n=n, d=d, **params), a, b))
 
+    grid = sorted(set(Fraction(c) for c in c_grid))
     for t in range(half + 1):
-        count = union_independent_count(p, t)
-        for c in c_grid:
-            c = Fraction(c)
+        count = union.coefficient(t)
+        for c in grid:
             bound = union_ind_lower_markov(n, d, t, c)
             add(bound_verdict, "union-ind-lower-markov", count, bound, size=t, c=c)
-        if t <= p.copies:
+        if t <= copies:
             bound = union_ind_lower_small_t(n, d, t)
             add(bound_verdict, "union-ind-lower-small-t-log", count, bound, size=t)
             exact = union_small_t_exact(n, d, t)
             add(exact_le, "union-ind-lower-small-t-exact", exact, count, size=t)
         # Brute-force block statistics over all t-subsets of the half set.
-        blocks = [set(range(i * d, (i + 1) * d)) for i in range(p.copies)]
-        misses = [0] * (p.copies + 1)
+        blocks = [set(range(i * d, (i + 1) * d)) for i in range(copies)]
+        misses = [0] * (copies + 1)
         for subset in combinations(range(half), t):
             chosen = set(subset)
             missed = sum(1 for blk in blocks if not blk & chosen)
             misses[missed] += 1
-        identity = sum(b * 2 ** (p.copies - k) for k, b in enumerate(misses))
+        identity = sum(b * 2 ** (copies - k) for k, b in enumerate(misses))
         add(exact_eq, "union-block-identity", identity, count, size=t)
         mu_exact = Fraction(
             sum(k * b for k, b in enumerate(misses)), math.comb(half, t)
@@ -727,7 +733,8 @@ def hom_graph_verdicts(
 
     Orders tried: identity, reversed, and random_orders shuffles drawn from a
     seed that also hashes the census index, so reruns are reproducible.
-    Verdicts come in check order.
+    c_grid and each weight triple (0, 1, 1/c) are sets.  Verdicts come in
+    check order.
     """
     g, n = p.graph, p.graph.vertex_count
     perms = [list(range(n)), list(range(n - 1, -1, -1))]
@@ -740,11 +747,10 @@ def hom_graph_verdicts(
     verdicts = []
     for name, h in hom_targets():
         verdicts.extend(verify_hom_inequality(p, h, orders, h_name=name))
-    for c in c_grid:
-        cf = Fraction(c)
+    for cf in sorted(set(Fraction(c) for c in c_grid)):
         if cf.denominator != 1 or cf < 1:
             raise DomainError(f"clique sizes must be positive integers, got {cf}")
         c_int = int(cf)
-        for lam in (Fraction(0), Fraction(1), Fraction(1, c_int)):
+        for lam in sorted({Fraction(0), Fraction(1), Fraction(1, c_int)}):
             verdicts.append(verify_hardcore_hom_identity(p, c_int, lam))
     return verdicts

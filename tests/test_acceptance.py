@@ -74,10 +74,10 @@ def test_criterion_02_matching_counts_never_beat_union(corpus, c8):
         assert not bad, bad[:3]
     elapsed = time.perf_counter() - start
     # spot: m_4(C8) = 2 against the union's 4
-    from regcount import union_matching_count, union_params
+    from regcount import union_matching_polynomial
 
     assert matching_polynomial(c8).coefficient(4) == 2
-    assert union_matching_count(union_params(8, 2), 4) == 4
+    assert union_matching_polynomial(8, 2).coefficient(4) == 4
     assert elapsed < 600, f"criterion 2 runtime {elapsed:.1f}s exceeds 10 minutes"
 
 
@@ -88,10 +88,10 @@ def test_criterion_03_independent_counts_never_beat_union(corpus, c8):
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
     # spot: i_4(C8) = 2 against the union's 4
-    from regcount import union_independent_count, union_params
+    from regcount import union_independence_polynomial
 
     assert independence_polynomial(c8).coefficient(4) == 2
-    assert union_independent_count(union_params(8, 2), 4) == 4
+    assert union_independence_polynomial(8, 2).coefficient(4) == 4
 
 
 def test_criterion_04_matching_partition_bound_exact(small_corpus, c4):

@@ -39,7 +39,7 @@ from regcount import (
     union_ind_lower_markov,
     union_ind_lower_small_t,
     union_matching_lower_explicit,
-    union_params,
+    union_copies,
     union_small_t_exact,
 )
 from regcount.bounds import LOWER, UPPER, _ln_bounds, log2, signed_log2_ratio
@@ -412,14 +412,14 @@ def test_stirling_terms_ok_is_decided_exactly(d, a):
 
 
 def test_profile_lower_is_sum_of_terms_and_holds():
-    from regcount import union_matching_count, union_params
+    from regcount import union_matching_polynomial
 
     prof = balanced_profile(8, 2, 2)
     b = profile_matching_lower(8, 2, prof, 1)
     assert b.direction == LOWER
     with mpmath.workprec(120):
         assert _near(b.log_bound(), sum(_stirling_closed(2, a, 1) for a in prof))
-    exact = union_matching_count(union_params(8, 2), 2)
+    exact = union_matching_polynomial(8, 2).coefficient(2)
     assert log2(Fraction(exact)) >= b.log_bound()
     assert _admits(exact, b)
 
@@ -504,18 +504,18 @@ def test_independent_count_upper_variants():
 
 
 def test_union_small_t_exact_is_a_true_count():
-    from regcount import union_independent_count, union_params
+    from regcount import union_independence_polynomial
 
     assert union_small_t_exact(8, 2, 1) == 8
     assert union_small_t_exact(8, 2, 2) == 16
     assert union_small_t_exact(12, 3, 2) == 36
     # scattered sets are a subfamily, so the closed form never exceeds the count
     for n, d in ((8, 2), (12, 3), (12, 2)):
-        p = union_params(n, d)
-        for t in range(p.copies + 1):
-            assert union_small_t_exact(n, d, t) <= union_independent_count(p, t)
+        union = union_independence_polynomial(n, d)
+        for t in range(union_copies(n, d) + 1):
+            assert union_small_t_exact(n, d, t) <= union.coefficient(t)
     # at t = 1 every size-1 set is scattered
-    assert union_small_t_exact(12, 2, 1) == union_independent_count(union_params(12, 2), 1)
+    assert union_small_t_exact(12, 2, 1) == union_independence_polynomial(12, 2).coefficient(1)
     with pytest.raises(DomainError):
         union_small_t_exact(8, 2, 3)
     with pytest.raises(DivisibilityError):
@@ -558,9 +558,9 @@ def oracle_mean_missed_blocks(n, d, t):
 @pytest.mark.parametrize(
     "definition", [balanced_profile, union_small_t_exact, union_ind_lower_small_t, block_miss_stats]
 )
-def test_union_shapes_are_checked_by_union_params(definition):
+def test_union_shapes_are_checked_by_union_copies(definition):
     with pytest.raises(DivisibilityError) as want:
-        union_params(10, 4)
+        union_copies(10, 4)
     with pytest.raises(DivisibilityError) as got:
         definition(10, 4, 1)
     assert str(got.value) == str(want.value)

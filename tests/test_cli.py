@@ -447,6 +447,26 @@ def test_verify_hom_cli(capsys):
     assert doc["summary"] == {"total": 26, "failed": 0}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-suite", "--n", "4", "--d", "2"], ["verify-hom", "--n", "4", "--d", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_repeated_c_gives_the_verdicts_of_one(capsys, argv):
+    _, once = run_json(capsys, *argv, "--c", "2")
+    _, twice = run_json(capsys, *argv, "--c", "2", "--c", "2")
+    assert twice["verdicts"] == once["verdicts"]
+    assert twice["summary"] == once["summary"]
+    assert twice["config"]["c"] == ["2", "2"]  # the echo keeps the list as given
+
+
+def test_hom_identity_at_c_1_takes_each_weight_once(capsys):
+    # The weights (0, 1, 1/c) repeat 1 at c = 1.
+    _, doc = run_json(capsys, "verify-hom", "--n", "4", "--d", "3", "--c", "1")
+    rows = [v for v in doc["verdicts"] if v["check_id"] == "hardcore-hom-identity"]
+    assert [v["params"]["lam"] for v in rows] == ["0", "1"]
+
+
 def test_verify_hom_accepts_degree_zero(capsys):
     # hom(G, H)^0 = 1, and every back degree is 0, so both sides are 1.
     code, doc = run_json(capsys, "verify-hom", "--n", "4", "--d", "0")

@@ -28,6 +28,7 @@ CASES["count-matching-petersen.csv"] = [
     "count", "--kind", "matching", "--graph", "petersen.txt", "--format", "csv"
 ]
 CASES["bounds-8-2.json"] = ["bounds", "--n", "8", "--d", "2"]
+CASES["bounds-40-4.json"] = ["bounds", "--n", "40", "--d", "4"]
 CASES["bounds-12-3.csv"] = ["bounds", "--n", "12", "--d", "3", "--format", "csv"]
 CASES["gen-8-3.csv"] = ["gen", "--n", "8", "--d", "3", "--format", "csv"]
 CASES["gen-10-3.json"] = ["gen", "--n", "10", "--d", "3"]

@@ -17,11 +17,13 @@ from regcount import (
     kdd_independent_count,
     kdd_matching_count,
     matching_polynomial,
-    union_independent_count,
-    union_matching_count,
-    union_params,
+    union_copies,
+    union_independence_polynomial,
+    union_matching_polynomial,
 )
-from regcount.verify import bound_verdict
+from regcount import kdd
+from regcount.cli import main
+from regcount.verify import bound_verdict, verify_union_lower_bounds
 
 from conftest import build_kdd_union
 
@@ -44,49 +46,57 @@ def test_single_block_spot_values():
 
 
 def test_union_counts_match_polynomials():
-    for n, d in ((4, 1), (8, 1), (8, 2), (12, 2), (12, 3)):
-        p = union_params(n, d)
+    for n, d in ((4, 1), (8, 1), (8, 2), (12, 2), (12, 3), (16, 4), (24, 4), (20, 5)):
         g = build_kdd_union(n, d)
-        mpoly = matching_polynomial(g).coefficients
-        ipoly = independence_polynomial(g).coefficients
-        for k in range(n // 2 + 1):
-            want_m = mpoly[k] if k < len(mpoly) else 0
-            want_i = ipoly[k] if k < len(ipoly) else 0
-            assert union_matching_count(p, k) == want_m
-            assert union_independent_count(p, k) == want_i
+        assert union_matching_polynomial(n, d) == matching_polynomial(g)
+        assert union_independence_polynomial(n, d) == independence_polynomial(g)
 
 
 def test_union_spot_values():
-    p = union_params(8, 2)
-    assert [union_matching_count(p, k) for k in range(5)] == [1, 8, 20, 16, 4]
-    assert [union_independent_count(p, t) for t in range(5)] == [1, 8, 20, 16, 4]
+    assert union_copies(12, 3) == 2
+    assert union_matching_polynomial(8, 2).coefficients == (1, 8, 20, 16, 4)
+    assert union_independence_polynomial(8, 2).coefficients == (1, 8, 20, 16, 4)
+
+
+def test_each_union_polynomial_is_built_once(monkeypatch, capsys):
+    calls = []
+    power = kdd._convolution_power
+
+    def counted(base, copies):
+        calls.append(copies)
+        return power(base, copies)
+
+    monkeypatch.setattr(kdd, "_convolution_power", counted)
+    assert main(["bounds", "--n", "24", "--d", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2
+    calls.clear()
+    verify_union_lower_bounds(12, 3)
+    assert len(calls) == 1
 
 
 def test_domain_validation():
     with pytest.raises(DivisibilityError):
-        union_params(7, 2)
+        union_copies(7, 2)
     with pytest.raises(DivisibilityError):
-        union_params(8, 3)
+        union_copies(8, 3)
     with pytest.raises(DivisibilityError):
-        union_params(8, 0)
+        union_copies(8, 0)
     with pytest.raises(DomainError):
         kdd_matching_count(3, 4)
     with pytest.raises(DomainError):
         kdd_independent_count(0, 0)
-    p = union_params(8, 2)
+    assert union_matching_polynomial(8, 2).degree == 4
     with pytest.raises(DomainError):
-        union_matching_count(p, 5)
-    with pytest.raises(DomainError):
-        union_independent_count(p, -1)
+        union_independence_polynomial(8, 2).coefficient(-1)
 
 
 def test_bregman_equality_on_block_unions():
     # the bound is tight exactly on disjoint unions of balanced complete
     # bipartite blocks: pm = (d!)^copies, so pm^(2d) = (d!)^n
     for n, d in ((8, 2), (12, 3), (6, 3)):
-        p = union_params(n, d)
-        pm = union_matching_count(p, n // 2)
-        assert pm == math.factorial(d) ** p.copies
+        pm = union_matching_polynomial(n, d).coefficient(n // 2)
+        assert pm == math.factorial(d) ** union_copies(n, d)
         b = bregman_pm(n, d)
         assert b.lhs(pm) == b.rhs
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from regcount import Bipartition, Cleared, CountPolynomial, GenSpec, Graph, UnionParams
+from regcount import Bipartition, Cleared, CountPolynomial, GenSpec, Graph
 from regcount.verify import Verdict, VertexOrder
 
 # Each value beside one that differs from it in a single field.
@@ -15,7 +15,6 @@ PAIRS = [
     (Bipartition(frozenset({0, 2}), frozenset({1})), Bipartition(frozenset({0}), frozenset({1}))),
     (CountPolynomial((1, 3, 1), "matching"), CountPolynomial((1, 3, 1), "independent-set")),
     (GenSpec(8, 3), GenSpec(8, 3, bipartite_only=True)),
-    (UnionParams(12, 3, 2), UnionParams(12, 2, 3)),
     (Cleared(2, Fraction(9, 2), pow_e=Fraction(-1, 3)), Cleared(2, Fraction(9, 2))),
     (
         Verdict("match-pf-upper", "6:1f", {"n": 6}, Fraction(3), Fraction(4), True, 0.4),

@@ -356,6 +356,22 @@ def test_sort_orders_params_by_their_json_text():
     assert [v.params["size"] for v in sort_verdicts(verdicts)] == [10, 11, 1, 2]
 
 
+def test_sort_orders_census_indices_as_numbers():
+    # Past index 9999 a census name has five digits; as text, 14v-4r-10000
+    # would come before 14v-4r-2000.  Union rows follow every census row,
+    # and other labels keep their text order.
+    labels = ["union-14v-4r", "14v-4r-10000", "14v-14e", "14v-4r-2000", "12:ff", "14v-4r-0001"]
+    verdicts = [exact_le("demo", label, {}, 1, 2) for label in labels]
+    assert [v.graph_label for v in sort_verdicts(verdicts)] == [
+        "12:ff",
+        "14v-14e",
+        "14v-4r-0001",
+        "14v-4r-2000",
+        "14v-4r-10000",
+        "union-14v-4r",
+    ]
+
+
 def test_sorting_and_jsonl_are_canonical(c8):
     verdicts = umc_graph_verdicts(GraphProfile(c8, 0)) + kahn_graph_verdicts(GraphProfile(c8, 0))
     rows = _report_rows(verdicts)
