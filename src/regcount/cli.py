@@ -401,11 +401,14 @@ def _cmd_bounds(args) -> int:
 
     n, d = args.n, args.d
     union_copies(n, d)
-    ells = args.ell if args.ell else list(range(n // 2 + 1))
-    ts = args.t if args.t else list(range(n // 2 + 1))
-    lams = args.lam if args.lam else list(DEFAULT_LAMBDA_GRID)
-    cs = args.c if args.c else list(DEFAULT_C_GRID)
-    for size in list(ells) + list(ts):
+    sizes = range(n // 2 + 1)
+    # A value given twice gives its rows once, at its first place; the config
+    # echoes each grid as given.
+    ells = list(dict.fromkeys(args.ell or sizes))
+    ts = list(dict.fromkeys(args.t or sizes))
+    lams = list(dict.fromkeys(args.lam or DEFAULT_LAMBDA_GRID))
+    cs = list(dict.fromkeys(args.c or DEFAULT_C_GRID))
+    for size in ells + ts:
         if not 0 <= size <= n // 2:
             raise DomainError(f"sizes must lie in 0..{n // 2}, got {size}")
     rows = _bounds_rows(n, d, ells, ts, lams, cs)
@@ -514,18 +517,17 @@ _VERIFY = {
 
 def _cmd_verify(args) -> int:
     from . import verify
-    from .generate import GenSpec
+    from .generate import GenSpec, generate
 
     check_name, settings, precondition, trailing = _VERIFY[args.command]
     if precondition:
         precondition(args)
     check = partial(getattr(verify, check_name), **settings(args))
     if getattr(args, "graph", None):
-        verdicts = verify.profile_verdicts(verify.GraphProfile(_read_graph(args.graph)), check)
+        graphs = [(None, _read_graph(args.graph))]
     else:
-        verdicts = verify.sweep(
-            GenSpec(args.n, args.d), check, map=partial(_pmap, workers=args.workers)
-        )
+        graphs = enumerate(generate(GenSpec(args.n, args.d)))
+    verdicts = verify.sweep(graphs, check, map=partial(_pmap, workers=args.workers))
     if trailing:
         verdicts += trailing(args)
     verdicts = verify.sort_verdicts(verdicts)

@@ -61,7 +61,7 @@ from .counting import (
     matching_polynomial,
 )
 from .errors import DomainError
-from .generate import CANONICAL_FORM_LIMIT, GenSpec, canonical_form, census_name, generate
+from .generate import CANONICAL_FORM_LIMIT, canonical_form, census_name
 from .graphs import (
     Graph,
     bipartition,
@@ -307,25 +307,22 @@ class GraphProfile:
         return 2 * self.nu == self.graph.vertex_count
 
 
-def profile_verdicts(profile: GraphProfile, check) -> list[Verdict]:
-    """check(profile) as a list; a check may return a single verdict."""
-    out = check(profile)
+def _graph_verdicts(check, item) -> list[Verdict]:
+    """check on the profile of one (index, graph) pair, as a list; a check
+    may return a single verdict."""
+    index, g = item
+    out = check(GraphProfile(g, index))
     return [out] if isinstance(out, Verdict) else out
 
 
-def _census_verdicts(check, item) -> list[Verdict]:
-    index, g = item
-    return profile_verdicts(GraphProfile(g, index), check)
-
-
-def sweep(spec: GenSpec, check, map=map) -> list[Verdict]:
-    """The verdicts of check on the profile of every graph that
-    generate(spec) emits, in census order (sort_verdicts gives report
-    order).  map(fn, items) runs the checks; a process pool's map fans them
-    out, given a picklable check (a module-level function or a partial of
-    one)."""
-    items = list(enumerate(generate(spec)))
-    batches = map(partial(_census_verdicts, check), items)
+def sweep(graphs: Iterable[tuple[int | None, Graph]], check, map=map) -> list[Verdict]:
+    """The verdicts of check on the profile of every (index, graph) pair, in
+    the pairs' order (sort_verdicts gives report order).  index is the
+    graph's census position, as from enumerate(generate(spec)), or None for
+    a graph that comes from elsewhere, such as a file.  map(fn, items) runs
+    the checks; a process pool's map fans them out, given a picklable check
+    (a module-level function or a partial of one)."""
+    batches = map(partial(_graph_verdicts, check), list(graphs))
     return [v for batch in batches for v in batch]
 
 
@@ -423,37 +420,30 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [c / lead for c in a]
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[Fraction], int]]:
-    """Yun decomposition p = prod f_k^k into monic square-free coprime
-    factors over the rationals, exactly."""
-    f = [Fraction(c) for c in coeffs]
-    df = _poly_derivative(f)
-    g = _poly_gcd(f, df)
-    w, _ = _poly_divmod(f, g)
-    y, _ = _poly_divmod(df, g)
-    z = _poly_sub(y, _poly_derivative(w))
+    """Musser's decomposition p = prod f_k^k into monic square-free coprime
+    factors over the rationals, exactly, by gcds and exact divisions alone.
+    a = gcd(p, p') and b = p / a, the product of every f_k; then for k = 1,
+    2, ... while b is not constant, c = gcd(a, b) is the product of the f_j
+    with j > k, f_k = b / c, and a / c and c take the places of a and b."""
+
+    def divide(x, y):
+        q, r = _poly_divmod(x, y)
+        if r:
+            raise ArithmeticError("square-free decomposition: a gcd left a remainder")
+        return q
+
+    p = [Fraction(c) for c in coeffs]
+    a = _poly_gcd(p, _poly_derivative(p))
+    b = divide(p, a)
     out: list[tuple[list[Fraction], int]] = []
     k = 1
-    while len(w) > 1:
-        gk = _poly_gcd(w, z)
-        if len(gk) > 1:
-            out.append((gk, k))
-        w, rw = _poly_divmod(w, gk)
-        y, rz = _poly_divmod(z, gk)
-        if rw or rz:
-            raise ArithmeticError("square-free decomposition: a gcd left a remainder")
-        z = _poly_sub(y, _poly_derivative(w))
+    while len(b) > 1:
+        c = _poly_gcd(a, b)
+        f = divide(b, c)
+        if len(f) > 1:
+            out.append(([x / f[-1] for x in f], k))
+        a, b = divide(a, c), c
         k += 1
     if sum(m * (len(fk) - 1) for fk, m in out) != len(coeffs) - 1:
         raise ArithmeticError(

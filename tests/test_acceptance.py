@@ -14,6 +14,7 @@ from fractions import Fraction
 from regcount import (
     GenSpec,
     eval_partition,
+    generate,
     independence_polynomial,
     match_count_upper,
     matching_polynomial,
@@ -68,7 +69,7 @@ def test_criterion_01_polynomials_equal_brute_force(small_corpus):
 def test_criterion_02_matching_counts_never_beat_union(corpus, c8):
     start = time.perf_counter()
     for n, d in CONJECTURE_GRID:
-        verdicts = sweep(GenSpec(n, d), umc_graph_verdicts)
+        verdicts = sweep(enumerate(generate(GenSpec(n, d))), umc_graph_verdicts)
         assert len(verdicts) == len(corpus[(n, d)]) * (n // 2 + 1)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
@@ -83,7 +84,7 @@ def test_criterion_02_matching_counts_never_beat_union(corpus, c8):
 
 def test_criterion_03_independent_counts_never_beat_union(corpus, c8):
     for n, d in CONJECTURE_GRID:
-        verdicts = sweep(GenSpec(n, d), kahn_graph_verdicts)
+        verdicts = sweep(enumerate(generate(GenSpec(n, d))), kahn_graph_verdicts)
         assert len(verdicts) == len(corpus[(n, d)]) * (n // 2 + 1)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
@@ -159,12 +160,14 @@ def test_criterion_06_explicit_lower_gap_trend(capsys):
 
 def test_criterion_07_bipartite_total_count():
     for n, d in UNION_SHAPES:
-        verdicts = sweep(GenSpec(n, d, bipartite_only=True), total_count_graph_verdicts)
+        census = enumerate(generate(GenSpec(n, d, bipartite_only=True)))
+        verdicts = sweep(census, total_count_graph_verdicts)
         assert verdicts, (n, d)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
     # equality at the reference graph itself: total count of C4 is 7 = 2*2^2-1
-    [only] = sweep(GenSpec(4, 2, bipartite_only=True), total_count_graph_verdicts)
+    census = enumerate(generate(GenSpec(4, 2, bipartite_only=True)))
+    [only] = sweep(census, total_count_graph_verdicts)
     assert only.lhs == only.rhs == 7 and only.margin == 0
 
 

@@ -132,7 +132,7 @@ def test_negative_orders_is_a_usage_error(capsys):
     assert "--orders" in captured.err
 
 
-def test_pool_is_no_larger_than_the_census(capsys, monkeypatch):
+def test_pool_is_no_larger_than_the_census(capsys, monkeypatch, c4_file):
     import concurrent.futures
 
     sizes = []
@@ -160,6 +160,9 @@ def test_pool_is_no_larger_than_the_census(capsys, monkeypatch):
     # a census of one graph runs in process, with no pool
     code, _ = run_json(capsys, "verify-umc", "--n", "4", "--d", "2", "--workers", "8")
     assert code == 0 and sizes == [2]
+    # nor does one graph from a file
+    code, doc = run_json(capsys, "verify-roots", "--graph", c4_file, "--workers", "2")
+    assert code == 0 and doc["summary"]["total"] == 1 and sizes == [2]
     # nor is the pool larger than the usable CPUs: 2 for 3 graphs, and none
     # for 1, also where only the CPU count is known
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -458,6 +461,30 @@ def test_a_repeated_c_gives_the_verdicts_of_one(capsys, argv):
     assert twice["verdicts"] == once["verdicts"]
     assert twice["summary"] == once["summary"]
     assert twice["config"]["c"] == ["2", "2"]  # the echo keeps the list as given
+
+
+@pytest.mark.parametrize(
+    "option, values",
+    [("--ell", ["2", "5"]), ("--t", ["3", "0"]), ("--lam", ["1/2", "3"]), ("--c", ["3", "2"])],
+)
+def test_a_repeated_bounds_value_gives_its_rows_once(capsys, option, values):
+    def report(*given):
+        argv = ["bounds", "--n", "24", "--d", "3"]
+        for value in given:
+            argv += [option, value]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        return doc
+
+    a, b = values
+    once = report(a, b)
+    repeated = report(a, b, b, a)
+    assert repeated["rows"] == once["rows"]
+    # the echo keeps the list as given
+    assert [str(v) for v in repeated["config"][option[2:]]] == [a, b, b, a]
+    # an equal value in another spelling is a repeat too
+    if option == "--lam":
+        assert report(a, b, "2/4", "6/2")["rows"] == once["rows"]
 
 
 def test_hom_identity_at_c_1_takes_each_weight_once(capsys):

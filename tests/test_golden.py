@@ -39,6 +39,7 @@ CASES["verify-hom-10-3.csv"] = ["verify-hom", "--n", "10", "--d", "3", "--format
 CASES["verify-kahn-6-3.json"] = ["verify-kahn", "--n", "6", "--d", "3"]
 CASES["verify-roots-8-3.json"] = ["verify-roots", "--n", "8", "--d", "3"]
 CASES["verify-roots-petersen.json"] = ["verify-roots", "--graph", "petersen.txt"]
+CASES["verify-roots-k4x3-k33x2.json"] = ["verify-roots", "--graph", "k4x3-k33x2.txt"]
 CASES["verify-suite-5-0.csv"] = ["verify-suite", "--n", "5", "--d", "0", "--format", "csv"]
 CASES["verify-suite-6-3.json"] = ["verify-suite", "--n", "6", "--d", "3"]
 CASES["verify-suite-8-3.json"] = ["verify-suite", "--n", "8", "--d", "3"]

@@ -423,8 +423,8 @@ def test_back_degrees_count_earlier_neighbours(data):
 
 
 def test_umc_and_kahn_sweeps(c8):
-    umc = sweep(GenSpec(8, 2), umc_graph_verdicts)
-    kahn = sweep(GenSpec(8, 2), kahn_graph_verdicts)
+    umc = sweep(enumerate(generate(GenSpec(8, 2))), umc_graph_verdicts)
+    kahn = sweep(enumerate(generate(GenSpec(8, 2))), kahn_graph_verdicts)
     # 3 isomorphism classes, sizes 0..4
     assert len(umc) == len(kahn) == 15
     assert all(v.passed for v in umc + kahn)
@@ -438,7 +438,8 @@ def test_umc_and_kahn_sweeps(c8):
 
 
 def test_bipartite_total_count():
-    verdicts = sweep(GenSpec(8, 2, bipartite_only=True), total_count_graph_verdicts)
+    census = enumerate(generate(GenSpec(8, 2, bipartite_only=True)))
+    verdicts = sweep(census, total_count_graph_verdicts)
     # bipartite 2-regular graphs on 8 vertices: C8 and C4 + C4
     assert len(verdicts) == 2
     assert all(v.passed for v in verdicts)
@@ -506,6 +507,69 @@ def test_squarefree_decomposition_checks_its_invariants(monkeypatch):
     )
     with pytest.raises(ArithmeticError):
         verify_module._squarefree_factors((1, 5, 10, 10, 5, 1))
+
+
+def _product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _common_root(f, g):
+    """Whether f and g (coefficients, constant first) share a complex root:
+    whether their Sylvester matrix is singular, by exact elimination."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    rows = [[Fraction(x) for x in row] for row in rows]
+    for col in range(m + n):
+        pivot = next((r for r in range(col, m + n) if rows[r][col]), None)
+        if pivot is None:
+            return True
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, m + n):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return False
+
+
+def _squarefree_cases():
+    for n in (8, 10, 12):
+        for g in generate(GenSpec(n, 3)):
+            yield matching_polynomial(g).coefficients
+    k4, k33 = build_graph(4, list(combinations(range(4), 2))), build_kdd(3)
+    for parts in ([k4] * 4, [k33] * 3, [k4, k4, k33, k33, k33], [k4, k4, k4, k33, k33]):
+        g = parts[0]
+        for part in parts[1:]:
+            g = disjoint_union(g, part)
+        yield matching_polynomial(g).coefficients
+
+
+def test_squarefree_factors_rebuild_p_from_monic_squarefree_coprime_parts():
+    """Checked without gcds: the parts' product by convolution, and shared
+    roots by Sylvester matrices."""
+    from regcount.verify import _squarefree_factors
+
+    for coeffs in _squarefree_cases():
+        factors = _squarefree_factors(coeffs)
+        rebuilt = [1]
+        for f, k in factors:
+            assert len(f) > 1 and f[-1] == 1, (coeffs, f)
+            assert not _common_root(f, [i * c for i, c in enumerate(f)][1:]), (coeffs, f)
+            for _ in range(k):
+                rebuilt = _product(rebuilt, f)
+        assert rebuilt == [Fraction(c, coeffs[-1]) for c in coeffs]
+        for (f, _), (g, _) in combinations(factors, 2):
+            assert not _common_root(f, g), (coeffs, f, g)
+
+
+def test_common_root_finds_shared_and_repeated_roots():
+    assert _common_root([1, 2, 1], [2, 2])  # (1 + x)^2 and its derivative
+    assert _common_root([2, 3, 1], [3, 4, 1])  # (1 + x)(2 + x) and (1 + x)(3 + x)
+    assert not _common_root([2, 3, 1], [12, 7, 1])  # (1 + x)(2 + x) and (3 + x)(4 + x)
+    assert not _common_root([1, 1], [1])
 
 
 def test_hom_inequality_examples(c4, k33):
@@ -802,7 +866,7 @@ def test_hom_graph_verdicts_reproducible(c4):
 
 
 def test_hom_sweep_passes_on_the_10_3_census():
-    verdicts = sweep(GenSpec(10, 3), hom_graph_verdicts)
+    verdicts = sweep(enumerate(generate(GenSpec(10, 3))), hom_graph_verdicts)
     assert len(verdicts) == 21 * (5 * 7 + 6)
     assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
 
