@@ -364,15 +364,22 @@ def union_small_t_exact(n: int, d: int, t: int) -> int:
     return (2 * d) ** t * math.comb(copies, t)
 
 
+def markov_constant(c) -> Fraction:
+    """c as a Fraction, if it exceeds 1, as the constant of
+    union_ind_lower_markov must."""
+    c = _as_fraction(c)
+    if c <= 1:
+        raise DomainError(f"Markov constant must exceed 1, got {c}")
+    return c
+
+
 def union_ind_lower_markov(n: int, d: int, t: int, c) -> Cleared:
     """union-ind-lower-markov: the size-t independent-set count of the K_{d,d}
     union is at least (1 - 1/c) binom(n/2, t) 2^((n/2d)(1 - c(1 - 2t/n)^d)),
     for c > 1; in log2, log2[(1 - 1/c) binom(n/2, t)] + (n/2)(1/d - (c/d)(1 -
     2t/n)^d)."""
     _check(n, d, t)
-    c = _as_fraction(c)
-    if c <= 1:
-        raise DomainError(f"Markov constant must exceed 1, got {c}")
+    c = markov_constant(c)
     tail = Fraction(n, 2 * d) * (1 - c * (1 - Fraction(2 * t, n)) ** d)
     return Cleared(1, (1 - 1 / c) * math.comb(n // 2, t), direction=LOWER, pow2=tail)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from functools import partial
@@ -320,6 +319,9 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
     from .verify import _params, bound_verdict, format_number
 
     copies = union_copies(n, d)
+    for size in ells + ts:
+        if not 0 <= size <= n // 2:
+            raise DomainError(f"sizes must lie in 0..{n // 2}, got {size}")
     rows: list[dict] = []
 
     def add(name, value, direction, **params):
@@ -396,11 +398,9 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
 
 
 def _cmd_bounds(args) -> int:
-    from .kdd import union_copies
     from .verify import DEFAULT_C_GRID, DEFAULT_LAMBDA_GRID
 
     n, d = args.n, args.d
-    union_copies(n, d)
     sizes = range(n // 2 + 1)
     # A value given twice gives its rows once, at its first place; the config
     # echoes each grid as given.
@@ -408,9 +408,6 @@ def _cmd_bounds(args) -> int:
     ts = list(dict.fromkeys(args.t or sizes))
     lams = list(dict.fromkeys(args.lam or DEFAULT_LAMBDA_GRID))
     cs = list(dict.fromkeys(args.c or DEFAULT_C_GRID))
-    for size in ells + ts:
-        if not 0 <= size <= n // 2:
-            raise DomainError(f"sizes must lie in 0..{n // 2}, got {size}")
     rows = _bounds_rows(n, d, ells, ts, lams, cs)
     doc = _report("bounds", _config_echo(args), rows=rows)
     _emit(doc, args)
@@ -449,69 +446,61 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _union_shape(args) -> None:
+def _union_shape(args) -> dict:
     from .kdd import union_copies
 
     union_copies(args.n, args.d)
+    return {}
 
 
-def _roots_inputs(args) -> None:
+def _suite_settings(args) -> dict:
+    from .bounds import markov_constant
+    from .verify import DEFAULT_LAMBDA_GRID, lambda_values
+
+    settings = {"lambda_grid": lambda_values(args.lam or DEFAULT_LAMBDA_GRID)}
+    for c in args.c or ():
+        markov_constant(c)
+    return settings
+
+
+def _roots_settings(args) -> dict:
+    from .verify import root_tolerance
+
     if args.graph and (args.n is not None or args.d is not None):
         raise DomainError("verify-roots takes --graph or --n and --d, not both")
     if not args.graph and (args.n is None or args.d is None):
         raise DomainError("verify-roots needs either --graph or both --n and --d")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise DomainError(f"tolerance must be finite and positive, got {args.tol}")
+    settings = {"tol": root_tolerance(args.tol)}
+    import numpy  # for verify_real_rooted: once here, not in each worker _pmap forks
+    return settings
 
 
-def _suite_inputs(args) -> None:
-    if any(lam <= 0 for lam in args.lam or ()):
-        raise DomainError("lambda grid must be positive")
-    for c in args.c or ():
-        if c <= 1:
-            raise DomainError(f"Markov constant must exceed 1, got {c}")
+def _hom_settings(args) -> dict:
+    from .verify import DEFAULT_C_GRID, clique_size
 
-
-def _clique_sizes(args) -> None:
-    for c in args.c or ():
-        if c.denominator != 1 or c < 1:
-            raise DomainError(f"clique sizes must be positive integers, got {c}")
-
-
-def _c_grid(args) -> dict:
-    """The --c grid as a keyword argument; none, for the check's default."""
-    return {"c_grid": tuple(args.c)} if args.c else {}
+    c_grid = [clique_size(c) for c in args.c or DEFAULT_C_GRID]
+    return {"random_orders": args.orders, "seed": args.seed, "c_grid": c_grid}
 
 
 def _union_lowers(args) -> list:
-    from .verify import verify_union_lower_bounds
+    from .kdd import has_union
+    from .verify import DEFAULT_C_GRID, verify_union_lower_bounds
 
-    if args.d >= 1 and args.n % (2 * args.d) == 0:
-        return verify_union_lower_bounds(args.n, args.d, **_c_grid(args))
+    if has_union(args.n, args.d):
+        return verify_union_lower_bounds(args.n, args.d, args.c or DEFAULT_C_GRID)
     return []
 
 
-# verify command -> (name of its per-graph check, the check's settings from
-# the args, precondition on the args, verdicts added after the sweep).  A
-# setting left out takes the check's default.  Checks are held by name and
-# looked up on regcount.verify when the command runs, so that a rebinding of
-# the module's name (a stub, a tracing hook) is what runs.
+# verify command -> (name of its per-graph check, a function that checks the
+# args before any graph is generated and returns the check's settings,
+# verdicts added after the sweep).  Checks are looked up on regcount.verify by
+# name when the command runs, so that a rebinding (a stub, a tracing hook) runs.
 _VERIFY = {
-    "verify-umc": ("umc_graph_verdicts", lambda args: {}, _union_shape, None),
-    "verify-kahn": ("kahn_graph_verdicts", lambda args: {}, _union_shape, None),
-    "verify-suite": (
-        "suite_graph_verdicts",
-        lambda args: {"lambda_grid": tuple(args.lam)} if args.lam else {},
-        _suite_inputs,
-        _union_lowers,
-    ),
-    "verify-roots": ("verify_real_rooted", lambda args: {"tol": args.tol}, _roots_inputs, None),
-    "verify-hom": (
-        "hom_graph_verdicts",
-        lambda args: {"random_orders": args.orders, "seed": args.seed, **_c_grid(args)},
-        _clique_sizes,
-        None,
-    ),
+    "verify-umc": ("umc_graph_verdicts", _union_shape, None),
+    "verify-kahn": ("kahn_graph_verdicts", _union_shape, None),
+    "verify-suite": ("suite_graph_verdicts", _suite_settings, _union_lowers),
+    "verify-roots": ("verify_real_rooted", _roots_settings, None),
+    "verify-hom": ("hom_graph_verdicts", _hom_settings, None),
 }
 
 
@@ -519,9 +508,7 @@ def _cmd_verify(args) -> int:
     from . import verify
     from .generate import GenSpec, generate
 
-    check_name, settings, precondition, trailing = _VERIFY[args.command]
-    if precondition:
-        precondition(args)
+    check_name, settings, trailing = _VERIFY[args.command]
     check = partial(getattr(verify, check_name), **settings(args))
     if getattr(args, "graph", None):
         graphs = [(None, _read_graph(args.graph))]

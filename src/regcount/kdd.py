@@ -1,8 +1,8 @@
 """Closed-form exact counts for K_{d,d} and the disjoint union of n/2d copies.
 
 A matching meets each copy in some number of edges, so the union's matching
-polynomial, a CountPolynomial built once per (n, d), is a convolution power
-of the single-copy counts; the same holds for independent sets.
+polynomial, a CountPolynomial that one call builds whole, is a convolution
+power of the single-copy counts; the same holds for independent sets.
 """
 
 from __future__ import annotations
@@ -13,9 +13,15 @@ from .counting import INDEPENDENT_SET, MATCHING, CountPolynomial
 from .errors import DivisibilityError, DomainError
 
 
+def has_union(n: int, d: int | None) -> bool:
+    """Whether the K_{d,d} union on n vertices exists: d >= 1 and 2d | n.
+    False, not an error, for a degree of None (an irregular graph) or 0."""
+    return d is not None and d >= 1 and n % (2 * d) == 0
+
+
 def union_copies(n: int, d: int) -> int:
     """The number n/2d of K_{d,d} copies in the union on n vertices."""
-    if d < 1 or n % (2 * d) != 0:
+    if not has_union(n, d):
         raise DivisibilityError(f"need 2d | n with d >= 1, got n={n}, d={d}")
     return n // (2 * d)
 

@@ -72,7 +72,7 @@ from .graphs import (
     regular_degree,
     relabel,
 )
-from .kdd import union_copies, union_independence_polynomial, union_matching_polynomial
+from .kdd import has_union, union_copies, union_independence_polynomial, union_matching_polynomial
 
 DEFAULT_ROOT_TOL = 1e-7
 ROOT_SUM_REL_TOL = 1e-6
@@ -81,6 +81,31 @@ DEFAULT_LAMBDA_GRID: tuple[Fraction, ...] = tuple(
     Fraction(2) ** k for k in range(-6, 7)
 )
 DEFAULT_C_GRID: tuple[Fraction, ...] = (Fraction(2), Fraction(4))
+
+
+def lambda_values(lambda_grid: Iterable) -> list[Fraction]:
+    """The distinct weights of lambda_grid, ascending, as Fractions; each
+    must be positive."""
+    grid = [Fraction(x) for x in lambda_grid]
+    if any(x <= 0 for x in grid):
+        raise DomainError("lambda grid must be positive")
+    return sorted(set(grid))
+
+
+def clique_size(c) -> int:
+    """c as an int, if it is a positive integer, as a clique size of the
+    hard-core target must be."""
+    c = Fraction(c)
+    if c.denominator != 1 or c < 1:
+        raise DomainError(f"clique sizes must be positive integers, got {c}")
+    return int(c)
+
+
+def root_tolerance(tol: float) -> float:
+    """tol, if it is finite and positive, as a root tolerance must be."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    return tol
 
 
 def format_number(x) -> str:
@@ -374,11 +399,12 @@ def kahn_graph_verdicts(p: GraphProfile) -> list[Verdict]:
 
 
 def total_count_graph_verdicts(p: GraphProfile) -> list[Verdict]:
-    """Exact check that a bipartite d-regular graph on n vertices, 2d | n,
-    has at most (2^(d+1) - 1)^(n/2d) independent sets, the total of the
-    union of n/2d copies of K_{d,d}; no verdict for any other graph."""
+    """Exact check that a bipartite d-regular graph on n vertices has at most
+    as many independent sets as the union of n/2d copies of K_{d,d}, the
+    total of union_independence_polynomial, (2^(d+1) - 1)^(n/2d); no verdict
+    for a graph without that union (has_union) or not bipartite."""
     n, d = p.graph.vertex_count, p.degree
-    if not d or n % (2 * d) or not p.bipartite:
+    if not has_union(n, d) or not p.bipartite:
         return []
     return [
         exact_le(
@@ -386,7 +412,7 @@ def total_count_graph_verdicts(p: GraphProfile) -> list[Verdict]:
             p.label,
             _params(n=n, d=d),
             sum(p.independence_polynomial.coefficients),
-            (2 ** (d + 1) - 1) ** (n // (2 * d)),
+            sum(union_independence_polynomial(n, d).coefficients),
             graph=p.graph,
         )
     ]
@@ -468,8 +494,7 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
     constant polynomial, which has no square-free factor and no root, so it
     passes with lhs 0 and margin tol.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    tol = root_tolerance(tol)
     g = p.graph
     # Imported here, its only user, so other commands start without numpy.
     import numpy as np
@@ -536,8 +561,7 @@ def verify_hardcore_hom_identity(p: GraphProfile, c: int, lam) -> Verdict:
     c^n * (independence partition function at lambda), cleared of
     denominators.  Requires c*lambda to be a nonnegative integer."""
     lam = Fraction(lam)
-    if c < 1:
-        raise DomainError(f"clique size must be >= 1, got {c}")
+    c = clique_size(c)
     scaled = lam * c
     if lam < 0 or scaled.denominator != 1:
         raise DomainError(f"c*lambda must be a nonnegative integer, got {scaled}")
@@ -584,23 +608,19 @@ def verify_bounds_suite(
     if d is None:
         raise DomainError("bounds suite needs a regular graph")
     n = g.vertex_count
-    grid = sorted(set(Fraction(x) for x in lambda_grid))
-    if any(x <= 0 for x in grid):
-        raise DomainError("lambda grid must be positive")
+    grid = lambda_values(lambda_grid)
     verdicts: list[Verdict] = []
     if d < 1:
         return verdicts
 
     def exact(check_id, q, bound, params):
-        verdicts.append(exact_le(check_id, label, params, bound.lhs(q), bound.rhs, graph=g))
+        verdicts.append(exact_le(check_id, label, dict(params), bound.lhs(q), bound.rhs, graph=g))
 
     def in_log2(check_id, count, bound, params):
-        verdicts.append(bound_verdict(check_id, label, params, count, bound, graph=g))
+        verdicts.append(bound_verdict(check_id, label, dict(params), count, bound, graph=g))
 
     mpoly, ipoly = p.matching_polynomial, p.independence_polynomial
     sizes = range(n // 2 + 1)
-    # The verdicts of one lambda, or of one size, share one params dict;
-    # _verdict copies it before adding to it.
     sized = [_params(n=n, d=d, size=s) for s in sizes]
     for lam in grid:
         zm, zi = eval_partition(mpoly, lam), eval_partition(ipoly, lam)
@@ -723,9 +743,10 @@ def hom_graph_verdicts(
 
     Orders tried: identity, reversed, and random_orders shuffles drawn from a
     seed that also hashes the census index, so reruns are reproducible.
-    c_grid and each weight triple (0, 1, 1/c) are sets.  Verdicts come in
-    check order.
+    c_grid, each checked in the order given before any count, and each
+    weight triple (0, 1, 1/c) are sets.  Verdicts come in check order.
     """
+    cliques = sorted(set(map(clique_size, c_grid)))
     g, n = p.graph, p.graph.vertex_count
     perms = [list(range(n)), list(range(n - 1, -1, -1))]
     rng = random.Random(f"{seed}:{n}:{p.degree}:{p.index}")
@@ -737,10 +758,7 @@ def hom_graph_verdicts(
     verdicts = []
     for name, h in hom_targets():
         verdicts.extend(verify_hom_inequality(p, h, orders, h_name=name))
-    for cf in sorted(set(Fraction(c) for c in c_grid)):
-        if cf.denominator != 1 or cf < 1:
-            raise DomainError(f"clique sizes must be positive integers, got {cf}")
-        c_int = int(cf)
-        for lam in sorted({Fraction(0), Fraction(1), Fraction(1, c_int)}):
-            verdicts.append(verify_hardcore_hom_identity(p, c_int, lam))
+    for c in cliques:
+        for lam in sorted({Fraction(0), Fraction(1), Fraction(1, c)}):
+            verdicts.append(verify_hardcore_hom_identity(p, c, lam))
     return verdicts

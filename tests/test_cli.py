@@ -614,6 +614,35 @@ def test_cli_import_does_not_load_numpy():
     assert _fresh_python(code) == "False"
 
 
+def test_verify_roots_imports_numpy_before_its_pool_forks():
+    # Each forked worker inherits numpy rather than importing it again.
+    code = """
+import concurrent.futures, os, sys
+from regcount.cli import main
+
+imported = []
+
+class RecordingPool:
+    def __init__(self, max_workers):
+        imported.append("numpy" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+os.sched_getaffinity = lambda pid: {0, 1}
+main(["verify-roots", "--n", "8", "--d", "3", "--workers", "2", "--out", os.devnull])
+print(imported)
+"""
+    assert _fresh_python(code).splitlines()[-1] == "[True]"
+
+
 # Layers and standard-library modules that count and --version never use.
 _NOT_FOR_COUNT = (
     "regcount.verify",

@@ -91,6 +91,19 @@ def test_domain_validation():
         union_independence_polynomial(8, 2).coefficient(-1)
 
 
+def test_union_exists_exactly_where_union_copies_returns():
+    shapes = [(12, 3), (8, 2), (4, 2), (7, 2), (8, 3), (9, 3), (8, 0), (8, -2)]
+    assert [kdd.has_union(n, d) for n, d in shapes] == [True] * 3 + [False] * 5
+    for n, d in shapes:
+        if kdd.has_union(n, d):
+            assert union_copies(n, d) == n // (2 * d)
+        else:
+            with pytest.raises(DivisibilityError):
+                union_copies(n, d)
+    # an irregular graph's degree is None: no union, and no error
+    assert kdd.has_union(8, None) is False
+
+
 def test_bregman_equality_on_block_unions():
     # the bound is tight exactly on disjoint unions of balanced complete
     # bipartite blocks: pm = (d!)^copies, so pm^(2d) = (d!)^n

@@ -751,6 +751,13 @@ def test_suite_graph_verdicts_adds_conditional_checks(c8, prism):
     assert "ind-total-vs-kdd-power" not in ids_prism  # not bipartite
 
 
+def test_suite_verdicts_share_no_params_dict(k33):
+    # K_{3,3} is bipartite with a perfect matching, so every family runs.
+    verdicts = suite_graph_verdicts(GraphProfile(k33, 0))
+    assert {"bregman-pm", "ind-total-vs-kdd-power"} <= {v.check_id for v in verdicts}
+    assert len({id(v.params) for v in verdicts}) == len(verdicts)
+
+
 def _count_calls(monkeypatch, *names):
     """Wrap regcount.verify's global names with call counters."""
     import regcount.verify as verify_module
@@ -852,6 +859,18 @@ def test_union_lower_bound_rows_are_pinned():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
         "7b2caedb2dca0077d2b5d046874eecce2b02a40200a76370929424c7bc0458e9"
     )
+
+
+def test_hom_clique_sizes_are_checked_before_any_count(monkeypatch, c4):
+    def no_count(*args):
+        raise AssertionError("a homomorphism was counted")
+
+    monkeypatch.setattr("regcount.verify.count_homomorphisms", no_count)
+    # the first bad size as given is named, not the smallest
+    for c_grid, bad in (([Fraction(3, 2)], "3/2"), ([2, Fraction(5, 2), 0], "5/2")):
+        with pytest.raises(DomainError) as err:
+            hom_graph_verdicts(GraphProfile(c4, 0), c_grid=c_grid)
+        assert str(err.value) == f"clique sizes must be positive integers, got {bad}"
 
 
 def test_hom_graph_verdicts_reproducible(c4):
