@@ -33,7 +33,7 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _check(n: int, d: int, size: int = 0, lam=0) -> None:
+def check_domain(n: int, d: int, size: int = 0, lam=0) -> None:
     """Reject inputs outside the domain the bounds are stated on: n >= 1,
     d >= 1, 0 <= size <= n/2 and lambda >= 0."""
     if n < 1:
@@ -203,7 +203,7 @@ class Cleared(
 
 def match_pf_upper(n: int, d: int, lam) -> Cleared:
     """match-pf-upper: Z_m(lambda)^2 <= (1 + d lambda)^n."""
-    _check(n, d, lam=lam)
+    check_domain(n, d, lam=lam)
     return Cleared(2, (1 + d * lam) ** n)
 
 
@@ -219,21 +219,21 @@ def match_pf_gurvits(edges: int, nu: int, lam) -> Cleared:
 
 def ind_pf_upper_general(n: int, d: int, lam) -> Cleared:
     """ind-pf-upper-general: Z_i(lambda)^(2d) <= 2^(2n) (1 + lambda)^(nd)."""
-    _check(n, d, lam=lam)
+    check_domain(n, d, lam=lam)
     return Cleared(2 * d, 4**n * (1 + lam) ** (n * d))
 
 
 def ind_pf_upper_bipartite(n: int, d: int, lam) -> Cleared:
     """ind-pf-upper-bipartite: Z_i(lambda)^(2d) <= (2 (1 + lambda)^d - 1)^n,
     for bipartite graphs."""
-    _check(n, d, lam=lam)
+    check_domain(n, d, lam=lam)
     return Cleared(2 * d, (2 * (1 + lam) ** d - 1) ** n)
 
 
 def bregman_pm(n: int, d: int) -> Cleared:
     """bregman-pm: pm^(2d) <= (d!)^n for the perfect matchings of a bipartite
     d-regular graph."""
-    _check(n, d)
+    check_domain(n, d)
     return Cleared(2 * d, math.factorial(d) ** n)
 
 
@@ -249,7 +249,7 @@ def single_term(bound: Cleared, size: int, lam) -> Cleared:
 
 def optimal_lambda(n: int, d: int, size: int) -> Fraction:
     """The weight ell/(d(n/2 - ell)) minimizing the single-term extraction bound."""
-    _check(n, d, size)
+    check_domain(n, d, size)
     if not 0 < 2 * size < n:
         raise DomainError(
             f"optimal lambda is degenerate at size {size} (needs 0 < size < n/2)"
@@ -264,7 +264,7 @@ def match_count_upper(n: int, d: int, ell: int) -> Cleared:
     d^(2ell) n^n.  With 0^0 = 1 it holds at ell = 0 and, in the limit of
     large lam, at ell = n/2.  In log2 it reads (n/2)(alpha log2 d + H(alpha))
     with alpha = 2ell/n."""
-    _check(n, d, ell)
+    check_domain(n, d, ell)
     rest = n - 2 * ell
     return Cleared(2, d ** (2 * ell) * n**n, (2 * ell) ** (2 * ell) * rest**rest)
 
@@ -276,7 +276,7 @@ def ind_count_upper_general(n: int, d: int, t: int) -> Cleared:
     i_t^(2d) ((2t)^(2t) (n - 2t)^(n - 2t))^d <= 2^(2n) n^(nd).  With 0^0 = 1
     it holds at t = 0 and, in the limit of large lam, at t = n/2.  In log2
     it reads (n/2)(H(2t/n) + 2/d)."""
-    _check(n, d, t)
+    check_domain(n, d, t)
     rest = n - 2 * t
     return Cleared(2 * d, 4**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d)
 
@@ -286,7 +286,7 @@ def ind_count_upper_bipartite(n: int, d: int, t: int) -> Cleared:
     (log2 e / 2d)(1 - 2t/n)^d), for bipartite graphs, cleared as
     ind_count_upper_general is: i_t^(2d) ((2t)^(2t) (n - 2t)^(n - 2t))^d <=
     2^n n^(nd) e^(-(n/2)(1 - 2t/n)^d), with 0^0 = 1."""
-    _check(n, d, t)
+    check_domain(n, d, t)
     rest = n - 2 * t
     pow_e = -Fraction(n, 2) * Fraction(rest, n) ** d
     return Cleared(2 * d, 2**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d, pow_e=pow_e)
@@ -302,7 +302,7 @@ def union_matching_lower_explicit(n: int, d: int, size: int) -> Cleared:
     constant, so it is never fabricated here; callers report the measured gap
     against the exact count instead.
     """
-    _check(n, d, size)
+    check_domain(n, d, size)
     if not 0 < 2 * size < n:
         raise DomainError(f"alpha must lie strictly inside (0,1), got {Fraction(2 * size, n)}")
     rest = n - 2 * size
@@ -313,8 +313,7 @@ def union_matching_lower_explicit(n: int, d: int, size: int) -> Cleared:
 def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:
     """Per-copy matching sizes a_i, each floor or ceil of alpha*d, summing to ell."""
     copies = union_copies(n, d)
-    if not 0 <= ell <= n // 2:
-        raise DomainError(f"ell must lie in [0, {n // 2}], got {ell}")
+    check_domain(n, d, ell)
     q, r = divmod(ell, copies)
     return tuple([q + 1] * r + [q] * (copies - r))
 
@@ -378,7 +377,7 @@ def union_ind_lower_markov(n: int, d: int, t: int, c) -> Cleared:
     union is at least (1 - 1/c) binom(n/2, t) 2^((n/2d)(1 - c(1 - 2t/n)^d)),
     for c > 1; in log2, log2[(1 - 1/c) binom(n/2, t)] + (n/2)(1/d - (c/d)(1 -
     2t/n)^d)."""
-    _check(n, d, t)
+    check_domain(n, d, t)
     c = markov_constant(c)
     tail = Fraction(n, 2 * d) * (1 - c * (1 - Fraction(2 * t, n)) ** d)
     return Cleared(1, (1 - 1 / c) * math.comb(n // 2, t), direction=LOWER, pow2=tail)
@@ -389,7 +388,7 @@ def union_ind_lower_small_t(n: int, d: int, t: int) -> Cleared:
     K_{d,d} union is at least 2^t binom(n/2, t) prod_{k=1}^{t-1}(1 - 2kd/n),
     for t <= n/2d; a rational, so the verdict is exact.  At t <= 1 the
     bound is the count itself."""
-    _check(n, d, t)
+    check_domain(n, d, t)
     copies = union_copies(n, d)
     if t > copies:
         raise DomainError(f"small-t bound needs t <= {copies}, got {t}")
@@ -403,7 +402,7 @@ def block_miss_stats(n: int, d: int, size: int) -> tuple[Fraction, Fraction]:
     analytic bound (n/2d)(1 - 2 size/n)^d.  Both are rational, so the
     comparison is exact."""
     union_copies(n, d)
-    _check(n, d, size)
+    check_domain(n, d, size)
     half = n // 2
     mu = Fraction(n, 2 * d) * Fraction(math.comb(half - d, size), math.comb(half, size))
     bound = Fraction(n, 2 * d) * (1 - Fraction(2 * size, n)) ** d

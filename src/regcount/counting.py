@@ -178,19 +178,16 @@ def independence_polynomial(g: Graph) -> CountPolynomial:
 
 def eval_partition(p: CountPolynomial, lam):
     """Exact partition-function value sum_k coeff_k * lam^k at rational lam >= 0,
-    as a Fraction."""
+    as a Fraction, through poly.evaluate (imported here, as count never calls it)."""
     from fractions import Fraction
+
+    from .poly import evaluate
 
     lam = Fraction(lam)
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
-    # Horner's rule on sum_k coeff_k num^k den^(m - k), m the degree.
     num, den = lam.numerator, lam.denominator
-    total, scale = 0, 1
-    for c in reversed(p.coefficients):
-        total = total * num + c * scale
-        scale *= den
-    return Fraction(total * den, scale)
+    return Fraction(evaluate(p.coefficients, num, den), den ** max(p.degree, 0))
 
 
 def count_homomorphisms(g: Graph, h: Graph) -> int:

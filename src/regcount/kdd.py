@@ -1,14 +1,15 @@
 """Closed-form exact counts for K_{d,d} and the disjoint union of n/2d copies.
 
 A matching meets each copy in some number of edges, so the union's matching
-polynomial, a CountPolynomial that one call builds whole, is a convolution
-power of the single-copy counts; the same holds for independent sets.
+polynomial, a CountPolynomial that one call builds whole, is a power
+(`poly.power`) of the single-copy counts; the same holds for independent sets.
 """
 
 from __future__ import annotations
 
 import math
 
+from . import poly
 from .counting import INDEPENDENT_SET, MATCHING, CountPolynomial
 from .errors import DivisibilityError, DomainError
 
@@ -42,27 +43,15 @@ def kdd_independent_count(d: int, t: int) -> int:
     return 1 if t == 0 else 2 * math.comb(d, t)
 
 
-def _convolution_power(base: list[int], copies: int) -> list[int]:
-    out = [1]
-    for _ in range(copies):
-        nxt = [0] * (len(out) + len(base) - 1)
-        for i, x in enumerate(out):
-            if x:
-                for j, y in enumerate(base):
-                    nxt[i + j] += x * y
-        out = nxt
-    return out
-
-
 def union_matching_polynomial(n: int, d: int) -> CountPolynomial:
     """Exact matching polynomial of the K_{d,d} union on n vertices."""
     copies = union_copies(n, d)
     base = [kdd_matching_count(d, a) for a in range(d + 1)]
-    return CountPolynomial(tuple(_convolution_power(base, copies)), MATCHING)
+    return CountPolynomial(poly.power(base, copies), MATCHING)
 
 
 def union_independence_polynomial(n: int, d: int) -> CountPolynomial:
     """Exact independence polynomial of the K_{d,d} union on n vertices."""
     copies = union_copies(n, d)
     base = [kdd_independent_count(d, t) for t in range(d + 1)]
-    return CountPolynomial(tuple(_convolution_power(base, copies)), INDEPENDENT_SET)
+    return CountPolynomial(poly.power(base, copies), INDEPENDENT_SET)

@@ -73,6 +73,7 @@ from .graphs import (
     relabel,
 )
 from .kdd import has_union, union_copies, union_independence_polynomial, union_matching_polynomial
+from .poly import evaluate, squarefree
 
 DEFAULT_ROOT_TOL = 1e-7
 ROOT_SUM_REL_TOL = 1e-6
@@ -418,95 +419,33 @@ def total_count_graph_verdicts(p: GraphProfile) -> list[Verdict]:
     ]
 
 
-def _poly_derivative(p: list[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(p)][1:]
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    if len(a) < len(b):
-        return [], a
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        coef = a[i + len(b) - 1] / b[-1]
-        q[i] = coef
-        if coef:
-            for j, bc in enumerate(b):
-                a[i + j] -= coef * bc
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _squarefree_factors(coeffs: Sequence[int]) -> list[tuple[list[Fraction], int]]:
-    """Musser's decomposition p = prod f_k^k into monic square-free coprime
-    factors over the rationals, exactly, by gcds and exact divisions alone.
-    a = gcd(p, p') and b = p / a, the product of every f_k; then for k = 1,
-    2, ... while b is not constant, c = gcd(a, b) is the product of the f_j
-    with j > k, f_k = b / c, and a / c and c take the places of a and b."""
-
-    def divide(x, y):
-        q, r = _poly_divmod(x, y)
-        if r:
-            raise ArithmeticError("square-free decomposition: a gcd left a remainder")
-        return q
-
-    p = [Fraction(c) for c in coeffs]
-    a = _poly_gcd(p, _poly_derivative(p))
-    b = divide(p, a)
-    out: list[tuple[list[Fraction], int]] = []
-    k = 1
-    while len(b) > 1:
-        c = _poly_gcd(a, b)
-        f = divide(b, c)
-        if len(f) > 1:
-            out.append(([x / f[-1] for x in f], k))
-        a, b = divide(a, c), c
-        k += 1
-    if sum(m * (len(fk) - 1) for fk, m in out) != len(coeffs) - 1:
-        raise ArithmeticError(
-            "square-free decomposition: factor degrees do not sum to the degree"
-        )
-    return out
-
-
 def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdict:
     """Numeric check that the matching partition function has only real
     negative roots, via companion-matrix eigenvalues.
 
-    Repeated roots are separated exactly first (square-free decomposition
-    over the rationals): clustered eigenvalues of an m-fold root would
-    otherwise report spurious imaginary parts of order eps^(1/m), which
-    already exceeds any reasonable tolerance for the multiplicities produced
-    by repeated connected components.  lhs is the worst relative imaginary
-    part over all roots, rhs the tolerance; the margin also folds in the
-    distance of the rightmost root from the imaginary axis.  The
-    multiplicity-weighted reciprocal-root sum is checked against the edge
-    count at ROOT_SUM_REL_TOL relative error.  An edgeless graph has a
-    constant polynomial, which has no square-free factor and no root, so it
-    passes with lhs 0 and margin tol.
+    Repeated roots are separated exactly first, by `poly.squarefree`, and
+    numpy gets each factor monic, as correctly rounded int / int floats:
+    clustered eigenvalues of an m-fold root would otherwise report spurious
+    imaginary parts of order eps^(1/m), which already exceeds any reasonable
+    tolerance for the multiplicities produced by repeated connected
+    components.  lhs is the worst relative imaginary part over all roots,
+    rhs the tolerance; the margin also folds in the distance of the
+    rightmost root from the imaginary axis.  The multiplicity-weighted
+    reciprocal-root sum is checked against the edge count at
+    ROOT_SUM_REL_TOL relative error.  An edgeless graph has a constant
+    polynomial, which has no square-free factor and no root, so it passes
+    with lhs 0 and margin tol.
     """
     tol = root_tolerance(tol)
     g = p.graph
     # Imported here, its only user, so other commands start without numpy.
     import numpy as np
 
-    coeffs = p.matching_polynomial.coefficients
     rel_imag = 0.0
     worst_real = -math.inf
     recip_sum = 0.0
-    for factor, mult in _squarefree_factors(coeffs):
-        roots = np.polynomial.polynomial.polyroots(
-            np.array([float(c) for c in factor])
-        )
+    for factor, mult in squarefree(p.matching_polynomial.coefficients):
+        roots = np.polynomial.polynomial.polyroots([c / factor[-1] for c in factor])
         rel_imag = max(
             rel_imag, max(abs(r.imag) / max(1.0, abs(r)) for r in roots)
         )
@@ -570,9 +509,7 @@ def verify_hardcore_hom_identity(p: GraphProfile, c: int, lam) -> Verdict:
     hom = count_homomorphisms(p.graph, h)
     n = p.graph.vertex_count
     poly = p.independence_polynomial
-    cleared = sum(
-        poly.coefficient(t) * a**t * c ** (n - t) for t in range(n + 1)
-    )
+    cleared = evaluate(poly.coefficients, a, c) * c ** (n - poly.degree)
     params = _params(n=n, d=p.degree, c=c, lam=lam)
     return exact_eq(
         "hardcore-hom-identity", p.canonical_label, params, hom, cleared, graph=p.graph
@@ -695,7 +632,7 @@ def verify_union_lower_bounds(
             chosen = set(subset)
             missed = sum(1 for blk in blocks if not blk & chosen)
             misses[missed] += 1
-        identity = sum(b * 2 ** (copies - k) for k, b in enumerate(misses))
+        identity = evaluate(misses, 1, 2)
         add(exact_eq, "union-block-identity", identity, count, size=t)
         mu_exact = Fraction(
             sum(k * b for k, b in enumerate(misses)), math.comb(half, t)

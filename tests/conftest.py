@@ -1,6 +1,7 @@
 """Shared fixtures: named small graphs and the verification corpus, the
-graph constructions that only tests use, and the brute-force counting
-oracles.
+graph constructions that only tests use, the brute-force counting oracles,
+and the polynomial oracles: a schoolbook product and a shared-root test by
+Sylvester matrices, with no gcd.
 
 The oracles enumerate subsets with itertools and read only g.edges and
 has_edge, with no bitmasks and no recursion, so they share nothing with the
@@ -8,6 +9,7 @@ package's counting paths.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -102,6 +104,34 @@ def oracle_independent_counts(g):
     while counts and counts[-1] == 0:
         counts.pop()
     return counts
+
+
+def poly_product(a, b):
+    """The product of two coefficient lists, constant first, by the
+    schoolbook convolution."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def common_root(f, g):
+    """Whether f and g (coefficients, constant first) share a complex root:
+    whether their Sylvester matrix is singular, by exact elimination."""
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    rows = [[Fraction(x) for x in row] for row in rows]
+    for col in range(m + n):
+        pivot = next((r for r in range(col, m + n) if rows[r][col]), None)
+        if pivot is None:
+            return True
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, m + n):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return False
 
 
 def pairing_model(n, d, rng):

@@ -285,6 +285,32 @@ def test_bounds_csv_rows(capsys):
     assert all(len(r) == 4 for r in rows[1:])
 
 
+@pytest.mark.parametrize("flag", ["--ell", "--t"])
+def test_bounds_sizes_are_checked_by_the_bounds_rule(capsys, flag):
+    from regcount.bounds import check_domain
+
+    with pytest.raises(regcount.DomainError) as err:
+        check_domain(12, 3, 9)
+    assert main(["bounds", "--n", "12", "--d", "3", flag, "2", flag, "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"regcount: error: {err.value}\n"
+    assert str(err.value) == "size must lie in [0, n/2] = [0, 6.0], got 9"
+
+
+def test_gen_labeled_past_its_vertex_limit_exits_1_at_once(capsys, monkeypatch):
+    import importlib
+    import time
+
+    monkeypatch.setattr(importlib.import_module("regcount.generate"), "generate", _no_sweep)
+    start = time.monotonic()
+    assert main(["gen", "--n", "12", "--d", "3", "--labeled"]) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "regcount: error: gen --labeled supports n <= 8, got 12\n"
+
+
 def test_verify_roots_modes(capsys, c4_file):
     code, doc = run_json(capsys, "verify-roots", "--n", "6", "--d", "3")
     assert code == 0 and doc["summary"]["failed"] == 0 and doc["summary"]["total"] == 2
@@ -646,6 +672,7 @@ print(imported)
 # Layers and standard-library modules that count and --version never use.
 _NOT_FOR_COUNT = (
     "regcount.verify",
+    "regcount.poly",
     "regcount.bounds",
     "regcount.kdd",
     "regcount.generate",

@@ -21,7 +21,7 @@ from regcount import (
     union_independence_polynomial,
     union_matching_polynomial,
 )
-from regcount import kdd
+from regcount import kdd, poly
 from regcount.cli import main
 from regcount.verify import bound_verdict, verify_union_lower_bounds
 
@@ -60,13 +60,13 @@ def test_union_spot_values():
 
 def test_each_union_polynomial_is_built_once(monkeypatch, capsys):
     calls = []
-    power = kdd._convolution_power
+    power = poly.power
 
     def counted(base, copies):
         calls.append(copies)
         return power(base, copies)
 
-    monkeypatch.setattr(kdd, "_convolution_power", counted)
+    monkeypatch.setattr(poly, "power", counted)
     assert main(["bounds", "--n", "24", "--d", "3"]) == 0
     capsys.readouterr()
     assert len(calls) == 2

@@ -68,7 +68,7 @@ from regcount.verify import (
     vertex_order,
 )
 
-from conftest import disjoint_union
+from conftest import common_root, disjoint_union, poly_product
 
 SMALL_GRID = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -479,60 +479,45 @@ def test_real_rooted(c4, c8, petersen):
         verify_real_rooted(GraphProfile(c8), tol=0)
 
 
+def _monic(factors):
+    """poly.squarefree's primitive factors made monic over the rationals."""
+    return [([Fraction(c, f[-1]) for c in f], m) for f, m in factors]
+
+
 def test_squarefree_decomposition():
-    from regcount.verify import _squarefree_factors
+    from regcount.poly import squarefree
 
     # (1+x)^5
-    assert _squarefree_factors((1, 5, 10, 10, 5, 1)) == [
+    assert _monic(squarefree((1, 5, 10, 10, 5, 1))) == [
         ([Fraction(1), Fraction(1)], 5)
     ]
     # (1+4x+2x^2)^2 normalizes monic
-    assert _squarefree_factors((1, 8, 20, 16, 4)) == [
+    assert _monic(squarefree((1, 8, 20, 16, 4))) == [
         ([Fraction(1, 2), Fraction(2), Fraction(1)], 2)
     ]
     # squarefree input comes back whole at multiplicity 1
-    [(f, m)] = _squarefree_factors((2, 5, 3))
+    [(f, m)] = squarefree((2, 5, 3))
     assert m == 1 and len(f) == 3
     # mixed multiplicities: (1+x)(1+2x)^2
-    mixed = _squarefree_factors((1, 5, 8, 4))
+    mixed = squarefree((1, 5, 8, 4))
     assert sorted((len(f) - 1, m) for f, m in mixed) == [(1, 1), (1, 2)]
 
 
 def test_squarefree_decomposition_checks_its_invariants(monkeypatch):
-    """The invariants are explicit raises, so they hold under python -O."""
-    import regcount.verify as verify_module
+    """The invariants are explicit raises, so they hold under python -O.
+    A gcd that is right once, for gcd(p, p'), and then says 1, splits off
+    too little of (1+x)^5, so the factor degrees fall short of 5."""
+    from regcount import poly
 
-    monkeypatch.setattr(
-        verify_module, "_poly_gcd", lambda a, b: [Fraction(2), Fraction(1)]
-    )
-    with pytest.raises(ArithmeticError):
-        verify_module._squarefree_factors((1, 5, 10, 10, 5, 1))
+    true_gcd, calls = poly.gcd, []
 
+    def right_once(a, b):
+        calls.append(a)
+        return true_gcd(a, b) if len(calls) == 1 else (1,)
 
-def _product(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _common_root(f, g):
-    """Whether f and g (coefficients, constant first) share a complex root:
-    whether their Sylvester matrix is singular, by exact elimination."""
-    m, n = len(f) - 1, len(g) - 1
-    rows = [[0] * i + f[::-1] + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + g[::-1] + [0] * (m - 1 - i) for i in range(m)]
-    rows = [[Fraction(x) for x in row] for row in rows]
-    for col in range(m + n):
-        pivot = next((r for r in range(col, m + n) if rows[r][col]), None)
-        if pivot is None:
-            return True
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(col + 1, m + n):
-            factor = rows[r][col] / rows[col][col]
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return False
+    monkeypatch.setattr(poly, "gcd", right_once)
+    with pytest.raises(ArithmeticError, match="degrees"):
+        poly.squarefree((1, 5, 10, 10, 5, 1))
 
 
 def _squarefree_cases():
@@ -550,26 +535,26 @@ def _squarefree_cases():
 def test_squarefree_factors_rebuild_p_from_monic_squarefree_coprime_parts():
     """Checked without gcds: the parts' product by convolution, and shared
     roots by Sylvester matrices."""
-    from regcount.verify import _squarefree_factors
+    from regcount.poly import squarefree
 
     for coeffs in _squarefree_cases():
-        factors = _squarefree_factors(coeffs)
+        factors = _monic(squarefree(coeffs))
         rebuilt = [1]
         for f, k in factors:
             assert len(f) > 1 and f[-1] == 1, (coeffs, f)
-            assert not _common_root(f, [i * c for i, c in enumerate(f)][1:]), (coeffs, f)
+            assert not common_root(f, [i * c for i, c in enumerate(f)][1:]), (coeffs, f)
             for _ in range(k):
-                rebuilt = _product(rebuilt, f)
+                rebuilt = poly_product(rebuilt, f)
         assert rebuilt == [Fraction(c, coeffs[-1]) for c in coeffs]
         for (f, _), (g, _) in combinations(factors, 2):
-            assert not _common_root(f, g), (coeffs, f, g)
+            assert not common_root(f, g), (coeffs, f, g)
 
 
 def test_common_root_finds_shared_and_repeated_roots():
-    assert _common_root([1, 2, 1], [2, 2])  # (1 + x)^2 and its derivative
-    assert _common_root([2, 3, 1], [3, 4, 1])  # (1 + x)(2 + x) and (1 + x)(3 + x)
-    assert not _common_root([2, 3, 1], [12, 7, 1])  # (1 + x)(2 + x) and (3 + x)(4 + x)
-    assert not _common_root([1, 1], [1])
+    assert common_root([1, 2, 1], [2, 2])  # (1 + x)^2 and its derivative
+    assert common_root([2, 3, 1], [3, 4, 1])  # (1 + x)(2 + x) and (1 + x)(3 + x)
+    assert not common_root([2, 3, 1], [12, 7, 1])  # (1 + x)(2 + x) and (3 + x)(4 + x)
+    assert not common_root([1, 1], [1])
 
 
 def test_hom_inequality_examples(c4, k33):
