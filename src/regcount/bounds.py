@@ -29,10 +29,6 @@ UPPER = "upper"
 LOWER = "lower"
 
 
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def check_domain(n: int, d: int, size: int = 0, lam=0) -> None:
     """Reject inputs outside the domain the bounds are stated on: n >= 1,
     d >= 1, 0 <= size <= n/2 and lambda >= 0."""
@@ -257,39 +253,41 @@ def optimal_lambda(n: int, d: int, size: int) -> Fraction:
     return Fraction(2 * size, d * (n - 2 * size))
 
 
+def _size_cofactor(n: int, d: int, size: int) -> int:
+    """X = (2s)^(2s) (n - 2s)^(n - 2s), s = size and 0^0 = 1, once check_domain
+    passes: each count bound reads q^2 X <= F n^n 2^pow2 e^pow_e."""
+    check_domain(n, d, size)
+    return (2 * size) ** (2 * size) * (n - 2 * size) ** (n - 2 * size)
+
+
 def match_count_upper(n: int, d: int, ell: int) -> Cleared:
     """match-count-upper: single_term(match_pf_upper(n, d, lam), ell, lam) at
     lam = 2ell / (d(n - 2ell)) (optimal_lambda), both sides multiplied by
-    d^(2ell) (n - 2ell)^n:  m_ell^2 (2ell)^(2ell) (n - 2ell)^(n - 2ell) <=
-    d^(2ell) n^n.  With 0^0 = 1 it holds at ell = 0 and, in the limit of
-    large lam, at ell = n/2.  In log2 it reads (n/2)(alpha log2 d + H(alpha))
-    with alpha = 2ell/n."""
-    check_domain(n, d, ell)
-    rest = n - 2 * ell
-    return Cleared(2, d ** (2 * ell) * n**n, (2 * ell) ** (2 * ell) * rest**rest)
+    d^(2ell) (n - 2ell)^n:  m_ell^2 X <= d^(2ell) n^n with X =
+    (2ell)^(2ell) (n - 2ell)^(n - 2ell) (_size_cofactor).  With 0^0 = 1 it
+    holds at ell = 0 and, in the limit of large lam, at ell = n/2.  In log2
+    it reads (n/2)(alpha log2 d + H(alpha)) with alpha = 2ell/n."""
+    return Cleared(2, d ** (2 * ell) * n**n, _size_cofactor(n, d, ell))
 
 
 def ind_count_upper_general(n: int, d: int, t: int) -> Cleared:
     """ind-count-upper-general: single_term(ind_pf_upper_general(n, d, lam),
     t, lam) at lam = 2t / (n - 2t), the weight with expected occupancy t on
-    n/2 pairs, both sides multiplied by (n - 2t)^(nd):
-    i_t^(2d) ((2t)^(2t) (n - 2t)^(n - 2t))^d <= 2^(2n) n^(nd).  With 0^0 = 1
-    it holds at t = 0 and, in the limit of large lam, at t = n/2.  In log2
-    it reads (n/2)(H(2t/n) + 2/d)."""
-    check_domain(n, d, t)
-    rest = n - 2 * t
-    return Cleared(2 * d, 4**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d)
+    n/2 pairs, both sides multiplied by (n - 2t)^(nd) and then taken to the
+    d-th root:  i_t^2 X <= n^n 2^(2n/d) with X = (2t)^(2t) (n - 2t)^(n - 2t)
+    (_size_cofactor).  With 0^0 = 1 it holds at t = 0 and, in the limit of
+    large lam, at t = n/2.  In log2 it reads (n/2)(H(2t/n) + 2/d)."""
+    return Cleared(2, n**n, _size_cofactor(n, d, t), pow2=Fraction(2 * n, d))
 
 
 def ind_count_upper_bipartite(n: int, d: int, t: int) -> Cleared:
     """ind-count-upper-bipartite: log2 i_t <= (n/2)(H(2t/n) + 1/d -
     (log2 e / 2d)(1 - 2t/n)^d), for bipartite graphs, cleared as
-    ind_count_upper_general is: i_t^(2d) ((2t)^(2t) (n - 2t)^(n - 2t))^d <=
-    2^n n^(nd) e^(-(n/2)(1 - 2t/n)^d), with 0^0 = 1."""
-    check_domain(n, d, t)
-    rest = n - 2 * t
-    pow_e = -Fraction(n, 2) * Fraction(rest, n) ** d
-    return Cleared(2 * d, 2**n * n ** (n * d), ((2 * t) ** (2 * t) * rest**rest) ** d, pow_e=pow_e)
+    ind_count_upper_general is:  i_t^2 X <= n^n 2^(n/d)
+    e^(-(n/2d)(1 - 2t/n)^d), with 0^0 = 1."""
+    cofactor = _size_cofactor(n, d, t)
+    pow_e = -Fraction(n, 2 * d) * Fraction(n - 2 * t, n) ** d
+    return Cleared(2, n**n, cofactor, pow2=Fraction(n, d), pow_e=pow_e)
 
 
 def union_matching_lower_explicit(n: int, d: int, size: int) -> Cleared:
@@ -325,7 +323,7 @@ def stirling_term(d: int, a: int, c) -> Cleared:
     0^0 = 1, for c > 0."""
     if d < 1 or not 0 <= a <= d:
         raise DomainError(f"need 1 <= d and 0 <= a <= d, got d={d}, a={a}")
-    c = _as_fraction(c)
+    c = Fraction(c)
     if c <= 0:
         raise DomainError(f"need c > 0, got {c}")
     rest = d - a
@@ -347,26 +345,31 @@ def profile_matching_lower(n: int, d: int, profile, c) -> Cleared:
 
 def independent_upper_pm_exact(n: int, t: int) -> int:
     """Exact form 2^t binom(n/2, t) of the perfect-matching upper bound."""
+    check_domain(n, 1, t)
     if n % 2 != 0:
         raise DomainError(f"perfect-matching bound needs even n, got {n}")
-    if not 0 <= t <= n // 2:
-        raise DomainError(f"t must lie in [0, {n // 2}], got {t}")
     return 2**t * math.comb(n // 2, t)
+
+
+def _small_t_copies(n: int, d: int, t: int) -> int:
+    """union_copies(n, d), once t lies in [0, n/2d], the small-t bounds' range."""
+    copies = union_copies(n, d)
+    check_domain(n, d, t)
+    if t > copies:
+        raise DomainError(f"small-t bound needs t <= {copies}, got {t}")
+    return copies
 
 
 def union_small_t_exact(n: int, d: int, t: int) -> int:
     """Exact count (2d)^t binom(n/2d, t) of the scattered independent sets:
     one vertex in each of t distinct K_{d,d} copies."""
-    copies = union_copies(n, d)
-    if not 0 <= t <= copies:
-        raise DomainError(f"small-t bound needs t <= {copies}, got {t}")
-    return (2 * d) ** t * math.comb(copies, t)
+    return (2 * d) ** t * math.comb(_small_t_copies(n, d, t), t)
 
 
 def markov_constant(c) -> Fraction:
     """c as a Fraction, if it exceeds 1, as the constant of
     union_ind_lower_markov must."""
-    c = _as_fraction(c)
+    c = Fraction(c)
     if c <= 1:
         raise DomainError(f"Markov constant must exceed 1, got {c}")
     return c
@@ -388,10 +391,7 @@ def union_ind_lower_small_t(n: int, d: int, t: int) -> Cleared:
     K_{d,d} union is at least 2^t binom(n/2, t) prod_{k=1}^{t-1}(1 - 2kd/n),
     for t <= n/2d; a rational, so the verdict is exact.  At t <= 1 the
     bound is the count itself."""
-    check_domain(n, d, t)
-    copies = union_copies(n, d)
-    if t > copies:
-        raise DomainError(f"small-t bound needs t <= {copies}, got {t}")
+    _small_t_copies(n, d, t)
     scattered = math.prod(Fraction(n - 2 * k * d, n) for k in range(1, t))
     return Cleared(1, 2**t * math.comb(n // 2, t) * Fraction(scattered), direction=LOWER)
 

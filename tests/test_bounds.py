@@ -42,7 +42,7 @@ from regcount import (
     union_copies,
     union_small_t_exact,
 )
-from regcount.bounds import LOWER, UPPER, _ln_bounds, log2, signed_log2_ratio
+from regcount.bounds import LOWER, UPPER, _ln_bounds, check_domain, log2, signed_log2_ratio
 from regcount.cli import _bounds_rows
 from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
@@ -488,8 +488,12 @@ def test_independent_upper_pm_exact(c8):
     assert independent_upper_pm_exact(8, 4) == 2**4
     with pytest.raises(DomainError):
         independent_upper_pm_exact(7, 2)
-    with pytest.raises(DomainError):
+    # The size range is check_domain's, at any degree.
+    with pytest.raises(DomainError) as want:
+        check_domain(8, 1, 5)
+    with pytest.raises(DomainError) as got:
         independent_upper_pm_exact(8, 5)
+    assert str(got.value) == str(want.value)
 
 
 def test_independent_count_upper_variants():
@@ -539,8 +543,19 @@ def test_union_independent_lower_variants():
     assert union_small_t_exact(8, 2, 2) == 16
     with pytest.raises(DomainError):
         union_ind_lower_markov(8, 2, 2, Fraction(1))
-    with pytest.raises(DomainError):
-        union_ind_lower_small_t(8, 2, 3)
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (12, 2), (24, 3)])
+def test_small_t_bounds_share_one_size_rule(n, d):
+    # One past the copies, inside [0, n/2], both small-t definitions raise
+    # the same message.
+    t = union_copies(n, d) + 1
+    messages = set()
+    for definition in (union_small_t_exact, union_ind_lower_small_t):
+        with pytest.raises(DomainError) as got:
+            definition(n, d, t)
+        messages.add(str(got.value))
+    assert messages == {f"small-t bound needs t <= {t - 1}, got {t}"}
 
 
 def oracle_mean_missed_blocks(n, d, t):
@@ -644,26 +659,39 @@ def test_log2_forms_match_the_closed_formulas():
                     assert _near(got, want), (n, d, lam)
 
 
-def _ratio(bound):
-    """A cleared bound up to a positive factor on both sides."""
-    return bound.k, Fraction(bound.rhs, bound.cofactor)
+def _power_bound(bound, k):
+    """The exact bound on q^k of a Cleared upper bound on q with no e factor,
+    for k a multiple of bound.k at which 2^pow2 turns integral."""
+    m, rem = divmod(k, bound.k)
+    pow2 = bound.pow2 * m
+    assert rem == 0 and bound.pow_e == 0 and pow2.denominator == 1
+    return Fraction(bound.rhs, bound.cofactor) ** m * 2 ** int(pow2)
 
 
 def test_count_bounds_are_single_terms_at_the_best_weight():
     # Inside (0, n/2) each count bound is the single-term extraction at its
     # weight; at size 0 the weight is 0, and at n/2 the bound is the limit
-    # of large weight.
+    # of large weight.  The independent-set bounds are the d-th roots of
+    # the extraction's power-2d form, so they are compared at q^(2d).
     for d in range(1, 9):
         for n in range(d + 1, 41):
-            for s in range(1, (n + 1) // 2):
-                lam = optimal_lambda(n, d, s)
-                want = single_term(match_pf_upper(n, d, lam), s, lam)
-                assert _ratio(match_count_upper(n, d, s)) == _ratio(want)
-                lam = occupancy_lambda(n, s)
-                want = single_term(ind_pf_upper_general(n, d, lam), s, lam)
-                assert _ratio(ind_count_upper_general(n, d, s)) == _ratio(want)
-            assert _ratio(match_count_upper(n, d, 0)) == (2, 1)
-            assert _ratio(ind_count_upper_general(n, d, 0)) == (2 * d, 4**n)
+            for s in range(n // 2 + 1):
+                match, general = match_count_upper(n, d, s), ind_count_upper_general(n, d, s)
+                bipartite = ind_count_upper_bipartite(n, d, s)
+                assert match.k == general.k == bipartite.k == 2
+                assert general.pow2 == 2 * bipartite.pow2 == Fraction(2 * n, d)
+                assert match.cofactor == general.cofactor == bipartite.cofactor
+                assert general.rhs == bipartite.rhs == n**n
+                assert bipartite.pow_e * d == -Fraction(n, 2) * Fraction(n - 2 * s, n) ** d
+                if 0 < 2 * s < n:
+                    lam = optimal_lambda(n, d, s)
+                    want = single_term(match_pf_upper(n, d, lam), s, lam)
+                    assert _power_bound(match, 2) == _power_bound(want, 2)
+                    lam = occupancy_lambda(n, s)
+                    want = single_term(ind_pf_upper_general(n, d, lam), s, lam)
+                    assert _power_bound(general, 2 * d) == _power_bound(want, 2 * d)
+            assert _power_bound(match_count_upper(n, d, 0), 2) == 1
+            assert _power_bound(ind_count_upper_general(n, d, 0), 2 * d) == 4**n
             if n % 2 == 0:
-                assert _ratio(match_count_upper(n, d, n // 2)) == (2, d**n)
-                assert _ratio(ind_count_upper_general(n, d, n // 2)) == (2 * d, 4**n)
+                assert _power_bound(match_count_upper(n, d, n // 2), 2) == d**n
+                assert _power_bound(ind_count_upper_general(n, d, n // 2), 2 * d) == 4**n

@@ -8,9 +8,11 @@ from that directory so that the echoed graph paths are bare file names:
         > count-matching-petersen.json
 
 An intended change to report contents regenerates the affected files in
-the same change.
+the same change.  A report too large to commit is pinned by the SHA-256 of
+its bytes instead.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,13 @@ def test_report_matches_golden(name, capsys, monkeypatch):
 def test_every_golden_report_has_a_case():
     reports = {p.name for p in GOLDEN.iterdir() if p.suffix in (".json", ".csv")}
     assert reports == set(CASES)
+
+
+def test_large_bounds_report_matches_its_digest(capsys):
+    # At (512, 64) the cleared count bounds carry integers of hundreds of
+    # thousands of bits, far beyond the committed (40, 4) report.
+    assert main(["bounds", "--n", "512", "--d", "64"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "a4a54f2cdbd52b82750eb3b9deb2492aa57d51c0adfc9fa5dbb33c67c20b650a"
+    )
