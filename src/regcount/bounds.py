@@ -17,7 +17,7 @@ chosen number of bits.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
@@ -339,7 +339,7 @@ def profile_matching_lower(n: int, d: int, profile, c) -> Cleared:
     stirling_term(d, a, c) for every a in the profile; the acceptance suite
     pins such a c.
     """
-    rhs = math.prod(stirling_term(d, a, c).rhs for a in profile)
+    rhs = math.prod(stirling_term(d, a, c).rhs ** k for a, k in Counter(profile).items())
     return Cleared(1, rhs, direction=LOWER, pow_e=-sum(profile))
 
 

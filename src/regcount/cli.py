@@ -481,10 +481,13 @@ def _roots_settings(args) -> dict:
 
 
 def _hom_settings(args) -> dict:
-    from .verify import DEFAULT_C_GRID, clique_size
+    from .generate import GenSpec
+    from .verify import DEFAULT_C_GRID, clique_size, hom_targets
 
     c_grid = [clique_size(c) for c in args.c or DEFAULT_C_GRID]
-    return {"random_orders": args.orders, "seed": args.seed, "c_grid": c_grid}
+    GenSpec(args.n, args.d)  # refuses (n, d) before hom_targets counts up to K_{d,d}
+    targets = hom_targets(args.d)
+    return {"targets": targets, "random_orders": args.orders, "seed": args.seed, "c_grid": c_grid}
 
 
 def _union_lowers(args) -> list:

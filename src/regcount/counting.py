@@ -17,10 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, GraphError, ScaleError
-from .graphs import Graph, placement_order, relabel
-
-# Cap on the states one call of the counting DP may reach.
-DP_STATE_LIMIT = 1_000_000
+from .graphs import DP_STATE_LIMIT, Graph, placement_order, relabel
 
 _TOO_MANY_STATES = (
     f"instance too large: the counting DP needs more than {DP_STATE_LIMIT} states"
@@ -50,7 +47,9 @@ class CountPolynomial(namedtuple("CountPolynomial", "coefficients kind")):
         return [str(c) for c in self.coefficients]
 
 
-def _subset_dp(g: Graph, kind: str, refusal: str, target: Graph | None = None) -> int:
+def _subset_dp(
+    g: Graph, kind: str, refusal: str, target: Graph | None = None, width: int = 1
+) -> int:
     """The weight of the empty state of a DP over the unplaced vertices of a
     loop-free graph; GraphError(refusal) if g has a loop.
 
@@ -75,8 +74,7 @@ def _subset_dp(g: Graph, kind: str, refusal: str, target: Graph | None = None) -
     dropped at once rather than carried to that neighbour.
 
     A polynomial weight is packed into one integer, `width` bits per
-    coefficient: no partial count exceeds the graph's number of matchings
-    (< 2^|E|) or independent sets (< 2^n), so no coefficient spills over.
+    coefficient, as _polynomial unpacks it.
 
     The path that takes nothing visits one state per vertex, so a graph with
     more than DP_STATE_LIMIT vertices is refused before anything is built.
@@ -93,7 +91,6 @@ def _subset_dp(g: Graph, kind: str, refusal: str, target: Graph | None = None) -
         slot = len(hadj) + 1
     else:
         slot = 1
-        width = g.edge_count + 1 if kind == MATCHING else n + 1
     # pending[i]: the states whose lowest set bit is i, the first bit of the
     # lowest unplaced vertex's slot.  The empty state has
     # (0 & -0).bit_length() - 1 == -1, so it lands in pending[n * slot], the last.
@@ -154,9 +151,11 @@ def _subset_dp(g: Graph, kind: str, refusal: str, target: Graph | None = None) -
 
 
 def _polynomial(g: Graph, kind: str, refusal: str) -> CountPolynomial:
-    """The count polynomial of the given kind, unpacked from _subset_dp."""
-    packed = _subset_dp(g, kind, refusal)
+    """The count polynomial of the given kind, unpacked from _subset_dp's
+    weight at width bits a coefficient: no partial count exceeds the number
+    of matchings (< 2^|E|) or independent sets (< 2^n) of g."""
     width = g.edge_count + 1 if kind == MATCHING else g.vertex_count + 1
+    packed = _subset_dp(g, kind, refusal, width=width)
     mask = (1 << width) - 1
     coeffs = []
     while packed:

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DomainError, GraphError
+from .errors import DomainError, GraphError, ScaleError
+
+# Cap on the states (at least one per vertex) that one call of the counting DP
+# may reach; here, so that graph_from_text can refuse a larger header early.
+DP_STATE_LIMIT = 1_000_000
 
 
 class Graph(namedtuple("Graph", "adj allow_loops", defaults=(False,))):
@@ -214,13 +218,16 @@ def _fields(line: str, what: str, form: str) -> list[int]:
 
 
 def graph_from_text(text: str) -> Graph:
-    """Parse the text form; raises GraphError on any malformation."""
+    """Parse the text form; raises GraphError on any malformation, and
+    ScaleError before building on more than DP_STATE_LIMIT vertices."""
     lines = text.strip("\n").split("\n") if text.strip() else []
     if not lines:
         raise GraphError("empty graph text")
     n, m, loops_flag = _fields(lines[0], "header", "N M L")
     if loops_flag not in (0, 1):
         raise GraphError(f"loops flag must be 0 or 1, got {loops_flag}")
+    if n > DP_STATE_LIMIT:
+        raise ScaleError(f"graph too large: {n} vertices, more than {DP_STATE_LIMIT}")
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1} lines")
     edges = []

@@ -70,7 +70,6 @@ from .graphs import (
     build_kdd,
     graph_to_text,
     regular_degree,
-    relabel,
 )
 from .kdd import has_union, union_copies, union_independence_polynomial, union_matching_polynomial
 from .poly import evaluate, squarefree
@@ -352,21 +351,16 @@ def sweep(graphs: Iterable[tuple[int | None, Graph]], check, map=map) -> list[Ve
     return [v for batch in batches for v in batch]
 
 
-class VertexOrder(namedtuple("VertexOrder", "permutation back_degrees")):
-    """A total order on the vertices with each vertex's count of earlier
-    neighbors; on a loop-free graph those counts sum to the edge count."""
-
-    __slots__ = ()
-
-
-def vertex_order(g: Graph, permutation: Sequence[int]) -> VertexOrder:
-    perm = tuple(permutation)
+def back_degrees(g: Graph, perm: Sequence[int]) -> list[int]:
+    """How many neighbours each vertex has placed before it, in perm's order;
+    DomainError if perm is not a permutation of the vertices."""
     if sorted(perm) != list(range(g.vertex_count)):
-        raise DomainError(f"not a permutation of 0..{g.vertex_count - 1}: {perm}")
-    back = [0] * g.vertex_count
-    for i, m in enumerate(relabel(g.adj, perm)):
-        back[perm[i]] = (m & ((1 << i) - 1)).bit_count()
-    return VertexOrder(perm, tuple(back))
+        raise DomainError(f"not a permutation of 0..{g.vertex_count - 1}: {tuple(perm)}")
+    placed, back = 0, []
+    for v in perm:
+        back.append((g.adj[v] & placed).bit_count())
+        placed |= 1 << v
+    return back
 
 
 def _per_size(p: GraphProfile, check_id: str, poly, reference) -> list[Verdict]:
@@ -461,36 +455,22 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
 
 
 def verify_hom_inequality(
-    p: GraphProfile, h: Graph, orders: Sequence[VertexOrder], h_name: str
+    p: GraphProfile, h: Graph, factors: Sequence[int], perms: Sequence[Sequence[int]], h_name: str
 ) -> list[Verdict]:
-    """Exact cross-multiplied check, one verdict per order in the given
-    order, that hom(g, h)^d is at most the product over vertices v of
-    hom(K_{b,b}, h) with b the back degree of v under that order.  The
-    zero-by-zero block contributes an empty product of 1.  hom(g, h) and each
-    hom(K_{b,b}, h) are counted once for all orders.  h_name names h in each
-    verdict's target param.  At d = 0 both sides are 1.  A looped source
-    raises GraphError from count_homomorphisms."""
+    """Exact check, one verdict per permutation in order, that hom(g, h)^d is
+    at most the product of factors[b] over the back degrees b in that order
+    (back_degrees).  factors is hom_targets' table for h, so only hom(g, h)
+    is counted here, and g must be regular of its degree (DomainError);
+    h_name names h in each verdict's target param.  At d = 0 both sides are 1."""
     g, d = p.graph, p.degree
-    if d is None:
-        raise DomainError("source graph must be d-regular")
+    if d != len(factors) - 1:
+        raise DomainError(f"source graph must be {len(factors) - 1}-regular, as the factors are")
     lhs = count_homomorphisms(g, h) ** d
-    factors = {0: 1}
-    for order in orders:
-        for b in order.back_degrees:
-            if b not in factors:
-                factors[b] = count_homomorphisms(build_kdd(b), h)
     verdicts = []
-    for order in orders:
-        rhs = math.prod(factors[b] for b in order.back_degrees)
-        params = _params(
-            n=g.vertex_count,
-            d=d,
-            target=h_name,
-            order=",".join(str(v) for v in order.permutation),
-        )
-        verdicts.append(
-            exact_le("hom-order-product", p.canonical_label, params, lhs, rhs, graph=g)
-        )
+    for perm in perms:
+        rhs = math.prod(factors[b] for b in back_degrees(g, perm))
+        params = _params(n=g.vertex_count, d=d, target=h_name, order=",".join(map(str, perm)))
+        verdicts.append(exact_le("hom-order-product", p.canonical_label, params, lhs, rhs, graph=g))
     return verdicts
 
 
@@ -657,26 +637,34 @@ def suite_graph_verdicts(
     return verdicts
 
 
-def hom_targets() -> list[tuple[str, Graph]]:
+def hom_targets(d: int) -> list[tuple[str, Graph, tuple[int, ...]]]:
     """Fixed target menu for the order-product inequality: small cliques, the
-    fully permissive looped vertex, and two hard-core targets."""
-    return [
+    fully permissive looped vertex, and two hard-core targets, each as
+    (name, H, factors) with factors[b] = hom(K_{b,b}, H) for b in 0..d,
+    factors[0] = 1: 5 d counts, once for a whole sweep at degree d."""
+    menu = [
         ("K2", build_graph(2, [(0, 1)])),
         ("K3", build_graph(3, [(0, 1), (0, 2), (1, 2)])),
         ("K1-loop", build_graph(1, [(0, 0)], allow_loops=True)),
         ("hardcore-1-1", build_hardcore_target(1, 1)),
         ("hardcore-2-2", build_hardcore_target(2, 2)),
     ]
+    return [
+        (name, h, (1, *(count_homomorphisms(build_kdd(b), h) for b in range(1, d + 1))))
+        for name, h in menu
+    ]
 
 
 def hom_graph_verdicts(
     p: GraphProfile,
+    targets: Sequence[tuple[str, Graph, Sequence[int]]],
     random_orders: int = 5,
     seed: int = 0,
     c_grid: Sequence = DEFAULT_C_GRID,
 ) -> list[Verdict]:
-    """Order-product inequality over every target and several vertex orders,
-    plus the hard-core homomorphism identity at a few (c, lambda) pairs.
+    """Order-product inequality over every target of hom_targets(d) and
+    several vertex orders, plus the hard-core homomorphism identity at a
+    few (c, lambda) pairs.
 
     Orders tried: identity, reversed, and random_orders shuffles drawn from a
     seed that also hashes the census index, so reruns are reproducible.
@@ -684,17 +672,16 @@ def hom_graph_verdicts(
     weight triple (0, 1, 1/c) are sets.  Verdicts come in check order.
     """
     cliques = sorted(set(map(clique_size, c_grid)))
-    g, n = p.graph, p.graph.vertex_count
+    n = p.graph.vertex_count
     perms = [list(range(n)), list(range(n - 1, -1, -1))]
     rng = random.Random(f"{seed}:{n}:{p.degree}:{p.index}")
     for _ in range(random_orders):
         perm = list(range(n))
         rng.shuffle(perm)
         perms.append(perm)
-    orders = [vertex_order(g, perm) for perm in perms]
     verdicts = []
-    for name, h in hom_targets():
-        verdicts.extend(verify_hom_inequality(p, h, orders, h_name=name))
+    for name, h, factors in targets:
+        verdicts.extend(verify_hom_inequality(p, h, factors, perms, h_name=name))
     for c in cliques:
         for lam in sorted({Fraction(0), Fraction(1), Fraction(1, c)}):
             verdicts.append(verify_hardcore_hom_identity(p, c, lam))

@@ -111,10 +111,12 @@ def test_reruns_are_byte_identical(capsys):
 
 
 def test_workers_equivalence(capsys):
-    _, doc1 = run_json(capsys, "verify-kahn", "--n", "8", "--d", "2", "--workers", "1")
-    _, doc2 = run_json(capsys, "verify-kahn", "--n", "8", "--d", "2", "--workers", "2")
-    assert doc1["verdicts"] == doc2["verdicts"]
-    assert doc2["config"]["workers"] == 2
+    # verify-hom sends its K_{b,b} factor table to the workers in its settings.
+    for command, d in (("verify-kahn", "2"), ("verify-hom", "3")):
+        _, doc1 = run_json(capsys, command, "--n", "8", "--d", d, "--workers", "1")
+        _, doc2 = run_json(capsys, command, "--n", "8", "--d", d, "--workers", "2")
+        assert doc1["verdicts"] == doc2["verdicts"]
+        assert doc2["config"]["workers"] == 2
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -363,6 +365,20 @@ def test_roots_tolerance_is_checked_before_generation(capsys, monkeypatch, tol):
     assert captured.err == (
         f"regcount: error: tolerance must be finite and positive, got {float(tol)}\n"
     )
+
+
+def test_hom_shape_is_checked_before_any_count(capsys, monkeypatch):
+    # hom_targets counts hom(K_{b,b}, H) for b up to d, before the sweep:
+    # up to K_{300,300} here, were (n, d) not refused first.
+    import regcount.verify as verify_mod
+
+    def no_count(*args):
+        raise AssertionError("a homomorphism was counted")
+
+    monkeypatch.setattr(verify_mod, "count_homomorphisms", no_count)
+    for shape in (["--n", "4", "--d", "300"], ["--n", "6", "--d", "3", "--c", "0"]):
+        assert main(["verify-hom", *shape]) == 1
+        _assert_one_error_line(capsys)
 
 
 def test_hom_clique_sizes_are_checked_before_generation(capsys, monkeypatch):

@@ -340,10 +340,10 @@ def test_coefficients_do_not_depend_on_vertex_order(fourteen, perm):
 
 @pytest.fixture(scope="module")
 def fourteen_homs(fourteen):
-    """Each hom_targets() target with its count from the fixed 14-vertex
+    """Each hom_targets target with its count from the fixed 14-vertex
     graph: up to 4^14 vertex maps, too many to check one by one."""
     g = fourteen[0]
-    return [(h, count_homomorphisms(g, h)) for _, h in hom_targets()]
+    return [(h, count_homomorphisms(g, h)) for _, h, _ in hom_targets(0)]
 
 
 @settings(max_examples=40, deadline=None)

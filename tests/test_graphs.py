@@ -12,6 +12,7 @@ from regcount import (
     DivisibilityError,
     DomainError,
     GraphError,
+    ScaleError,
     bipartition,
     build_graph,
     build_hardcore_target,
@@ -306,3 +307,18 @@ def test_text_rejects_malformed():
     ):
         with pytest.raises(GraphError):
             graph_from_text(text)
+
+
+def test_text_refuses_more_vertices_than_the_dp_before_building(monkeypatch):
+    # The header alone decides: no mask per vertex is allocated first.
+    from regcount.counting import DP_STATE_LIMIT
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr("regcount.graphs.build_graph", no_build)
+    for n in (DP_STATE_LIMIT + 1, 10_000_000):
+        with pytest.raises(ScaleError, match=f"{n} vertices"):
+            graph_from_text(f"{n} 0 0\n")
+    with pytest.raises(AssertionError, match="the graph was built"):
+        graph_from_text(f"{DP_STATE_LIMIT} 0 0\n")

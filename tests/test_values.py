@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from regcount import Bipartition, Cleared, CountPolynomial, GenSpec, Graph
-from regcount.verify import Verdict, VertexOrder
+from regcount.verify import Verdict
 
 # Each value beside one that differs from it in a single field.
 PAIRS = [
@@ -20,7 +20,6 @@ PAIRS = [
         Verdict("match-pf-upper", "6:1f", {"n": 6}, Fraction(3), Fraction(4), True, 0.4),
         Verdict("match-pf-upper", "6:1f", {"n": 6}, Fraction(3), Fraction(4), True, 0.5),
     ),
-    (VertexOrder((1, 0, 2), (0, 1, 1)), VertexOrder((1, 0, 2), (0, 1, 2))),
 ]
 
 

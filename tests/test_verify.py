@@ -10,6 +10,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import mpmath
@@ -47,6 +48,7 @@ from regcount.verify import (
     GraphProfile,
     Verdict,
     _params,
+    back_degrees,
     bound_verdict,
     exact_eq,
     exact_le,
@@ -65,7 +67,6 @@ from regcount.verify import (
     verify_perfect_matching_bound,
     verify_real_rooted,
     verify_union_lower_bounds,
-    vertex_order,
 )
 
 from conftest import common_root, disjoint_union, poly_product
@@ -394,14 +395,14 @@ def test_graph_label_forms(c4):
     assert GraphProfile(big, 7).canonical_label == GraphProfile(big, 7).label == "14v-2r-0007"
 
 
-def test_vertex_order(c4):
-    vo = vertex_order(c4, [0, 1, 2, 3])
-    assert sum(vo.back_degrees) == c4.edge_count
-    assert vo.back_degrees == (0, 1, 1, 2)
-    rev = vertex_order(c4, [3, 2, 1, 0])
-    assert sum(rev.back_degrees) == 4
-    with pytest.raises(DomainError):
-        vertex_order(c4, [0, 1, 2, 2])
+def test_back_degrees(c4):
+    # Listed in the order placed: around the cycle, then opposite corners first.
+    assert back_degrees(c4, [0, 1, 2, 3]) == [0, 1, 1, 2]
+    assert back_degrees(c4, [3, 2, 1, 0]) == [0, 1, 1, 2]
+    assert back_degrees(c4, [0, 2, 1, 3]) == [0, 0, 2, 2]
+    for bad in ([0, 1, 2, 2], [0, 1, 2], [0, 1, 2, 3, 4], [1, 2, 3, 4]):
+        with pytest.raises(DomainError):
+            back_degrees(c4, bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -417,9 +418,9 @@ def test_back_degrees_count_earlier_neighbours(data):
         sum(1 for u in range(n) if g.has_edge(u, v) and position[u] < position[v])
         for v in range(n)
     )
-    vo = vertex_order(g, perm)
-    assert vo.back_degrees == earlier
-    assert sum(vo.back_degrees) == g.edge_count
+    back = back_degrees(g, perm)
+    assert back == [earlier[v] for v in perm]
+    assert sum(back) == g.edge_count
 
 
 def test_umc_and_kahn_sweeps(c8):
@@ -557,25 +558,37 @@ def test_common_root_finds_shared_and_repeated_roots():
     assert not common_root([1, 1], [1])
 
 
+def _factors(h, d):
+    """hom(K_{b,b}, h) for b in 0..d, counted here one by one."""
+    return [1] + [count_homomorphisms(build_kdd(b), h) for b in range(1, d + 1)]
+
+
 def test_hom_inequality_examples(c4, k33):
     k2 = build_graph(2, [(0, 1)])
-    [v] = verify_hom_inequality(GraphProfile(c4), k2, [vertex_order(c4, [0, 1, 2, 3])], h_name="K2")
+    [v] = verify_hom_inequality(GraphProfile(c4), k2, [1, 2, 2], [[0, 1, 2, 3]], h_name="K2")
     # hom(C4, K2)^2 = 4 against 1 * 2 * 2 * 2 from back degrees (0,1,1,2)
     assert v.lhs == 4 and v.rhs == 8 and v.passed
+    assert v.params["order"] == "0,1,2,3"
     # class order on a complete bipartite block gives equality
     block = build_kdd(2)
-    [vb] = verify_hom_inequality(GraphProfile(block), k2, [vertex_order(block, [0, 1, 2, 3])], "K2")
+    [vb] = verify_hom_inequality(GraphProfile(block), k2, _factors(k2, 2), [[0, 1, 2, 3]], "K2")
     assert vb.lhs == vb.rhs == count_homomorphisms(block, k2) ** 2
     # the all-permissive looped vertex gives 1 on both sides
     loop = build_graph(1, [(0, 0)], allow_loops=True)
-    [vl] = verify_hom_inequality(GraphProfile(k33), loop, [vertex_order(k33, list(range(6)))], "K1-loop")
+    [vl] = verify_hom_inequality(GraphProfile(k33), loop, _factors(loop, 3), [range(6)], "K1-loop")
     assert vl.lhs == 1 and vl.rhs == 1 and vl.passed
+    # a graph that is not regular, or not of the table's degree
+    path = build_graph(3, [(0, 1)])
     with pytest.raises(DomainError):
-        verify_hom_inequality(GraphProfile(build_graph(3, [(0, 1)])), k2, [vertex_order(build_graph(3, [(0, 1)]), [0, 1, 2])], "K2")
+        verify_hom_inequality(GraphProfile(path), k2, _factors(k2, 1), [[0, 1, 2]], "K2")
+    with pytest.raises(DomainError):
+        verify_hom_inequality(GraphProfile(c4), k2, _factors(k2, 3), [[0, 1, 2, 3]], "K2")
+    with pytest.raises(DomainError):
+        verify_hom_inequality(GraphProfile(c4), k2, [1, 2, 2], [[0, 1, 2, 2]], "K2")
     # a looped source is refused by the homomorphism count itself
     looped = build_graph(1, [(0, 0)], allow_loops=True)
     with pytest.raises(GraphError, match="count_homomorphisms requires a loop-free source graph"):
-        verify_hom_inequality(GraphProfile(looped), k2, [vertex_order(looped, [0])], "K2")
+        verify_hom_inequality(GraphProfile(looped), k2, _factors(k2, 1), [[0]], "K2")
 
 
 def test_hardcore_hom_identity(c4, k33):
@@ -767,21 +780,28 @@ def test_suite_counts_each_polynomial_once(monkeypatch, prism):
 
 
 def test_hom_checks_label_and_count_once(monkeypatch, prism):
+    targets = hom_targets(3)
     calls = _count_calls(monkeypatch, "canonical_form", "independence_polynomial")
-    verdicts = hom_graph_verdicts(GraphProfile(prism, 0))
+    verdicts = hom_graph_verdicts(GraphProfile(prism, 0), targets)
     assert len(verdicts) == 5 * 7 + 6
     assert {v.graph_label for v in verdicts} == {canonical_form(prism)}
     assert calls == {"canonical_form": 1, "independence_polynomial": 1}
 
 
 def test_hom_checks_count_each_homomorphism_once(monkeypatch):
-    # Per target: hom(g, h) once and hom(K_{b,b}, h) once per back degree
-    # b in 1..3, shared by all seven orders; then six hard-core identities.
+    # hom_targets counts hom(K_{b,b}, h) for b in 1..d, once per sweep; each
+    # graph then counts hom(g, h) once per target, for all seven orders, and
+    # six hard-core identities.
     calls = _count_calls(monkeypatch, "count_homomorphisms")
+    for d in (0, 1, 3, 4):
+        calls["count_homomorphisms"] = 0
+        targets = hom_targets(d)
+        assert calls["count_homomorphisms"] == 5 * d
+    targets = hom_targets(3)
     for index, g in enumerate(generate(GenSpec(8, 3))):
         calls["count_homomorphisms"] = 0
-        hom_graph_verdicts(GraphProfile(g, index))
-        assert calls["count_homomorphisms"] <= 5 * (1 + 3) + 6
+        hom_graph_verdicts(GraphProfile(g, index), targets)
+        assert calls["count_homomorphisms"] == 5 + 6
 
 
 def test_profile_computes_only_what_a_check_reads(c8):
@@ -850,36 +870,46 @@ def test_hom_clique_sizes_are_checked_before_any_count(monkeypatch, c4):
     def no_count(*args):
         raise AssertionError("a homomorphism was counted")
 
+    targets = hom_targets(2)
     monkeypatch.setattr("regcount.verify.count_homomorphisms", no_count)
     # the first bad size as given is named, not the smallest
     for c_grid, bad in (([Fraction(3, 2)], "3/2"), ([2, Fraction(5, 2), 0], "5/2")):
         with pytest.raises(DomainError) as err:
-            hom_graph_verdicts(GraphProfile(c4, 0), c_grid=c_grid)
+            hom_graph_verdicts(GraphProfile(c4, 0), targets, c_grid=c_grid)
         assert str(err.value) == f"clique sizes must be positive integers, got {bad}"
 
 
 def test_hom_graph_verdicts_reproducible(c4):
-    a = hom_graph_verdicts(GraphProfile(c4, 0))
-    b = hom_graph_verdicts(GraphProfile(c4, 0))
+    targets = hom_targets(2)
+    a = hom_graph_verdicts(GraphProfile(c4, 0), targets)
+    b = hom_graph_verdicts(GraphProfile(c4, 0), targets)
     assert _report_rows(a) == _report_rows(b)
     assert all(v.passed for v in a)
     # 5 targets x (identity + reversed + 5 shuffles) + 2 clique sizes x 3 weights
     assert len(a) == 5 * 7 + 6
-    other = hom_graph_verdicts(GraphProfile(c4, 0), seed=1)
+    other = hom_graph_verdicts(GraphProfile(c4, 0), targets, seed=1)
     assert {v.check_id for v in other} == {v.check_id for v in a}
 
 
 def test_hom_sweep_passes_on_the_10_3_census():
-    verdicts = sweep(enumerate(generate(GenSpec(10, 3))), hom_graph_verdicts)
+    check = partial(hom_graph_verdicts, targets=hom_targets(3))
+    verdicts = sweep(enumerate(generate(GenSpec(10, 3))), check)
     assert len(verdicts) == 21 * (5 * 7 + 6)
     assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
 
 
 def test_hom_targets_fixed_menu():
-    names = [name for name, _ in hom_targets()]
-    assert names == ["K2", "K3", "K1-loop", "hardcore-1-1", "hardcore-2-2"]
-    for _, h in hom_targets():
+    targets = hom_targets(4)
+    assert [name for name, _, _ in targets] == [
+        "K2", "K3", "K1-loop", "hardcore-1-1", "hardcore-2-2"
+    ]
+    for _, h, factors in targets:
         assert h.vertex_count >= 1
+        assert list(factors) == _factors(h, 4)
+    # K2: the two 2-colourings of the connected K_{b,b}; K1-loop: one map.
+    assert list(targets[0][2]) == [1, 2, 2, 2, 2]
+    assert list(targets[2][2]) == [1, 1, 1, 1, 1]
+    assert [f for _, _, (f,) in hom_targets(0)] == [1] * 5
 
 
 def test_matching_lower_gap_measured_values():
