@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from functools import partial
+from itertools import chain, islice
 
 from . import __version__
 from .errors import DivisibilityError, DomainError, GraphError, ScaleError
@@ -124,22 +125,28 @@ def _at_least(low: int):
     return integer
 
 
+# Graphs per task sent to a worker, with the check and its settings.
+_CHUNK = 4
+
+
 def _pmap(fn, items, workers: int) -> list:
     """[fn(item) for item in items], over a pool of at most one process per
-    item and per usable CPU when workers > 1.  Pools fork all their
-    processes at once."""
-    items = list(items)
+    item and per usable CPU when workers > 1, fed chunks of _CHUNK items as
+    items streams in.  The pool is sized from the first min(workers, cpus)
+    items, and forks all its processes at once."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count() or 1
-    workers = min(workers, len(items), cpus)
-    if workers <= 1:
+    items = iter(items)
+    head = list(islice(items, min(workers, cpus)))
+    items = chain(head, items)
+    if len(head) <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    with ProcessPoolExecutor(max_workers=len(head)) as pool:
+        return list(pool.map(fn, items, chunksize=_CHUNK))
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -418,7 +425,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .generate import CANONICAL_FORM_LIMIT, GenSpec, canonical_form, census_name, generate
+    from .generate import GenSpec, census_label, census_name, generate
     from .graphs import graph_to_text
 
     spec = GenSpec(
@@ -431,8 +438,8 @@ def _cmd_gen(args) -> int:
         raise ScaleError(f"gen --labeled supports n <= {_LABELED_VERTEX_LIMIT}, got {args.n}")
     rows = []
     for idx, g in enumerate(generate(spec)):
-        if spec.isomorph_reject and args.n <= CANONICAL_FORM_LIMIT:
-            label = canonical_form(g)
+        if spec.isomorph_reject:
+            label = census_label(g, args.d, idx)
         else:
             label = census_name(args.n, args.d, idx)
         rows.append(
@@ -451,41 +458,36 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _union_shape(args) -> dict:
-    from .kdd import union_copies
+def _union_settings(name: str, args) -> dict:
+    """verify-umc's and verify-kahn's settings: the union polynomial
+    kdd.<name> on (n, d)."""
+    from . import kdd
 
-    union_copies(args.n, args.d)
-    return {}
+    return {"union": getattr(kdd, name)(args.n, args.d)}
 
 
 def _suite_settings(args) -> dict:
     from .bounds import markov_constant
-    from .verify import DEFAULT_LAMBDA_GRID, lambda_values
+    from .verify import DEFAULT_LAMBDA_GRID, suite_table
 
-    settings = {"lambda_grid": lambda_values(args.lam or DEFAULT_LAMBDA_GRID)}
+    # Each --c is refused, and suite_table checks --lam, before a bound is built.
     for c in args.c or ():
         markov_constant(c)
-    return settings
+    return {"table": suite_table(args.n, args.d, args.lam or DEFAULT_LAMBDA_GRID)}
 
 
 def _roots_settings(args) -> dict:
     from .verify import root_tolerance
 
-    if args.graph and (args.n is not None or args.d is not None):
-        raise DomainError("verify-roots takes --graph or --n and --d, not both")
-    if not args.graph and (args.n is None or args.d is None):
-        raise DomainError("verify-roots needs either --graph or both --n and --d")
     settings = {"tol": root_tolerance(args.tol)}
     import numpy  # for verify_real_rooted: once here, not in each worker _pmap forks
     return settings
 
 
 def _hom_settings(args) -> dict:
-    from .generate import GenSpec
     from .verify import DEFAULT_C_GRID, clique_size, hom_targets
 
     c_grid = [clique_size(c) for c in args.c or DEFAULT_C_GRID]
-    GenSpec(args.n, args.d)  # refuses (n, d) before hom_targets counts up to K_{d,d}
     targets = hom_targets(args.d)
     return {"targets": targets, "random_orders": args.orders, "seed": args.seed, "c_grid": c_grid}
 
@@ -500,12 +502,12 @@ def _union_lowers(args) -> list:
 
 
 # verify command -> (name of its per-graph check, a function that checks the
-# args before any graph is generated and returns the check's settings,
-# verdicts added after the sweep).  Checks are looked up on regcount.verify by
+# args once (n, d) has passed GenSpec, before any graph is generated, and
+# returns the check's settings, verdicts added after the sweep).  Checks are looked up on regcount.verify by
 # name when the command runs, so that a rebinding (a stub, a tracing hook) runs.
 _VERIFY = {
-    "verify-umc": ("umc_graph_verdicts", _union_shape, None),
-    "verify-kahn": ("kahn_graph_verdicts", _union_shape, None),
+    "verify-umc": ("umc_graph_verdicts", partial(_union_settings, "union_matching_polynomial"), None),
+    "verify-kahn": ("kahn_graph_verdicts", partial(_union_settings, "union_independence_polynomial"), None),
     "verify-suite": ("suite_graph_verdicts", _suite_settings, _union_lowers),
     "verify-roots": ("verify_real_rooted", _roots_settings, None),
     "verify-hom": ("hom_graph_verdicts", _hom_settings, None),
@@ -517,11 +519,15 @@ def _cmd_verify(args) -> int:
     from .generate import GenSpec, generate
 
     check_name, settings, trailing = _VERIFY[args.command]
+    graph = getattr(args, "graph", None)
+    if graph and (args.n is not None or args.d is not None):
+        raise DomainError("verify-roots takes --graph or --n and --d, not both")
+    if not graph and (args.n is None or args.d is None):
+        raise DomainError("verify-roots needs either --graph or both --n and --d")
+    # A census shape is refused before settings builds anything for it.
+    spec = None if graph else GenSpec(args.n, args.d)
     check = partial(getattr(verify, check_name), **settings(args))
-    if getattr(args, "graph", None):
-        graphs = [(None, _read_graph(args.graph))]
-    else:
-        graphs = enumerate(generate(GenSpec(args.n, args.d)))
+    graphs = enumerate(generate(spec)) if spec else [(None, _read_graph(graph))]
     verdicts = verify.sweep(graphs, check, map=partial(_pmap, workers=args.workers))
     if trailing:
         verdicts += trailing(args)

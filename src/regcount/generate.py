@@ -221,6 +221,18 @@ def census_name(n: int, d: int, index: int) -> str:
     return f"{n}v-{d}r-{index:04d}"
 
 
+def census_label(g: Graph, d: int | None, index: int | None) -> str:
+    """The label of a graph in a census report: its canonical form up to
+    CANONICAL_FORM_LIMIT vertices, else the census name of its index at
+    degree d, or for a graph without an index its vertex and edge counts."""
+    n = g.vertex_count
+    if n <= CANONICAL_FORM_LIMIT:
+        return canonical_form(g)
+    if index is not None:
+        return census_name(n, d, index)
+    return f"{n}v-{g.edge_count}e"
+
+
 def canonical_form(g: Graph) -> str:
     """Permutation-invariant label: equal labels iff isomorphic.
 

@@ -55,13 +55,14 @@ from .bounds import (
     union_small_t_exact,
 )
 from .counting import (
+    CountPolynomial,
     count_homomorphisms,
     eval_partition,
     independence_polynomial,
     matching_polynomial,
 )
 from .errors import DomainError
-from .generate import CANONICAL_FORM_LIMIT, canonical_form, census_name
+from .generate import census_label, census_name
 from .graphs import (
     Graph,
     bipartition,
@@ -71,7 +72,7 @@ from .graphs import (
     graph_to_text,
     regular_degree,
 )
-from .kdd import has_union, union_copies, union_independence_polynomial, union_matching_polynomial
+from .kdd import has_union, union_copies, union_independence_polynomial
 from .poly import evaluate, squarefree
 
 DEFAULT_ROOT_TOL = 1e-7
@@ -290,16 +291,9 @@ class GraphProfile:
 
     @cached_property
     def canonical_label(self) -> str:
-        """Stable display label: the canonical form, or past
-        CANONICAL_FORM_LIMIT the census name, or for a graph without an
-        index the vertex and edge counts.  verify-roots and verify-hom name
-        graphs by this label, in a census too."""
-        g = self.graph
-        if g.vertex_count <= CANONICAL_FORM_LIMIT:
-            return canonical_form(g)
-        if self.index is not None:
-            return self.label
-        return f"{g.vertex_count}v-{g.edge_count}e"
+        """Stable display label, generate.census_label's: verify-roots and
+        verify-hom name graphs by it, in a census too."""
+        return census_label(self.graph, self.degree, self.index)
 
     @cached_property
     def label(self) -> str:
@@ -345,9 +339,10 @@ def sweep(graphs: Iterable[tuple[int | None, Graph]], check, map=map) -> list[Ve
     the pairs' order (sort_verdicts gives report order).  index is the
     graph's census position, as from enumerate(generate(spec)), or None for
     a graph that comes from elsewhere, such as a file.  map(fn, items) runs
-    the checks; a process pool's map fans them out, given a picklable check
+    the checks as the pairs come, so a census is checked while it is
+    generated; a process pool's map fans them out, given a picklable check
     (a module-level function or a partial of one)."""
-    batches = map(partial(_graph_verdicts, check), list(graphs))
+    batches = map(partial(_graph_verdicts, check), graphs)
     return [v for batch in batches for v in batch]
 
 
@@ -380,37 +375,17 @@ def _per_size(p: GraphProfile, check_id: str, poly, reference) -> list[Verdict]:
     ]
 
 
-def umc_graph_verdicts(p: GraphProfile) -> list[Verdict]:
+def umc_graph_verdicts(p: GraphProfile, union: CountPolynomial) -> list[Verdict]:
     """Matching counts of one d-regular graph on n vertices, 2d | n, against
-    the complete-bipartite-union reference, one exact verdict per size."""
-    union = union_matching_polynomial(p.graph.vertex_count, p.degree)
+    union, the matching polynomial of the complete-bipartite union on the
+    same (n, d) (kdd.union_matching_polynomial), one exact verdict per size."""
     return _per_size(p, "match-count-vs-union", p.matching_polynomial, union.coefficient)
 
 
-def kahn_graph_verdicts(p: GraphProfile) -> list[Verdict]:
-    """Independent-set counts of one graph against the union reference."""
-    union = union_independence_polynomial(p.graph.vertex_count, p.degree)
+def kahn_graph_verdicts(p: GraphProfile, union: CountPolynomial) -> list[Verdict]:
+    """Independent-set counts of one graph against union, the union's
+    independence polynomial (kdd.union_independence_polynomial)."""
     return _per_size(p, "ind-count-vs-union", p.independence_polynomial, union.coefficient)
-
-
-def total_count_graph_verdicts(p: GraphProfile) -> list[Verdict]:
-    """Exact check that a bipartite d-regular graph on n vertices has at most
-    as many independent sets as the union of n/2d copies of K_{d,d}, the
-    total of union_independence_polynomial, (2^(d+1) - 1)^(n/2d); no verdict
-    for a graph without that union (has_union) or not bipartite."""
-    n, d = p.graph.vertex_count, p.degree
-    if not has_union(n, d) or not p.bipartite:
-        return []
-    return [
-        exact_le(
-            "ind-total-vs-kdd-power",
-            p.label,
-            _params(n=n, d=d),
-            sum(p.independence_polynomial.coefficients),
-            sum(union_independence_polynomial(n, d).coefficients),
-            graph=p.graph,
-        )
-    ]
 
 
 def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdict:
@@ -496,81 +471,66 @@ def verify_hardcore_hom_identity(p: GraphProfile, c: int, lam) -> Verdict:
     )
 
 
-def verify_perfect_matching_bound(p: GraphProfile) -> list[Verdict]:
-    """Exact check i_t <= 2^t binom(n/2, t) for every t, valid because the
-    graph has a perfect matching; verdicts in check order."""
-    if not p.has_perfect_matching:
-        raise DomainError("graph has no perfect matching")
-    return _per_size(
-        p,
-        "ind-count-vs-pm-bound",
-        p.independence_polynomial,
-        partial(independent_upper_pm_exact, p.graph.vertex_count),
-    )
+SuiteTable = namedtuple("SuiteTable", "n d rows")
+SuiteRow = namedtuple("SuiteRow", "check_id params reads bound needs in_log2")
 
 
-def verify_bounds_suite(
-    p: GraphProfile,
-    lambda_grid: Sequence = DEFAULT_LAMBDA_GRID,
-) -> list[Verdict]:
-    """Every applicable closed-form bound against the exact polynomials of
-    the graph, one Verdict per (bound, size, lambda) instance, in check
-    order.
+def suite_table(n: int, d: int, lambda_grid: Iterable = DEFAULT_LAMBDA_GRID) -> SuiteTable:
+    """The rows of the bounds suite on d-regular graphs on n vertices, in
+    check order, built once for a whole sweep: every bound depends on (n, d)
+    and the weights of lambda_grid (lambda_values) alone.
 
-    Every bound is a power-cleared inequality and decided exactly.  The
-    count bounds are reported in log2, the others with both sides as exact
-    rationals.
+    Each row holds its check id, its params, the graph quantity it reads,
+    its bound, the GraphProfile flag it needs (None for every graph) and
+    whether it is reported in log2.  A quantity is ("Z_M", lam) or
+    ("Z_I", lam), the matching or independence partition function at lam,
+    or ("m", s) or ("i", s), the size-s coefficient of that polynomial.  The
+    one bound that depends on the graph, match-pf-gurvits through its nu, is
+    None here and built per graph.  The perfect-matching references and the
+    union's independent-set total are bounds Cleared(1, value): q <= value.
     """
-    g, d, label = p.graph, p.degree, p.label
-    if d is None:
-        raise DomainError("bounds suite needs a regular graph")
-    n = g.vertex_count
     grid = lambda_values(lambda_grid)
-    verdicts: list[Verdict] = []
+    rows: list[SuiteRow] = []
     if d < 1:
-        return verdicts
+        return SuiteTable(n, d, rows)
 
-    def exact(check_id, q, bound, params):
-        verdicts.append(exact_le(check_id, label, dict(params), bound.lhs(q), bound.rhs, graph=g))
+    def add(check_id, reads, bound, needs=None, in_log2=False, **params):
+        rows.append(SuiteRow(check_id, _params(n=n, d=d, **params), reads, bound, needs, in_log2))
 
-    def in_log2(check_id, count, bound, params):
-        verdicts.append(bound_verdict(check_id, label, dict(params), count, bound, graph=g))
-
-    mpoly, ipoly = p.matching_polynomial, p.independence_polynomial
     sizes = range(n // 2 + 1)
-    sized = [_params(n=n, d=d, size=s) for s in sizes]
+    best = {ell: optimal_lambda(n, d, ell) for ell in range(1, (n - 1) // 2 + 1)}
+    # The single-term rows' (size, lam): each size at each grid weight, and
+    # at its best weight, which may lie on the grid.
+    pairs = dict.fromkeys([*((ell, lam) for lam in grid for ell in sizes), *best.items()])
+    matching = {lam: match_pf_upper(n, d, lam) for lam in dict.fromkeys(lam for _, lam in pairs)}
+    terms = {(ell, lam): single_term(matching[lam], ell, lam) for ell, lam in pairs}
     for lam in grid:
-        zm, zi = eval_partition(mpoly, lam), eval_partition(ipoly, lam)
-        at_lam = _params(n=n, d=d, lam=lam)
-        matching = match_pf_upper(n, d, lam)
-        exact("match-pf-upper", zm, matching, at_lam)
-        exact("match-pf-gurvits", zm, match_pf_gurvits(g.edge_count, p.nu, lam), at_lam)
-        exact("ind-pf-upper-general", zi, ind_pf_upper_general(n, d, lam), at_lam)
-        if p.bipartite:
-            exact("ind-pf-upper-bipartite", zi, ind_pf_upper_bipartite(n, d, lam), at_lam)
-        # single_term(matching, ell, lam), its cofactor multiplied up by
-        # lam^k from one size to the next.
-        cofactor, step = matching.cofactor, lam**matching.k
+        add("match-pf-upper", ("Z_M", lam), matching[lam], lam=lam)
+        add("match-pf-gurvits", ("Z_M", lam), None, lam=lam)
+        add("ind-pf-upper-general", ("Z_I", lam), ind_pf_upper_general(n, d, lam), lam=lam)
+        bound = ind_pf_upper_bipartite(n, d, lam)
+        add("ind-pf-upper-bipartite", ("Z_I", lam), bound, "bipartite", lam=lam)
         for ell in sizes:
-            bound = Cleared(matching.k, matching.rhs, cofactor)
-            params = {**sized[ell], "lam": at_lam["lam"]}
-            exact("match-single-term", mpoly.coefficient(ell), bound, params)
-            cofactor *= step
-    for ell in range(1, (n - 1) // 2 + 1):
-        lam = optimal_lambda(n, d, ell)
-        bound = single_term(match_pf_upper(n, d, lam), ell, lam)
-        params = _params(n=n, d=d, size=ell, lam=lam)
-        exact("match-single-term-opt", mpoly.coefficient(ell), bound, params)
+            add("match-single-term", ("m", ell), terms[ell, lam], size=ell, lam=lam)
+    for ell, lam in best.items():
+        add("match-single-term-opt", ("m", ell), terms[ell, lam], size=ell, lam=lam)
     for s in sizes:
-        in_log2("match-count-upper", mpoly.coefficient(s), match_count_upper(n, d, s), sized[s])
+        add("match-count-upper", ("m", s), match_count_upper(n, d, s), in_log2=True, size=s)
         bound = ind_count_upper_general(n, d, s)
-        in_log2("ind-count-upper-general", ipoly.coefficient(s), bound, sized[s])
-        if p.bipartite:
-            bound = ind_count_upper_bipartite(n, d, s)
-            in_log2("ind-count-upper-bipartite", ipoly.coefficient(s), bound, sized[s])
-    if p.bipartite and n % 2 == 0:
-        exact("bregman-pm", mpoly.coefficient(n // 2), bregman_pm(n, d), _params(n=n, d=d))
-    return verdicts
+        add("ind-count-upper-general", ("i", s), bound, in_log2=True, size=s)
+        bound = ind_count_upper_bipartite(n, d, s)
+        add("ind-count-upper-bipartite", ("i", s), bound, "bipartite", True, size=s)
+    if n % 2 == 0:
+        add("bregman-pm", ("m", n // 2), bregman_pm(n, d), "bipartite")
+        # i_t <= 2^t binom(n/2, t) on a graph with a perfect matching.
+        for s in sizes:
+            bound = Cleared(1, independent_upper_pm_exact(n, s))
+            add("ind-count-vs-pm-bound", ("i", s), bound, "has_perfect_matching", size=s)
+    if has_union(n, d):
+        # A bipartite graph has at most the union's independent sets, Z_I(1).
+        total = sum(union_independence_polynomial(n, d).coefficients)
+        add("ind-total-vs-kdd-power", ("Z_I", Fraction(1)), Cleared(1, total), "bipartite")
+    return SuiteTable(n, d, rows)
 
 
 def verify_union_lower_bounds(
@@ -623,17 +583,36 @@ def verify_union_lower_bounds(
     return verdicts
 
 
-def suite_graph_verdicts(
-    p: GraphProfile,
-    lambda_grid: Sequence = DEFAULT_LAMBDA_GRID,
-) -> list[Verdict]:
-    """Full per-graph battery, in check order: the bounds suite, the
-    perfect-matching bound when one exists, and the total-count bound when
-    the graph is bipartite."""
-    verdicts = verify_bounds_suite(p, lambda_grid)
-    if p.graph.edge_count > 0 and p.has_perfect_matching:
-        verdicts.extend(verify_perfect_matching_bound(p))
-    verdicts.extend(total_count_graph_verdicts(p))
+def suite_graph_verdicts(p: GraphProfile, table: SuiteTable) -> list[Verdict]:
+    """One verdict per row of table (suite_table) whose needed flag the
+    graph has, in check order: the row's bound against the graph quantity it
+    reads.  The graph must be d-regular on n vertices, as the table is
+    (DomainError).
+
+    Every bound is a power-cleared inequality and decided exactly.  The
+    count bounds are reported in log2, the others with both sides as exact
+    rationals.
+    """
+    g = p.graph
+    if (g.vertex_count, p.degree) != (table.n, table.d):
+        raise DomainError(f"bounds suite needs a {table.d}-regular graph on {table.n} vertices")
+    label = p.label
+    values = {}
+    verdicts: list[Verdict] = []
+    for check_id, params, reads, bound, needs, in_log2 in table.rows:
+        if needs and not getattr(p, needs):
+            continue
+        q = values.get(reads)
+        if q is None:
+            kind, x = reads
+            poly = p.matching_polynomial if kind in ("Z_M", "m") else p.independence_polynomial
+            q = values[reads] = eval_partition(poly, x) if kind[0] == "Z" else poly.coefficient(x)
+        if bound is None:
+            bound = match_pf_gurvits(g.edge_count, p.nu, reads[1])
+        if in_log2:
+            verdicts.append(bound_verdict(check_id, label, dict(params), q, bound, graph=g))
+        else:
+            verdicts.append(exact_le(check_id, label, dict(params), bound.lhs(q), bound.rhs, graph=g))
     return verdicts
 
 

@@ -10,6 +10,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 from regcount import (
     GenSpec,
@@ -19,6 +20,8 @@ from regcount import (
     match_count_upper,
     matching_polynomial,
     stirling_term,
+    union_independence_polynomial,
+    union_matching_polynomial,
 )
 from regcount.bounds import log2
 from regcount.cli import main
@@ -33,8 +36,8 @@ from regcount.verify import (
     kahn_graph_verdicts,
     bound_verdict,
     suite_graph_verdicts,
+    suite_table,
     sweep,
-    total_count_graph_verdicts,
     umc_graph_verdicts,
     verify_hardcore_hom_identity,
     verify_real_rooted,
@@ -70,14 +73,13 @@ def test_criterion_01_polynomials_equal_brute_force(small_corpus):
 def test_criterion_02_matching_counts_never_beat_union(corpus, c8):
     start = time.perf_counter()
     for n, d in CONJECTURE_GRID:
-        verdicts = sweep(enumerate(generate(GenSpec(n, d))), umc_graph_verdicts)
+        check = partial(umc_graph_verdicts, union=union_matching_polynomial(n, d))
+        verdicts = sweep(enumerate(generate(GenSpec(n, d))), check)
         assert len(verdicts) == len(corpus[(n, d)]) * (n // 2 + 1)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
     elapsed = time.perf_counter() - start
     # spot: m_4(C8) = 2 against the union's 4
-    from regcount import union_matching_polynomial
-
     assert matching_polynomial(c8).coefficient(4) == 2
     assert union_matching_polynomial(8, 2).coefficient(4) == 4
     assert elapsed < 600, f"criterion 2 runtime {elapsed:.1f}s exceeds 10 minutes"
@@ -85,13 +87,12 @@ def test_criterion_02_matching_counts_never_beat_union(corpus, c8):
 
 def test_criterion_03_independent_counts_never_beat_union(corpus, c8):
     for n, d in CONJECTURE_GRID:
-        verdicts = sweep(enumerate(generate(GenSpec(n, d))), kahn_graph_verdicts)
+        check = partial(kahn_graph_verdicts, union=union_independence_polynomial(n, d))
+        verdicts = sweep(enumerate(generate(GenSpec(n, d))), check)
         assert len(verdicts) == len(corpus[(n, d)]) * (n // 2 + 1)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
     # spot: i_4(C8) = 2 against the union's 4
-    from regcount import union_independence_polynomial
-
     assert independence_polynomial(c8).coefficient(4) == 2
     assert union_independence_polynomial(8, 2).coefficient(4) == 4
 
@@ -159,22 +160,31 @@ def test_criterion_06_explicit_lower_gap_trend(capsys):
             assert abs(gaps[b]) < abs(gaps[a]), (a, b, gaps)
 
 
+def _total_count_verdicts(n, d):
+    """The ind-total-vs-kdd-power rows of the suite on the bipartite
+    d-regular graphs on n vertices."""
+    census = enumerate(generate(GenSpec(n, d, bipartite_only=True)))
+    verdicts = sweep(census, partial(suite_graph_verdicts, table=suite_table(n, d)))
+    return [v for v in verdicts if v.check_id == "ind-total-vs-kdd-power"]
+
+
 def test_criterion_07_bipartite_total_count():
     for n, d in UNION_SHAPES:
-        census = enumerate(generate(GenSpec(n, d, bipartite_only=True)))
-        verdicts = sweep(census, total_count_graph_verdicts)
+        verdicts = _total_count_verdicts(n, d)
         assert verdicts, (n, d)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, bad[:3]
     # equality at the reference graph itself: total count of C4 is 7 = 2*2^2-1
-    census = enumerate(generate(GenSpec(4, 2, bipartite_only=True)))
-    [only] = sweep(census, total_count_graph_verdicts)
+    [only] = _total_count_verdicts(4, 2)
     assert only.lhs == only.rhs == 7 and only.margin == 0
 
 
 def test_criterion_08_bound_suite_and_union_lowers(small_corpus):
+    tables = {}
     for n, d, idx, g in small_corpus:
-        verdicts = suite_graph_verdicts(GraphProfile(g, idx))
+        if (n, d) not in tables:
+            tables[n, d] = suite_table(n, d)
+        verdicts = suite_graph_verdicts(GraphProfile(g, idx), tables[n, d])
         bad = [v for v in verdicts if not v.passed]
         assert not bad, (n, d, idx, bad[:3])
     for n, d in UNION_SHAPES:

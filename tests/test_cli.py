@@ -111,12 +111,119 @@ def test_reruns_are_byte_identical(capsys):
 
 
 def test_workers_equivalence(capsys):
-    # verify-hom sends its K_{b,b} factor table to the workers in its settings.
-    for command, d in (("verify-kahn", "2"), ("verify-hom", "3")):
+    # Each check sends what it builds once per sweep to the workers in its
+    # settings: verify-hom its K_{b,b} factor table, verify-suite its bound
+    # table, verify-umc and verify-kahn the union polynomial.
+    for command, d in (("verify-kahn", "2"), ("verify-hom", "3"), ("verify-suite", "3"), ("verify-umc", "2")):
         _, doc1 = run_json(capsys, command, "--n", "8", "--d", d, "--workers", "1")
         _, doc2 = run_json(capsys, command, "--n", "8", "--d", d, "--workers", "2")
         assert doc1["verdicts"] == doc2["verdicts"]
         assert doc2["config"]["workers"] == 2
+
+
+def test_sweep_checks_each_graph_as_the_census_streams(capsys, monkeypatch):
+    # A census that fails after two graphs: both were checked before it
+    # failed, since the sweep does not list the census first.
+    import regcount.verify as verify_mod
+
+    generate_mod = sys.modules["regcount.generate"]
+    real_generate, real_check = generate_mod.generate, verify_mod.umc_graph_verdicts
+    checked = []
+
+    def two_then_fail(spec):
+        graphs = real_generate(spec)
+        yield next(graphs)
+        yield next(graphs)
+        raise RuntimeError("census stub")
+
+    def check(p, **settings):
+        checked.append(p.index)
+        return real_check(p, **settings)
+
+    monkeypatch.setattr(generate_mod, "generate", two_then_fail)
+    monkeypatch.setattr(verify_mod, "umc_graph_verdicts", check)
+    with pytest.raises(RuntimeError, match="census stub"):
+        main(["verify-umc", "--n", "8", "--d", "2", "--workers", "1"])
+    assert checked == [0, 1]
+
+
+def _call_log(monkeypatch, module, names) -> dict:
+    """Wrap the module's global names so that each call's arguments are
+    logged, by name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(module, name)
+
+        def logged(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, logged)
+    return calls
+
+
+def test_suite_builds_each_spec_only_bound_once_per_sweep(monkeypatch):
+    import regcount.verify as verify_mod
+
+    spec_only = (
+        "match_pf_upper",
+        "ind_pf_upper_general",
+        "ind_pf_upper_bipartite",
+        "optimal_lambda",
+        "single_term",
+        "match_count_upper",
+        "ind_count_upper_general",
+        "ind_count_upper_bipartite",
+        "bregman_pm",
+        "independent_upper_pm_exact",
+    )
+    calls = _call_log(monkeypatch, verify_mod, (*spec_only, "lambda_values", "match_pf_gurvits"))
+    assert main(["verify-suite", "--n", "8", "--d", "2", "--out", os.devnull]) == 0
+    for name in spec_only:
+        assert calls[name] and len(set(calls[name])) == len(calls[name]), name
+    # (8, 2): the optimal weights 1/6, 1/2 and 3/2, and 1/2 is on the grid too.
+    grid = [Fraction(2) ** k for k in range(-6, 7)]
+    weights = {*grid, Fraction(1, 6), Fraction(3, 2)}
+    assert sorted(calls["match_pf_upper"]) == sorted((8, 2, lam) for lam in weights)
+    assert len(calls["lambda_values"]) == 1
+    # The Gurvits bound reads the graph's nu: once per graph (3) and weight.
+    assert len(calls["match_pf_gurvits"]) == 3 * len(grid)
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("verify-umc", "union_matching_polynomial"), ("verify-kahn", "union_independence_polynomial")],
+)
+def test_union_sweeps_build_the_union_once(monkeypatch, command, name):
+    import regcount.kdd as kdd_mod
+
+    calls = _call_log(monkeypatch, kdd_mod, (name,))
+    assert main([command, "--n", "12", "--d", "2", "--out", os.devnull]) == 0
+    assert calls[name] == [(12, 2)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-suite", "--n", "20000", "--d", "3"], ["verify-umc", "--n", "20000", "--d", "10000"]],
+    ids=["verify-suite", "verify-umc"],
+)
+def test_sweep_shape_is_refused_before_anything_is_built(capsys, monkeypatch, argv):
+    # suite_table and the union polynomial are built once per sweep, but
+    # only once (n, d) passes GenSpec: these would run for minutes.
+    import time
+
+    import regcount.kdd as kdd_mod
+    import regcount.verify as verify_mod
+
+    def no_build(*args):
+        raise AssertionError("a table or union was built")
+
+    monkeypatch.setattr(verify_mod, "suite_table", no_build)
+    monkeypatch.setattr(kdd_mod, "union_matching_polynomial", no_build)
+    start = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - start < 1
+    _assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -151,7 +258,7 @@ def test_pool_is_no_larger_than_the_census(capsys, monkeypatch, c4_file):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -674,7 +781,7 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
         return map(fn, items)
 
 concurrent.futures.ProcessPoolExecutor = RecordingPool
@@ -720,6 +827,12 @@ print([name for name in {tuple(names)!r} if name in sys.modules])
 )
 def test_count_and_version_import_only_their_layers(argv):
     assert _loaded_after(argv, _NOT_FOR_COUNT) == "[]"
+
+
+def test_gen_labels_rows_without_the_verify_layers():
+    # gen and the verify reports share generate.census_label.
+    argv = ["gen", "--n", "6", "--d", "3", "--out", os.devnull]
+    assert _loaded_after(argv, ["regcount.verify", "regcount.bounds", "regcount.kdd"]) == "[]"
 
 
 def test_one_worker_starts_no_process_pool():

@@ -42,7 +42,7 @@ from regcount.bounds import (
     union_matching_lower_explicit,
 )
 from regcount.counting import INDEPENDENT_SET, MATCHING
-from regcount.kdd import kdd_matching_count
+from regcount.kdd import kdd_matching_count, union_independence_polynomial, union_matching_polynomial
 from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
     GraphProfile,
@@ -58,13 +58,11 @@ from regcount.verify import (
     kahn_graph_verdicts,
     sort_verdicts,
     suite_graph_verdicts,
+    suite_table,
     sweep,
-    total_count_graph_verdicts,
     umc_graph_verdicts,
-    verify_bounds_suite,
     verify_hardcore_hom_identity,
     verify_hom_inequality,
-    verify_perfect_matching_bound,
     verify_real_rooted,
     verify_union_lower_bounds,
 )
@@ -72,6 +70,20 @@ from regcount.verify import (
 from conftest import common_root, disjoint_union, poly_product
 
 SMALL_GRID = (Fraction(1, 2), Fraction(1), Fraction(2))
+
+
+def _umc(n, d):
+    return partial(umc_graph_verdicts, union=union_matching_polynomial(n, d))
+
+
+def _kahn(n, d):
+    return partial(kahn_graph_verdicts, union=union_independence_polynomial(n, d))
+
+
+def _suite(p, lambda_grid=DEFAULT_LAMBDA_GRID):
+    """suite_graph_verdicts on p, with the table of p's graph."""
+    g = p.graph
+    return suite_graph_verdicts(p, suite_table(g.vertex_count, p.degree, lambda_grid))
 
 
 def test_format_number():
@@ -374,7 +386,7 @@ def test_sort_orders_census_indices_as_numbers():
 
 
 def test_sorting_and_jsonl_are_canonical(c8):
-    verdicts = umc_graph_verdicts(GraphProfile(c8, 0)) + kahn_graph_verdicts(GraphProfile(c8, 0))
+    verdicts = _umc(8, 2)(GraphProfile(c8, 0)) + _kahn(8, 2)(GraphProfile(c8, 0))
     rows = _report_rows(verdicts)
     shuffled = verdicts[:]
     random.Random(5).shuffle(shuffled)
@@ -424,8 +436,8 @@ def test_back_degrees_count_earlier_neighbours(data):
 
 
 def test_umc_and_kahn_sweeps(c8):
-    umc = sweep(enumerate(generate(GenSpec(8, 2))), umc_graph_verdicts)
-    kahn = sweep(enumerate(generate(GenSpec(8, 2))), kahn_graph_verdicts)
+    umc = sweep(enumerate(generate(GenSpec(8, 2))), _umc(8, 2))
+    kahn = sweep(enumerate(generate(GenSpec(8, 2))), _kahn(8, 2))
     # 3 isomorphism classes, sizes 0..4
     assert len(umc) == len(kahn) == 15
     assert all(v.passed for v in umc + kahn)
@@ -434,13 +446,14 @@ def test_umc_and_kahn_sweeps(c8):
     # the reference graph itself is in the census, so equality occurs
     assert any(v.margin == 0 and v.params["size"] == 2 for v in umc)
     # spot value on the cycle: m_2(C8) = 20 against the union's 20
-    spot = [v for v in umc_graph_verdicts(GraphProfile(c8, 0)) if v.params["size"] == 2]
+    spot = [v for v in _umc(8, 2)(GraphProfile(c8, 0)) if v.params["size"] == 2]
     assert spot[0].lhs == 20 and spot[0].rhs == 20
 
 
 def test_bipartite_total_count():
     census = enumerate(generate(GenSpec(8, 2, bipartite_only=True)))
-    verdicts = sweep(census, total_count_graph_verdicts)
+    check = partial(suite_graph_verdicts, table=suite_table(8, 2))
+    verdicts = [v for v in sweep(census, check) if v.check_id == "ind-total-vs-kdd-power"]
     # bipartite 2-regular graphs on 8 vertices: C8 and C4 + C4
     assert len(verdicts) == 2
     assert all(v.passed for v in verdicts)
@@ -607,20 +620,23 @@ def test_hardcore_hom_identity(c4, k33):
 
 
 def test_perfect_matching_bound(c8):
-    verdicts = verify_perfect_matching_bound(GraphProfile(c8))
+    def pm_rows(g):
+        return [v for v in _suite(GraphProfile(g)) if v.check_id == "ind-count-vs-pm-bound"]
+
+    verdicts = pm_rows(c8)
     assert len(verdicts) == 5
     assert all(v.passed for v in verdicts)
     at2 = [v for v in verdicts if v.params["size"] == 2][0]
     assert at2.lhs == 20 and at2.rhs == 24
-    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(DomainError):
-        verify_perfect_matching_bound(GraphProfile(star))
+    # two triangles have no perfect matching, so no such row
+    triangles = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    assert pm_rows(triangles) == []
 
 
 def test_bounds_suite_inventory_and_passes(c8, k33, prism, petersen):
     bip_only = {"ind-pf-upper-bipartite", "ind-count-upper-bipartite", "bregman-pm"}
     for g, bip in ((c8, True), (k33, True), (prism, False), (petersen, False)):
-        verdicts = verify_bounds_suite(GraphProfile(g), SMALL_GRID)
+        verdicts = _suite(GraphProfile(g), SMALL_GRID)
         assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
         ids = {v.check_id for v in verdicts}
         core = {
@@ -636,9 +652,11 @@ def test_bounds_suite_inventory_and_passes(c8, k33, prism, petersen):
         assert (bip_only <= ids) == bip
         assert bool(bip_only & ids) == bip
     with pytest.raises(DomainError):
-        verify_bounds_suite(GraphProfile(build_graph(3, [(0, 1)])), SMALL_GRID)
+        suite_graph_verdicts(GraphProfile(build_graph(3, [(0, 1)])), suite_table(3, 1, SMALL_GRID))
     with pytest.raises(DomainError):
-        verify_bounds_suite(GraphProfile(c8), (Fraction(0), Fraction(1)))
+        suite_graph_verdicts(GraphProfile(c8), suite_table(8, 3, SMALL_GRID))
+    with pytest.raises(DomainError):
+        suite_table(8, 2, (Fraction(0), Fraction(1)))
 
 
 def _integer_root(x, k):
@@ -682,7 +700,7 @@ def test_count_bounds_are_decided_exactly(check_id, size, excess):
     profile.independence_polynomial = CountPolynomial(coefficients, INDEPENDENT_SET)
     [v] = [
         v
-        for v in verify_bounds_suite(profile, (Fraction(1),))
+        for v in _suite(profile, (Fraction(1),))
         if v.check_id == check_id and v.params["size"] == size
     ]
     if excess:
@@ -716,7 +734,7 @@ def test_bipartite_count_bound_is_decided_exactly():
         profile.independence_polynomial = CountPolynomial(coefficients, INDEPENDENT_SET)
         [v] = [
             v
-            for v in verify_bounds_suite(profile, (Fraction(1),))
+            for v in _suite(profile, (Fraction(1),))
             if v.check_id == "ind-count-upper-bipartite" and v.params["size"] == size
         ]
         assert v.passed == admitted and ("graph_text" in v.params) != admitted
@@ -741,25 +759,26 @@ def test_markov_lower_bound_is_decided_exactly(c):
 
 
 def test_suite_graph_verdicts_adds_conditional_checks(c8, prism):
-    ids8 = {v.check_id for v in suite_graph_verdicts(GraphProfile(c8, 0), SMALL_GRID)}
+    ids8 = {v.check_id for v in _suite(GraphProfile(c8, 0), SMALL_GRID)}
     assert "ind-count-vs-pm-bound" in ids8  # C8 has a perfect matching
     assert "ind-total-vs-kdd-power" in ids8  # bipartite with 2d | n
-    ids_prism = {v.check_id for v in suite_graph_verdicts(GraphProfile(prism, 0), SMALL_GRID)}
+    ids_prism = {v.check_id for v in _suite(GraphProfile(prism, 0), SMALL_GRID)}
     assert "ind-count-vs-pm-bound" in ids_prism
     assert "ind-total-vs-kdd-power" not in ids_prism  # not bipartite
 
 
 def test_suite_verdicts_share_no_params_dict(k33):
     # K_{3,3} is bipartite with a perfect matching, so every family runs.
-    verdicts = suite_graph_verdicts(GraphProfile(k33, 0))
+    verdicts = _suite(GraphProfile(k33, 0))
     assert {"bregman-pm", "ind-total-vs-kdd-power"} <= {v.check_id for v in verdicts}
     assert len({id(v.params) for v in verdicts}) == len(verdicts)
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap regcount.verify's global names with call counters."""
-    import regcount.verify as verify_module
+def _count_calls(monkeypatch, *names, module="regcount.verify"):
+    """Wrap the module's global names with call counters."""
+    import importlib
 
+    verify_module = importlib.import_module(module)
     calls = dict.fromkeys(names, 0)
     for name in names:
         original = getattr(verify_module, name)
@@ -773,19 +792,21 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_suite_counts_each_polynomial_once(monkeypatch, prism):
+    table = suite_table(6, 3)
     calls = _count_calls(monkeypatch, "matching_polynomial", "independence_polynomial")
-    ids = {v.check_id for v in suite_graph_verdicts(GraphProfile(prism, 0))}
+    ids = {v.check_id for v in suite_graph_verdicts(GraphProfile(prism, 0), table)}
     assert "ind-count-vs-pm-bound" in ids  # reads the independence polynomial again
     assert calls == {"matching_polynomial": 1, "independence_polynomial": 1}
 
 
 def test_hom_checks_label_and_count_once(monkeypatch, prism):
     targets = hom_targets(3)
-    calls = _count_calls(monkeypatch, "canonical_form", "independence_polynomial")
+    calls = _count_calls(monkeypatch, "independence_polynomial")
+    labels = _count_calls(monkeypatch, "canonical_form", module="regcount.generate")
     verdicts = hom_graph_verdicts(GraphProfile(prism, 0), targets)
     assert len(verdicts) == 5 * 7 + 6
     assert {v.graph_label for v in verdicts} == {canonical_form(prism)}
-    assert calls == {"canonical_form": 1, "independence_polynomial": 1}
+    assert calls == {"independence_polynomial": 1} and labels == {"canonical_form": 1}
 
 
 def test_hom_checks_count_each_homomorphism_once(monkeypatch):
@@ -806,7 +827,7 @@ def test_hom_checks_count_each_homomorphism_once(monkeypatch):
 
 def test_profile_computes_only_what_a_check_reads(c8):
     umc = GraphProfile(c8, 0)
-    umc_graph_verdicts(umc)
+    _umc(8, 2)(umc)
     assert "independence_polynomial" not in vars(umc)
     roots = GraphProfile(c8)
     verify_real_rooted(roots)
