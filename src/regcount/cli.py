@@ -301,18 +301,13 @@ def _cmd_count(args) -> int:
 
 
 def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
+    """The bounds report's rows: the paper's bounds on (n, d) read from
+    verify.suite_table, beside the K_{d,d} union's counts and its own lower
+    bounds, each list in the order given."""
     from .bounds import (
         balanced_profile,
         block_miss_stats,
-        check_domain,
-        ind_count_upper_bipartite,
-        ind_count_upper_general,
-        ind_pf_upper_bipartite,
-        ind_pf_upper_general,
-        independent_upper_pm_exact,
         log2_ratio,
-        match_count_upper,
-        match_pf_upper,
         optimal_lambda,
         profile_matching_lower,
         stirling_term,
@@ -321,17 +316,13 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
         union_matching_lower_explicit,
         union_small_t_exact,
     )
-    from .kdd import (
-        kdd_matching_count,
-        union_copies,
-        union_independence_polynomial,
-        union_matching_polynomial,
-    )
-    from .verify import _params, bound_verdict, format_number
+    from .kdd import kdd_matching_count, union_copies, union_matching_polynomial
+    from .verify import _params, bound_verdict, format_number, suite_table
 
     copies = union_copies(n, d)
-    for size in ells + ts:
-        check_domain(n, d, size)
+    table = suite_table(n, d, lams, ells + ts)
+    # Each row's bound by check id and the size or weight it reads.
+    bounds = {(row.check_id, row.reads[1]): row.bound for row in table.rows}
     rows: list[dict] = []
 
     def add(name, value, direction, **params):
@@ -350,7 +341,7 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
         add("union-match-count", count, "exact", size=ell)
         if count:
             add("union-match-count-log2", log2_ratio(count, 1), "exact", size=ell)
-        add("match-count-upper", match_count_upper(n, d, ell).log_bound(), "upper", size=ell)
+        add("match-count-upper", bounds["match-count-upper", ell].log_bound(), "upper", size=ell)
         if 0 < ell < n // 2:
             add("optimal-lambda", optimal_lambda(n, d, ell), "info", size=ell)
             explicit = union_matching_lower_explicit(n, d, ell)
@@ -376,23 +367,16 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
             bound = profile_matching_lower(n, d, profile, c)
             add("profile-match-lower", bound.log_bound(), "lower", size=ell, c=c)
     for lam in lams:
-        for name, bound in (
-            ("match-pf-upper", match_pf_upper),
-            ("ind-pf-upper-general", ind_pf_upper_general),
-            ("ind-pf-upper-bipartite", ind_pf_upper_bipartite),
-        ):
-            add(name, bound(n, d, lam).log_bound(), "upper", lam=lam)
-    union = union_independence_polynomial(n, d)
+        for name in ("match-pf-upper", "ind-pf-upper-general", "ind-pf-upper-bipartite"):
+            add(name, bounds[name, lam].log_bound(), "upper", lam=lam)
     for t in ts:
-        count = union.coefficient(t)
+        count = table.union.coefficient(t)
         add("union-ind-count", count, "exact", size=t)
         if count:
             add("union-ind-count-log2", log2_ratio(count, 1), "exact", size=t)
-        bound = ind_count_upper_general(n, d, t)
-        add("ind-count-upper-general", bound.log_bound(), "upper", size=t)
-        bound = ind_count_upper_bipartite(n, d, t)
-        add("ind-count-upper-bipartite", bound.log_bound(), "upper", size=t)
-        add("ind-upper-pm-exact", independent_upper_pm_exact(n, t), "upper", size=t)
+        for name in ("ind-count-upper-general", "ind-count-upper-bipartite"):
+            add(name, bounds[name, t].log_bound(), "upper", size=t)
+        add("ind-upper-pm-exact", bounds["ind-count-vs-pm-bound", t].rhs, "upper", size=t)
         for c in cs:
             if c > 1:
                 bound = union_ind_lower_markov(n, d, t, c)
@@ -458,12 +442,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _union_settings(name: str, args) -> dict:
+def _union_settings(kind: str, args) -> dict:
     """verify-umc's and verify-kahn's settings: the union polynomial
-    kdd.<name> on (n, d)."""
+    kdd.union_<kind>_polynomial on (n, d)."""
     from . import kdd
 
-    return {"union": getattr(kdd, name)(args.n, args.d)}
+    return {"union": getattr(kdd, f"union_{kind}_polynomial")(args.n, args.d)}
 
 
 def _suite_settings(args) -> dict:
@@ -492,22 +476,24 @@ def _hom_settings(args) -> dict:
     return {"targets": targets, "random_orders": args.orders, "seed": args.seed, "c_grid": c_grid}
 
 
-def _union_lowers(args) -> list:
-    from .kdd import has_union
+def _union_lowers(args, table) -> list:
+    """verify-suite's union rows, where the table has a union."""
     from .verify import DEFAULT_C_GRID, verify_union_lower_bounds
 
-    if has_union(args.n, args.d):
-        return verify_union_lower_bounds(args.n, args.d, args.c or DEFAULT_C_GRID)
-    return []
+    if table.union is None:
+        return []
+    return verify_union_lower_bounds(table, args.c or DEFAULT_C_GRID)
 
 
 # verify command -> (name of its per-graph check, a function that checks the
 # args once (n, d) has passed GenSpec, before any graph is generated, and
-# returns the check's settings, verdicts added after the sweep).  Checks are looked up on regcount.verify by
-# name when the command runs, so that a rebinding (a stub, a tracing hook) runs.
+# returns the check's settings, and None or a function of the args and those
+# settings that returns the verdicts added after the sweep).  Checks are
+# looked up on regcount.verify by name when the command runs, so that a
+# rebinding (a stub, a tracing hook) runs.
 _VERIFY = {
-    "verify-umc": ("umc_graph_verdicts", partial(_union_settings, "union_matching_polynomial"), None),
-    "verify-kahn": ("kahn_graph_verdicts", partial(_union_settings, "union_independence_polynomial"), None),
+    "verify-umc": ("umc_graph_verdicts", partial(_union_settings, "matching"), None),
+    "verify-kahn": ("kahn_graph_verdicts", partial(_union_settings, "independence"), None),
     "verify-suite": ("suite_graph_verdicts", _suite_settings, _union_lowers),
     "verify-roots": ("verify_real_rooted", _roots_settings, None),
     "verify-hom": ("hom_graph_verdicts", _hom_settings, None),
@@ -518,19 +504,20 @@ def _cmd_verify(args) -> int:
     from . import verify
     from .generate import GenSpec, generate
 
-    check_name, settings, trailing = _VERIFY[args.command]
+    check_name, build_settings, trailing = _VERIFY[args.command]
     graph = getattr(args, "graph", None)
     if graph and (args.n is not None or args.d is not None):
         raise DomainError("verify-roots takes --graph or --n and --d, not both")
     if not graph and (args.n is None or args.d is None):
         raise DomainError("verify-roots needs either --graph or both --n and --d")
-    # A census shape is refused before settings builds anything for it.
+    # A census shape is refused before build_settings builds anything for it.
     spec = None if graph else GenSpec(args.n, args.d)
-    check = partial(getattr(verify, check_name), **settings(args))
+    settings = build_settings(args)
+    check = partial(getattr(verify, check_name), **settings)
     graphs = enumerate(generate(spec)) if spec else [(None, _read_graph(graph))]
     verdicts = verify.sweep(graphs, check, map=partial(_pmap, workers=args.workers))
     if trailing:
-        verdicts += trailing(args)
+        verdicts += trailing(args, **settings)
     verdicts = verify.sort_verdicts(verdicts)
     doc = _report(args.command, _config_echo(args), verdicts=verdicts)
     _emit(doc, args)

@@ -38,6 +38,7 @@ from .bounds import (
     Cleared,
     block_miss_stats,
     bregman_pm,
+    check_domain,
     ind_count_upper_bipartite,
     ind_count_upper_general,
     ind_pf_upper_bipartite,
@@ -471,11 +472,13 @@ def verify_hardcore_hom_identity(p: GraphProfile, c: int, lam) -> Verdict:
     )
 
 
-SuiteTable = namedtuple("SuiteTable", "n d rows")
+SuiteTable = namedtuple("SuiteTable", "n d rows union")
 SuiteRow = namedtuple("SuiteRow", "check_id params reads bound needs in_log2")
 
 
-def suite_table(n: int, d: int, lambda_grid: Iterable = DEFAULT_LAMBDA_GRID) -> SuiteTable:
+def suite_table(
+    n: int, d: int, lambda_grid: Iterable = DEFAULT_LAMBDA_GRID, sizes: Sequence[int] | None = None
+) -> SuiteTable:
     """The rows of the bounds suite on d-regular graphs on n vertices, in
     check order, built once for a whole sweep: every bound depends on (n, d)
     and the weights of lambda_grid (lambda_values) alone.
@@ -488,21 +491,29 @@ def suite_table(n: int, d: int, lambda_grid: Iterable = DEFAULT_LAMBDA_GRID) -> 
     one bound that depends on the graph, match-pf-gurvits through its nu, is
     None here and built per graph.  The perfect-matching references and the
     union's independent-set total are bounds Cleared(1, value): q <= value.
+
+    Given sizes, each in 0..n/2 (check_domain), the table keeps only the
+    rows that read a coefficient of one of those sizes, besides every row
+    that reads a partition function.  union is the independence polynomial
+    of the K_{d,d} union on (n, d) (kdd.has_union), else None.
     """
     grid = lambda_values(lambda_grid)
+    for s in sizes or ():
+        check_domain(n, d, s)
+    sizes = range(n // 2 + 1) if sizes is None else sorted(set(sizes))
+    union = union_independence_polynomial(n, d) if has_union(n, d) else None
     rows: list[SuiteRow] = []
     if d < 1:
-        return SuiteTable(n, d, rows)
+        return SuiteTable(n, d, rows, union)
 
     def add(check_id, reads, bound, needs=None, in_log2=False, **params):
         rows.append(SuiteRow(check_id, _params(n=n, d=d, **params), reads, bound, needs, in_log2))
 
-    sizes = range(n // 2 + 1)
-    best = {ell: optimal_lambda(n, d, ell) for ell in range(1, (n - 1) // 2 + 1)}
+    best = {ell: optimal_lambda(n, d, ell) for ell in sizes if 0 < 2 * ell < n}
+    matching = {lam: match_pf_upper(n, d, lam) for lam in dict.fromkeys([*grid, *best.values()])}
     # The single-term rows' (size, lam): each size at each grid weight, and
     # at its best weight, which may lie on the grid.
     pairs = dict.fromkeys([*((ell, lam) for lam in grid for ell in sizes), *best.items()])
-    matching = {lam: match_pf_upper(n, d, lam) for lam in dict.fromkeys(lam for _, lam in pairs)}
     terms = {(ell, lam): single_term(matching[lam], ell, lam) for ell, lam in pairs}
     for lam in grid:
         add("match-pf-upper", ("Z_M", lam), matching[lam], lam=lam)
@@ -521,32 +532,30 @@ def suite_table(n: int, d: int, lambda_grid: Iterable = DEFAULT_LAMBDA_GRID) -> 
         bound = ind_count_upper_bipartite(n, d, s)
         add("ind-count-upper-bipartite", ("i", s), bound, "bipartite", True, size=s)
     if n % 2 == 0:
-        add("bregman-pm", ("m", n // 2), bregman_pm(n, d), "bipartite")
+        if n // 2 in sizes:
+            add("bregman-pm", ("m", n // 2), bregman_pm(n, d), "bipartite")
         # i_t <= 2^t binom(n/2, t) on a graph with a perfect matching.
         for s in sizes:
             bound = Cleared(1, independent_upper_pm_exact(n, s))
             add("ind-count-vs-pm-bound", ("i", s), bound, "has_perfect_matching", size=s)
-    if has_union(n, d):
+    if union is not None:
         # A bipartite graph has at most the union's independent sets, Z_I(1).
-        total = sum(union_independence_polynomial(n, d).coefficients)
+        total = sum(union.coefficients)
         add("ind-total-vs-kdd-power", ("Z_I", Fraction(1)), Cleared(1, total), "bipartite")
-    return SuiteTable(n, d, rows)
+    return SuiteTable(n, d, rows, union)
 
 
-def verify_union_lower_bounds(
-    n: int,
-    d: int,
-    c_grid: Sequence = DEFAULT_C_GRID,
-) -> list[Verdict]:
-    """Lower bounds and block statistics for the complete-bipartite union.
+def verify_union_lower_bounds(table: SuiteTable, c_grid: Sequence = DEFAULT_C_GRID) -> list[Verdict]:
+    """Lower bounds and block statistics for the complete-bipartite union on
+    the (n, d) of table (suite_table), read from its union.
 
     The Markov-style and small-size lower bounds are asserted against the
     exact union counts; the block-miss statistics are recomputed by brute
     force and checked against the closed forms and the weighted identity.
     c_grid is a set.  Verdicts come in check order.
     """
+    n, d, union = table.n, table.d, table.union
     copies = union_copies(n, d)
-    union = union_independence_polynomial(n, d)
     label = f"union-{n}v-{d}r"
     half = n // 2
     verdicts: list[Verdict] = []

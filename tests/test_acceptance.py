@@ -188,12 +188,12 @@ def test_criterion_08_bound_suite_and_union_lowers(small_corpus):
         bad = [v for v in verdicts if not v.passed]
         assert not bad, (n, d, idx, bad[:3])
     for n, d in UNION_SHAPES:
-        verdicts = verify_union_lower_bounds(n, d, DEFAULT_C_GRID)
+        verdicts = verify_union_lower_bounds(suite_table(n, d), DEFAULT_C_GRID)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, (n, d, bad[:3])
     # spots at (8, 2): scattered-set count equals i_1 exactly; the Markov
     # form gives log2 6 ~ 2.585 below log2 20
-    verdicts = verify_union_lower_bounds(8, 2, DEFAULT_C_GRID)
+    verdicts = verify_union_lower_bounds(suite_table(8, 2), DEFAULT_C_GRID)
     [eq] = [
         v
         for v in verdicts
@@ -247,7 +247,7 @@ def test_criterion_11_block_statistics():
         "union-block-mean-markov",
     }
     for n, d in BLOCK_SHAPES:
-        verdicts = verify_union_lower_bounds(n, d, DEFAULT_C_GRID)
+        verdicts = verify_union_lower_bounds(suite_table(n, d), DEFAULT_C_GRID)
         bad = [v for v in verdicts if not v.passed]
         assert not bad, (n, d, bad[:3])
         assert wanted <= {v.check_id for v in verdicts}

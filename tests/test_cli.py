@@ -114,7 +114,14 @@ def test_workers_equivalence(capsys):
     # Each check sends what it builds once per sweep to the workers in its
     # settings: verify-hom its K_{b,b} factor table, verify-suite its bound
     # table, verify-umc and verify-kahn the union polynomial.
-    for command, d in (("verify-kahn", "2"), ("verify-hom", "3"), ("verify-suite", "3"), ("verify-umc", "2")):
+    # verify-suite at (8, 2) sends the table's union on to its union rows.
+    for command, d in (
+        ("verify-kahn", "2"),
+        ("verify-hom", "3"),
+        ("verify-suite", "3"),
+        ("verify-suite", "2"),
+        ("verify-umc", "2"),
+    ):
         _, doc1 = run_json(capsys, command, "--n", "8", "--d", d, "--workers", "1")
         _, doc2 = run_json(capsys, command, "--n", "8", "--d", d, "--workers", "2")
         assert doc1["verdicts"] == doc2["verdicts"]
@@ -451,11 +458,20 @@ def test_suite_markov_constants_are_checked_before_generation(capsys, monkeypatc
         assert captured.err == f"regcount: error: Markov constant must exceed 1, got {c}\n"
 
 
-def test_suite_lambda_grid_is_checked_before_generation(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-suite", "--n", "14", "--d", "3", "--lam", "1", "--lam", "0"],
+        ["bounds", "--n", "8", "--d", "2", "--lam", "0"],
+    ],
+    ids=["verify-suite", "bounds"],
+)
+def test_lambda_grid_must_be_positive(capsys, monkeypatch, argv):
+    # bounds reads its weights from verify-suite's table, under one rule.
     import regcount.verify as verify_mod
 
     monkeypatch.setattr(verify_mod, "sweep", _no_sweep)
-    assert main(["verify-suite", "--n", "14", "--d", "3", "--lam", "1", "--lam", "0"]) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "regcount: error: lambda grid must be positive\n"

@@ -32,6 +32,11 @@ CASES["count-matching-petersen.csv"] = [
 CASES["bounds-8-2.json"] = ["bounds", "--n", "8", "--d", "2"]
 CASES["bounds-40-4.json"] = ["bounds", "--n", "40", "--d", "4"]
 CASES["bounds-12-3.csv"] = ["bounds", "--n", "12", "--d", "3", "--format", "csv"]
+# Each list out of order, a Markov constant of 1 (no Markov rows) and CSV.
+CASES["bounds-24-3-lists.csv"] = [
+    "bounds", "--n", "24", "--d", "3", "--ell", "5", "--ell", "2", "--t", "3", "--t", "0",
+    "--lam", "7/2", "--lam", "1/3", "--c", "3", "--c", "1", "--format", "csv",
+]
 CASES["gen-8-3.csv"] = ["gen", "--n", "8", "--d", "3", "--format", "csv"]
 CASES["gen-10-3.json"] = ["gen", "--n", "10", "--d", "3"]
 CASES["gen-6-3-labeled.csv"] = ["gen", "--n", "6", "--d", "3", "--labeled", "--format", "csv"]

@@ -23,7 +23,7 @@ from regcount import (
 )
 from regcount import kdd, poly
 from regcount.cli import main
-from regcount.verify import bound_verdict, verify_union_lower_bounds
+from regcount.verify import bound_verdict, suite_table, verify_union_lower_bounds
 
 from conftest import build_kdd_union
 
@@ -67,12 +67,18 @@ def test_each_union_polynomial_is_built_once(monkeypatch, capsys):
         return power(base, copies)
 
     monkeypatch.setattr(poly, "power", counted)
+    # verify-suite's table holds the union, and its union rows read it there.
+    assert main(["verify-suite", "--n", "12", "--d", "3"]) == 0
+    capsys.readouterr()
+    assert calls == [2]
+    calls.clear()
     assert main(["bounds", "--n", "24", "--d", "3"]) == 0
     capsys.readouterr()
     assert len(calls) == 2
+    table = suite_table(12, 3)
     calls.clear()
-    verify_union_lower_bounds(12, 3)
-    assert len(calls) == 1
+    verify_union_lower_bounds(table)
+    assert calls == []
 
 
 def test_domain_validation():

@@ -21,6 +21,7 @@ from mpmath import mpf
 
 from regcount import (
     CountPolynomial,
+    DivisibilityError,
     DomainError,
     GenSpec,
     GraphError,
@@ -659,6 +660,30 @@ def test_bounds_suite_inventory_and_passes(c8, k33, prism, petersen):
         suite_table(8, 2, (Fraction(0), Fraction(1)))
 
 
+@pytest.mark.parametrize(
+    "n, d, sizes",
+    [
+        (8, 2, [0]),
+        (8, 2, [4, 0, 2]),
+        (12, 3, [6]),
+        (12, 3, [3, 1, 3]),
+        (24, 3, [12, 0, 5]),
+        (40, 4, [20, 7, 0, 13]),
+        (40, 4, []),
+    ],
+)
+def test_sized_table_is_the_full_table_filtered(n, d, sizes):
+    # A row that reads a coefficient is kept when its size is given, in the
+    # full table's order; a row that reads a partition function always is.
+    grid = (Fraction(5), Fraction(1, 3), Fraction(1))
+    full = suite_table(n, d, grid)
+    sized = suite_table(n, d, grid, sizes)
+    kept = [row for row in full.rows if row.reads[0] in ("Z_M", "Z_I") or row.reads[1] in sizes]
+    assert sized.rows == kept
+    assert sized.union == full.union == union_independence_polynomial(n, d)
+    assert ("bregman-pm" in {row.check_id for row in sized.rows}) == (n // 2 in sizes)
+
+
 def _integer_root(x, k):
     """The largest integer r with r^k <= x."""
     r = int(round(float(x) ** (1 / k)))
@@ -836,7 +861,7 @@ def test_profile_computes_only_what_a_check_reads(c8):
 
 
 def test_union_lower_bounds():
-    verdicts = verify_union_lower_bounds(8, 2)
+    verdicts = verify_union_lower_bounds(suite_table(8, 2))
     assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
     ids = {v.check_id for v in verdicts}
     assert ids == {
@@ -867,20 +892,26 @@ def test_union_lower_bounds():
     ties = [
         v.to_json_dict()
         for n, d in ((8, 2), (16, 4), (24, 4), (24, 3))
-        for v in verify_union_lower_bounds(n, d)
+        for v in verify_union_lower_bounds(suite_table(n, d))
         if v.check_id == "union-ind-lower-small-t-log" and v.params["size"] <= 1
     ]
     assert len(ties) == 8
     assert all(r["pass"] and r["margin"] == "0" and r["lhs"] == r["rhs"] for r in ties)
     with pytest.raises(DomainError):
-        verify_union_lower_bounds(8, 2, c_grid=(Fraction(1),))
+        verify_union_lower_bounds(suite_table(8, 2), c_grid=(Fraction(1),))
+    table = suite_table(8, 3)
+    assert table.union is None
+    with pytest.raises(DivisibilityError):
+        verify_union_lower_bounds(table)
 
 
 def test_union_lower_bound_rows_are_pinned():
     # No golden report holds these rows: verify-suite adds them only when
     # 2d | n, and the golden verify-suite census is (8,3).
     shapes = [(4, 2), (8, 2), (12, 2), (12, 3), (16, 4), (18, 3), (20, 5), (24, 4), (24, 3)]
-    rows = [v.to_json_dict() for n, d in shapes for v in verify_union_lower_bounds(n, d)]
+    rows = [
+        v.to_json_dict() for n, d in shapes for v in verify_union_lower_bounds(suite_table(n, d))
+    ]
     assert len(rows) == 452
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
         "7b2caedb2dca0077d2b5d046874eecce2b02a40200a76370929424c7bc0458e9"
