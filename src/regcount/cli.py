@@ -443,11 +443,11 @@ def _cmd_gen(args) -> int:
 
 
 def _union_settings(kind: str, args) -> dict:
-    """verify-umc's and verify-kahn's settings: the union polynomial
-    kdd.union_<kind>_polynomial on (n, d)."""
-    from . import kdd
+    """verify-umc's and verify-kahn's settings: the vs-union table of kind
+    (counting.MATCHING or counting.INDEPENDENT_SET) on (n, d)."""
+    from .verify import vs_union_table
 
-    return {"union": getattr(kdd, f"union_{kind}_polynomial")(args.n, args.d)}
+    return {"table": vs_union_table(args.n, args.d, kind)}
 
 
 def _suite_settings(args) -> dict:
@@ -492,8 +492,8 @@ def _union_lowers(args, table) -> list:
 # looked up on regcount.verify by name when the command runs, so that a
 # rebinding (a stub, a tracing hook) runs.
 _VERIFY = {
-    "verify-umc": ("umc_graph_verdicts", partial(_union_settings, "matching"), None),
-    "verify-kahn": ("kahn_graph_verdicts", partial(_union_settings, "independence"), None),
+    "verify-umc": ("suite_graph_verdicts", partial(_union_settings, "matching"), None),
+    "verify-kahn": ("suite_graph_verdicts", partial(_union_settings, "independent-set"), None),
     "verify-suite": ("suite_graph_verdicts", _suite_settings, _union_lowers),
     "verify-roots": ("verify_real_rooted", _roots_settings, None),
     "verify-hom": ("hom_graph_verdicts", _hom_settings, None),

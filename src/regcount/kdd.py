@@ -55,3 +55,20 @@ def union_independence_polynomial(n: int, d: int) -> CountPolynomial:
     copies = union_copies(n, d)
     base = [kdd_independent_count(d, t) for t in range(d + 1)]
     return CountPolynomial(poly.power(base, copies), INDEPENDENT_SET)
+
+
+def union_block_misses(n: int, d: int) -> list[list[int]]:
+    """How the t-subsets of one side of the union on n vertices meet its c =
+    n/2d blocks, the sides of the K_{d,d} copies on that side: row t, for t
+    in 0..n/2, holds at k how many t-subsets miss exactly k blocks, C(c, k)
+    [x^t] ((1 + x)^d - 1)^(c - k): choose the k missed blocks, then a
+    nonempty part of each other block."""
+    copies = union_copies(n, d)
+    hit = (0, *(math.comb(d, j) for j in range(1, d + 1)))
+    powers = [(1,)]
+    for _ in range(copies):
+        powers.append(poly.product(powers[-1], hit))
+    return [
+        [math.comb(copies, k) * (p[t] if t < len(p) else 0) for k, p in enumerate(reversed(powers))]
+        for t in range(n // 2 + 1)
+    ]

@@ -30,7 +30,6 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .bounds import (
@@ -56,7 +55,7 @@ from .bounds import (
     union_small_t_exact,
 )
 from .counting import (
-    CountPolynomial,
+    MATCHING,
     count_homomorphisms,
     eval_partition,
     independence_polynomial,
@@ -73,7 +72,13 @@ from .graphs import (
     graph_to_text,
     regular_degree,
 )
-from .kdd import has_union, union_copies, union_independence_polynomial
+from .kdd import (
+    has_union,
+    union_block_misses,
+    union_copies,
+    union_independence_polynomial,
+    union_matching_polynomial,
+)
 from .poly import evaluate, squarefree
 
 DEFAULT_ROOT_TOL = 1e-7
@@ -359,36 +364,6 @@ def back_degrees(g: Graph, perm: Sequence[int]) -> list[int]:
     return back
 
 
-def _per_size(p: GraphProfile, check_id: str, poly, reference) -> list[Verdict]:
-    """One exact verdict per size s in 0..n/2, in size order, that the
-    coefficient of x^s in poly is at most reference(s)."""
-    n = p.graph.vertex_count
-    return [
-        exact_le(
-            check_id,
-            p.label,
-            _params(n=n, d=p.degree, size=s),
-            poly.coefficient(s),
-            reference(s),
-            graph=p.graph,
-        )
-        for s in range(n // 2 + 1)
-    ]
-
-
-def umc_graph_verdicts(p: GraphProfile, union: CountPolynomial) -> list[Verdict]:
-    """Matching counts of one d-regular graph on n vertices, 2d | n, against
-    union, the matching polynomial of the complete-bipartite union on the
-    same (n, d) (kdd.union_matching_polynomial), one exact verdict per size."""
-    return _per_size(p, "match-count-vs-union", p.matching_polynomial, union.coefficient)
-
-
-def kahn_graph_verdicts(p: GraphProfile, union: CountPolynomial) -> list[Verdict]:
-    """Independent-set counts of one graph against union, the union's
-    independence polynomial (kdd.union_independence_polynomial)."""
-    return _per_size(p, "ind-count-vs-union", p.independence_polynomial, union.coefficient)
-
-
 def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdict:
     """Numeric check that the matching partition function has only real
     negative roots, via companion-matrix eigenvalues.
@@ -545,26 +520,43 @@ def suite_table(
     return SuiteTable(n, d, rows, union)
 
 
+def vs_union_table(n: int, d: int, kind: str) -> SuiteTable:
+    """verify-umc's table on (n, d), 2d | n, for kind MATCHING, else
+    verify-kahn's: a row per size s in 0..n/2, the degree of the K_{d,d}
+    union's polynomial of that kind, that a graph's size-s count is at most
+    the union's, as Friedland et al. and Kahn conjecture.  Its union is None."""
+    if kind == MATCHING:
+        check_id, read, union = "match-count-vs-union", "m", union_matching_polynomial(n, d)
+    else:
+        check_id, read, union = "ind-count-vs-union", "i", union_independence_polynomial(n, d)
+    rows = [
+        SuiteRow(check_id, _params(n=n, d=d, size=s), (read, s), Cleared(1, count), None, False)
+        for s, count in enumerate(union.coefficients)
+    ]
+    return SuiteTable(n, d, rows, None)
+
+
 def verify_union_lower_bounds(table: SuiteTable, c_grid: Sequence = DEFAULT_C_GRID) -> list[Verdict]:
     """Lower bounds and block statistics for the complete-bipartite union on
     the (n, d) of table (suite_table), read from its union.
 
     The Markov-style and small-size lower bounds are asserted against the
-    exact union counts; the block-miss statistics are recomputed by brute
-    force and checked against the closed forms and the weighted identity.
-    c_grid is a set.  Verdicts come in check order.
+    exact union counts.  The distribution of missed blocks over the
+    t-subsets of a side (kdd.union_block_misses) is checked against the
+    union counts by the weighted identity, and its mean against the closed
+    form of block_miss_stats.  c_grid is a set.  Verdicts come in check
+    order.
     """
     n, d, union = table.n, table.d, table.union
     copies = union_copies(n, d)
     label = f"union-{n}v-{d}r"
-    half = n // 2
     verdicts: list[Verdict] = []
 
     def add(build, check_id, a, b, **params):
         verdicts.append(build(check_id, label, _params(n=n, d=d, **params), a, b))
 
     grid = sorted(set(Fraction(c) for c in c_grid))
-    for t in range(half + 1):
+    for t, misses in enumerate(union_block_misses(n, d)):
         count = union.coefficient(t)
         for c in grid:
             bound = union_ind_lower_markov(n, d, t, c)
@@ -574,18 +566,8 @@ def verify_union_lower_bounds(table: SuiteTable, c_grid: Sequence = DEFAULT_C_GR
             add(bound_verdict, "union-ind-lower-small-t-log", count, bound, size=t)
             exact = union_small_t_exact(n, d, t)
             add(exact_le, "union-ind-lower-small-t-exact", exact, count, size=t)
-        # Brute-force block statistics over all t-subsets of the half set.
-        blocks = [set(range(i * d, (i + 1) * d)) for i in range(copies)]
-        misses = [0] * (copies + 1)
-        for subset in combinations(range(half), t):
-            chosen = set(subset)
-            missed = sum(1 for blk in blocks if not blk & chosen)
-            misses[missed] += 1
-        identity = evaluate(misses, 1, 2)
-        add(exact_eq, "union-block-identity", identity, count, size=t)
-        mu_exact = Fraction(
-            sum(k * b for k, b in enumerate(misses)), math.comb(half, t)
-        )
+        add(exact_eq, "union-block-identity", evaluate(misses, 1, 2), count, size=t)
+        mu_exact = Fraction(sum(k * b for k, b in enumerate(misses)), math.comb(n // 2, t))
         mu_closed, mu_bound = block_miss_stats(n, d, t)
         add(exact_eq, "union-block-mean-closed-form", mu_exact, mu_closed, size=t)
         add(exact_le, "union-block-mean-markov", mu_closed, mu_bound, size=t)
@@ -593,10 +575,10 @@ def verify_union_lower_bounds(table: SuiteTable, c_grid: Sequence = DEFAULT_C_GR
 
 
 def suite_graph_verdicts(p: GraphProfile, table: SuiteTable) -> list[Verdict]:
-    """One verdict per row of table (suite_table) whose needed flag the
-    graph has, in check order: the row's bound against the graph quantity it
-    reads.  The graph must be d-regular on n vertices, as the table is
-    (DomainError).
+    """One verdict per row of table (suite_table, vs_union_table) whose
+    needed flag the graph has, in check order: the row's bound against the
+    graph quantity it reads.  The graph must be d-regular on n vertices, as
+    the table is (DomainError).
 
     Every bound is a power-cleared inequality and decided exactly.  The
     count bounds are reported in log2, the others with both sides as exact
@@ -604,7 +586,7 @@ def suite_graph_verdicts(p: GraphProfile, table: SuiteTable) -> list[Verdict]:
     """
     g = p.graph
     if (g.vertex_count, p.degree) != (table.n, table.d):
-        raise DomainError(f"bounds suite needs a {table.d}-regular graph on {table.n} vertices")
+        raise DomainError(f"the table needs a {table.d}-regular graph on {table.n} vertices")
     label = p.label
     values = {}
     verdicts: list[Verdict] = []

@@ -25,6 +25,7 @@ from regcount import (
 )
 from regcount.bounds import log2
 from regcount.cli import main
+from regcount.counting import INDEPENDENT_SET, MATCHING
 from regcount.verify import (
     DEFAULT_C_GRID,
     DEFAULT_LAMBDA_GRID,
@@ -33,15 +34,14 @@ from regcount.verify import (
     GraphProfile,
     hom_graph_verdicts,
     hom_targets,
-    kahn_graph_verdicts,
     bound_verdict,
     suite_graph_verdicts,
     suite_table,
     sweep,
-    umc_graph_verdicts,
     verify_hardcore_hom_identity,
     verify_real_rooted,
     verify_union_lower_bounds,
+    vs_union_table,
 )
 
 from conftest import oracle_independent_counts, oracle_matching_counts
@@ -73,7 +73,7 @@ def test_criterion_01_polynomials_equal_brute_force(small_corpus):
 def test_criterion_02_matching_counts_never_beat_union(corpus, c8):
     start = time.perf_counter()
     for n, d in CONJECTURE_GRID:
-        check = partial(umc_graph_verdicts, union=union_matching_polynomial(n, d))
+        check = partial(suite_graph_verdicts, table=vs_union_table(n, d, MATCHING))
         verdicts = sweep(enumerate(generate(GenSpec(n, d))), check)
         assert len(verdicts) == len(corpus[(n, d)]) * (n // 2 + 1)
         bad = [v for v in verdicts if not v.passed]
@@ -87,7 +87,7 @@ def test_criterion_02_matching_counts_never_beat_union(corpus, c8):
 
 def test_criterion_03_independent_counts_never_beat_union(corpus, c8):
     for n, d in CONJECTURE_GRID:
-        check = partial(kahn_graph_verdicts, union=union_independence_polynomial(n, d))
+        check = partial(suite_graph_verdicts, table=vs_union_table(n, d, INDEPENDENT_SET))
         verdicts = sweep(enumerate(generate(GenSpec(n, d))), check)
         assert len(verdicts) == len(corpus[(n, d)]) * (n // 2 + 1)
         bad = [v for v in verdicts if not v.passed]

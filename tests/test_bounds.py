@@ -44,6 +44,7 @@ from regcount import (
 )
 from regcount.bounds import LOWER, UPPER, _ln_bounds, check_domain, log2, signed_log2_ratio
 from regcount.cli import _bounds_rows
+from regcount.kdd import union_block_misses
 from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
     GraphProfile,
@@ -558,16 +559,30 @@ def test_small_t_bounds_share_one_size_rule(n, d):
     assert messages == {f"small-t bound needs t <= {t - 1}, got {t}"}
 
 
-def oracle_mean_missed_blocks(n, d, t):
+def oracle_missed_blocks(n, d, t):
+    """At k, how many t-subsets of 0..n/2-1 miss exactly k of its d-blocks,
+    by listing every subset."""
     half = n // 2
     blocks = [set(range(i * d, (i + 1) * d)) for i in range(half // d)]
-    total = 0
-    subsets = 0
+    misses = [0] * (len(blocks) + 1)
     for chosen in combinations(range(half), t):
         chosen = set(chosen)
-        subsets += 1
-        total += sum(1 for b in blocks if not (b & chosen))
-    return Fraction(total, subsets)
+        misses[sum(1 for b in blocks if not (b & chosen))] += 1
+    return misses
+
+
+def oracle_mean_missed_blocks(n, d, t):
+    misses = oracle_missed_blocks(n, d, t)
+    return Fraction(sum(k * m for k, m in enumerate(misses)), sum(misses))
+
+
+# Every (n, d) with n <= 12 and 2d | n: acceptance criterion 11's union shapes.
+BLOCK_SHAPES = [(n, d) for n in range(2, 13, 2) for d in range(1, n // 2 + 1) if n % (2 * d) == 0]
+
+
+@pytest.mark.parametrize("n, d", BLOCK_SHAPES)
+def test_block_misses_closed_form_equals_the_subset_census(n, d):
+    assert union_block_misses(n, d) == [oracle_missed_blocks(n, d, t) for t in range(n // 2 + 1)]
 
 
 @pytest.mark.parametrize(

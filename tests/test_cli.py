@@ -134,7 +134,7 @@ def test_sweep_checks_each_graph_as_the_census_streams(capsys, monkeypatch):
     import regcount.verify as verify_mod
 
     generate_mod = sys.modules["regcount.generate"]
-    real_generate, real_check = generate_mod.generate, verify_mod.umc_graph_verdicts
+    real_generate, real_check = generate_mod.generate, verify_mod.suite_graph_verdicts
     checked = []
 
     def two_then_fail(spec):
@@ -148,7 +148,7 @@ def test_sweep_checks_each_graph_as_the_census_streams(capsys, monkeypatch):
         return real_check(p, **settings)
 
     monkeypatch.setattr(generate_mod, "generate", two_then_fail)
-    monkeypatch.setattr(verify_mod, "umc_graph_verdicts", check)
+    monkeypatch.setattr(verify_mod, "suite_graph_verdicts", check)
     with pytest.raises(RuntimeError, match="census stub"):
         main(["verify-umc", "--n", "8", "--d", "2", "--workers", "1"])
     assert checked == [0, 1]
@@ -202,9 +202,9 @@ def test_suite_builds_each_spec_only_bound_once_per_sweep(monkeypatch):
     [("verify-umc", "union_matching_polynomial"), ("verify-kahn", "union_independence_polynomial")],
 )
 def test_union_sweeps_build_the_union_once(monkeypatch, command, name):
-    import regcount.kdd as kdd_mod
+    import regcount.verify as verify_mod
 
-    calls = _call_log(monkeypatch, kdd_mod, (name,))
+    calls = _call_log(monkeypatch, verify_mod, (name,))
     assert main([command, "--n", "12", "--d", "2", "--out", os.devnull]) == 0
     assert calls[name] == [(12, 2)]
 
@@ -219,14 +219,13 @@ def test_sweep_shape_is_refused_before_anything_is_built(capsys, monkeypatch, ar
     # only once (n, d) passes GenSpec: these would run for minutes.
     import time
 
-    import regcount.kdd as kdd_mod
     import regcount.verify as verify_mod
 
     def no_build(*args):
         raise AssertionError("a table or union was built")
 
     monkeypatch.setattr(verify_mod, "suite_table", no_build)
-    monkeypatch.setattr(kdd_mod, "union_matching_polynomial", no_build)
+    monkeypatch.setattr(verify_mod, "union_matching_polynomial", no_build)
     start = time.monotonic()
     assert main(argv) == 1
     assert time.monotonic() - start < 1

@@ -78,3 +78,20 @@ def test_large_bounds_report_matches_its_digest(capsys):
     assert hashlib.sha256(out).hexdigest() == (
         "a4a54f2cdbd52b82750eb3b9deb2492aa57d51c0adfc9fa5dbb33c67c20b650a"
     )
+
+
+# (12, 3) is the only census with d >= 3 that holds two copies of the
+# K_{d,d} union (index 71), and no golden report covers it.
+VS_UNION_DIGESTS = {
+    ("verify-umc", "json"): "6e7badfa7a03d9c2c2b0217ef5028b2615614ffe1389a6319503191a1a9a3a91",
+    ("verify-umc", "csv"): "796407f21a9d821de2d69ec0e09fc7acf740dc71dde8b57085e6b7d12dcd6639",
+    ("verify-kahn", "json"): "eeb96095231925198cd7afdc69e1c16ea1caa6b52d6cfbf6a8f1b8aee2432a42",
+    ("verify-kahn", "csv"): "dda53ea64c14827377904c5abde8110838260c7cf995a3f4199c0809c8646122",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(VS_UNION_DIGESTS))
+def test_vs_union_report_at_12_3_matches_its_digest(capsys, command, fmt):
+    assert main([command, "--n", "12", "--d", "3", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == VS_UNION_DIGESTS[command, fmt]

@@ -43,7 +43,7 @@ from regcount.bounds import (
     union_matching_lower_explicit,
 )
 from regcount.counting import INDEPENDENT_SET, MATCHING
-from regcount.kdd import kdd_matching_count, union_independence_polynomial, union_matching_polynomial
+from regcount.kdd import kdd_matching_count, union_independence_polynomial
 from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
     GraphProfile,
@@ -56,16 +56,15 @@ from regcount.verify import (
     format_number,
     hom_graph_verdicts,
     hom_targets,
-    kahn_graph_verdicts,
     sort_verdicts,
     suite_graph_verdicts,
     suite_table,
     sweep,
-    umc_graph_verdicts,
     verify_hardcore_hom_identity,
     verify_hom_inequality,
     verify_real_rooted,
     verify_union_lower_bounds,
+    vs_union_table,
 )
 
 from conftest import common_root, disjoint_union, poly_product
@@ -74,11 +73,11 @@ SMALL_GRID = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 def _umc(n, d):
-    return partial(umc_graph_verdicts, union=union_matching_polynomial(n, d))
+    return partial(suite_graph_verdicts, table=vs_union_table(n, d, MATCHING))
 
 
 def _kahn(n, d):
-    return partial(kahn_graph_verdicts, union=union_independence_polynomial(n, d))
+    return partial(suite_graph_verdicts, table=vs_union_table(n, d, INDEPENDENT_SET))
 
 
 def _suite(p, lambda_grid=DEFAULT_LAMBDA_GRID):
@@ -449,6 +448,18 @@ def test_umc_and_kahn_sweeps(c8):
     # spot value on the cycle: m_2(C8) = 20 against the union's 20
     spot = [v for v in _umc(8, 2)(GraphProfile(c8, 0)) if v.params["size"] == 2]
     assert spot[0].lhs == 20 and spot[0].rhs == 20
+
+
+def test_vs_union_tables_refuse_a_graph_of_another_shape(c8):
+    # C8 is 2-regular on 8 vertices; a union of another (n, d) is no
+    # reference for it, nor for a graph that is not regular.
+    path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    for check in (_umc, _kahn):
+        for n, d in ((12, 2), (8, 4), (4, 2)):
+            with pytest.raises(DomainError, match=f"{d}-regular graph on {n} vertices"):
+                check(n, d)(GraphProfile(c8, 0))
+        with pytest.raises(DomainError):
+            check(4, 2)(GraphProfile(path))
 
 
 def test_bipartite_total_count():
@@ -903,6 +914,14 @@ def test_union_lower_bounds():
     assert table.union is None
     with pytest.raises(DivisibilityError):
         verify_union_lower_bounds(table)
+
+
+def test_union_lower_bounds_at_64_8_need_no_subset_census():
+    # A side of the union holds 32 vertices: the rows are closed forms, not
+    # a census of its 2^32 subsets.
+    verdicts = verify_union_lower_bounds(suite_table(64, 8))
+    assert len(verdicts) == 175
+    assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
 
 
 def test_union_lower_bound_rows_are_pinned():
