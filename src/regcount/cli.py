@@ -303,26 +303,35 @@ def _cmd_count(args) -> int:
 def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
     """The bounds report's rows: the paper's bounds on (n, d) read from
     verify.suite_table, beside the K_{d,d} union's counts and its own lower
-    bounds, each list in the order given."""
+    bounds, read from the union verdicts that verify-suite decides, each
+    list in the order given."""
     from .bounds import (
         balanced_profile,
-        block_miss_stats,
         log2_ratio,
         optimal_lambda,
         profile_matching_lower,
         stirling_term,
-        union_ind_lower_markov,
-        union_ind_lower_small_t,
         union_matching_lower_explicit,
-        union_small_t_exact,
     )
-    from .kdd import kdd_matching_count, union_copies, union_matching_polynomial
-    from .verify import _params, bound_verdict, format_number, suite_table
+    from .kdd import kdd_matching_count, union_matching_polynomial
+    from .verify import (
+        _params,
+        bound_verdict,
+        format_number,
+        suite_table,
+        verify_union_lower_bounds,
+    )
 
-    copies = union_copies(n, d)
+    union = union_matching_polynomial(n, d)
     table = suite_table(n, d, lams, ells + ts)
     # Each row's bound by check id and the size or weight it reads.
     bounds = {(row.check_id, row.reads[1]): row.bound for row in table.rows}
+    # The union's verdicts by check id, size and printed c.  A lower bound's
+    # verdict prints the bound as its lhs.
+    decided = {
+        (v.check_id, v.params["size"], v.params.get("c")): v
+        for v in verify_union_lower_bounds(table, [c for c in cs if c > 1])
+    }
     rows: list[dict] = []
 
     def add(name, value, direction, **params):
@@ -335,7 +344,6 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
             }
         )
 
-    union = union_matching_polynomial(n, d)
     for ell in ells:
         count = union.coefficient(ell)
         add("union-match-count", count, "exact", size=ell)
@@ -379,15 +387,14 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
         add("ind-upper-pm-exact", bounds["ind-count-vs-pm-bound", t].rhs, "upper", size=t)
         for c in cs:
             if c > 1:
-                bound = union_ind_lower_markov(n, d, t, c)
-                add("union-ind-lower-markov", bound.log_bound(), "lower", size=t, c=c)
-        if t <= copies:
-            bound = union_ind_lower_small_t(n, d, t)
-            add("union-ind-lower-small-t-log", bound.log_bound(), "lower", size=t)
-            add("union-ind-lower-small-t-exact", union_small_t_exact(n, d, t), "lower", size=t)
-        mu, mu_bound = block_miss_stats(n, d, t)
-        add("block-miss-mean", mu, "exact", size=t)
-        add("block-miss-mean-upper", mu_bound, "upper", size=t)
+                lower = decided["union-ind-lower-markov", t, format_number(c)]
+                add("union-ind-lower-markov", lower.lhs, "lower", size=t, c=c)
+        for name in ("union-ind-lower-small-t-log", "union-ind-lower-small-t-exact"):
+            if (name, t, None) in decided:  # t <= n/2d
+                add(name, decided[name, t, None].lhs, "lower", size=t)
+        mean = decided["union-block-mean-markov", t, None]
+        add("block-miss-mean", mean.lhs, "exact", size=t)
+        add("block-miss-mean-upper", mean.rhs, "upper", size=t)
     return rows
 
 
@@ -442,61 +449,55 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _union_settings(kind: str, args) -> dict:
+def _union_settings(kind: str, args) -> tuple[dict, list]:
     """verify-umc's and verify-kahn's settings: the vs-union table of kind
     (counting.MATCHING or counting.INDEPENDENT_SET) on (n, d)."""
     from .verify import vs_union_table
 
-    return {"table": vs_union_table(args.n, args.d, kind)}
+    return {"table": vs_union_table(args.n, args.d, kind)}, []
 
 
-def _suite_settings(args) -> dict:
+def _suite_settings(args) -> tuple[dict, list]:
+    """verify-suite's table, and the union's verdicts where it has a union."""
+    from . import verify
     from .bounds import markov_constant
-    from .verify import DEFAULT_LAMBDA_GRID, suite_table
 
     # Each --c is refused, and suite_table checks --lam, before a bound is built.
     for c in args.c or ():
         markov_constant(c)
-    return {"table": suite_table(args.n, args.d, args.lam or DEFAULT_LAMBDA_GRID)}
+    table = verify.suite_table(args.n, args.d, args.lam or verify.DEFAULT_LAMBDA_GRID)
+    c_grid = args.c or verify.DEFAULT_C_GRID
+    union = [] if table.union is None else verify.verify_union_lower_bounds(table, c_grid)
+    return {"table": table}, union
 
 
-def _roots_settings(args) -> dict:
+def _roots_settings(args) -> tuple[dict, list]:
     from .verify import root_tolerance
 
     settings = {"tol": root_tolerance(args.tol)}
     import numpy  # for verify_real_rooted: once here, not in each worker _pmap forks
-    return settings
+    return settings, []
 
 
-def _hom_settings(args) -> dict:
+def _hom_settings(args) -> tuple[dict, list]:
     from .verify import DEFAULT_C_GRID, clique_size, hom_targets
 
     c_grid = [clique_size(c) for c in args.c or DEFAULT_C_GRID]
     targets = hom_targets(args.d)
-    return {"targets": targets, "random_orders": args.orders, "seed": args.seed, "c_grid": c_grid}
-
-
-def _union_lowers(args, table) -> list:
-    """verify-suite's union rows, where the table has a union."""
-    from .verify import DEFAULT_C_GRID, verify_union_lower_bounds
-
-    if table.union is None:
-        return []
-    return verify_union_lower_bounds(table, args.c or DEFAULT_C_GRID)
+    return dict(targets=targets, random_orders=args.orders, seed=args.seed, c_grid=c_grid), []
 
 
 # verify command -> (name of its per-graph check, a function that checks the
 # args once (n, d) has passed GenSpec, before any graph is generated, and
-# returns the check's settings, and None or a function of the args and those
-# settings that returns the verdicts added after the sweep).  Checks are
-# looked up on regcount.verify by name when the command runs, so that a
-# rebinding (a stub, a tracing hook) runs.
+# returns the check's settings and the verdicts that depend on the args
+# alone).  Checks are looked up on regcount.verify by name when the command
+# runs, so that a rebinding (a stub, a tracing hook) runs.
 _VERIFY = {
-    "verify-umc": ("suite_graph_verdicts", partial(_union_settings, "matching"), None),
-    "verify-kahn": ("suite_graph_verdicts", partial(_union_settings, "independent-set"), None),
-    "verify-suite": ("suite_graph_verdicts", _suite_settings, _union_lowers),
-    "verify-roots": ("verify_real_rooted", _roots_settings, None),
-    "verify-hom": ("hom_graph_verdicts", _hom_settings, None),
+    "verify-umc": ("suite_graph_verdicts", partial(_union_settings, "matching")),
+    "verify-kahn": ("suite_graph_verdicts", partial(_union_settings, "independent-set")),
+    "verify-suite": ("suite_graph_verdicts", _suite_settings),
+    "verify-roots": ("verify_real_rooted", _roots_settings),
+    "verify-hom": ("hom_graph_verdicts", _hom_settings),
 }
 
 
@@ -504,7 +505,7 @@ def _cmd_verify(args) -> int:
     from . import verify
     from .generate import GenSpec, generate
 
-    check_name, build_settings, trailing = _VERIFY[args.command]
+    check_name, build_settings = _VERIFY[args.command]
     graph = getattr(args, "graph", None)
     if graph and (args.n is not None or args.d is not None):
         raise DomainError("verify-roots takes --graph or --n and --d, not both")
@@ -512,12 +513,10 @@ def _cmd_verify(args) -> int:
         raise DomainError("verify-roots needs either --graph or both --n and --d")
     # A census shape is refused before build_settings builds anything for it.
     spec = None if graph else GenSpec(args.n, args.d)
-    settings = build_settings(args)
+    settings, verdicts = build_settings(args)
     check = partial(getattr(verify, check_name), **settings)
     graphs = enumerate(generate(spec)) if spec else [(None, _read_graph(graph))]
-    verdicts = verify.sweep(graphs, check, map=partial(_pmap, workers=args.workers))
-    if trailing:
-        verdicts += trailing(args, **settings)
+    verdicts += verify.sweep(graphs, check, map=partial(_pmap, workers=args.workers))
     verdicts = verify.sort_verdicts(verdicts)
     doc = _report(args.command, _config_echo(args), verdicts=verdicts)
     _emit(doc, args)

@@ -210,6 +210,68 @@ def test_union_sweeps_build_the_union_once(monkeypatch, command, name):
 
 
 @pytest.mark.parametrize(
+    "command, n, calls",
+    [
+        ("verify-suite", "12", 1),
+        ("verify-suite", "10", 0),
+        ("verify-umc", "12", 0),
+        ("verify-kahn", "12", 0),
+        ("verify-roots", "8", 0),
+        ("verify-hom", "8", 0),
+    ],
+)
+def test_union_verdicts_are_decided_with_the_settings(monkeypatch, command, n, calls):
+    # verify-suite decides the union's rows once, where (n, d) has a union,
+    # before the census yields its first graph; no other command decides them.
+    import regcount.verify as verify_mod
+
+    generate_mod = sys.modules["regcount.generate"]
+    real_generate, real_union = generate_mod.generate, verify_mod.verify_union_lower_bounds
+    events = []
+
+    def logged_generate(spec):
+        for g in real_generate(spec):
+            events.append("graph")
+            yield g
+
+    def logged_union(*args, **kwargs):
+        events.append("union")
+        return real_union(*args, **kwargs)
+
+    monkeypatch.setattr(generate_mod, "generate", logged_generate)
+    monkeypatch.setattr(verify_mod, "verify_union_lower_bounds", logged_union)
+    assert main([command, "--n", n, "--d", "3", "--out", os.devnull]) == 0
+    assert events.count("union") == calls
+    assert events.index("graph") == calls
+
+
+@pytest.mark.parametrize("n, d", [("8", "2"), ("12", "3")])
+def test_bounds_prints_the_union_verdicts_of_verify_suite(capsys, n, d):
+    _, bounds = run_json(capsys, "bounds", "--n", n, "--d", d, "--c", "4", "--c", "1/2", "--c", "2")
+    _, suite = run_json(capsys, "verify-suite", "--n", n, "--d", d, "--c", "4", "--c", "2")
+    decided = {
+        (v["check_id"], v["params"]["size"], v["params"].get("c")): v
+        for v in suite["verdicts"]
+        if v["graph_label"] == f"union-{n}v-{d}r"
+    }
+    printed, means = [], 0
+    for row in bounds["rows"]:
+        name, size, c = row["name"], row["params"].get("size"), row["params"].get("c")
+        if name.startswith("union-ind-lower-"):
+            assert row["value"] == decided[name, size, c]["lhs"]
+            printed.append((name, size, c))
+        elif name in ("block-miss-mean", "block-miss-mean-upper"):
+            side = "lhs" if name == "block-miss-mean" else "rhs"
+            assert row["value"] == decided["union-block-mean-markov", size, None][side]
+            means += 1
+    # Each union lower bound once, the Markov ones at c = 2 and 4 alone.
+    lowers = [key for key in decided if key[0].startswith("union-ind-lower-")]
+    assert sorted(printed, key=str) == sorted(lowers, key=str)
+    assert {c for _, _, c in lowers} == {None, "2", "4"}
+    assert means == 2 * (int(n) // 2 + 1)
+
+
+@pytest.mark.parametrize(
     "argv",
     [["verify-suite", "--n", "20000", "--d", "3"], ["verify-umc", "--n", "20000", "--d", "10000"]],
     ids=["verify-suite", "verify-umc"],
