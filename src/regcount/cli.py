@@ -480,11 +480,13 @@ def _roots_settings(args) -> tuple[dict, list]:
 
 
 def _hom_settings(args) -> tuple[dict, list]:
-    from .verify import DEFAULT_C_GRID, clique_size, hom_targets
+    from .verify import DEFAULT_C_GRID, hardcore_identities, hom_targets
 
-    c_grid = [clique_size(c) for c in args.c or DEFAULT_C_GRID]
+    identities = hardcore_identities(args.c or DEFAULT_C_GRID)
     targets = hom_targets(args.d)
-    return dict(targets=targets, random_orders=args.orders, seed=args.seed, c_grid=c_grid), []
+    return dict(
+        targets=targets, identities=identities, random_orders=args.orders, seed=args.seed
+    ), []
 
 
 # verify command -> (name of its per-graph check, a function that checks the

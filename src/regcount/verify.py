@@ -405,49 +405,7 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
     )
 
 
-def verify_hom_inequality(
-    p: GraphProfile, h: Graph, factors: Sequence[int], perms: Sequence[Sequence[int]], h_name: str
-) -> list[Verdict]:
-    """Exact check, one verdict per permutation in order, that hom(g, h)^d is
-    at most the product of factors[b] over the back degrees b in that order
-    (back_degrees).  factors is hom_targets' table for h, so only hom(g, h)
-    is counted here, and g must be regular of its degree (DomainError);
-    h_name names h in each verdict's target param.  At d = 0 both sides are 1."""
-    g, d = p.graph, p.degree
-    if d != len(factors) - 1:
-        raise DomainError(f"source graph must be {len(factors) - 1}-regular, as the factors are")
-    lhs = count_homomorphisms(g, h) ** d
-    verdicts = []
-    for perm in perms:
-        rhs = math.prod(factors[b] for b in back_degrees(g, perm))
-        params = _params(n=g.vertex_count, d=d, target=h_name, order=",".join(map(str, perm)))
-        verdicts.append(exact_le("hom-order-product", p.canonical_label, params, lhs, rhs, graph=g))
-    return verdicts
-
-
-def verify_hardcore_hom_identity(p: GraphProfile, c: int, lam) -> Verdict:
-    """Exact identity: homomorphism count into the hard-core target with c
-    clique vertices and c*lambda independent vertices equals
-    c^n * (independence partition function at lambda), cleared of
-    denominators.  Requires c*lambda to be a nonnegative integer."""
-    lam = Fraction(lam)
-    c = clique_size(c)
-    scaled = lam * c
-    if lam < 0 or scaled.denominator != 1:
-        raise DomainError(f"c*lambda must be a nonnegative integer, got {scaled}")
-    a = int(scaled)
-    h = build_hardcore_target(c, a)
-    hom = count_homomorphisms(p.graph, h)
-    n = p.graph.vertex_count
-    poly = p.independence_polynomial
-    cleared = evaluate(poly.coefficients, a, c) * c ** (n - poly.degree)
-    params = _params(n=n, d=p.degree, c=c, lam=lam)
-    return exact_eq(
-        "hardcore-hom-identity", p.canonical_label, params, hom, cleared, graph=p.graph
-    )
-
-
-SuiteTable = namedtuple("SuiteTable", "n d rows union")
+SuiteTable = namedtuple("SuiteTable", "n d rows union sizes")
 SuiteRow = namedtuple("SuiteRow", "check_id params reads bound needs in_log2")
 
 
@@ -470,7 +428,9 @@ def suite_table(
     Given sizes, each in 0..n/2 (check_domain), the table keeps only the
     rows that read a coefficient of one of those sizes, besides every row
     that reads a partition function.  union is the independence polynomial
-    of the K_{d,d} union on (n, d) (kdd.has_union), else None.
+    of the K_{d,d} union on (n, d) (kdd.has_union), else None, and sizes the
+    sizes the table was built for, ascending: every size in 0..n/2 when
+    sizes is None.
     """
     grid = lambda_values(lambda_grid)
     for s in sizes or ():
@@ -479,7 +439,7 @@ def suite_table(
     union = union_independence_polynomial(n, d) if has_union(n, d) else None
     rows: list[SuiteRow] = []
     if d < 1:
-        return SuiteTable(n, d, rows, union)
+        return SuiteTable(n, d, rows, union, sizes)
 
     def add(check_id, reads, bound, needs=None, in_log2=False, **params):
         rows.append(SuiteRow(check_id, _params(n=n, d=d, **params), reads, bound, needs, in_log2))
@@ -517,14 +477,15 @@ def suite_table(
         # A bipartite graph has at most the union's independent sets, Z_I(1).
         total = sum(union.coefficients)
         add("ind-total-vs-kdd-power", ("Z_I", Fraction(1)), Cleared(1, total), "bipartite")
-    return SuiteTable(n, d, rows, union)
+    return SuiteTable(n, d, rows, union, sizes)
 
 
 def vs_union_table(n: int, d: int, kind: str) -> SuiteTable:
     """verify-umc's table on (n, d), 2d | n, for kind MATCHING, else
     verify-kahn's: a row per size s in 0..n/2, the degree of the K_{d,d}
     union's polynomial of that kind, that a graph's size-s count is at most
-    the union's, as Friedland et al. and Kahn conjecture.  Its union is None."""
+    the union's, as Friedland et al. and Kahn conjecture.  Its union is None
+    and its sizes 0..n/2."""
     if kind == MATCHING:
         check_id, read, union = "match-count-vs-union", "m", union_matching_polynomial(n, d)
     else:
@@ -533,12 +494,13 @@ def vs_union_table(n: int, d: int, kind: str) -> SuiteTable:
         SuiteRow(check_id, _params(n=n, d=d, size=s), (read, s), Cleared(1, count), None, False)
         for s, count in enumerate(union.coefficients)
     ]
-    return SuiteTable(n, d, rows, None)
+    return SuiteTable(n, d, rows, None, range(n // 2 + 1))
 
 
 def verify_union_lower_bounds(table: SuiteTable, c_grid: Sequence = DEFAULT_C_GRID) -> list[Verdict]:
     """Lower bounds and block statistics for the complete-bipartite union on
-    the (n, d) of table (suite_table), read from its union.
+    the (n, d) of table (suite_table), read from its union, at each of the
+    table's sizes.
 
     The Markov-style and small-size lower bounds are asserted against the
     exact union counts.  The distribution of missed blocks over the
@@ -556,7 +518,9 @@ def verify_union_lower_bounds(table: SuiteTable, c_grid: Sequence = DEFAULT_C_GR
         verdicts.append(build(check_id, label, _params(n=n, d=d, **params), a, b))
 
     grid = sorted(set(Fraction(c) for c in c_grid))
-    for t, misses in enumerate(union_block_misses(n, d)):
+    block_misses = union_block_misses(n, d)
+    for t in table.sizes:
+        misses = block_misses[t]
         count = union.coefficient(t)
         for c in grid:
             bound = union_ind_lower_markov(n, d, t, c)
@@ -625,34 +589,66 @@ def hom_targets(d: int) -> list[tuple[str, Graph, tuple[int, ...]]]:
     ]
 
 
+def hardcore_identities(c_grid: Iterable = DEFAULT_C_GRID) -> list[tuple[int, Fraction, Graph]]:
+    """The hard-core identity's (c, lam, H) triples in check order, built once
+    for a whole sweep: each clique size c of c_grid, a set whose sizes are
+    checked in the order given (clique_size), at each weight lam of
+    {0, 1/c, 1}, with H the hard-core target of c clique vertices and c*lam
+    independent ones."""
+    cliques = sorted(set(map(clique_size, c_grid)))
+    return [
+        (c, lam, build_hardcore_target(c, int(c * lam)))
+        for c in cliques
+        for lam in sorted({Fraction(0), Fraction(1, c), Fraction(1)})
+    ]
+
+
 def hom_graph_verdicts(
     p: GraphProfile,
     targets: Sequence[tuple[str, Graph, Sequence[int]]],
+    identities: Sequence[tuple[int, Fraction, Graph]],
     random_orders: int = 5,
     seed: int = 0,
-    c_grid: Sequence = DEFAULT_C_GRID,
 ) -> list[Verdict]:
-    """Order-product inequality over every target of hom_targets(d) and
-    several vertex orders, plus the hard-core homomorphism identity at a
-    few (c, lambda) pairs.
+    """Exact checks of the order-product inequality and the hard-core
+    identity, in check order.
+
+    For every target (name, H, factors) of hom_targets(d) and every vertex
+    order, hom(g, H)^d is at most the product of factors[b] over the back
+    degrees b in that order (back_degrees); g must be regular of the
+    factors' degree (DomainError), and at d = 0 both sides are 1.  For every
+    (c, lam, H) of hardcore_identities, hom(g, H) equals c^n times the
+    independence partition function at lam, cleared of denominators.  Each
+    distinct H is counted once.
 
     Orders tried: identity, reversed, and random_orders shuffles drawn from a
     seed that also hashes the census index, so reruns are reproducible.
-    c_grid, each checked in the order given before any count, and each
-    weight triple (0, 1, 1/c) are sets.  Verdicts come in check order.
     """
-    cliques = sorted(set(map(clique_size, c_grid)))
-    n = p.graph.vertex_count
+    g, d = p.graph, p.degree
+    for _, _, factors in targets:
+        if (degree := len(factors) - 1) != d:
+            raise DomainError(f"source graph must be {degree}-regular, as the factors are")
+    n = g.vertex_count
     perms = [list(range(n)), list(range(n - 1, -1, -1))]
-    rng = random.Random(f"{seed}:{n}:{p.degree}:{p.index}")
+    rng = random.Random(f"{seed}:{n}:{d}:{p.index}")
     for _ in range(random_orders):
         perm = list(range(n))
         rng.shuffle(perm)
         perms.append(perm)
+    orders = [(",".join(map(str, perm)), back_degrees(g, perm)) for perm in perms]
+    hs = dict.fromkeys([*(h for _, h, _ in targets), *(h for _, _, h in identities)])
+    homs = {h: count_homomorphisms(g, h) for h in hs}
+    label = p.canonical_label
     verdicts = []
     for name, h, factors in targets:
-        verdicts.extend(verify_hom_inequality(p, h, factors, perms, h_name=name))
-    for c in cliques:
-        for lam in sorted({Fraction(0), Fraction(1), Fraction(1, c)}):
-            verdicts.append(verify_hardcore_hom_identity(p, c, lam))
+        lhs = homs[h] ** d
+        for order, back in orders:
+            params = _params(n=n, d=d, target=name, order=order)
+            rhs = math.prod(factors[b] for b in back)
+            verdicts.append(exact_le("hom-order-product", label, params, lhs, rhs, graph=g))
+    for c, lam, h in identities:
+        poly = p.independence_polynomial
+        cleared = evaluate(poly.coefficients, int(c * lam), c) * c ** (n - poly.degree)
+        params = _params(n=n, d=d, c=c, lam=lam)
+        verdicts.append(exact_eq("hardcore-hom-identity", label, params, homs[h], cleared, graph=g))
     return verdicts

@@ -32,13 +32,13 @@ from regcount.verify import (
     DEFAULT_ROOT_TOL,
     ROOT_SUM_REL_TOL,
     GraphProfile,
+    hardcore_identities,
     hom_graph_verdicts,
     hom_targets,
     bound_verdict,
     suite_graph_verdicts,
     suite_table,
     sweep,
-    verify_hardcore_hom_identity,
     verify_real_rooted,
     verify_union_lower_bounds,
     vs_union_table,
@@ -221,23 +221,28 @@ def test_criterion_09_real_rootedness(small_corpus):
 
 def test_criterion_10_hom_inequality_and_identity(small_corpus):
     menus = {}  # hom_targets(d), counted once per degree as a sweep does
+    identities = hardcore_identities((1, 2))
     for n, d, idx, g in small_corpus:
         if n > 8:
             continue
+        if d not in menus:
+            menus[d] = hom_targets(d)
+        verdicts = hom_graph_verdicts(
+            GraphProfile(g, idx), menus[d], identities, random_orders=5, seed=0
+        )
+        bad = [v for v in verdicts if not v.passed]
+        assert not bad, (n, d, idx, bad[:3])
         if d >= 1:
-            if d not in menus:
-                menus[d] = hom_targets(d)
-            verdicts = hom_graph_verdicts(
-                GraphProfile(g, idx), menus[d], random_orders=5, seed=0, c_grid=(1, 2)
-            )
-            bad = [v for v in verdicts if not v.passed]
-            assert not bad, (n, d, idx, bad[:3])
             targets = {v.params.get("target") for v in verdicts if "target" in v.params}
             assert targets == {"K2", "K3", "K1-loop", "hardcore-1-1", "hardcore-2-2"}
         else:
             # degenerate exponent: only the hard-core identity is informative
-            assert verify_hardcore_hom_identity(GraphProfile(g), 1, Fraction(1)).passed
-            assert verify_hardcore_hom_identity(GraphProfile(g), 2, Fraction(1)).passed
+            weights = {
+                (v.params["c"], v.params["lam"])
+                for v in verdicts
+                if v.check_id == "hardcore-hom-identity"
+            }
+            assert {(1, "1"), (2, "1")} <= weights
 
 
 def test_criterion_11_block_statistics():

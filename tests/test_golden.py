@@ -95,3 +95,22 @@ def test_vs_union_report_at_12_3_matches_its_digest(capsys, command, fmt):
     assert main([command, "--n", "12", "--d", "3", "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == VS_UNION_DIGESTS[command, fmt]
+
+
+# (10, 4) with the c = 1 identities, whose targets coincide with K1-loop and
+# hardcore-1-1, and a --c out of order; no golden report covers it.
+HOM_10_4 = [
+    "verify-hom", "--n", "10", "--d", "4", "--c", "1", "--c", "3", "--c", "2",
+    "--orders", "2", "--seed", "7",
+]
+HOM_10_4_DIGESTS = {
+    "json": "3acba6cf1c48ff8088a00a19a69e61d2a44215f0eaecd27447ab79dd191db788",
+    "csv": "82b6f4ec59209e1b5c08dc1e38cf3cf044d4833b60ba349c0214e34ffac8707f",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(HOM_10_4_DIGESTS))
+def test_hom_report_at_10_4_matches_its_digest(capsys, fmt):
+    assert main([*HOM_10_4, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == HOM_10_4_DIGESTS[fmt]

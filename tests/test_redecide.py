@@ -9,7 +9,8 @@ from its printed sides, with Fraction and mpmath and nothing from regcount:
   float to 12 significant digits; a zero side gives inf, -inf or 0;
 - a log2 row passes iff its margin is >= 0, and a finite margin is
   rhs - lhs;
-- a match-poly-real-rooted row passes iff lhs <= rhs and its margin is >= 0;
+- a match-poly-real-rooted row passes iff lhs <= rhs, its margin is >= 0
+  and its root_sum_rel_err param is at most 1e-6;
 - a JSON report's summary counts its rows and its failed rows.
 
 A check id in none of these lists is a disagreement, so a new check family
@@ -62,6 +63,8 @@ LOG2_IDS = frozenset(
     }
 )
 REAL_ROOTED_ID = "match-poly-real-rooted"
+# How far a real-rooted row's reciprocal-root sum may lie from its edge count.
+ROOT_SUM_REL_TOL = 1e-6
 
 # Bits of the mpmath logs that exact margins are checked against.
 LOG_PRECISION = 200
@@ -120,7 +123,11 @@ def redecide(rows: list[dict], summary: dict | None = None) -> list[str]:
             if math.isfinite(value) and abs(value - gap) > LOG2_TOLERANCE:
                 problems.append(f"{where}: margin {margin}, rhs - lhs is {gap!r}")
         elif check_id == REAL_ROOTED_ID:
-            passed = float(row["lhs"]) <= float(row["rhs"]) and float(margin) >= 0
+            passed = (
+                float(row["lhs"]) <= float(row["rhs"])
+                and float(margin) >= 0
+                and float(row["params"]["root_sum_rel_err"]) <= ROOT_SUM_REL_TOL
+            )
         else:
             problems.append(f"{where}: a check id with no rule")
             continue
@@ -205,17 +212,30 @@ def _bump_margin_digit(row):
     row["margin"] = row["margin"][:-1] + ("1" if digit == "0" else "0")
 
 
+def _past_root_sum_tolerance(row):
+    row["params"]["root_sum_rel_err"] = "2e-06"
+
+
 @pytest.mark.parametrize(
-    "mutate, rule",
+    "report, mutate, rule",
     [
-        (_flip_pass, lambda row: True),
-        (_bump_lhs, _positive_exact),
-        (_bump_margin_digit, lambda row: _positive_exact(row) and row["margin"][-1].isdigit()),
+        ("verify-suite-8-2-grids.json", _flip_pass, lambda row: True),
+        ("verify-suite-8-2-grids.json", _bump_lhs, _positive_exact),
+        (
+            "verify-suite-8-2-grids.json",
+            _bump_margin_digit,
+            lambda row: _positive_exact(row) and row["margin"][-1].isdigit(),
+        ),
+        (
+            "verify-roots-petersen.json",
+            _past_root_sum_tolerance,
+            lambda row: row["check_id"] == REAL_ROOTED_ID,
+        ),
     ],
-    ids=["pass-flag", "exact-lhs", "margin-digit"],
+    ids=["pass-flag", "exact-lhs", "margin-digit", "root-sum-error"],
 )
-def test_a_changed_row_in_a_copy_of_a_golden_report_is_caught(tmp_path, mutate, rule):
-    doc = json.loads((GOLDEN / "verify-suite-8-2-grids.json").read_text(encoding="utf-8"))
+def test_a_changed_row_in_a_copy_of_a_golden_report_is_caught(tmp_path, report, mutate, rule):
+    doc = json.loads((GOLDEN / report).read_text(encoding="utf-8"))
     assert redecide(doc["verdicts"], doc["summary"]) == []
     i = next(i for i, row in enumerate(doc["verdicts"]) if rule(row))
     mutate(doc["verdicts"][i])

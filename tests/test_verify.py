@@ -26,6 +26,7 @@ from regcount import (
     GenSpec,
     GraphError,
     build_graph,
+    build_hardcore_target,
     build_kdd,
     canonical_form,
     count_homomorphisms,
@@ -54,14 +55,13 @@ from regcount.verify import (
     exact_eq,
     exact_le,
     format_number,
+    hardcore_identities,
     hom_graph_verdicts,
     hom_targets,
     sort_verdicts,
     suite_graph_verdicts,
     suite_table,
     sweep,
-    verify_hardcore_hom_identity,
-    verify_hom_inequality,
     verify_real_rooted,
     verify_union_lower_bounds,
     vs_union_table,
@@ -588,47 +588,70 @@ def _factors(h, d):
     return [1] + [count_homomorphisms(build_kdd(b), h) for b in range(1, d + 1)]
 
 
+def _two_orders(g, target):
+    """The hom-order-product rows of g against the one target (name, H,
+    factors), at the identity and the reversed order."""
+    return hom_graph_verdicts(GraphProfile(g), [target], [], random_orders=0)
+
+
 def test_hom_inequality_examples(c4, k33):
     k2 = build_graph(2, [(0, 1)])
-    [v] = verify_hom_inequality(GraphProfile(c4), k2, [1, 2, 2], [[0, 1, 2, 3]], h_name="K2")
+    [v, _] = _two_orders(c4, ("K2", k2, [1, 2, 2]))
     # hom(C4, K2)^2 = 4 against 1 * 2 * 2 * 2 from back degrees (0,1,1,2)
     assert v.lhs == 4 and v.rhs == 8 and v.passed
-    assert v.params["order"] == "0,1,2,3"
+    assert v.params["order"] == "0,1,2,3" and v.params["target"] == "K2"
     # class order on a complete bipartite block gives equality
     block = build_kdd(2)
-    [vb] = verify_hom_inequality(GraphProfile(block), k2, _factors(k2, 2), [[0, 1, 2, 3]], "K2")
+    [vb, _] = _two_orders(block, ("K2", k2, _factors(k2, 2)))
     assert vb.lhs == vb.rhs == count_homomorphisms(block, k2) ** 2
     # the all-permissive looped vertex gives 1 on both sides
     loop = build_graph(1, [(0, 0)], allow_loops=True)
-    [vl] = verify_hom_inequality(GraphProfile(k33), loop, _factors(loop, 3), [range(6)], "K1-loop")
+    [vl, _] = _two_orders(k33, ("K1-loop", loop, _factors(loop, 3)))
+    assert vl.params["order"] == "0,1,2,3,4,5"
     assert vl.lhs == 1 and vl.rhs == 1 and vl.passed
     # a graph that is not regular, or not of the table's degree
     path = build_graph(3, [(0, 1)])
     with pytest.raises(DomainError):
-        verify_hom_inequality(GraphProfile(path), k2, _factors(k2, 1), [[0, 1, 2]], "K2")
+        _two_orders(path, ("K2", k2, _factors(k2, 1)))
     with pytest.raises(DomainError):
-        verify_hom_inequality(GraphProfile(c4), k2, _factors(k2, 3), [[0, 1, 2, 3]], "K2")
+        _two_orders(c4, ("K2", k2, _factors(k2, 3)))
+    # an order that is not a permutation
     with pytest.raises(DomainError):
-        verify_hom_inequality(GraphProfile(c4), k2, [1, 2, 2], [[0, 1, 2, 2]], "K2")
+        back_degrees(c4, [0, 1, 2, 2])
     # a looped source is refused by the homomorphism count itself
     looped = build_graph(1, [(0, 0)], allow_loops=True)
     with pytest.raises(GraphError, match="count_homomorphisms requires a loop-free source graph"):
-        verify_hom_inequality(GraphProfile(looped), k2, _factors(k2, 1), [[0]], "K2")
+        _two_orders(looped, ("K2", k2, _factors(k2, 1)))
+
+
+def _identity_rows(g, c_grid):
+    """The hard-core identity's rows on g at c_grid, by (c, printed lam)."""
+    verdicts = hom_graph_verdicts(GraphProfile(g), [], hardcore_identities(c_grid))
+    return {(v.params["c"], v.params["lam"]): v for v in verdicts}
 
 
 def test_hardcore_hom_identity(c4, k33):
-    v = verify_hardcore_hom_identity(GraphProfile(c4), 1, Fraction(1))
+    rows = _identity_rows(c4, [1, 2])
+    assert list(rows) == [(1, "0"), (1, "1"), (2, "0"), (2, "1/2"), (2, "1")]
+    v = rows[1, "1"]
     assert v.passed
     assert v.lhs == sum(independence_polynomial(c4).coefficients) == 7
-    v2 = verify_hardcore_hom_identity(GraphProfile(c4), 2, Fraction(1, 2))
+    v2 = rows[2, "1/2"]
     # a = 1, c = 2: sum_t i_t 2^(4-t) = 16 + 4*8 + 2*4 = 56
     assert v2.passed and v2.lhs == 56
-    assert verify_hardcore_hom_identity(GraphProfile(k33), 2, Fraction(1)).passed
-    assert verify_hardcore_hom_identity(GraphProfile(k33), 3, Fraction(0)).passed
+    rows = _identity_rows(k33, [2, 3])
+    assert rows[2, "1"].passed and rows[3, "0"].passed
+    assert all(v.passed for v in rows.values())
     with pytest.raises(DomainError):
-        verify_hardcore_hom_identity(GraphProfile(c4), 0, Fraction(1))
-    with pytest.raises(DomainError):
-        verify_hardcore_hom_identity(GraphProfile(c4), 2, Fraction(1, 3))
+        hardcore_identities([0])
+
+
+def test_hardcore_identities_come_in_check_order():
+    identities = hardcore_identities([3, 1, 3])
+    assert [(c, lam) for c, lam, _ in identities] == [
+        (1, 0), (1, 1), (3, 0), (3, Fraction(1, 3)), (3, 1)
+    ]
+    assert all(h == build_hardcore_target(c, int(c * lam)) for c, lam, h in identities)
 
 
 def test_perfect_matching_bound(c8):
@@ -839,26 +862,47 @@ def test_hom_checks_label_and_count_once(monkeypatch, prism):
     targets = hom_targets(3)
     calls = _count_calls(monkeypatch, "independence_polynomial")
     labels = _count_calls(monkeypatch, "canonical_form", module="regcount.generate")
-    verdicts = hom_graph_verdicts(GraphProfile(prism, 0), targets)
+    verdicts = hom_graph_verdicts(GraphProfile(prism, 0), targets, hardcore_identities())
     assert len(verdicts) == 5 * 7 + 6
     assert {v.graph_label for v in verdicts} == {canonical_form(prism)}
     assert calls == {"independence_polynomial": 1} and labels == {"canonical_form": 1}
 
 
 def test_hom_checks_count_each_homomorphism_once(monkeypatch):
-    # hom_targets counts hom(K_{b,b}, h) for b in 1..d, once per sweep; each
-    # graph then counts hom(g, h) once per target, for all seven orders, and
-    # six hard-core identities.
+    # hom_targets counts hom(K_{b,b}, h) for b in 1..d, once per sweep, and
+    # hardcore_identities counts nothing; each graph then counts hom(g, h)
+    # once per distinct target, for all seven orders and six hard-core
+    # identities: hardcore-2-2 is the identity's target at c = 2, lam = 1.
     calls = _count_calls(monkeypatch, "count_homomorphisms")
     for d in (0, 1, 3, 4):
         calls["count_homomorphisms"] = 0
         targets = hom_targets(d)
         assert calls["count_homomorphisms"] == 5 * d
+    identities = hardcore_identities()
+    assert calls["count_homomorphisms"] == 5 * 4
     targets = hom_targets(3)
     for index, g in enumerate(generate(GenSpec(8, 3))):
         calls["count_homomorphisms"] = 0
-        hom_graph_verdicts(GraphProfile(g, index), targets)
-        assert calls["count_homomorphisms"] == 5 + 6
+        hom_graph_verdicts(GraphProfile(g, index), targets, identities)
+        assert calls["count_homomorphisms"] == 5 + 6 - 1
+
+
+def test_hom_checks_read_each_order_once(monkeypatch):
+    # Seven orders at the default --orders, each read once for all five
+    # targets; the identities' targets and clique sizes come built.
+    targets, identities = hom_targets(3), hardcore_identities()
+    calls = _count_calls(monkeypatch, "back_degrees")
+
+    def no_build(*args):
+        raise AssertionError("built for a graph")
+
+    monkeypatch.setattr("regcount.verify.build_hardcore_target", no_build)
+    monkeypatch.setattr("regcount.verify.clique_size", no_build)
+    for index, g in enumerate(generate(GenSpec(8, 3))):
+        calls["back_degrees"] = 0
+        verdicts = hom_graph_verdicts(GraphProfile(g, index), targets, identities)
+        assert len(verdicts) == 5 * 7 + 6
+        assert calls["back_degrees"] == 7
 
 
 def test_profile_computes_only_what_a_check_reads(c8):
@@ -916,6 +960,15 @@ def test_union_lower_bounds():
         verify_union_lower_bounds(table)
 
 
+def test_union_lower_bounds_are_decided_at_the_table_sizes_alone():
+    # bounds builds its table at its own sizes; verify-suite's holds every size.
+    full = verify_union_lower_bounds(suite_table(24, 3))
+    sized = verify_union_lower_bounds(suite_table(24, 3, sizes=[3, 0]))
+    assert sized == [v for v in full if v.params["size"] in (0, 3)]
+    assert {v.params["size"] for v in full} == set(range(13))
+    assert vs_union_table(24, 3, MATCHING).sizes == range(13)
+
+
 def test_union_lower_bounds_at_64_8_need_no_subset_census():
     # A side of the union holds 32 vertices: the rows are closed forms, not
     # a census of its 2^32 subsets.
@@ -941,29 +994,28 @@ def test_hom_clique_sizes_are_checked_before_any_count(monkeypatch, c4):
     def no_count(*args):
         raise AssertionError("a homomorphism was counted")
 
-    targets = hom_targets(2)
     monkeypatch.setattr("regcount.verify.count_homomorphisms", no_count)
     # the first bad size as given is named, not the smallest
     for c_grid, bad in (([Fraction(3, 2)], "3/2"), ([2, Fraction(5, 2), 0], "5/2")):
         with pytest.raises(DomainError) as err:
-            hom_graph_verdicts(GraphProfile(c4, 0), targets, c_grid=c_grid)
+            hardcore_identities(c_grid)
         assert str(err.value) == f"clique sizes must be positive integers, got {bad}"
 
 
 def test_hom_graph_verdicts_reproducible(c4):
-    targets = hom_targets(2)
-    a = hom_graph_verdicts(GraphProfile(c4, 0), targets)
-    b = hom_graph_verdicts(GraphProfile(c4, 0), targets)
+    targets, identities = hom_targets(2), hardcore_identities()
+    a = hom_graph_verdicts(GraphProfile(c4, 0), targets, identities)
+    b = hom_graph_verdicts(GraphProfile(c4, 0), targets, identities)
     assert _report_rows(a) == _report_rows(b)
     assert all(v.passed for v in a)
     # 5 targets x (identity + reversed + 5 shuffles) + 2 clique sizes x 3 weights
     assert len(a) == 5 * 7 + 6
-    other = hom_graph_verdicts(GraphProfile(c4, 0), targets, seed=1)
+    other = hom_graph_verdicts(GraphProfile(c4, 0), targets, identities, seed=1)
     assert {v.check_id for v in other} == {v.check_id for v in a}
 
 
 def test_hom_sweep_passes_on_the_10_3_census():
-    check = partial(hom_graph_verdicts, targets=hom_targets(3))
+    check = partial(hom_graph_verdicts, targets=hom_targets(3), identities=hardcore_identities())
     verdicts = sweep(enumerate(generate(GenSpec(10, 3))), check)
     assert len(verdicts) == 21 * (5 * 7 + 6)
     assert all(v.passed for v in verdicts), [v for v in verdicts if not v.passed]
