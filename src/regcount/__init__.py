@@ -57,7 +57,6 @@ _EXPORTS = {
         "union_small_t_exact",
     ),
     "counting": (
-        "CountPolynomial",
         "count_homomorphisms",
         "eval_partition",
         "independence_polynomial",

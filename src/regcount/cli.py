@@ -294,7 +294,7 @@ def _cmd_count(args) -> int:
     doc = _report(
         "count",
         _config_echo(args),
-        extra={"kind": args.kind, "coefficients": poly.to_json_strings()},
+        extra={"kind": args.kind, "coefficients": [str(c) for c in poly]},
     )
     _emit(doc, args)
     return 0
@@ -345,7 +345,7 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
         )
 
     for ell in ells:
-        count = union.coefficient(ell)
+        count = union[ell]
         add("union-match-count", count, "exact", size=ell)
         if count:
             add("union-match-count-log2", log2_ratio(count, 1), "exact", size=ell)
@@ -378,7 +378,7 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
         for name in ("match-pf-upper", "ind-pf-upper-general", "ind-pf-upper-bipartite"):
             add(name, bounds[name, lam].log_bound(), "upper", lam=lam)
     for t in ts:
-        count = table.union.coefficient(t)
+        count = table.union[t]
         add("union-ind-count", count, "exact", size=t)
         if count:
             add("union-ind-count-log2", log2_ratio(count, 1), "exact", size=t)

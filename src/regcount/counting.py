@@ -2,19 +2,20 @@
 and homomorphism counting.
 
 Every count is an arbitrary-precision integer; no floating point enters this
-module.  Every count comes from one dynamic program, _subset_dp, that places
-the source's vertices one at a time in graphs.placement_order, with a table
-local to each call; it needs no canonical labels and keeps no cache between
-calls.  Its state records, for each unplaced vertex, what is still open to
-it: whether it is still free, for the two polynomials, or the target
-vertices it may still map to, for homomorphisms.  Inputs whose DP would
-reach more than DP_STATE_LIMIT states in all raise ScaleError.  The DP reads
-each graph's adjacency masks, Graph.adj, as they are stored.
+module.  A count polynomial p is a tuple of ints, constant first, with no
+trailing zeros, the form regcount.poly computes on: p[k] counts the objects
+of size k, for k up to its degree len(p) - 1.  Every count comes from one
+dynamic program, _subset_dp, that places the source's vertices one at a time
+in graphs.placement_order, with a table local to each call; it needs no
+canonical labels and keeps no cache between calls.  Its state records, for
+each unplaced vertex, what is still open to it: whether it is still free,
+for the two polynomials, or the target vertices it may still map to, for
+homomorphisms.  Inputs whose DP would reach more than DP_STATE_LIMIT states
+in all raise ScaleError.  The DP reads each graph's adjacency masks,
+Graph.adj, as they are stored.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
 
 from .errors import DomainError, GraphError, ScaleError
 from .graphs import DP_STATE_LIMIT, Graph, placement_order, relabel
@@ -26,25 +27,6 @@ _TOO_MANY_STATES = (
 MATCHING = "matching"
 INDEPENDENT_SET = "independent-set"
 HOMOMORPHISM = "homomorphism"
-
-
-class CountPolynomial(namedtuple("CountPolynomial", "coefficients kind")):
-    """coefficients[k] = exact number of size-k objects, a tuple of ints with
-    trailing zeros trimmed; kind is MATCHING or INDEPENDENT_SET."""
-
-    __slots__ = ()
-
-    def coefficient(self, k: int) -> int:
-        if k < 0:
-            raise DomainError(f"size must be nonnegative, got {k}")
-        return self.coefficients[k] if k < len(self.coefficients) else 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def to_json_strings(self) -> list[str]:
-        return [str(c) for c in self.coefficients]
 
 
 def _subset_dp(
@@ -150,7 +132,7 @@ def _subset_dp(
     return pending[-1].get(0, 0)
 
 
-def _polynomial(g: Graph, kind: str, refusal: str) -> CountPolynomial:
+def _polynomial(g: Graph, kind: str, refusal: str) -> tuple[int, ...]:
     """The count polynomial of the given kind, unpacked from _subset_dp's
     weight at width bits a coefficient: no partial count exceeds the number
     of matchings (< 2^|E|) or independent sets (< 2^n) of g."""
@@ -161,22 +143,22 @@ def _polynomial(g: Graph, kind: str, refusal: str) -> CountPolynomial:
     while packed:
         coeffs.append(packed & mask)
         packed >>= width
-    return CountPolynomial(tuple(coeffs), kind)
+    return tuple(coeffs)
 
 
-def matching_polynomial(g: Graph) -> CountPolynomial:
-    """coefficients[k] = number of k-edge matchings of g."""
+def matching_polynomial(g: Graph) -> tuple[int, ...]:
+    """p[k] = number of k-edge matchings of g."""
     return _polynomial(g, MATCHING, "matching_polynomial requires a loop-free graph")
 
 
-def independence_polynomial(g: Graph) -> CountPolynomial:
-    """coefficients[t] = number of independent vertex sets of size t."""
+def independence_polynomial(g: Graph) -> tuple[int, ...]:
+    """p[t] = number of independent vertex sets of size t."""
     refusal = "independence_polynomial requires a loop-free graph"
     return _polynomial(g, INDEPENDENT_SET, refusal)
 
 
-def eval_partition(p: CountPolynomial, lam):
-    """Exact partition-function value sum_k coeff_k * lam^k at rational lam >= 0,
+def eval_partition(p, lam):
+    """Exact partition-function value sum_k p[k] * lam^k at rational lam >= 0,
     as a Fraction, through poly.evaluate (imported here, as count never calls it)."""
     from fractions import Fraction
 
@@ -186,7 +168,7 @@ def eval_partition(p: CountPolynomial, lam):
     if lam < 0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
     num, den = lam.numerator, lam.denominator
-    return Fraction(evaluate(p.coefficients, num, den), den ** max(p.degree, 0))
+    return Fraction(evaluate(p, num, den), den ** max(len(p) - 1, 0))
 
 
 def count_homomorphisms(g: Graph, h: Graph) -> int:

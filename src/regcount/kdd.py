@@ -1,8 +1,8 @@
 """Closed-form exact counts for K_{d,d} and the disjoint union of n/2d copies.
 
 A matching meets each copy in some number of edges, so the union's matching
-polynomial, a CountPolynomial that one call builds whole, is a power
-(`poly.power`) of the single-copy counts; the same holds for independent sets.
+polynomial, a coefficient tuple as counting's, is a power (`poly.power`) of
+the single-copy counts; the same holds for independent sets.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 from . import poly
-from .counting import INDEPENDENT_SET, MATCHING, CountPolynomial
 from .errors import DivisibilityError, DomainError
 
 
@@ -43,18 +42,18 @@ def kdd_independent_count(d: int, t: int) -> int:
     return 1 if t == 0 else 2 * math.comb(d, t)
 
 
-def union_matching_polynomial(n: int, d: int) -> CountPolynomial:
+def union_matching_polynomial(n: int, d: int) -> tuple[int, ...]:
     """Exact matching polynomial of the K_{d,d} union on n vertices."""
     copies = union_copies(n, d)
     base = [kdd_matching_count(d, a) for a in range(d + 1)]
-    return CountPolynomial(poly.power(base, copies), MATCHING)
+    return poly.power(base, copies)
 
 
-def union_independence_polynomial(n: int, d: int) -> CountPolynomial:
+def union_independence_polynomial(n: int, d: int) -> tuple[int, ...]:
     """Exact independence polynomial of the K_{d,d} union on n vertices."""
     copies = union_copies(n, d)
     base = [kdd_independent_count(d, t) for t in range(d + 1)]
-    return CountPolynomial(poly.power(base, copies), INDEPENDENT_SET)
+    return poly.power(base, copies)
 
 
 def union_block_misses(n: int, d: int) -> list[list[int]]:

@@ -282,9 +282,10 @@ class GraphProfile:
     """One graph, the labels its verdicts carry, and its exact counts.
 
     Each property is computed on first use and then kept, so every check of
-    the graph reads the same counts and none is computed twice.  index is
-    the graph's position in a census, or None for a graph that comes from
-    elsewhere.
+    the graph reads the same counts and none is computed twice.  The two
+    polynomials are counting's coefficient tuples, so nu, the matching
+    polynomial's degree, is its length less one.  index is the graph's
+    position in a census, or None for a graph that comes from elsewhere.
     """
 
     def __init__(self, graph: Graph, index: int | None = None):
@@ -323,9 +324,8 @@ class GraphProfile:
 
     @cached_property
     def nu(self) -> int:
-        """Maximum matching size: the degree of the trimmed matching
-        polynomial."""
-        return self.matching_polynomial.degree
+        """Maximum matching size: the degree of the matching polynomial."""
+        return len(self.matching_polynomial) - 1
 
     @property
     def has_perfect_matching(self) -> bool:
@@ -389,7 +389,7 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
     rel_imag = 0.0
     worst_real = -math.inf
     recip_sum = 0.0
-    for factor, mult in squarefree(p.matching_polynomial.coefficients):
+    for factor, mult in squarefree(p.matching_polynomial):
         roots = np.polynomial.polynomial.polyroots([c / factor[-1] for c in factor])
         rel_imag = max(
             rel_imag, max(abs(r.imag) / max(1.0, abs(r)) for r in roots)
@@ -475,7 +475,7 @@ def suite_table(
             add("ind-count-vs-pm-bound", ("i", s), bound, "has_perfect_matching", size=s)
     if union is not None:
         # A bipartite graph has at most the union's independent sets, Z_I(1).
-        total = sum(union.coefficients)
+        total = sum(union)
         add("ind-total-vs-kdd-power", ("Z_I", Fraction(1)), Cleared(1, total), "bipartite")
     return SuiteTable(n, d, rows, union, sizes)
 
@@ -492,7 +492,7 @@ def vs_union_table(n: int, d: int, kind: str) -> SuiteTable:
         check_id, read, union = "ind-count-vs-union", "i", union_independence_polynomial(n, d)
     rows = [
         SuiteRow(check_id, _params(n=n, d=d, size=s), (read, s), Cleared(1, count), None, False)
-        for s, count in enumerate(union.coefficients)
+        for s, count in enumerate(union)
     ]
     return SuiteTable(n, d, rows, None, range(n // 2 + 1))
 
@@ -521,7 +521,7 @@ def verify_union_lower_bounds(table: SuiteTable, c_grid: Sequence = DEFAULT_C_GR
     block_misses = union_block_misses(n, d)
     for t in table.sizes:
         misses = block_misses[t]
-        count = union.coefficient(t)
+        count = union[t]
         for c in grid:
             bound = union_ind_lower_markov(n, d, t, c)
             add(bound_verdict, "union-ind-lower-markov", count, bound, size=t, c=c)
@@ -561,7 +561,11 @@ def suite_graph_verdicts(p: GraphProfile, table: SuiteTable) -> list[Verdict]:
         if q is None:
             kind, x = reads
             poly = p.matching_polynomial if kind in ("Z_M", "m") else p.independence_polynomial
-            q = values[reads] = eval_partition(poly, x) if kind[0] == "Z" else poly.coefficient(x)
+            if kind[0] == "Z":
+                q = eval_partition(poly, x)
+            else:  # a size past the degree counts no object
+                q = poly[x] if x < len(poly) else 0
+            values[reads] = q
         if bound is None:
             bound = match_pf_gurvits(g.edge_count, p.nu, reads[1])
         if in_log2:
@@ -622,7 +626,8 @@ def hom_graph_verdicts(
     distinct H is counted once.
 
     Orders tried: identity, reversed, and random_orders shuffles drawn from a
-    seed that also hashes the census index, so reruns are reproducible.
+    seed that also hashes the census index, so reruns are reproducible; an
+    order that repeats an earlier one, as it may at small n, is checked once.
     """
     g, d = p.graph, p.degree
     for _, _, factors in targets:
@@ -635,7 +640,8 @@ def hom_graph_verdicts(
         perm = list(range(n))
         rng.shuffle(perm)
         perms.append(perm)
-    orders = [(",".join(map(str, perm)), back_degrees(g, perm)) for perm in perms]
+    texts = {",".join(map(str, perm)): perm for perm in perms}
+    orders = [(text, back_degrees(g, perm)) for text, perm in texts.items()]
     hs = dict.fromkeys([*(h for _, h, _ in targets), *(h for _, _, h in identities)])
     homs = {h: count_homomorphisms(g, h) for h in hs}
     label = p.canonical_label
@@ -648,7 +654,7 @@ def hom_graph_verdicts(
             verdicts.append(exact_le("hom-order-product", label, params, lhs, rhs, graph=g))
     for c, lam, h in identities:
         poly = p.independence_polynomial
-        cleared = evaluate(poly.coefficients, int(c * lam), c) * c ** (n - poly.degree)
+        cleared = evaluate(poly, int(c * lam), c) * c ** (n + 1 - len(poly))
         params = _params(n=n, d=d, c=c, lam=lam)
         verdicts.append(exact_eq("hardcore-hom-identity", label, params, homs[h], cleared, graph=g))
     return verdicts

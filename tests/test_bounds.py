@@ -338,7 +338,7 @@ def test_matching_count_upper_values(c8):
     # alpha = 1/2 at (8, 2, 2) gives exactly (n/2)(1/2 + H(1/2)) = 6
     assert _near(match_count_upper(8, 2, 2).log_bound(), 6)
     assert _admits(20, match_count_upper(8, 2, 2))
-    assert matching_polynomial(c8).coefficient(2) == 20
+    assert matching_polynomial(c8)[2] == 20
     assert match_count_upper(8, 2, 0).log_bound() == 0
     assert _near(match_count_upper(8, 2, 4).log_bound(), 4)
     with pytest.raises(DomainError):
@@ -420,7 +420,7 @@ def test_profile_lower_is_sum_of_terms_and_holds():
     assert b.direction == LOWER
     with mpmath.workprec(120):
         assert _near(b.log_bound(), sum(_stirling_closed(2, a, 1) for a in prof))
-    exact = union_matching_polynomial(8, 2).coefficient(2)
+    exact = union_matching_polynomial(8, 2)[2]
     assert log2(Fraction(exact)) >= b.log_bound()
     assert _admits(exact, b)
 
@@ -484,7 +484,7 @@ def test_independent_upper_pm_exact(c8):
     from regcount import independence_polynomial
 
     assert independent_upper_pm_exact(8, 2) == 24
-    assert independence_polynomial(c8).coefficient(2) == 20
+    assert independence_polynomial(c8)[2] == 20
     assert independent_upper_pm_exact(8, 0) == 1
     assert independent_upper_pm_exact(8, 4) == 2**4
     with pytest.raises(DomainError):
@@ -518,9 +518,9 @@ def test_union_small_t_exact_is_a_true_count():
     for n, d in ((8, 2), (12, 3), (12, 2)):
         union = union_independence_polynomial(n, d)
         for t in range(union_copies(n, d) + 1):
-            assert union_small_t_exact(n, d, t) <= union.coefficient(t)
+            assert union_small_t_exact(n, d, t) <= union[t]
     # at t = 1 every size-1 set is scattered
-    assert union_small_t_exact(12, 2, 1) == union_independence_polynomial(12, 2).coefficient(1)
+    assert union_small_t_exact(12, 2, 1) == union_independence_polynomial(12, 2)[1]
     with pytest.raises(DomainError):
         union_small_t_exact(8, 2, 3)
     with pytest.raises(DivisibilityError):

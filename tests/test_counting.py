@@ -30,17 +30,20 @@ from regcount import (
     graph_from_text,
     independence_polynomial,
     matching_polynomial,
+    union_independence_polynomial,
+    union_matching_polynomial,
 )
-from regcount.counting import MATCHING, CountPolynomial
 from regcount.verify import hom_targets
 
 from conftest import (
+    build_kdd_union,
     disjoint_union,
     oracle_independent_counts,
     oracle_matching_counts,
     pairing_model,
     random_graph,
 )
+from test_graphs import oracle_max_matching_size
 
 
 def oracle_hom_count(g, h):
@@ -58,8 +61,8 @@ def test_polynomials_match_oracle_on_random_graphs():
         for p in (0.25, 0.5, 0.75):
             for _ in range(4):
                 g = random_graph(rng, n, p)
-                assert list(matching_polynomial(g).coefficients) == oracle_matching_counts(g)
-                assert list(independence_polynomial(g).coefficients) == oracle_independent_counts(g)
+                assert list(matching_polynomial(g)) == oracle_matching_counts(g)
+                assert list(independence_polynomial(g)) == oracle_independent_counts(g)
 
 
 def _low_coefficient_graphs():
@@ -84,32 +87,30 @@ def test_low_coefficients_match_edge_and_degree_counts():
             degree[u] += 1
             degree[v] += 1
         touching = sum(math.comb(k, 2) for k in degree)
-        m = matching_polynomial(g).coefficients
-        i = independence_polynomial(g).coefficients
+        m = matching_polynomial(g)
+        i = independence_polynomial(g)
         assert m[1:3] == (edges, math.comb(edges, 2) - touching), g
         assert i[1:3] == (n, math.comb(n, 2) - edges), g
 
 
 def test_known_polynomials(c4, c8, k33, prism, petersen):
-    assert matching_polynomial(c4).coefficients == (1, 4, 2)
-    assert independence_polynomial(c4).coefficients == (1, 4, 2)
-    assert matching_polynomial(c8).coefficients == (1, 8, 20, 16, 2)
-    assert independence_polynomial(c8).coefficients == (1, 8, 20, 16, 2)
-    assert matching_polynomial(k33).coefficients == (1, 9, 18, 6)
-    assert independence_polynomial(k33).coefficients == (1, 6, 6, 2)
-    assert matching_polynomial(prism).coefficients == (1, 9, 18, 4)
-    assert independence_polynomial(prism).coefficients == (1, 6, 6)
+    assert matching_polynomial(c4) == (1, 4, 2)
+    assert independence_polynomial(c4) == (1, 4, 2)
+    assert matching_polynomial(c8) == (1, 8, 20, 16, 2)
+    assert independence_polynomial(c8) == (1, 8, 20, 16, 2)
+    assert matching_polynomial(k33) == (1, 9, 18, 6)
+    assert independence_polynomial(k33) == (1, 6, 6, 2)
+    assert matching_polynomial(prism) == (1, 9, 18, 4)
+    assert independence_polynomial(prism) == (1, 6, 6)
     # cross-checked against the subset oracle rather than any published value
-    assert list(matching_polynomial(petersen).coefficients) == oracle_matching_counts(petersen)
+    assert list(matching_polynomial(petersen)) == oracle_matching_counts(petersen)
 
 
 def test_polynomial_helpers(c4):
     poly = matching_polynomial(c4)
-    assert poly.kind == MATCHING
-    assert poly.degree == 2
-    assert poly.coefficient(0) == 1
-    assert poly.coefficient(17) == 0
-    assert poly.to_json_strings() == ["1", "4", "2"]
+    assert len(poly) - 1 == 2
+    assert poly[0] == 1
+    assert [str(c) for c in poly] == ["1", "4", "2"]
 
 
 def test_polynomials_reject_loops():
@@ -128,13 +129,13 @@ def test_disjoint_union_multiplies_polynomials(data):
     g2 = random_graph(rng, data.draw(st.integers(min_value=0, max_value=5)), 0.5)
     u = disjoint_union(g1, g2)
     for which in (matching_polynomial, independence_polynomial):
-        a = which(g1).coefficients
-        b = which(g2).coefficients
+        a = which(g1)
+        b = which(g2)
         conv = [0] * (len(a) + len(b) - 1) if a and b else []
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 conv[i + j] += x * y
-        assert list(which(u).coefficients) == conv
+        assert list(which(u)) == conv
 
 
 def test_eval_partition(c4):
@@ -143,8 +144,8 @@ def test_eval_partition(c4):
     assert eval_partition(poly, Fraction(1, 2)) == Fraction(7, 2)
     assert eval_partition(poly, Fraction(0)) == 1
     lam = Fraction(2, 3)
-    assert eval_partition(poly, lam) == sum(c * lam**k for k, c in enumerate(poly.coefficients))
-    assert eval_partition(CountPolynomial((), MATCHING), lam) == 0
+    assert eval_partition(poly, lam) == sum(c * lam**k for k, c in enumerate(poly))
+    assert eval_partition((), lam) == 0
     with pytest.raises(DomainError):
         eval_partition(poly, Fraction(-1))
 
@@ -291,8 +292,31 @@ def small_graphs(draw, max_vertices=8):
 @settings(max_examples=120, deadline=None)
 @given(small_graphs())
 def test_subset_dp_matches_oracles(g):
-    assert list(matching_polynomial(g).coefficients) == oracle_matching_counts(g)
-    assert list(independence_polynomial(g).coefficients) == oracle_independent_counts(g)
+    assert list(matching_polynomial(g)) == oracle_matching_counts(g)
+    assert list(independence_polynomial(g)) == oracle_independent_counts(g)
+
+
+def _assert_count_polynomial(p, matching_of=None):
+    """p is a count polynomial: a plain tuple, constant first, that counts
+    the empty object once and ends at a positive count; a matching
+    polynomial's degree is the size of a largest matching of matching_of."""
+    assert type(p) is tuple
+    assert p[0] == 1 and p[-1] > 0
+    if matching_of is not None:
+        assert len(p) - 1 == oracle_max_matching_size(matching_of)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_graphs())
+def test_dp_polynomials_are_coefficient_tuples(g):
+    _assert_count_polynomial(matching_polynomial(g), matching_of=g)
+    _assert_count_polynomial(independence_polynomial(g))
+
+
+@pytest.mark.parametrize("n,d", [(8, 2), (12, 3), (16, 4)])
+def test_union_polynomials_are_coefficient_tuples(n, d):
+    _assert_count_polynomial(union_matching_polynomial(n, d), matching_of=build_kdd_union(n, d))
+    _assert_count_polynomial(union_independence_polynomial(n, d))
 
 
 @settings(max_examples=80, deadline=None)
@@ -303,11 +327,11 @@ def test_hom_dp_matches_oracle(g, h):
 
 def test_subset_dp_edge_cases(c4, prism):
     empty = build_graph(0, [])
-    assert matching_polynomial(empty).coefficients == (1,)
-    assert independence_polynomial(empty).coefficients == (1,)
+    assert matching_polynomial(empty) == (1,)
+    assert independence_polynomial(empty) == (1,)
     k1 = build_graph(1, [])
-    assert matching_polynomial(k1).coefficients == (1,)
-    assert independence_polynomial(k1).coefficients == (1, 1)
+    assert matching_polynomial(k1) == (1,)
+    assert independence_polynomial(k1) == (1, 1)
     rng = random.Random(3301)
     cases = [
         build_graph(5, []),
@@ -318,8 +342,8 @@ def test_subset_dp_edge_cases(c4, prism):
         disjoint_union(disjoint_union(c4, build_graph(1, [])), c4),
     ]
     for g in cases:
-        assert list(matching_polynomial(g).coefficients) == oracle_matching_counts(g)
-        assert list(independence_polynomial(g).coefficients) == oracle_independent_counts(g)
+        assert list(matching_polynomial(g)) == oracle_matching_counts(g)
+        assert list(independence_polynomial(g)) == oracle_independent_counts(g)
 
 
 @pytest.fixture(scope="module")
@@ -334,8 +358,8 @@ def fourteen():
 def test_coefficients_do_not_depend_on_vertex_order(fourteen, perm):
     g, matchings, independent = fourteen
     h = build_graph(14, [(perm[u], perm[v]) for u, v in g.edges])
-    assert list(matching_polynomial(h).coefficients) == matchings
-    assert list(independence_polynomial(h).coefficients) == independent
+    assert list(matching_polynomial(h)) == matchings
+    assert list(independence_polynomial(h)) == independent
 
 
 @pytest.fixture(scope="module")
@@ -360,10 +384,10 @@ def test_path_longer_than_recursion_limit():
     n = sys.getrecursionlimit() + 100
     path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     # k-matchings of P_n: C(n-k, k); independent k-sets: C(n-k+1, k)
-    assert matching_polynomial(path).coefficients == tuple(
+    assert matching_polynomial(path) == tuple(
         math.comb(n - k, k) for k in range(n // 2 + 1)
     )
-    assert independence_polynomial(path).coefficients == tuple(
+    assert independence_polynomial(path) == tuple(
         math.comb(n - k + 1, k) for k in range((n + 1) // 2 + 1)
     )
 
@@ -373,7 +397,7 @@ def test_edgeless_graph_counts_fast():
     # cost one DP state each and no vertex-by-vertex mask scan (which took
     # over 10 s here).
     start = time.perf_counter()
-    assert matching_polynomial(build_graph(20_000, [])).coefficients == (1,)
+    assert matching_polynomial(build_graph(20_000, [])) == (1,)
     assert time.perf_counter() - start < 5
 
 

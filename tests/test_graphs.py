@@ -99,12 +99,12 @@ def test_matching_polynomial_degree_is_max_matching_size(data):
     pairs = list(combinations(range(n), 2))
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = build_graph(n, [e for e, k in zip(pairs, keep) if k])
-    assert matching_polynomial(g).degree == oracle_max_matching_size(g)
+    assert len(matching_polynomial(g)) - 1 == oracle_max_matching_size(g)
 
 
 def test_max_matching_and_perfect_matching(c4, c8, prism, petersen):
     def nu(g):
-        return matching_polynomial(g).degree
+        return len(matching_polynomial(g)) - 1
 
     def has_pm(g):
         return GraphProfile(g).has_perfect_matching

@@ -31,8 +31,8 @@ from conftest import build_kdd_union
 def test_single_block_counts_match_polynomials():
     for d in range(1, 5):
         g = build_kdd(d)
-        mpoly = matching_polynomial(g).coefficients
-        ipoly = independence_polynomial(g).coefficients
+        mpoly = matching_polynomial(g)
+        ipoly = independence_polynomial(g)
         for a in range(d + 1):
             assert kdd_matching_count(d, a) == mpoly[a]
             assert kdd_independent_count(d, a) == ipoly[a]
@@ -54,8 +54,8 @@ def test_union_counts_match_polynomials():
 
 def test_union_spot_values():
     assert union_copies(12, 3) == 2
-    assert union_matching_polynomial(8, 2).coefficients == (1, 8, 20, 16, 4)
-    assert union_independence_polynomial(8, 2).coefficients == (1, 8, 20, 16, 4)
+    assert union_matching_polynomial(8, 2) == (1, 8, 20, 16, 4)
+    assert union_independence_polynomial(8, 2) == (1, 8, 20, 16, 4)
 
 
 def test_each_union_polynomial_is_built_once(monkeypatch, capsys):
@@ -92,9 +92,7 @@ def test_domain_validation():
         kdd_matching_count(3, 4)
     with pytest.raises(DomainError):
         kdd_independent_count(0, 0)
-    assert union_matching_polynomial(8, 2).degree == 4
-    with pytest.raises(DomainError):
-        union_independence_polynomial(8, 2).coefficient(-1)
+    assert len(union_matching_polynomial(8, 2)) - 1 == 4
 
 
 def test_union_exists_exactly_where_union_copies_returns():
@@ -114,7 +112,7 @@ def test_bregman_equality_on_block_unions():
     # the bound is tight exactly on disjoint unions of balanced complete
     # bipartite blocks: pm = (d!)^copies, so pm^(2d) = (d!)^n
     for n, d in ((8, 2), (12, 3), (6, 3)):
-        pm = union_matching_polynomial(n, d).coefficient(n // 2)
+        pm = union_matching_polynomial(n, d)[n // 2]
         assert pm == math.factorial(d) ** union_copies(n, d)
         b = bregman_pm(n, d)
         assert b.lhs(pm) == b.rhs
@@ -123,7 +121,7 @@ def test_bregman_equality_on_block_unions():
 def test_bregman_strict_on_cycle(c8):
     # C8 is bipartite and 2-regular; it has just 2 perfect matchings while
     # the bound allows 2^2: 2^4 < (2!)^8
-    pm = matching_polynomial(c8).coefficients[4]
+    pm = matching_polynomial(c8)[4]
     assert pm == 2
     b = bregman_pm(8, 2)
     assert bound_verdict("bregman-pm", "C8", {}, pm, b).passed and b.lhs(pm) < b.rhs

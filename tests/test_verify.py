@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 from regcount import (
-    CountPolynomial,
     DivisibilityError,
     DomainError,
     GenSpec,
@@ -67,7 +66,7 @@ from regcount.verify import (
     vs_union_table,
 )
 
-from conftest import common_root, disjoint_union, poly_product
+from conftest import build_kdd_union, common_root, disjoint_union, poly_product
 
 SMALL_GRID = (Fraction(1, 2), Fraction(1), Fraction(2))
 
@@ -474,6 +473,35 @@ def test_bipartite_total_count():
     assert any(v.margin == 0 for v in verdicts)
 
 
+@pytest.mark.parametrize("n,d,rows", [(12, 3, 178), (16, 4, 214), (24, 3, 286)])
+def test_union_meets_its_exact_ties(n, d, rows):
+    # The K_{d,d} union passes the whole suite, and meets exactly 19 bounds
+    # with equality: Kahn's bound at every weight of the default grid,
+    # Bregman's, its own count at size n/2 and its own total, and three rows
+    # that every graph they apply to meets at sizes 0 and 1.
+    p = GraphProfile(build_kdd_union(n, d))
+    verdicts = suite_graph_verdicts(p, suite_table(n, d))
+    assert len(verdicts) == rows
+    assert all(v.passed for v in verdicts)
+    ties = sorted((v.check_id, v.params.get("size")) for v in verdicts if v.margin == 0)
+    assert ties == sorted(
+        [("ind-pf-upper-bipartite", None)] * len(DEFAULT_LAMBDA_GRID)
+        + [
+            ("bregman-pm", None),
+            ("ind-count-upper-bipartite", n // 2),
+            ("ind-total-vs-kdd-power", None),
+            ("match-count-upper", 0),
+            ("ind-count-vs-pm-bound", 0),
+            ("ind-count-vs-pm-bound", 1),
+        ]
+    )
+    # The DP's polynomials equal the closed forms, coefficient by coefficient.
+    for check in (_umc, _kahn):
+        verdicts = check(n, d)(p)
+        assert len(verdicts) == n // 2 + 1
+        assert all(v.passed and v.margin == 0 for v in verdicts)
+
+
 def test_real_rooted(c4, c8, petersen):
     for g in (c8, petersen):
         v = verify_real_rooted(GraphProfile(g))
@@ -549,13 +577,13 @@ def test_squarefree_decomposition_checks_its_invariants(monkeypatch):
 def _squarefree_cases():
     for n in (8, 10, 12):
         for g in generate(GenSpec(n, 3)):
-            yield matching_polynomial(g).coefficients
+            yield matching_polynomial(g)
     k4, k33 = build_graph(4, list(combinations(range(4), 2))), build_kdd(3)
     for parts in ([k4] * 4, [k33] * 3, [k4, k4, k33, k33, k33], [k4, k4, k4, k33, k33]):
         g = parts[0]
         for part in parts[1:]:
             g = disjoint_union(g, part)
-        yield matching_polynomial(g).coefficients
+        yield matching_polynomial(g)
 
 
 def test_squarefree_factors_rebuild_p_from_monic_squarefree_coprime_parts():
@@ -635,7 +663,7 @@ def test_hardcore_hom_identity(c4, k33):
     assert list(rows) == [(1, "0"), (1, "1"), (2, "0"), (2, "1/2"), (2, "1")]
     v = rows[1, "1"]
     assert v.passed
-    assert v.lhs == sum(independence_polynomial(c4).coefficients) == 7
+    assert v.lhs == sum(independence_polynomial(c4)) == 7
     v2 = rows[2, "1/2"]
     # a = 1, c = 2: sum_t i_t 2^(4-t) = 16 + 4*8 + 2*4 = 56
     assert v2.passed and v2.lhs == 56
@@ -755,8 +783,8 @@ def test_count_bounds_are_decided_exactly(check_id, size, excess):
     g = build_graph(n, sorted({tuple(sorted((i, (i + o) % n))) for i in range(n) for o in (1, 2)}))
     profile = GraphProfile(g)
     coefficients = (1,) * size + (count, 1)
-    profile.matching_polynomial = CountPolynomial(coefficients, MATCHING)
-    profile.independence_polynomial = CountPolynomial(coefficients, INDEPENDENT_SET)
+    profile.matching_polynomial = coefficients
+    profile.independence_polynomial = coefficients
     [v] = [
         v
         for v in _suite(profile, (Fraction(1),))
@@ -789,8 +817,8 @@ def test_bipartite_count_bound_is_decided_exactly():
         profile = GraphProfile(g)
         assert profile.bipartite
         coefficients = (1,) * size + (count, 1)
-        profile.matching_polynomial = CountPolynomial(coefficients, MATCHING)
-        profile.independence_polynomial = CountPolynomial(coefficients, INDEPENDENT_SET)
+        profile.matching_polynomial = coefficients
+        profile.independence_polynomial = coefficients
         [v] = [
             v
             for v in _suite(profile, (Fraction(1),))
