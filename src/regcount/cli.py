@@ -31,6 +31,11 @@ _DEFAULT_ROOT_TOL = 1e-7
 
 # gen --labeled keeps every row: at most 19,355 at 8 vertices, 1,024,380 at (9,4).
 _LABELED_VERTEX_LIMIT = 8
+# bounds builds the union's polynomials of degree up to n, by products whose
+# cost grows faster than n^2.  On a 2-core x86 machine the default grids took
+# 3.5 to 42 s at 2048 vertices (11 s at d = 256, 42 s at d = 1024), and one
+# value of each grid took over 20 s at (4096, 512).
+_BOUNDS_VERTEX_LIMIT = 2048
 
 
 class _Parser(argparse.ArgumentParser):
@@ -402,6 +407,8 @@ def _cmd_bounds(args) -> int:
     from .verify import DEFAULT_C_GRID, DEFAULT_LAMBDA_GRID
 
     n, d = args.n, args.d
+    if n > _BOUNDS_VERTEX_LIMIT:
+        raise ScaleError(f"bounds supports n <= {_BOUNDS_VERTEX_LIMIT}, got {n}")
     sizes = range(n // 2 + 1)
     # A value given twice gives its rows once, at its first place; the config
     # echoes each grid as given.

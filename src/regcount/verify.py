@@ -2,9 +2,9 @@
 
 Every check emits Verdict records instead of raising on a failed inequality,
 so a potential counterexample is reported with reproduction data rather than
-aborting a sweep.  `_verdict` is the one constructor of every Verdict, and
-it holds the reproduction rule: a failed verdict about a given graph carries
-that graph's text form as the "graph_text" param.
+aborting a sweep.  `sweep` holds the reproduction rule: a failed verdict
+about a swept graph carries that graph's text form as its last param,
+"graph_text".  Every per-graph check returns a list of verdicts.
 
 Every verdict is decided exactly, with zero slack, whether it reports exact
 rationals or log2 values, by one rule, `_decide`: b <= a * 2^pow2 *
@@ -187,22 +187,6 @@ def _params(**kw) -> dict:
     return out
 
 
-def _verdict(
-    check_id: str,
-    label: str,
-    params: dict,
-    lhs,
-    rhs,
-    passed: bool,
-    margin,
-    graph: Graph | None = None,
-) -> Verdict:
-    """The Verdict, with graph's text appended to params when it failed."""
-    if graph is not None and not passed:
-        params = {**params, "graph_text": graph_to_text(graph)}
-    return Verdict(check_id, label, params, lhs, rhs, passed, margin)
-
-
 def _decide(a: int, b: int, k: int = 1, pow2=0, pow_e=0, equal: bool = False):
     """The one decision rule: (passed, margin) for b <= a * 2^pow2 * e^pow_e,
     or b = a * 2^pow2 * e^pow_e when equal is set, on nonnegative integers a
@@ -223,7 +207,6 @@ def exact_le(
     params: dict,
     lhs,
     rhs,
-    graph: Graph | None = None,
     *,
     equal: bool = False,
 ) -> Verdict:
@@ -233,18 +216,11 @@ def exact_le(
     a = rhs.numerator * lhs.denominator
     b = rhs.denominator * lhs.numerator
     passed, margin = _decide(a, b, equal=equal)
-    return _verdict(check_id, graph_label, params, lhs, rhs, passed, margin, graph)
+    return Verdict(check_id, graph_label, params, lhs, rhs, passed, margin)
 
 
-def exact_eq(
-    check_id: str,
-    graph_label: str,
-    params: dict,
-    lhs,
-    rhs,
-    graph: Graph | None = None,
-) -> Verdict:
-    return exact_le(check_id, graph_label, params, lhs, rhs, graph, equal=True)
+def exact_eq(check_id: str, graph_label: str, params: dict, lhs, rhs) -> Verdict:
+    return exact_le(check_id, graph_label, params, lhs, rhs, equal=True)
 
 
 def bound_verdict(
@@ -253,7 +229,6 @@ def bound_verdict(
     params: dict,
     count: int,
     bound: Cleared,
-    graph: Graph | None = None,
 ) -> Verdict:
     """Exact verdict comparing a count against a Cleared bound, reported in
     log2 with the bound's side first for a lower bound."""
@@ -275,7 +250,7 @@ def bound_verdict(
     else:
         passed, margin = _decide(powered, top, k, -pow2, -pow_e)
         lhs, rhs = value, log_count
-    return _verdict(check_id, graph_label, params, lhs, rhs, passed, margin, graph)
+    return Verdict(check_id, graph_label, params, lhs, rhs, passed, margin)
 
 
 class GraphProfile:
@@ -333,11 +308,19 @@ class GraphProfile:
 
 
 def _graph_verdicts(check, item) -> list[Verdict]:
-    """check on the profile of one (index, graph) pair, as a list; a check
-    may return a single verdict."""
+    """check's verdicts on the profile of one (index, graph) pair, each
+    failed one with the graph's text appended to its params: the one home
+    of the reproduction rule.  The text is built once, and only when a
+    verdict failed."""
     index, g = item
-    out = check(GraphProfile(g, index))
-    return [out] if isinstance(out, Verdict) else out
+    verdicts = check(GraphProfile(g, index))
+    if all(v.passed for v in verdicts):
+        return verdicts
+    text = graph_to_text(g)
+    return [
+        v if v.passed else v._replace(params={**v.params, "graph_text": text})
+        for v in verdicts
+    ]
 
 
 def sweep(graphs: Iterable[tuple[int | None, Graph]], check, map=map) -> list[Verdict]:
@@ -364,7 +347,7 @@ def back_degrees(g: Graph, perm: Sequence[int]) -> list[int]:
     return back
 
 
-def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdict:
+def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> list[Verdict]:
     """Numeric check that the matching partition function has only real
     negative roots, via companion-matrix eigenvalues.
 
@@ -379,7 +362,8 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
     reciprocal-root sum is checked against the edge count at
     ROOT_SUM_REL_TOL relative error.  An edgeless graph has a constant
     polynomial, which has no square-free factor and no root, so it passes
-    with lhs 0 and margin tol.
+    with lhs 0 and margin tol.  The one verdict comes as a list, as every
+    per-graph check's verdicts do.
     """
     tol = root_tolerance(tol)
     g = p.graph
@@ -397,12 +381,12 @@ def verify_real_rooted(p: GraphProfile, tol: float = DEFAULT_ROOT_TOL) -> Verdic
         worst_real = max(worst_real, max(r.real for r in roots))
         recip_sum += mult * float(sum(-1.0 / r for r in roots).real)
     sum_err = abs(recip_sum - g.edge_count) / max(1.0, g.edge_count)
-    passed = rel_imag <= tol and worst_real < 0 and sum_err <= ROOT_SUM_REL_TOL
+    # numpy's comparisons give numpy bools, which json cannot encode.
+    passed = bool(rel_imag <= tol and worst_real < 0 and sum_err <= ROOT_SUM_REL_TOL)
     margin = min(tol - rel_imag, -worst_real)
     params = _params(n=g.vertex_count, d=p.degree, tol=tol, root_sum_rel_err=sum_err)
-    return _verdict(
-        "match-poly-real-rooted", p.canonical_label, params, rel_imag, tol, passed, margin, g
-    )
+    label = p.canonical_label
+    return [Verdict("match-poly-real-rooted", label, params, rel_imag, tol, passed, margin)]
 
 
 SuiteTable = namedtuple("SuiteTable", "n d rows union sizes")
@@ -546,7 +530,8 @@ def suite_graph_verdicts(p: GraphProfile, table: SuiteTable) -> list[Verdict]:
 
     Every bound is a power-cleared inequality and decided exactly.  The
     count bounds are reported in log2, the others with both sides as exact
-    rationals.
+    rationals.  A verdict's params are its row's dict, shared and never
+    changed: sweep gives a failed row a new dict.
     """
     g = p.graph
     if (g.vertex_count, p.degree) != (table.n, table.d):
@@ -569,9 +554,9 @@ def suite_graph_verdicts(p: GraphProfile, table: SuiteTable) -> list[Verdict]:
         if bound is None:
             bound = match_pf_gurvits(g.edge_count, p.nu, reads[1])
         if in_log2:
-            verdicts.append(bound_verdict(check_id, label, dict(params), q, bound, graph=g))
+            verdicts.append(bound_verdict(check_id, label, params, q, bound))
         else:
-            verdicts.append(exact_le(check_id, label, dict(params), bound.lhs(q), bound.rhs, graph=g))
+            verdicts.append(exact_le(check_id, label, params, bound.lhs(q), bound.rhs))
     return verdicts
 
 
@@ -651,10 +636,10 @@ def hom_graph_verdicts(
         for order, back in orders:
             params = _params(n=n, d=d, target=name, order=order)
             rhs = math.prod(factors[b] for b in back)
-            verdicts.append(exact_le("hom-order-product", label, params, lhs, rhs, graph=g))
+            verdicts.append(exact_le("hom-order-product", label, params, lhs, rhs))
     for c, lam, h in identities:
         poly = p.independence_polynomial
         cleared = evaluate(poly, int(c * lam), c) * c ** (n + 1 - len(poly))
         params = _params(n=n, d=d, c=c, lam=lam)
-        verdicts.append(exact_eq("hardcore-hom-identity", label, params, homs[h], cleared, graph=g))
+        verdicts.append(exact_eq("hardcore-hom-identity", label, params, homs[h], cleared))
     return verdicts

@@ -215,7 +215,7 @@ def test_criterion_09_real_rootedness(small_corpus):
     assert DEFAULT_ROOT_TOL == 1e-7
     assert ROOT_SUM_REL_TOL == 1e-6
     for n, d, idx, g in small_corpus:
-        v = verify_real_rooted(GraphProfile(g), tol=1e-7)
+        [v] = verify_real_rooted(GraphProfile(g), tol=1e-7)
         assert v.passed, (n, d, idx, v.params)
 
 

@@ -17,7 +17,7 @@ from mpmath import mpf
 import regcount
 from regcount import graph_to_text
 from regcount.cli import _report, _write_csv, _write_json, main
-from regcount.verify import Verdict, exact_le
+from regcount.verify import Verdict, exact_le, sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -475,6 +475,29 @@ def test_bounds_sizes_are_checked_by_the_bounds_rule(capsys, flag):
     assert str(err.value) == "size must lie in [0, n/2] = [0, 6.0], got 9"
 
 
+def test_bounds_past_its_vertex_limit_exits_1_at_once(capsys, monkeypatch):
+    import time
+
+    import regcount.cli as cli
+
+    def no_rows(*args):
+        raise AssertionError("rows built past the vertex limit")
+
+    monkeypatch.setattr(cli, "_bounds_rows", no_rows)
+    start = time.monotonic()
+    argv = ["bounds", "--n", "4096", "--d", "512", "--ell", "1", "--t", "1", "--lam", "1", "--c", "2"]
+    assert main(argv) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "regcount: error: bounds supports n <= 2048, got 4096\n"
+    # The limit itself is allowed: the d = 256 row of the degree-direction
+    # table has 2048 vertices.
+    monkeypatch.setattr(cli, "_bounds_rows", lambda *args: [])
+    assert main(["bounds", "--n", "2048", "--d", "256", "--out", os.devnull]) == 0
+    capsys.readouterr()
+
+
 def test_gen_labeled_past_its_vertex_limit_exits_1_at_once(capsys, monkeypatch):
     import importlib
     import time
@@ -735,14 +758,19 @@ def test_verify_hom_accepts_degree_zero(capsys):
 
 def test_exit_code_2_on_failed_verdict(capsys, monkeypatch):
     import regcount.verify as verify_mod
+    from regcount import GenSpec, generate
 
-    def fake_verdict(g, tol):
-        return Verdict("match-poly-real-rooted", "stub", {}, 1.0, 0.0, False, -1.0)
+    def fake_verdict(p, tol):
+        return [Verdict("match-poly-real-rooted", "stub", {}, 1.0, 0.0, False, -1.0)]
 
     monkeypatch.setattr(verify_mod, "verify_real_rooted", fake_verdict)
     code, doc = run_json(capsys, "verify-roots", "--n", "4", "--d", "2")
     assert code == 2
     assert doc["summary"]["failed"] == 1
+    # The sweep appends the census graph's text to the failed row.
+    [census_graph] = generate(GenSpec(4, 2))
+    [row] = doc["verdicts"]
+    assert row["params"] == {"graph_text": graph_to_text(census_graph)}
 
 
 def test_count_too_large_exits_1(capsys, tmp_path, large_cubic):
@@ -1065,7 +1093,7 @@ def test_verdict_writer_edge_cases(c4):
     doc = _report("verify-umc", {"n": 4, "out": 'a "quoted"\nname'}, verdicts=[])
     _assert_written_as(doc, doc)
     assert '"verdicts": []' in _written(doc)
-    failed = exact_le("demo", "4v-2r", {"n": 4, "d": 2}, 7, 0, graph=c4)
+    [failed] = sweep([(None, c4)], lambda p: [exact_le("demo", "4v-2r", {"n": 4, "d": 2}, 7, 0)])
     assert "\n" in failed.params["graph_text"]
     odd = Verdict("demo", "gé", {"w": [1, 2.5], "x": None, "y": {}}, 1, 2, True, 1.0)
     doc = _report("verify-umc", {}, verdicts=[failed, odd])

@@ -11,6 +11,10 @@ from its printed sides, with Fraction and mpmath and nothing from regcount:
   rhs - lhs;
 - a match-poly-real-rooted row passes iff lhs <= rhs, its margin is >= 0
   and its root_sum_rel_err param is at most 1e-6;
+- a failed row about a swept graph, one whose graph_label does not start
+  with "union-", carries the graph's text form as its graph_text param,
+  whose header "N M L" gives the row's n param as N and its number of edge
+  lines as M;
 - a JSON report's summary counts its rows and its failed rows.
 
 A check id in none of these lists is a disagreement, so a new check family
@@ -101,6 +105,25 @@ def exact_margin(lhs: Fraction, rhs: Fraction) -> str:
     return f"{float(value):.12g}"
 
 
+def graph_text_problem(row: dict) -> str | None:
+    """What is wrong with the graph_text param of a failed row about a
+    swept graph, or None."""
+    text = row["params"].get("graph_text")
+    if text is None:
+        return "a failed row with no graph_text"
+    header, *edges = text.strip("\n").split("\n")
+    fields = header.split()
+    if len(fields) != 3 or not all(f.isdigit() for f in fields):
+        return f"graph_text header {header!r} is not 'N M L'"
+    n, m = int(fields[0]), int(fields[1])
+    if n != row["params"].get("n") or m != len(edges):
+        return (
+            f"graph_text header {header!r}, the row's n is {row['params'].get('n')}"
+            f" and the text has {len(edges)} edge lines"
+        )
+    return None
+
+
 def redecide(rows: list[dict], summary: dict | None = None) -> list[str]:
     """Each disagreement between a row's pass flag or margin and its printed
     sides, and between the summary and the rows, as a line of text."""
@@ -133,6 +156,10 @@ def redecide(rows: list[dict], summary: dict | None = None) -> list[str]:
             continue
         if row["pass"] != passed:
             problems.append(f"{where}: pass is {row['pass']}, the sides decide {passed}")
+        if not row["pass"] and not row["graph_label"].startswith("union-"):
+            problem = graph_text_problem(row)
+            if problem:
+                problems.append(f"{where}: {problem}")
     if summary is not None:
         counted = {"total": len(rows), "failed": sum(1 for row in rows if not row["pass"])}
         if summary != counted:
@@ -243,3 +270,48 @@ def test_a_changed_row_in_a_copy_of_a_golden_report_is_caught(tmp_path, report, 
     copy.write_text(json.dumps(doc), encoding="utf-8")
     problems = redecide_report(copy)
     assert problems and all(p.startswith(f"row {i},") or p.startswith("summary") for p in problems)
+
+
+def _cycle_text(n):
+    """The text form of the n-cycle, as the reports print a graph."""
+    edges = sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    return f"{n} {n} 0\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@pytest.mark.parametrize(
+    "graph_text, caught",
+    [
+        (None, True),
+        (_cycle_text(8), False),
+        (_cycle_text(9), True),  # N is not the row's n
+        (_cycle_text(8).rsplit("\n", 2)[0] + "\n", True),  # M promises a lost edge line
+    ],
+    ids=["none", "valid", "other-n", "edge-lines"],
+)
+def test_a_failed_row_in_a_copy_needs_its_graph_text(tmp_path, graph_text, caught):
+    # A positive exact row made to fail consistently: its sides swapped, its
+    # pass flag, margin and the summary as the swapped sides give them.
+    doc = json.loads((GOLDEN / "verify-suite-8-2-grids.json").read_text(encoding="utf-8"))
+    i, row = next(
+        (i, row)
+        for i, row in enumerate(doc["verdicts"])
+        if _positive_exact(row)
+        and Fraction(row["lhs"]) < Fraction(row["rhs"])
+        and not row["graph_label"].startswith("union-")
+    )
+    assert row["params"]["n"] == 8
+    row["lhs"], row["rhs"] = row["rhs"], row["lhs"]
+    lhs, rhs = Fraction(row["lhs"]), Fraction(row["rhs"])
+    row["pass"] = lhs <= rhs
+    row["margin"] = exact_margin(lhs, rhs)
+    doc["summary"]["failed"] += 1
+    if graph_text is not None:
+        row["params"]["graph_text"] = graph_text
+    copy = tmp_path / "copy.json"
+    copy.write_text(json.dumps(doc), encoding="utf-8")
+    problems = redecide_report(copy)
+    assert not row["pass"]
+    if caught:
+        assert len(problems) == 1 and problems[0].startswith(f"row {i},")
+    else:
+        assert problems == []

@@ -30,6 +30,7 @@ from regcount import (
     canonical_form,
     count_homomorphisms,
     generate,
+    graph_from_text,
     independence_polynomial,
     matching_polynomial,
 )
@@ -262,16 +263,18 @@ def test_verdict_serialization(c4):
     assert list(d) == ["check_id", "graph_label", "params", "lhs", "rhs", "pass", "margin"]
 
 
-def test_exact_verdicts_and_margins(c4):
+def test_exact_verdicts_and_margins():
     v = exact_le("demo", "g", {}, 5, 40)
     assert v.passed and abs(v.margin - 3) < 1e-12
     assert exact_le("demo", "g", {}, 0, 0).margin == 0
     assert exact_le("demo", "g", {}, 0, 7).margin == math.inf
-    bad = exact_le("demo", "g", {}, 7, 0, graph=c4)
+    # A constructor keeps the params it is given, failed or not: sweep alone
+    # appends a failed row's graph_text (test_sweep_attaches_graph_text_to_failed_rows).
+    bad = exact_le("demo", "g", {"n": 4}, 7, 0)
     assert not bad.passed and bad.margin == -math.inf
-    assert "graph_text" in bad.params
-    ok = exact_le("demo", "g", {}, 7, 9, graph=c4)
-    assert "graph_text" not in ok.params
+    assert bad.params == {"n": 4}
+    ok = exact_le("demo", "g", {"n": 4}, 7, 9)
+    assert ok.passed and ok.params == {"n": 4}
     eq = exact_eq("demo", "g", {}, Fraction(1, 3), Fraction(1, 3))
     assert eq.passed and eq.margin == 0
     for lhs, rhs in ((Fraction(1, 3), Fraction(2, 3)), (2, 1)):
@@ -279,7 +282,7 @@ def test_exact_verdicts_and_margins(c4):
         assert not ne.passed and ne.margin == (1 if lhs < rhs else -1)
 
 
-def test_bound_verdict_directions(c4):
+def test_bound_verdict_directions():
     up = bound_verdict("demo", "g", {}, 8, Cleared(1, Fraction(16)))
     assert up.passed and up.margin == 1
     assert up.lhs == 3 and up.rhs == 4  # log2(count) on the left for upper bounds
@@ -287,9 +290,9 @@ def test_bound_verdict_directions(c4):
     assert lo.passed and lo.margin == 1 and lo.lhs == 2 and lo.rhs == 3
     zero_up = bound_verdict("demo", "g", {}, 0, Cleared(1, Fraction(16)))
     assert zero_up.passed and zero_up.margin == math.inf
-    zero_lo = bound_verdict("demo", "g", {}, 0, Cleared(1, Fraction(1), direction=LOWER), graph=c4)
+    zero_lo = bound_verdict("demo", "g", {}, 0, Cleared(1, Fraction(1), direction=LOWER))
     assert not zero_lo.passed and zero_lo.margin == -math.inf
-    assert "graph_text" in zero_lo.params
+    assert zero_lo.params == {}
     with pytest.raises(DomainError):
         bound_verdict("demo", "g", {}, -1, Cleared(1, Fraction(16)))
     # A cleared lower bound, count >= 24 / 2, is decided on integers, with
@@ -301,8 +304,8 @@ def test_bound_verdict_directions(c4):
     assert above.passed and format_number(above.margin) == "2"
     assert format_number(above.lhs) == "3.58496250072"
     assert format_number(above.rhs) == "5.58496250072"
-    below = bound_verdict("demo", "g", {}, 11, twelve, graph=c4)
-    assert not below.passed and "graph_text" in below.params
+    below = bound_verdict("demo", "g", {}, 11, twelve)
+    assert not below.passed and below.params == {}
     assert format_number(below.margin) == _log2_oracle(11, 12)
     zero = bound_verdict("demo", "g", {}, 0, twelve)
     assert not zero.passed and zero.margin == -math.inf
@@ -449,6 +452,69 @@ def test_umc_and_kahn_sweeps(c8):
     assert spot[0].lhs == 20 and spot[0].rhs == 20
 
 
+# A table row made to fail on every (8, 2) census graph: (the table, the
+# row's check id and the quantity it reads, a bound below that quantity).
+_FAILING_ROWS = {
+    "suite-exact": (partial(suite_table, 8, 2, (1,)), "match-pf-upper", ("Z_M", 1), 1),
+    "suite-log2": (partial(suite_table, 8, 2, (1,)), "match-count-upper", ("m", 1), 1),
+    "vs-union": (partial(vs_union_table, 8, 2, MATCHING), "match-count-vs-union", ("m", 2), 19),
+}
+
+
+def _failing_check(kind, monkeypatch):
+    """A check on the (8, 2) census with one kind of row made to fail, and
+    that row's check id."""
+    import regcount.verify as verify_mod
+
+    if kind == "hom-order-product":
+        # hom(G, K2)^2 <= 1 fails on a bipartite G: hom(G, K2) = 2^components.
+        targets = [(name, h, (1, 1, 1) if name == "K2" else f) for name, h, f in hom_targets(2)]
+        return partial(hom_graph_verdicts, targets=targets, identities=hardcore_identities((1,))), kind
+    if kind == "match-poly-real-rooted":
+        # C8's matching polynomial stands for x^2 + 1, whose roots are +-i.
+        real = verify_mod.squarefree
+
+        def squarefree(poly):
+            return [((1, 0, 1), 1)] if poly == (1, 8, 20, 16, 2) else real(poly)
+
+        monkeypatch.setattr(verify_mod, "squarefree", squarefree)
+        return verify_real_rooted, kind
+    build, check_id, reads, value = _FAILING_ROWS[kind]
+    table, bound = build(), Cleared(1, Fraction(value))
+    rows = [
+        row._replace(bound=bound) if (row.check_id, row.reads) == (check_id, reads) else row
+        for row in table.rows
+    ]
+    assert rows != table.rows
+    return partial(suite_graph_verdicts, table=table._replace(rows=rows)), check_id
+
+
+@pytest.mark.parametrize(
+    "kind", [*_FAILING_ROWS, "hom-order-product", "match-poly-real-rooted"]
+)
+def test_sweep_attaches_graph_text_to_failed_rows(monkeypatch, kind):
+    check, check_id = _failing_check(kind, monkeypatch)
+    outcomes = set()
+    for index, g in enumerate(generate(GenSpec(8, 2))):
+        swept = sweep([(index, g)], check)
+        unswept = check(GraphProfile(g, index))
+        assert len(swept) == len(unswept)
+        for v, plain in zip(swept, unswept):
+            outcomes.add(v.passed)
+            assert "graph_text" not in plain.params
+            if v.passed:
+                assert v == plain
+                continue
+            # The row's own params, then the swept graph's text, last.
+            assert v.check_id == check_id
+            assert v == plain._replace(params={**plain.params, "graph_text": v.params["graph_text"]})
+            assert list(v.params)[-1] == "graph_text"
+            assert graph_from_text(v.params["graph_text"]) == g
+            # A failed row is reported as any other: its pass flag is a bool.
+            assert json.loads(json.dumps(v.to_json_dict()))["pass"] is False
+    assert outcomes == {True, False}
+
+
 def test_vs_union_tables_refuse_a_graph_of_another_shape(c8):
     # C8 is 2-regular on 8 vertices; a union of another (n, d) is no
     # reference for it, nor for a graph that is not regular.
@@ -504,13 +570,13 @@ def test_union_meets_its_exact_ties(n, d, rows):
 
 def test_real_rooted(c4, c8, petersen):
     for g in (c8, petersen):
-        v = verify_real_rooted(GraphProfile(g))
+        [v] = verify_real_rooted(GraphProfile(g))
         assert v.passed
         assert v.check_id == "match-poly-real-rooted"
         assert v.margin > 0
     # edgeless: a constant polynomial has no roots, so it passes at margin tol
     for n in (0, 3):
-        empty = verify_real_rooted(GraphProfile(build_graph(n, [])))
+        [empty] = verify_real_rooted(GraphProfile(build_graph(n, [])))
         assert empty.to_json_dict() == {
             "check_id": "match-poly-real-rooted",
             "graph_label": canonical_form(build_graph(n, [])),
@@ -526,9 +592,11 @@ def test_real_rooted(c4, c8, petersen):
     five_k2 = k2
     for _ in range(4):
         five_k2 = disjoint_union(five_k2, k2)
-    assert verify_real_rooted(GraphProfile(five_k2), tol=1e-7).passed
+    [v] = verify_real_rooted(GraphProfile(five_k2), tol=1e-7)
+    assert v.passed
     triple_c4 = disjoint_union(disjoint_union(c4, c4), c4)
-    assert verify_real_rooted(GraphProfile(triple_c4), tol=1e-7).passed
+    [v] = verify_real_rooted(GraphProfile(triple_c4), tol=1e-7)
+    assert v.passed
     with pytest.raises(DomainError):
         verify_real_rooted(GraphProfile(c8), tol=0)
 
@@ -790,8 +858,10 @@ def test_count_bounds_are_decided_exactly(check_id, size, excess):
         for v in _suite(profile, (Fraction(1),))
         if v.check_id == check_id and v.params["size"] == size
     ]
+    # The profile's counts are injected, so the failed row's graph_text,
+    # which sweep appends, is asserted in test_sweep_attaches_graph_text_to_failed_rows.
     if excess:
-        assert not v.passed and "graph_text" in v.params
+        assert not v.passed
     else:
         assert v.passed and format_number(v.margin) == "0"
 
@@ -824,7 +894,7 @@ def test_bipartite_count_bound_is_decided_exactly():
             for v in _suite(profile, (Fraction(1),))
             if v.check_id == "ind-count-upper-bipartite" and v.params["size"] == size
         ]
-        assert v.passed == admitted and ("graph_text" in v.params) != admitted
+        assert v.passed == admitted
 
 
 @pytest.mark.parametrize("c", [Fraction(2), Fraction(7, 3)])
