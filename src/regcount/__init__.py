@@ -53,7 +53,6 @@ _EXPORTS = {
         "stirling_term",
         "union_ind_lower_markov",
         "union_ind_lower_small_t",
-        "union_matching_lower_explicit",
         "union_small_t_exact",
     ),
     "counting": (

@@ -4,7 +4,7 @@ Each bound is defined once, by a function named after its check id, as a
 power-cleared inequality q^k * cofactor <= rhs * 2^pow2 * e^pow_e, or >= for
 a lower bound, with rhs and cofactor positive rationals and pow2 and pow_e
 rationals (`Cleared`); the factor 2^pow2 * e^pow_e carries the log2 e of
-Kahn's bound for bipartite graphs and of the entropy-form lower bounds on
+Kahn's bound for bipartite graphs and of the Stirling-style lower bounds on
 the K_{d,d} union, and the rational power of 2 of its Markov-style lower
 bound.  One evaluation, `signed_log2_ratio`, gives the exact sign of every
 comparison, which decides its verdict, and the float every report prints
@@ -288,24 +288,6 @@ def ind_count_upper_bipartite(n: int, d: int, t: int) -> Cleared:
     cofactor = _size_cofactor(n, d, t)
     pow_e = -Fraction(n, 2 * d) * Fraction(n - 2 * t, n) ** d
     return Cleared(2, n**n, cofactor, pow2=Fraction(n, d), pow_e=pow_e)
-
-
-def union_matching_lower_explicit(n: int, d: int, size: int) -> Cleared:
-    """Explicit part of the matching lower bound on the K_{d,d}-union reference
-    graph: (n/2)[alpha log2 d + 2H(alpha) + alpha log2(alpha/e)] with
-    alpha = 2s/n, s = size, cleared: q >= d^s n^(n-s) e^(-s) / ((2s)^s
-    (n - 2s)^(n - 2s)).
-
-    The remaining correction term of order log(d)/d carries an unspecified
-    constant, so it is never fabricated here; callers report the measured gap
-    against the exact count instead.
-    """
-    check_domain(n, d, size)
-    if not 0 < 2 * size < n:
-        raise DomainError(f"alpha must lie strictly inside (0,1), got {Fraction(2 * size, n)}")
-    rest = n - 2 * size
-    rhs = Fraction(d**size * n ** (n - size), (2 * size) ** size * rest**rest)
-    return Cleared(1, rhs, direction=LOWER, pow_e=-size)
 
 
 def balanced_profile(n: int, d: int, ell: int) -> tuple[int, ...]:

@@ -316,7 +316,6 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
         optimal_lambda,
         profile_matching_lower,
         stirling_term,
-        union_matching_lower_explicit,
     )
     from .kdd import kdd_matching_count, union_matching_polynomial
     from .verify import (
@@ -357,12 +356,6 @@ def _bounds_rows(n, d, ells, ts, lams, cs) -> list[dict]:
         add("match-count-upper", bounds["match-count-upper", ell].log_bound(), "upper", size=ell)
         if 0 < ell < n // 2:
             add("optimal-lambda", optimal_lambda(n, d, ell), "info", size=ell)
-            explicit = union_matching_lower_explicit(n, d, ell)
-            add("union-match-lower-explicit", explicit.log_bound(), "reference", size=ell)
-            if count:
-                # log2(count) less the explicit value: the verdict's margin.
-                gap = bound_verdict("", "", {}, count, explicit).margin
-                add("explicit-gap-log2", gap, "info", size=ell)
         profile = balanced_profile(n, d, ell)
         for c in cs:
             # Does binom(d, a)^2 a! meet the Stirling-style term of each a?

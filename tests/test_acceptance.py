@@ -130,8 +130,9 @@ def test_criterion_05_matching_count_entropy_bound(small_corpus):
 
 
 def test_criterion_06_explicit_lower_gap_trend(capsys):
-    # regression values measured on the first full run and pinned; the band
-    # and the per-parity shrinking of |gap| are the acceptance property
+    # The gap of the lower estimate without its correction term: regression
+    # values measured on the first full run and pinned; the band and the
+    # per-parity shrinking of |gap| are the acceptance property
     pinned_ratio = {
         2: -0.557305,
         3: -0.566042,
@@ -141,14 +142,18 @@ def test_criterion_06_explicit_lower_gap_trend(capsys):
         7: -0.490308,
         8: -0.461897,
     }
-    # The gap is the bounds command's explicit-gap-log2 row on one K_{d,d}
-    # block at size d // 2, over d (per block column) and over log2 d.
+    # The gap is read from the bounds command's rows on one K_{d,d} block at
+    # size d // 2: union-match-count-log2 less profile-match-lower at c = 2,
+    # less that bound's per-copy correction log2(c d); over d (per block
+    # column) and over log2 d.
     gaps = {}
     for d in range(2, 9):
-        argv = ["bounds", "--n", str(2 * d), "--d", str(d), "--ell", str(d // 2), "--t", "0"]
+        argv = ["bounds", "--n", str(2 * d), "--d", str(d), "--ell", str(d // 2)]
+        argv += ["--t", "0", "--c", "2"]
         assert main(argv) == 0
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        [total] = [float(r["value"]) for r in rows if r["name"] == "explicit-gap-log2"]
+        value = {r["name"]: r["value"] for r in json.loads(capsys.readouterr().out)["rows"]}
+        count, lower = float(value["union-match-count-log2"]), float(value["profile-match-lower"])
+        total = count - lower - log2(2 * d)
         gaps[d] = total / d
         ratio = total / log2(d)
         assert -0.60 <= ratio <= -0.40, (d, ratio)

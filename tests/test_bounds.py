@@ -38,13 +38,12 @@ from regcount import (
     stirling_term,
     union_ind_lower_markov,
     union_ind_lower_small_t,
-    union_matching_lower_explicit,
     union_copies,
     union_small_t_exact,
 )
 from regcount.bounds import LOWER, UPPER, _ln_bounds, check_domain, log2, signed_log2_ratio
 from regcount.cli import _bounds_rows
-from regcount.kdd import union_block_misses
+from regcount.kdd import kdd_matching_count, union_block_misses, union_matching_polynomial
 from regcount.verify import (
     DEFAULT_LAMBDA_GRID,
     GraphProfile,
@@ -289,8 +288,6 @@ def _case(definition, *args, name=None):
         _case(ind_count_upper_bipartite, 8, 0, 2),
         _case(optimal_lambda, 8, 0, 2),
         _case(optimal_lambda, 8, 2, 5),
-        _case(union_matching_lower_explicit, 8, 0, 2),
-        _case(union_matching_lower_explicit, 8, 2, 5),
         _case(union_ind_lower_markov, 8, 0, 2, 2),
         _case(union_ind_lower_markov, 8, 2, 5, 2),
         _case(union_ind_lower_small_t, 8, 2, -1),
@@ -343,19 +340,6 @@ def test_matching_count_upper_values(c8):
     assert _near(match_count_upper(8, 2, 4).log_bound(), 4)
     with pytest.raises(DomainError):
         match_count_upper(8, 0, 2)
-
-
-def test_union_matching_lower_explicit_value():
-    b = union_matching_lower_explicit(8, 2, 2)
-    assert b.direction == LOWER
-    # d^s n^(n-s) / ((2s)^s (n-2s)^(n-2s)) = 2^2 8^6 / (4^2 4^4) = 2^8, times e^-2
-    assert (b.rhs, b.pow_e) == (256, -2)
-    want = 4 * (0.5 * 1 + 2 * 1 + 0.5 * (math.log2(0.5) - math.log2(math.e)))
-    assert abs(float(b.log_bound()) - want) < 1e-12
-    with pytest.raises(DomainError):
-        union_matching_lower_explicit(8, 2, 0)
-    with pytest.raises(DomainError):
-        union_matching_lower_explicit(8, 2, 4)
 
 
 def test_balanced_profile():
@@ -423,6 +407,31 @@ def test_profile_lower_is_sum_of_terms_and_holds():
     exact = union_matching_polynomial(8, 2)[2]
     assert log2(Fraction(exact)) >= b.log_bound()
     assert _admits(exact, b)
+
+
+def test_union_matching_count_lies_between_two_true_bounds():
+    # Four copies of K_{d,d}: at every size the exact count meets the
+    # profile lower bound, each of its Stirling terms meeting the per-copy
+    # count, and the paper's upper bound.  At ell = n/4 the ratio of the
+    # two log2 bounds falls towards 1 with d, the paper's leading-term
+    # agreement with the union.
+    pinned_ratio = {4: 1.9443, 8: 1.4056, 16: 1.2165, 32: 1.1323, 64: 1.0901}
+    ratios = []
+    for d, want in pinned_ratio.items():
+        n = 8 * d
+        union = union_matching_polynomial(n, d)
+        for ell in range(n // 2 + 1):
+            profile = balanced_profile(n, d, ell)
+            for c in (2, 4):
+                for a in set(profile):
+                    assert _admits(kdd_matching_count(d, a), stirling_term(d, a, c)), (d, a, c)
+                assert _admits(union[ell], profile_matching_lower(n, d, profile, c)), (d, ell, c)
+            assert _admits(union[ell], match_count_upper(n, d, ell)), (d, ell)
+        lower = profile_matching_lower(n, d, balanced_profile(n, d, n // 4), 2)
+        ratio = match_count_upper(n, d, n // 4).log_bound() / lower.log_bound()
+        assert abs(ratio - want) < 1e-4, (d, ratio)
+        ratios.append(ratio)
+    assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
 def test_gurvits_bound(c8):
@@ -650,10 +659,6 @@ def test_log2_forms_match_the_closed_formulas():
                         want = head + half / d * (1 - cm * miss)
                         got = union_ind_lower_markov(n, d, s, c).log_bound()
                         assert _near(got, want), (n, d, s, c)
-                    if 0 < 2 * s < n:
-                        want = half * (a * mpmath.log(d, 2) + 2 * _entropy(a) + a * mpmath.log(a / mpmath.e, 2))
-                        got = union_matching_lower_explicit(n, d, s).log_bound()
-                        assert _near(got, want), (n, d, s)
                     if n % (2 * d) == 0:
                         profile = balanced_profile(n, d, s)
                         for c in (1, Fraction(7, 3)):

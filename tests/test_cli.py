@@ -421,8 +421,6 @@ def test_bounds_report(capsys):
         "union-match-count",
         "match-count-upper",
         "optimal-lambda",
-        "union-match-lower-explicit",
-        "explicit-gap-log2",
         "stirling-terms-ok",
         "profile-match-lower",
         "match-pf-upper",

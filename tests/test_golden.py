@@ -76,7 +76,7 @@ def test_large_bounds_report_matches_its_digest(capsys):
     assert main(["bounds", "--n", "512", "--d", "64"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == (
-        "a4a54f2cdbd52b82750eb3b9deb2492aa57d51c0adfc9fa5dbb33c67c20b650a"
+        "31fdeba876cf74077788265f52e7931ef678d170f3f2df15986ded0f648ba4f3"
     )
 
 

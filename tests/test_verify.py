@@ -40,8 +40,8 @@ from regcount.bounds import (
     Cleared,
     log2,
     log2_ratio,
+    profile_matching_lower,
     union_ind_lower_markov,
-    union_matching_lower_explicit,
 )
 from regcount.counting import INDEPENDENT_SET, MATCHING
 from regcount.kdd import kdd_matching_count, union_independence_polynomial
@@ -1134,16 +1134,18 @@ def test_hom_targets_fixed_menu():
 
 
 def test_matching_lower_gap_measured_values():
-    # The margin of the explicit lower bound on one K_{d,d} block at size
-    # d // 2: log2 of the exact count less the explicit value.
+    # On one K_{d,d} block at size d // 2 the profile lower bound holds; its
+    # margin less its per-copy correction log2(c d) is the gap of the
+    # uncorrected estimate: log2 of the exact count less that estimate.
     pinned = {2: -0.5574, 3: -0.5659, 4: -0.4726, 5: -0.5086}
     for d, want in pinned.items():
-        bound = union_matching_lower_explicit(2 * d, d, d // 2)
-        v = bound_verdict("", "", {}, kdd_matching_count(d, d // 2), bound)
-        assert v.margin < 0 and not v.passed
-        assert abs(v.margin / log2(d) - want) < 5e-4
-    with pytest.raises(DomainError):
-        union_matching_lower_explicit(2, 1, 0)
+        for c in (2, 4):
+            bound = profile_matching_lower(2 * d, d, (d // 2,), c)
+            v = bound_verdict("", "", {}, kdd_matching_count(d, d // 2), bound)
+            assert v.passed and v.margin > 0
+            gap = v.margin - log2(c * d)
+            assert gap < 0
+            assert abs(gap / log2(d) - want) < 5e-4
 
 
 def test_default_lambda_grid_shape():
